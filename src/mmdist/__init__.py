@@ -67,7 +67,6 @@ from .lipschitz import (
     HliResult,
     Lip1Set,
     hli_lambda,
-    lip1_vertices,
     lip_point_distance,
     me_lambda,
     me_lambda_maps,

@@ -29,11 +29,12 @@ from .core import (
     FiniteMMSpace,
     SemiDistancePair,
     Witness,
+    check_lambda,
     pullback_pair,
     scale_measure,
 )
 from .errors import InternalInvariantError, SizeLimitError
-from .transport import completion, max_flow, max_flow_value, northwest_plan, prokhorov_distance
+from .transport import _threshold_solve, completion, max_flow, max_flow_value, northwest_plan, prokhorov_distance
 
 #: defect comparisons get this much absolute slack when building clique graphs
 EDGE_TOL = 1e-12
@@ -144,44 +145,6 @@ def _max_weight_clique(
     return best_mass, best_set
 
 
-# ---------------------------------------------------------------------------
-# the shared threshold search
-
-
-def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max, tol: float = 1e-12) -> float:
-    """Smallest feasible tolerance over a monotone threshold structure.
-
-    ``retained_max(t, target)`` returns the maximum retainable mass when
-    defects up to ``t`` are allowed (with optional early exit at ``target``);
-    it is nondecreasing and piecewise constant between thresholds, so the
-    optimum sits at a threshold or at a mass breakpoint inside one interval.
-    """
-
-    def feasible(t: float) -> bool:
-        need = m - lam * t - tol
-        if need <= 0.0:
-            return True
-        return retained_max(t, need) >= need
-
-    hi = len(thresholds) - 1
-    if not feasible(float(thresholds[hi])):
-        raise InternalInvariantError("threshold search infeasible at the largest defect")
-    if feasible(float(thresholds[0])):
-        return float(thresholds[0])
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(float(thresholds[mid])):
-            hi = mid
-        else:
-            lo = mid
-    if lam == 0.0:
-        return float(thresholds[hi])
-    w_prev = retained_max(float(thresholds[lo]), None)
-    cand = (m - w_prev) / lam
-    return float(min(thresholds[hi], max(thresholds[lo], cand)))
-
-
 def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float) -> tuple[float, tuple]:
     """Exact box value for a symmetric defect matrix over weighted indices.
 
@@ -190,8 +153,7 @@ def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float)
     core of :func:`box_pair` and of the point-to-Lipschitz-set distances in
     :mod:`mmdist.lipschitz`.
     """
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    check_lambda(lam)
     w_all = np.asarray(weights, dtype=float)
     support = np.flatnonzero(w_all > 0.0)
     if len(support) == 0:
@@ -238,8 +200,7 @@ def box_pair(
     Exact mode uses the branch-and-bound clique search over the defect graph;
     heuristic mode peels the worst cell greedily and returns an upper bound.
     """
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    check_lambda(lam)
     delta = np.abs(pair.d1 - pair.d2)
     m = pair.total_mass
     if mode == "exact":
@@ -426,18 +387,13 @@ def _box_equal_mass_heuristic(
                 pi = trial
                 if res.value < best.value:
                     best, best_pi = res, trial
-    cells = tuple(
-        _cells_from_pair_indices(X, Y, best_pi, best.cells)
-    )
+    # pullback cells are the nonzero entries of the coupling, in row-major order
+    ii, jj = np.nonzero(best_pi > 0.0)
+    cells = tuple((int(ii[k]), int(jj[k])) for k in best.cells)
     retained = float(sum(best_pi[i, j] for i, j in cells))
     return BoxResult(
         best.value, "heuristic-upper-bound", cells, retained, best.value, coupling=best_pi
     )
-
-
-def _cells_from_pair_indices(X, Y, pi, pair_indices):
-    ii, jj = np.nonzero(pi > 0.0)
-    return [(int(ii[k]), int(jj[k])) for k in pair_indices]
 
 
 def box_distance(
@@ -458,8 +414,7 @@ def box_distance(
     mass gap.  Exact mode certifies the optimum; heuristic mode returns an
     upper bound (never below the exact value).
     """
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    check_lambda(lam)
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     mX, mY = X.total_mass, Y.total_mass

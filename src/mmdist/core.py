@@ -168,6 +168,12 @@ def normalized(space: FiniteMMSpace) -> FiniteMMSpace:
     return scale_measure(space, 1.0 / space.total_mass)
 
 
+def check_lambda(lam: float) -> None:
+    """Reject a mass-tradeoff parameter that is negative, infinite or NaN."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+
+
 def metric_closure(d: np.ndarray) -> np.ndarray:
     """Shortest-path (Floyd-Warshall) closure of a symmetric defect matrix.
 

@@ -6,16 +6,23 @@ the mass-truncated uniform distance: the smallest ``eps`` such that the two
 functions differ by more than ``eps`` only on index mass at most
 ``lam * eps``; at ``lam = 0`` it is the essential supremum over the support.
 
-The set of 1-Lipschitz functions for a semimetric, pinned to zero at a base
-point, is a polytope.  Hausdorff distances between two such sets (in the me
-distance, with the pin traded against an explicit translation freedom) are
-computed exactly at ``lam = 0`` through vertex enumeration, and bounded from
-below for ``lam > 0`` by sampling one set and measuring each sample's exact
-me-distance to the other polytope.  That point-to-set distance reduces to the
-same defect-clique search used by the box solvers: a function ``f`` is within
-``eps`` of the polytope on a retained set ``S`` exactly when
-``|f_i - f_j| <= 2 eps + D_ij`` for all ``i, j`` in ``S``, where ``D`` is the
-shortest-path closure of the semimetric.
+The 1-Lipschitz functions for a semimetric live on the support of the
+weights, where they form the polytope Lip1(C), ``C`` the shortest-path
+closure of the semimetric restricted to the support.  Zero-weight indices
+are dropped before the closure: a path through one would tighten the
+constraints between support points.  A member of Lip1(D) is within ``eps``
+of ``f`` on a retained set ``S`` exactly when ``|f_i - f_j| <= 2 eps + D_ij``
+for all ``i, j`` in ``S``, so the point-to-set me distance is the same
+defect-clique search the box solvers use.
+
+At ``lam = 0`` the Hausdorff distance has a closed form.  The distance from
+``f`` to Lip1(C2) is ``max_ij (|f_i - f_j| - C2_ij)^+ / 2``.  Over ``f`` in
+Lip1(C1) each term is at most ``(C1_ij - C2_ij)^+ / 2``, and the cone
+``f = C1(., j)`` attains it.  So the value is ``max |C1 - C2| / 2`` over
+support pairs.  For ``lam > 0`` no closed form is used: the sampled mode
+bounds the distance from below by measuring cones and random members of each
+set exactly against the other.  Vertex enumeration (``Lip1Set.vertices``)
+stays as an independent check of the closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .box import box_distance, smallest_eps_for_defects
-from .core import FiniteMMSpace, SemiDistancePair, metric_closure, scale_measure
+from .core import FiniteMMSpace, SemiDistancePair, check_lambda, metric_closure, scale_measure
 from .errors import SizeLimitError
 
 #: membership tolerance for the 1-Lipschitz test
@@ -45,8 +52,7 @@ def me_lambda(f, g, weights, lam: float) -> float:
     the infimum of the defining condition; it is attained by the equivalent
     strict-inequality form ``mass(|f - g| > eps) <= lam * eps`` used here.
     """
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    check_lambda(lam)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -241,11 +247,6 @@ def _is_spanning_tree(edges, k: int) -> bool:
     return joined == k - 1
 
 
-def lip1_vertices(dist, weights, *, max_support: int = 6) -> np.ndarray:
-    """Extreme points of the pinned 1-Lipschitz polytope (see Lip1Set)."""
-    return Lip1Set(dist, weights).vertices(max_support=max_support)
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff distances between Lipschitz sets
 
@@ -255,14 +256,16 @@ def lip_point_distance(f, dist_other, weights, lam: float) -> float:
 
     A 1-Lipschitz (for ``dist_other``) function within ``eps`` of ``f`` on a
     set ``S`` exists iff ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D``
-    the shortest-path closure; so the distance is the defect-clique optimum
-    for the halved excess matrix.
+    the shortest-path closure on the support; so the distance is the
+    defect-clique optimum for the halved excess matrix.
     """
-    f = np.asarray(f, dtype=float)
-    D = metric_closure(np.asarray(dist_other, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    s = np.flatnonzero(w > 0.0)
+    f = np.asarray(f, dtype=float)[s]
+    D = metric_closure(np.asarray(dist_other, dtype=float)[np.ix_(s, s)])
     delta = np.clip((np.abs(f[:, None] - f[None, :]) - D) / 2.0, 0.0, None)
     np.fill_diagonal(delta, 0.0)
-    eps, _ = smallest_eps_for_defects(delta, weights, lam)
+    eps, _ = smallest_eps_for_defects(delta, w[s], lam)
     return eps
 
 
@@ -293,29 +296,27 @@ def hli_lambda(
     *,
     samples: int = 48,
     seed: int = 0,
-    max_support: int = 6,
 ) -> HliResult:
     """Hausdorff distance between the 1-Lipschitz sets of the two semimetrics.
 
-    ``exact0`` (``lam`` must be 0): directed parts are maxima of a convex
-    function over each polytope, hence attained at vertices; every vertex's
-    nearest sup-distance to the other set is evaluated exactly.  ``sampled``
-    (any ``lam``): certified lower bound from random members of each set,
-    each measured exactly against the other polytope.
+    ``exact0`` (``lam`` must be 0): the closed form ``max |C1 - C2| / 2``
+    over support pairs, where ``C1`` and ``C2`` are the shortest-path
+    closures of the two semimetrics on the support.  Proof: the distance
+    from ``f`` to Lip1(C2) is ``max_ij (|f_i - f_j| - C2_ij)^+ / 2``; over
+    ``f`` in Lip1(C1) this is at most ``(C1_ij - C2_ij)^+ / 2``, attained by
+    the cone ``C1(., j)``.  Cubic in the support size.  ``sampled`` (any
+    ``lam``): certified lower bound from random members of each set, each
+    measured exactly against the other polytope.
     """
+    check_lambda(lam)
     w = pair.weights
     if mode == "exact0":
         if lam != 0.0:
             raise ValueError("exact0 mode requires lambda = 0")
-        if len(pair.support) > max_support:
-            raise SizeLimitError(
-                f"exact0 refuses support size {len(pair.support)} (limit {max_support})"
-            )
-        value = 0.0
-        for da, db in ((pair.d1, pair.d2), (pair.d2, pair.d1)):
-            for v in Lip1Set(da, w).vertices(max_support=max_support):
-                value = max(value, lip_point_distance(v, db, w, 0.0))
-        return HliResult(value, "exact", lam, mode)
+        s = pair.support
+        c1 = metric_closure(pair.d1[np.ix_(s, s)])
+        c2 = metric_closure(pair.d2[np.ix_(s, s)])
+        return HliResult(float(np.max(np.abs(c1 - c2), initial=0.0)) / 2.0, "exact", lam, mode)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -354,6 +355,7 @@ def observable_distance(
     bounds; tagged heuristic.  Unequal totals follow the same scale-and-gap
     rule as the box distance.
     """
+    check_lambda(lam)
     mX, mY = X.total_mass, Y.total_mass
     if abs(mX - mY) > 1e-12:
         if mX > mY:

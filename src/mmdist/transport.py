@@ -4,6 +4,10 @@ Everything here works on plain arrays: row capacities, column capacities and
 a boolean mask of admissible cells.  Masses are floats; the max-flow routine
 uses shortest augmenting paths, whose augmentation count is bounded by the
 graph size independently of capacities, so float capacities are safe.
+
+The threshold search shared by the box solvers and the Prokhorov distance
+lives here too: both ask for the smallest tolerance ``t`` at which the mass
+retainable with defects up to ``t`` reaches ``m - lam * t``.
 """
 
 from __future__ import annotations
@@ -163,6 +167,40 @@ def max_flow_value(row_caps, col_caps, allowed) -> float:
     return float(min(best, total_r))
 
 
+def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max, tol: float = 1e-12) -> float:
+    """Smallest feasible tolerance over a monotone threshold structure.
+
+    ``retained_max(t, target)`` returns the maximum retainable mass when
+    defects up to ``t`` are allowed (with optional early exit at ``target``);
+    it is nondecreasing and piecewise constant between thresholds, so the
+    optimum sits at a threshold or at a mass breakpoint inside one interval.
+    """
+
+    def feasible(t: float) -> bool:
+        need = m - lam * t - tol
+        if need <= 0.0:
+            return True
+        return retained_max(t, need) >= need
+
+    hi = len(thresholds) - 1
+    if not feasible(float(thresholds[hi])):
+        raise InternalInvariantError("threshold search infeasible at the largest defect")
+    if feasible(float(thresholds[0])):
+        return float(thresholds[0])
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(float(thresholds[mid])):
+            hi = mid
+        else:
+            lo = mid
+    if lam == 0.0:
+        return float(thresholds[hi])
+    w_prev = retained_max(float(thresholds[lo]), None)
+    cand = (m - w_prev) / lam
+    return float(min(thresholds[hi], max(thresholds[lo], cand)))
+
+
 def prokhorov_distance(dist, mu, nu, *, tol: float = 1e-12) -> tuple[float, np.ndarray]:
     """Exact Prokhorov distance between equal-mass weightings of one space.
 
@@ -185,27 +223,11 @@ def prokhorov_distance(dist, mu, nu, *, tol: float = 1e-12) -> tuple[float, np.n
     sub = d[np.ix_(rows, cols)]
     thresholds = np.unique(np.concatenate(([0.0], sub.ravel())))
 
-    def flow_at(t: float) -> float:
+    def flow_at(t: float, target) -> float:
         return max_flow_value(mu[rows], nu[cols], sub <= t + 1e-12)
 
-    def feasible(t: float) -> bool:
-        return flow_at(t) >= m - t - tol
-
-    hi = len(thresholds) - 1
-    if not feasible(thresholds[hi]):
-        raise InternalInvariantError("prokhorov search lost feasibility at the diameter")
-    if feasible(thresholds[0]):
-        eps = float(thresholds[0])
-    else:
-        lo = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(thresholds[mid]):
-                hi = mid
-            else:
-                lo = mid
-        gap = m - flow_at(thresholds[lo])
-        eps = float(min(thresholds[hi], max(thresholds[lo], gap)))
+    # moving mass costs one unit of tolerance per unit: lambda = 1
+    eps = _threshold_solve(thresholds, m, 1.0, flow_at, tol)
     _, sub_plan = max_flow(mu[rows], nu[cols], sub <= eps + 1e-12)
     plan = np.zeros_like(d)
     plan[np.ix_(rows, cols)] = sub_plan

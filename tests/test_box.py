@@ -15,6 +15,7 @@ from mmdist import (
     random_coupling,
     scale_measure,
     semidist_pair,
+    smallest_eps_for_defects,
 )
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
@@ -76,6 +77,14 @@ class TestBoxPair:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             box_pair(cross_pair([0.5, 0.5], 1.0, 2.0), -0.5)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        pair = cross_pair([0.5, 0.5], 1.0, 2.0)
+        with pytest.raises(ValueError):
+            box_pair(pair, lam)
+        with pytest.raises(ValueError):
+            smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
 
     def test_size_limit_refusal(self):
         pair = cross_pair([0.5, 0.5], 1.0, 2.0)
@@ -195,6 +204,15 @@ class TestBoxDistance:
         X = mm_space(np.full(9, 1.0 / 9), np.ones((9, 9)) - np.eye(9))
         with pytest.raises(SizeLimitError):
             box_distance(X, X, 1.0, max_cells=64)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_non_finite_lambda_rejected(self, mode):
+        # an infinite mass price would let every coupling certify zero
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        Y = mm_space([0.5, 0.5], [[0, 2], [2, 0]])
+        for lam in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                box_distance(X, Y, lam, mode)
 
     def test_heuristic_upper_bound_on_spaces(self):
         rng = np.random.default_rng(41)

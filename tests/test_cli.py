@@ -52,6 +52,20 @@ class TestBoxCommand:
         assert main(["box", str(p), str(p)]) == 1
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_non_finite_lambda_exits_one(tmp_path, capsys, spaces, lam):
+    x, y = spaces
+    f = tmp_path / "f.json"
+    f.write_text("[0.3, 0.0]")
+    for argv in (
+        ["box", x, y],
+        ["hlip", x, y],
+        ["me", x, "--f", f, "--g", f],
+    ):
+        assert main([str(a) for a in argv] + [f"--lambda={lam}"]) == 1, argv
+        assert "lambda" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_valid_space(self, capsys, spaces):
         x, _ = spaces

@@ -10,7 +10,6 @@ from mmdist import (
     box_distance,
     box_pair,
     hli_lambda,
-    lip1_vertices,
     lip_point_distance,
     me_lambda,
     me_lambda_maps,
@@ -21,7 +20,12 @@ from mmdist import (
     pullback_pair,
     semidist_pair,
 )
-from mmdist.instances import random_semidist_pair, random_space, random_space_total
+from mmdist.instances import (
+    random_pair_matrices,
+    random_semidist_pair,
+    random_space,
+    random_space_total,
+)
 
 from oracles import lip_vertices_active_sets, me_infimum_grid, sup_distance_to_lip_lp
 
@@ -70,6 +74,11 @@ class TestMeLambda:
             g, h, w, lam
         ) + 1e-12
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError):
+            me_lambda([0.3, 0.0], [0.0, 0.0], [0.5, 0.5], lam)
+
     def test_maps_variant_examples(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         w = np.array([0.5, 0.5])
@@ -114,10 +123,10 @@ class TestProjection:
 
 class TestVertices:
     def test_single_point(self):
-        assert np.array_equal(lip1_vertices(np.zeros((1, 1)), [1.0]), np.zeros((1, 1)))
+        assert np.array_equal(Lip1Set(np.zeros((1, 1)), [1.0]).vertices(), np.zeros((1, 1)))
 
     def test_two_point_interval_endpoints(self):
-        v = lip1_vertices([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+        v = Lip1Set([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]).vertices()
         assert sorted(map(tuple, v)) == [(0.0, -1.0), (0.0, 1.0)]
 
     def test_matches_active_set_enumeration(self):
@@ -128,20 +137,20 @@ class TestVertices:
             d = np.triu(steps, 1)
             d = d + d.T
             got = {
-                tuple(np.round(v, 6)) for v in lip1_vertices(d, np.ones(n))
+                tuple(np.round(v, 6)) for v in Lip1Set(d, np.ones(n)).vertices()
             }
             want = {tuple(np.round(v, 6)) for v in lip_vertices_active_sets(d)}
             assert got == want
 
     def test_equilateral_triangle_hexagon(self):
         d = np.ones((3, 3)) - np.eye(3)
-        assert len(lip1_vertices(d, np.ones(3))) == 6
+        assert len(Lip1Set(d, np.ones(3)).vertices()) == 6
 
     def test_size_limit(self):
         n = 7
         d = np.ones((n, n)) - np.eye(n)
         with pytest.raises(SizeLimitError):
-            lip1_vertices(d, np.ones(n))
+            Lip1Set(d, np.ones(n)).vertices()
 
     def test_vertices_are_members(self):
         rng = np.random.default_rng(73)
@@ -210,12 +219,59 @@ class TestHliPair:
         with pytest.raises(ValueError):
             hli_lambda(pair, 1.0, "exact0")
 
-    def test_exact0_size_limit(self):
-        n = 7
-        d = np.ones((n, n)) - np.eye(n)
-        pair = SemiDistancePair(np.ones(n), d, d)
-        with pytest.raises(SizeLimitError):
-            hli_lambda(pair, 0.0, "exact0")
+    def test_exact0_answers_on_support_nine(self):
+        # no size limit: the closed form is cubic in the support size.  The
+        # long side 0-1 of d2 closes to 2 through any third point, so the
+        # value is |1 - 2| / 2, not |1 - 3| / 2
+        n = 9
+        d1 = np.ones((n, n)) - np.eye(n)
+        d2 = d1.copy()
+        d2[0, 1] = d2[1, 0] = 3.0
+        res = hli_lambda(SemiDistancePair(np.ones(n), d1, d2), 0.0, "exact0")
+        assert res.value == 0.5
+        assert res.tag == "exact"
+
+    def test_zero_weight_point_does_not_shortcut(self):
+        # identical semimetrics; the zero-weight point 2 would close the
+        # side 0-1 from 2 down to 1 if it were not dropped first
+        w = [1.0, 1.0, 0.0]
+        d = [[0.0, 2.0, 0.5], [2.0, 0.0, 0.5], [0.5, 0.5, 0.0]]
+        pair = semidist_pair(w, d, d)
+        assert hli_lambda(pair, 0.0, "exact0").value == 0.0
+        assert hli_lambda(pair, 1.0, "sampled", samples=8).value == 0.0
+        # 1-Lipschitz on the support {0, 1}
+        assert lip_point_distance([0.0, 2.0, 0.0], d, w, 0.0) == 0.0
+        assert box_pair(pair, 0.0).value == 0.0
+
+    def test_exact0_matches_vertex_oracle(self):
+        # directed parts are maxima of a convex function over the polytope,
+        # so they are attained at vertices; the vertices are enumerated on
+        # the support, with zero weights and no triangle inequality
+        rng = np.random.default_rng(107)
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            w = rng.integers(0, 4, size=n).astype(float) * 0.25
+            w[int(rng.integers(n))] += 0.25
+            if np.count_nonzero(w) > 5:
+                w[int(np.argmax(w))] = 0.0
+            pair = SemiDistancePair(w, random_pair_matrices(rng, n), random_pair_matrices(rng, n))
+            s = pair.support
+            want = 0.0
+            for da, db in ((pair.d1, pair.d2), (pair.d2, pair.d1)):
+                da_s, db_s = da[np.ix_(s, s)], db[np.ix_(s, s)]
+                for v in Lip1Set(da_s, w[s]).vertices():
+                    want = max(want, lip_point_distance(v, db_s, w[s], 0.0))
+            assert hli_lambda(pair, 0.0, "exact0").value == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_invalid_lambda_rejected(self, lam):
+        pair = semidist_pair([0.5, 0.5], [[0, 1], [1, 0]], [[0, 2], [2, 0]])
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        for mode in ("exact0", "sampled"):
+            with pytest.raises(ValueError):
+                hli_lambda(pair, lam, mode)
+            with pytest.raises(ValueError):
+                observable_distance(X, X, lam, mode)
 
     def test_pair_hausdorff_below_box(self):
         rng = np.random.default_rng(89)
@@ -255,7 +311,7 @@ class TestObservableDistance:
             d2 = Y.dist[np.ix_(jj, jj)]
             value = 0.0
             for da, db in ((d1, d2), (d2, d1)):
-                for v in lip1_vertices(da, w):
+                for v in Lip1Set(da, w).vertices():
                     value = max(value, sup_distance_to_lip_lp(v, metric_closure(db)))
             best = min(best, value)
         assert best == pytest.approx(0.5, abs=1e-7)
@@ -281,17 +337,13 @@ class TestObservableDistance:
         from mmdist import Coupling
 
         rng = np.random.default_rng(103)
-        checked = 0
         for _ in range(40):
             total = float(np.round(rng.uniform(0.5, 2.0), 2))
             X = random_space_total(rng, total, min_points=2, max_points=2)
             Y = random_space_total(rng, total, min_points=2, max_points=3)
             res = observable_distance(X, Y, 0.0)
             pair = pullback_pair(X, Y, Coupling(res.coupling, X.weights, Y.weights))
-            if len(pair.support) <= 6:
-                assert hli_lambda(pair, 0.0).value == pytest.approx(res.value, abs=1e-9)
-                checked += 1
-        assert checked >= 20
+            assert hli_lambda(pair, 0.0).value == pytest.approx(res.value, abs=1e-9)
 
     def test_sampled_mode_is_tagged_heuristic(self):
         X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
