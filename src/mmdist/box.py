@@ -38,6 +38,11 @@ from .transport import _threshold_solve, completion, max_flow, max_flow_value, n
 
 #: defect comparisons get this much absolute slack when building clique graphs
 EDGE_TOL = 1e-12
+#: masses within this of each other tie in the clique and flow searches
+_TIE_TOL = 1e-12
+#: local-search schedule of heuristic :func:`box_distance`
+HEURISTIC_RESTARTS = 6
+HEURISTIC_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def _maximal_cliques(adj: np.ndarray):
 
 
 def _max_weight_clique(
-    adj: np.ndarray, weights: np.ndarray, *, target: float | None = None, tol: float = 1e-12
+    adj: np.ndarray, weights: np.ndarray, *, target: float | None = None
 ) -> tuple[float, tuple]:
     """Branch-and-bound maximum-weight clique with deterministic tie-breaking.
 
@@ -120,9 +125,9 @@ def _max_weight_clique(
     def consider(r: list, mass: float):
         nonlocal best_mass, best_set, done
         tup = tuple(sorted(r))
-        if mass > best_mass + tol:
+        if mass > best_mass + _TIE_TOL:
             best_mass, best_set = mass, tup
-        elif mass >= best_mass - tol and (not best_set or tup < best_set):
+        elif mass >= best_mass - _TIE_TOL and (not best_set or tup < best_set):
             best_mass, best_set = max(best_mass, mass), tup
         if target is not None and best_mass >= target:
             done = True
@@ -134,7 +139,7 @@ def _max_weight_clique(
             return
         remaining = sum(weights[v] for v in cand)
         for idx, v in enumerate(cand):
-            if mass + remaining < best_mass - tol:
+            if mass + remaining < best_mass - _TIE_TOL:
                 return  # even taking every remaining candidate cannot win
             expand(r + [v], mass + weights[v], [u for u in cand[idx + 1 :] if u in neigh[v]])
             if done:
@@ -193,7 +198,6 @@ def box_pair(
     mode: str = "exact",
     *,
     max_cells: int = 64,
-    seed: int = 0,
 ) -> BoxResult:
     """Box value of a semimetric pair.
 
@@ -272,7 +276,6 @@ def _best_flow_at(
     *,
     target: float | None = None,
     with_plan: bool = False,
-    tol: float = 1e-12,
 ):
     """Max over maximal compatible cell sets of the transportation flow.
 
@@ -284,14 +287,16 @@ def _best_flow_at(
         rows = sorted({int(rows_of[c]) for c in clique})
         cols = sorted({int(cols_of[c]) for c in clique})
         ub = min(float(row_caps[rows].sum()), float(col_caps[cols].sum()))
-        if ub < best[0] - tol:
+        if ub < best[0] - _TIE_TOL:
             continue
         mask = np.zeros((len(row_caps), len(col_caps)), dtype=bool)
         for c in clique:
             mask[rows_of[c], cols_of[c]] = True
         value = max_flow_value(row_caps, col_caps, mask)
         tup = tuple(int(c) for c in clique)
-        if value > best[0] + tol or (value >= best[0] - tol and (best[1] == () or tup < best[1])):
+        if value > best[0] + _TIE_TOL or (
+            value >= best[0] - _TIE_TOL and (best[1] == () or tup < best[1])
+        ):
             plan = None
             if with_plan:
                 _, plan = max_flow(row_caps, col_caps, mask)
@@ -345,7 +350,7 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
 
 
 def _box_equal_mass_heuristic(
-    X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, seed: int, restarts: int, steps: int
+    X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, seed: int
 ) -> BoxResult:
     """Local search over couplings, each scored by an exact pair solve.
 
@@ -360,7 +365,7 @@ def _box_equal_mass_heuristic(
         pair = pullback_pair(X, Y, Coupling(pi, X.weights, Y.weights))
         return box_pair(pair, lam, "exact", max_cells=256)
 
-    for attempt in range(max(1, restarts)):
+    for attempt in range(HEURISTIC_RESTARTS):
         if attempt == 0:  # natural order: the diagonal plan for aligned spaces
             pi = northwest_plan(X.weights, Y.weights)
         else:
@@ -368,7 +373,7 @@ def _box_equal_mass_heuristic(
         res = score(pi)
         if best is None or res.value < best.value:
             best, best_pi = res, pi
-        for _ in range(steps):
+        for _ in range(HEURISTIC_STEPS):
             i1, i2 = rng.integers(0, X.n, size=2)
             j1, j2 = rng.integers(0, Y.n, size=2)
             if i1 == i2 or j1 == j2:
@@ -404,8 +409,6 @@ def box_distance(
     *,
     max_cells: int = 64,
     seed: int = 0,
-    restarts: int = 6,
-    steps: int = 200,
 ) -> BoxResult:
     """Box distance between two finite mm-spaces.
 
@@ -421,11 +424,9 @@ def box_distance(
     if abs(mX - mY) <= 1e-12:
         if mode == "exact":
             return _box_equal_mass_exact(X, Y, lam, max_cells)
-        return _box_equal_mass_heuristic(X, Y, lam, seed, restarts, steps)
+        return _box_equal_mass_heuristic(X, Y, lam, seed)
     if mX > mY:
-        flipped = box_distance(
-            Y, X, lam, mode, max_cells=max_cells, seed=seed, restarts=restarts, steps=steps
-        )
+        flipped = box_distance(Y, X, lam, mode, max_cells=max_cells, seed=seed)
         return BoxResult(
             flipped.value,
             flipped.mode,
@@ -436,10 +437,7 @@ def box_distance(
             None if flipped.coupling is None else flipped.coupling.T.copy(),
         )
     gap = mY - mX
-    inner = box_distance(
-        X, scale_measure(Y, mX / mY), lam, mode,
-        max_cells=max_cells, seed=seed, restarts=restarts, steps=steps,
-    )
+    inner = box_distance(X, scale_measure(Y, mX / mY), lam, mode, max_cells=max_cells, seed=seed)
     return BoxResult(
         inner.value + gap,
         inner.mode,

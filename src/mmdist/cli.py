@@ -7,8 +7,8 @@ Reports echo the configuration and carry SHA-256 digests of the inputs, so
 identical inputs and flags reproduce identical bytes except for the
 ``wall_time_s`` field.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 size-limit refusal,
-3 internal invariant failure (2 is also used by argparse for usage errors).
+Exit codes: 0 success, 1 usage, parse or validation failure, 2 size-limit
+refusal, 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -59,6 +59,15 @@ def _load_vector(path: str, expected_len: int, what: str) -> np.ndarray:
     return arr
 
 
+def _count(samples: float | None, default):
+    """``--samples`` as a whole count; ``default`` only when the flag is absent."""
+    if samples is None:
+        return default
+    if not samples.is_integer() or samples < 0:
+        raise ValueError(f"--samples must be a whole number, got {samples!r}")
+    return int(samples)
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
@@ -84,8 +93,16 @@ def _common_flags(p: argparse.ArgumentParser, *names: str) -> None:
         flags[name]()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any user error; exit 2 means a size-limit refusal."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="mmdist",
         description="distances and diagnostics for finite metric-measure spaces",
     )
@@ -189,27 +206,25 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         X = space_input("x", args.x)
         Y = space_input("y", args.y)
         mode = args.mode or ("exact0" if args.lam == 0.0 else "sampled")
-        samples = int(args.samples) if args.samples else 48
         res = observable_distance(
-            X, Y, args.lam, mode, samples=samples, seed=args.seed, max_cells=args.max_cells
+            X, Y, args.lam, mode, samples=_count(args.samples, 48), seed=args.seed,
+            max_cells=args.max_cells,
         )
         return res.to_jsonable(), inputs, 0
 
     if cmd == "matdist":
         X = space_input("space", args.space)
-        if args.samples:
-            dist = sample_mu_r(X, args.r, int(args.samples), seed=args.seed)
-        else:
+        count = _count(args.samples, None)
+        if count is None:
             dist = exact_mu_r(X, args.r)
+        else:
+            dist = sample_mu_r(X, args.r, count, seed=args.seed)
         return dist.to_jsonable(), inputs, 0
 
     if cmd == "isotest":
         X = space_input("x", args.x)
         Y = space_input("y", args.y)
-        rep = reconstruction_check(X, Y, args.max_r)
-        out = rep.to_jsonable()
-        out["agreement"] = rep.agreement
-        return out, inputs, 0
+        return reconstruction_check(X, Y, args.max_r).to_jsonable(), inputs, 0
 
     if cmd == "prokhorov":
         X = space_input("space", args.space)
@@ -270,7 +285,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         names = None
         if args.properties:
             names = [s.strip() for s in str(args.properties).split(",") if s.strip()]
-        scale = float(args.samples) if args.samples else 1.0
+        scale = 1.0 if args.samples is None else args.samples
         rep = run_suite(seed=args.seed, samples=scale, names=names)
         return rep, inputs, 0 if rep["passed"] else 1
 

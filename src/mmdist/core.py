@@ -283,12 +283,12 @@ def northwest_coupling(
     return Coupling(pi, X.weights, Y.weights)
 
 
-def random_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, rng: np.random.Generator, mix: int = 3) -> Coupling:
-    """Random coupling: a convex mix of ``mix`` random transportation vertices."""
+def random_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, rng: np.random.Generator) -> Coupling:
+    """Random coupling: a convex mix of three random transportation vertices."""
     _require_equal_mass(X, Y)
     from .transport import northwest_plan
 
-    coeffs = rng.dirichlet(np.ones(mix))
+    coeffs = rng.dirichlet(np.ones(3))
     pi = np.zeros((X.n, Y.n))
     for c in coeffs:
         pi += c * northwest_plan(

@@ -1,6 +1,6 @@
 """Seeded generators of small random instances for property suites.
 
-Distances are drawn from a grid inside ``[base, 2 * base]``, which makes the
+Distances are drawn from a grid inside ``[1, 2]``, which makes the
 triangle inequality automatic and keeps distinct values separated by at least
 one grid step, so exact solvers and tolerance-based comparisons never sit on
 a knife edge.  Weights come from a coarse positive grid for the same reason.
@@ -18,17 +18,13 @@ def random_space(
     *,
     min_points: int = 1,
     max_points: int = 4,
-    base: float = 1.0,
-    mixed_masses: bool = True,
 ) -> FiniteMMSpace:
     """A random valid space with grid distances and grid weights."""
     n = int(rng.integers(min_points, max_points + 1))
     steps = rng.integers(100, 201, size=(n, n)).astype(float)
-    d = np.triu(steps, k=1) * (base / 100.0)
+    d = np.triu(steps, k=1) * 0.01
     d = d + d.T
     weights = rng.integers(1, 21, size=n).astype(float) * 0.05
-    if not mixed_masses:
-        weights = np.full(n, 1.0 / n)
     return mm_space(weights, d)
 
 
@@ -58,11 +54,9 @@ def shuffled_copy(rng: np.random.Generator, X: FiniteMMSpace) -> tuple[FiniteMMS
     )
 
 
-def random_pair_matrices(
-    rng: np.random.Generator, n: int, *, low: float = 0.5, high: float = 2.5
-) -> np.ndarray:
+def random_pair_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
     """A random symmetric zero-diagonal matrix, no triangle inequality."""
-    steps = rng.uniform(low, high, size=(n, n))
+    steps = rng.uniform(0.5, 2.5, size=(n, n))
     d = np.triu(np.round(steps, 2), k=1)
     return d + d.T
 

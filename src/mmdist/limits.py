@@ -15,9 +15,10 @@ from itertools import product
 
 import numpy as np
 
-from .box import box_distance, box_upper_from_witness, smallest_eps_for_defects
+from .box import _max_weight_clique, box_distance, box_upper_from_witness, smallest_eps_for_defects
 from .core import FiniteMMSpace, Witness
 from .errors import SizeLimitError
+from .matrixdist import _isomorphisms
 from .transport import prokhorov_distance
 
 __all__ = [
@@ -35,8 +36,19 @@ __all__ = [
     "Me1Diagnostic",
 ]
 
+#: :func:`lipschitz_up_to_check` solves the clique exactly up to this support
+EXACT_CLIQUE_SUPPORT = 20
+#: :func:`witness_search` enumerates all maps when both supports fit here
+WITNESS_ENUM_SUPPORT = 6
+#: hill-climbing schedule of :func:`witness_search` beyond that size
+ANNEAL_RESTARTS = 8
+ANNEAL_STEPS = 500
+#: size limits of the backtracking searches
+DOMINATION_MAX_SUPPORT = 7
+ISOMETRY_MAX_SUPPORT = 8
 
-def prokhorov(space: FiniteMMSpace, mu, nu, *, tol: float = 1e-12) -> float:
+
+def prokhorov(space: FiniteMMSpace, mu, nu) -> float:
     """Exact Prokhorov distance between two weightings of one space.
 
     Smallest ``eps`` such that every subset's ``mu`` mass is covered by the
@@ -51,7 +63,7 @@ def prokhorov(space: FiniteMMSpace, mu, nu, *, tol: float = 1e-12) -> float:
         raise ValueError("weightings must be nonnegative")
     if abs(float(mu.sum()) - float(nu.sum())) > 1e-9:
         raise ValueError("prokhorov requires equal total masses")
-    return prokhorov_distance(space.dist, mu, nu, tol=tol)[0]
+    return prokhorov_distance(space.dist, mu, nu)[0]
 
 
 def lipschitz_up_to_check(
@@ -60,27 +72,22 @@ def lipschitz_up_to_check(
     fmap,
     lam: float,
     eps: float,
-    *,
-    max_support: int = 20,
-    tol: float = 1e-12,
 ) -> np.ndarray | None:
     """Certify that a map expands distances by at most ``lam`` plus ``eps``
     off an exceptional set of mass at most ``eps``.
 
     Returns the maximal-mass subset on which the inequality holds pairwise
     (an exact clique search at desk scale, greedy peeling beyond
-    ``max_support``), or ``None`` when its complement is too heavy.
+    :data:`EXACT_CLIQUE_SUPPORT`), or ``None`` when its complement is too heavy.
     """
     fmap = np.asarray(fmap, dtype=int)
     s = X.support
     dY = Y.dist[np.ix_(fmap[s], fmap[s])]
     dX = X.dist[np.ix_(s, s)]
-    ok = dY <= lam * dX + eps + tol
+    ok = dY <= lam * dX + eps + 1e-12
     np.fill_diagonal(ok, False)
     # maximum-mass subset that is pairwise admissible = max-weight clique
-    from .box import _max_weight_clique  # shared solver
-
-    if len(s) <= max_support:
+    if len(s) <= EXACT_CLIQUE_SUPPORT:
         _, clique = _max_weight_clique(ok, X.weights[s])
     else:  # greedy peel: drop the endpoint with most violations
         alive = list(range(len(s)))
@@ -108,21 +115,15 @@ def _distortion_matrix(Xn, X, p, sn):
     return np.abs(dn - dx)
 
 
-def witness_search(
-    Xn: FiniteMMSpace,
-    X: FiniteMMSpace,
-    *,
-    max_support: int = 6,
-    seed: int = 0,
-    anneal_iters: int = 4000,
-) -> Witness:
+def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Witness:
     """Best almost-isometry witness from ``Xn`` to ``X``.
 
     Minimizes ``max(distortion on the retained set, dropped mass,
     prokhorov(pushforward, target measure))`` over all point maps and
     retained subsets.  For a fixed map the inner subset optimization is the
     defect-clique search at unit mass-tradeoff; maps are enumerated when both
-    supports fit in ``max_support`` and hill-climbed with restarts otherwise.
+    supports fit in :data:`WITNESS_ENUM_SUPPORT` and hill-climbed with
+    restarts otherwise.
     """
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
         raise ValueError("witness_search requires equal total masses")
@@ -141,7 +142,7 @@ def witness_search(
     best_obj = np.inf
     best_p: tuple = ()
     best_cells: tuple = ()
-    if len(sn) <= max_support and len(sx) <= max_support:
+    if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
         for cand in product(sx.tolist(), repeat=len(sn)):
             obj, cells = evaluate(cand)
             if obj < best_obj - 1e-15 or (
@@ -150,12 +151,12 @@ def witness_search(
                 best_obj, best_p, best_cells = obj, cand, cells
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(max(1, anneal_iters // 500)):
+        for _ in range(ANNEAL_RESTARTS):
             cand = tuple(rng.choice(sx, size=len(sn)).tolist())
             obj, cells = evaluate(cand)
             if obj < best_obj:
                 best_obj, best_p, best_cells = obj, cand, cells
-            for _ in range(500):
+            for _ in range(ANNEAL_STEPS):
                 trial = list(best_p)
                 trial[int(rng.integers(len(sn)))] = int(rng.choice(sx))
                 trial = tuple(trial)
@@ -186,16 +187,6 @@ class ConvergenceReport:
     monotone: bool
     decreased: bool
     spans_two_decades: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "rows": [
-                {"N": n, "value": v, "mode": mode} for (n, v, mode) in self.rows
-            ],
-            "monotone": self.monotone,
-            "decreased": self.decreased,
-            "spans_two_decades": self.spans_two_decades,
-        }
 
 
 def empirical_space(X: FiniteMMSpace, counts: np.ndarray) -> FiniteMMSpace:
@@ -285,9 +276,7 @@ class DominationCertificate:
         return v
 
 
-def domination_search(
-    X: FiniteMMSpace, Y: FiniteMMSpace, *, max_support: int = 7, tol: float = 1e-9
-) -> DominationCertificate | None:
+def domination_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> DominationCertificate | None:
     """Search for a Lipschitz domination certificate from ``X`` onto ``Y``.
 
     The mass ratio is forced to ``c = m_X / m_Y``; backtracking assigns
@@ -295,10 +284,10 @@ def domination_search(
     accounting.  Returns ``None`` after exhaustion.
     """
     sx, sy = X.support, Y.support
-    if len(sx) > max_support or len(sy) > max_support:
+    if len(sx) > DOMINATION_MAX_SUPPORT or len(sy) > DOMINATION_MAX_SUPPORT:
         raise SizeLimitError(
             f"domination_search refuses supports {len(sx)}x{len(sy)} "
-            f"(limit {max_support})"
+            f"(limit {DOMINATION_MAX_SUPPORT})"
         )
     c = X.total_mass / Y.total_mass
     if c < 1.0 - 1e-12:
@@ -311,10 +300,10 @@ def domination_search(
 
     def backtrack(k: int) -> bool:
         if k == len(sx):
-            return bool(np.max(np.abs(pushed - budget)) <= tol)
+            return bool(np.max(np.abs(pushed - budget)) <= 1e-9)
         i = sx[k]
         for j in sy:
-            if pushed[j] + X.weights[i] > budget[j] + tol:
+            if pushed[j] + X.weights[i] > budget[j] + 1e-9:
                 continue
             ok = True
             for prev in sx[:k]:
@@ -350,57 +339,24 @@ def compose_domination(
 # isometries and homogeneity
 
 
-def isometry_group(
-    X: FiniteMMSpace, *, max_support: int = 8, tol: float = 1e-9
-) -> list[np.ndarray]:
+def isometry_group(X: FiniteMMSpace) -> list[np.ndarray]:
     """All distance- and measure-preserving bijections of the support.
 
-    Backtracking with weight and distance-profile pruning; returns
-    full-length maps (non-support entries -1), identity first.
+    The isomorphisms of ``X`` onto itself, as full-length maps (non-support
+    entries -1) in lexicographic order, so the identity comes first.
     """
-    s = X.support
-    k = len(s)
-    if k > max_support:
-        raise SizeLimitError(f"isometry_group refuses support size {k} (limit {max_support})")
-    w = X.weights[s]
-    d = X.dist[np.ix_(s, s)]
-    profiles = [tuple(np.sort(np.round(d[i] * 1e9)).tolist()) for i in range(k)]
-    out: list[np.ndarray] = []
-    assign = np.full(k, -1, dtype=int)
-    used = np.zeros(k, dtype=bool)
-
-    def backtrack(i: int):
-        if i == k:
-            g = np.full(X.n, -1, dtype=int)
-            for a in range(k):
-                g[s[a]] = s[assign[a]]
-            out.append(g)
-            return
-        for j in range(k):
-            if used[j] or abs(w[i] - w[j]) > tol or profiles[i] != profiles[j]:
-                continue
-            if any(abs(d[i, a] - d[j, assign[a]]) > tol for a in range(i)):
-                continue
-            assign[i] = j
-            used[j] = True
-            backtrack(i + 1)
-            used[j] = False
-            assign[i] = -1
-
-    backtrack(0)
-    return out
+    k = len(X.support)
+    if k > ISOMETRY_MAX_SUPPORT:
+        raise SizeLimitError(
+            f"isometry_group refuses support size {k} (limit {ISOMETRY_MAX_SUPPORT})"
+        )
+    return sorted(_isomorphisms(X, X), key=lambda g: g.tolist())
 
 
-def is_homogeneous(X: FiniteMMSpace, *, max_support: int = 8, tol: float = 1e-9) -> bool:
+def is_homogeneous(X: FiniteMMSpace) -> bool:
     """Whether the measure-preserving isometry group acts transitively."""
     s = X.support
-    if len(s) <= 1:
-        return True
-    group = isometry_group(X, max_support=max_support, tol=tol)
-    orbit = {int(s[0])}
-    for g in group:
-        orbit.add(int(g[s[0]]))
-    return orbit == {int(i) for i in s}
+    return {int(g[s[0]]) for g in isometry_group(X)} == set(s.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +377,6 @@ class Me1Diagnostic:
     @property
     def empty(self) -> bool:
         return self.matrix.size == 0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "matrix": [list(map(float, row)) for row in self.matrix],
-            "chains": [
-                {"eps": eps, "indices": list(idx)} for eps, idx in self.chains
-            ],
-        }
 
 
 def me1_subsequence_diagnostic(maps, weights, dY, *, eps_grid=None) -> Me1Diagnostic:

@@ -38,6 +38,9 @@ from .errors import SizeLimitError
 
 #: membership tolerance for the 1-Lipschitz test
 LIP_TOL = 1e-12
+#: random transportation vertices ``sampled`` observable_distance tries
+#: besides the product coupling
+COUPLING_CANDIDATES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +346,6 @@ def observable_distance(
     samples: int = 48,
     seed: int = 0,
     max_cells: int = 16,
-    coupling_candidates: int = 8,
 ) -> HliResult:
     """Observable distance: couplings are optimized under the Hausdorff value.
 
@@ -360,8 +362,7 @@ def observable_distance(
     if abs(mX - mY) > 1e-12:
         if mX > mY:
             res = observable_distance(
-                Y, X, lam, mode, samples=samples, seed=seed,
-                max_cells=max_cells, coupling_candidates=coupling_candidates,
+                Y, X, lam, mode, samples=samples, seed=seed, max_cells=max_cells
             )
             return HliResult(
                 res.value, res.tag, lam, mode, res.mass_gap,
@@ -369,8 +370,7 @@ def observable_distance(
             )
         gap = mY - mX
         inner = observable_distance(
-            X, scale_measure(Y, mX / mY), lam, mode, samples=samples, seed=seed,
-            max_cells=max_cells, coupling_candidates=coupling_candidates,
+            X, scale_measure(Y, mX / mY), lam, mode, samples=samples, seed=seed, max_cells=max_cells
         )
         return HliResult(inner.value + gap, inner.tag, lam, mode, inner.mass_gap + gap, inner.coupling)
 
@@ -391,7 +391,7 @@ def observable_distance(
 
     rng = np.random.default_rng(seed)
     candidates = [product_coupling(X, Y)]
-    for _ in range(max(0, coupling_candidates)):
+    for _ in range(COUPLING_CANDIDATES):
         candidates.append(
             northwest_coupling(X, Y, rng.permutation(X.n), rng.permutation(Y.n))
         )

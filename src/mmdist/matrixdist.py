@@ -23,6 +23,10 @@ from .core import FiniteMMSpace, normalized
 from .errors import SizeLimitError
 
 _ROUND_DECIMALS = 12
+#: absolute tolerance for comparing masses and distances
+_TOL = 1e-9
+#: most ``r``-tuples :func:`exact_mu_r` enumerates before refusing
+EXACT_MU_R_LIMIT = 10**7
 
 
 def _canonical_key(mat: np.ndarray) -> tuple:
@@ -41,7 +45,6 @@ class MatrixDistribution:
 
     r: int
     entries: tuple  # tuple of (key tuple, mass)
-    canonical: bool = True
 
     @property
     def total_mass(self) -> float:
@@ -49,12 +52,7 @@ class MatrixDistribution:
 
     def normalized(self) -> "MatrixDistribution":
         m = self.total_mass
-        return MatrixDistribution(
-            self.r, tuple((k, mass / m) for k, mass in self.entries), self.canonical
-        )
-
-    def matrices(self) -> list[np.ndarray]:
-        return [np.array(k, float).reshape(self.r, self.r) for k, _ in self.entries]
+        return MatrixDistribution(self.r, tuple((k, mass / m) for k, mass in self.entries))
 
     def to_jsonable(self) -> dict:
         return {
@@ -65,9 +63,7 @@ class MatrixDistribution:
         }
 
 
-def distributions_equal(
-    a: MatrixDistribution, b: MatrixDistribution, mass_tol: float = 1e-9
-) -> bool:
+def distributions_equal(a: MatrixDistribution, b: MatrixDistribution) -> bool:
     """Exact key equality with mass tolerance."""
     if a.r != b.r:
         return False
@@ -75,7 +71,7 @@ def distributions_equal(
     db = dict(b.entries)
     if set(da) != set(db):
         return False
-    return all(abs(da[k] - db[k]) <= mass_tol for k in da)
+    return all(abs(da[k] - db[k]) <= _TOL for k in da)
 
 
 def _aggregate(r: int, items) -> MatrixDistribution:
@@ -91,14 +87,14 @@ def k_r(space: FiniteMMSpace, indices) -> np.ndarray:
     return space.dist[np.ix_(idx, idx)]
 
 
-def exact_mu_r(space: FiniteMMSpace, r: int, *, limit: int = 10**7) -> MatrixDistribution:
+def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
     """Exact matrix distribution by enumerating all ``r``-tuples of support points."""
     if r < 1:
         raise ValueError("r must be at least 1")
     s = space.support
-    if len(s) ** r > limit:
+    if len(s) ** r > EXACT_MU_R_LIMIT:
         raise SizeLimitError(
-            f"exact_mu_r would enumerate {len(s) ** r} tuples (limit {limit})"
+            f"exact_mu_r would enumerate {len(s) ** r} tuples (limit {EXACT_MU_R_LIMIT})"
         )
     w = space.weights
 
@@ -146,65 +142,61 @@ def total_variation(a: MatrixDistribution, b: MatrixDistribution) -> float:
 # isomorphism
 
 
-def isomorphism_search(
-    X: FiniteMMSpace, Y: FiniteMMSpace, *, tol: float = 1e-9
-) -> np.ndarray | None:
-    """Weight- and distance-preserving bijection between the supports.
+def _isomorphisms(X: FiniteMMSpace, Y: FiniteMMSpace):
+    """Yield every weight- and distance-preserving bijection between the supports.
 
-    Backtracking over weight classes with distance-profile pruning; returns a
-    full-length index map (non-support entries -1) or ``None`` after an
-    exhaustive search.
+    Backtracking over weight classes with distance-profile pruning; each map
+    is full-length (non-support entries -1).
     """
     sx, sy = X.support, Y.support
     if len(sx) != len(sy):
-        return None
-    if abs(X.total_mass - Y.total_mass) > tol:
-        return None
+        return
+    if abs(X.total_mass - Y.total_mass) > _TOL:
+        return
     wx, wy = X.weights[sx], Y.weights[sy]
-    if np.max(np.abs(np.sort(wx) - np.sort(wy))) > tol:
-        return None
+    if np.max(np.abs(np.sort(wx) - np.sort(wy))) > _TOL:
+        return
     dx = X.dist[np.ix_(sx, sx)]
     dy = Y.dist[np.ix_(sy, sy)]
-    if np.max(np.abs(np.sort(dx.ravel()) - np.sort(dy.ravel()))) > tol:
-        return None
+    if np.max(np.abs(np.sort(dx.ravel()) - np.sort(dy.ravel()))) > _TOL:
+        return
     k = len(sx)
     # order source points by weight class then distance profile, for pruning
     order = sorted(range(k), key=lambda i: (wx[i], tuple(np.sort(dx[i]))))
     assigned = np.full(k, -1, dtype=int)
     used = np.zeros(k, dtype=bool)
 
-    def profile_ok(i: int, j: int) -> bool:
-        if abs(wx[i] - wy[j]) > tol:
+    def profile_ok(step: int, j: int) -> bool:
+        i = order[step]
+        if abs(wx[i] - wy[j]) > _TOL:
             return False
-        for step in range(len(order)):
-            a = order[step]
-            b = assigned[a]
-            if b < 0:
-                break
-            if abs(dx[i, a] - dy[j, b]) > tol:
-                return False
-        return True
+        return all(abs(dx[i, a] - dy[j, assigned[a]]) <= _TOL for a in order[:step])
 
-    def backtrack(step: int) -> bool:
+    def backtrack(step: int):
         if step == k:
-            return True
+            out = np.full(X.n, -1, dtype=int)
+            out[sx] = sy[assigned]
+            yield out
+            return
         i = order[step]
         for j in range(k):
-            if not used[j] and profile_ok(i, j):
+            if not used[j] and profile_ok(step, j):
                 assigned[i] = j
                 used[j] = True
-                if backtrack(step + 1):
-                    return True
+                yield from backtrack(step + 1)
                 assigned[i] = -1
                 used[j] = False
-        return False
 
-    if not backtrack(0):
-        return None
-    out = np.full(X.n, -1, dtype=int)
-    for i in range(k):
-        out[sx[i]] = sy[assigned[i]]
-    return out
+    yield from backtrack(0)
+
+
+def isomorphism_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> np.ndarray | None:
+    """Weight- and distance-preserving bijection between the supports.
+
+    Returns the first map :func:`_isomorphisms` finds, or ``None`` after an
+    exhaustive search.
+    """
+    return next(_isomorphisms(X, Y), None)
 
 
 @dataclass(frozen=True)
@@ -229,27 +221,28 @@ class ReconstructionReport:
             "r_max": self.r_max,
             "distinguishing_r": self.distinguishing_r,
             "bijection": None if self.bijection is None else [int(x) for x in self.bijection],
+            "agreement": self.agreement,
         }
 
 
 def reconstruction_check(
-    X: FiniteMMSpace, Y: FiniteMMSpace, R: int | None = None, *,
-    limit: int = 10**7, mass_tol: float = 1e-9,
+    X: FiniteMMSpace, Y: FiniteMMSpace, R: int | None = None
 ) -> ReconstructionReport:
     """Compare exact matrix distributions for ``r = 1..R`` after normalization.
 
-    ``R`` defaults to the larger support size.  Cross-checked against the
-    explicit isomorphism search; a disagreement on finite spaces would be a
-    genuine anomaly and is surfaced through ``agreement``.
+    ``R`` defaults to the larger support size and must be at least 1.
+    Cross-checked against the explicit isomorphism search; a disagreement on
+    finite spaces would be a genuine anomaly and is surfaced through
+    ``agreement``.
     """
     Xn, Yn = normalized(X), normalized(Y)
     if R is None:
         R = max(len(X.support), len(Y.support))
+    if R < 1:
+        raise ValueError("R must be at least 1")
     distinguishing = None
     for r in range(1, R + 1):
-        if not distributions_equal(
-            exact_mu_r(Xn, r, limit=limit), exact_mu_r(Yn, r, limit=limit), mass_tol
-        ):
+        if not distributions_equal(exact_mu_r(Xn, r), exact_mu_r(Yn, r)):
             distinguishing = r
             break
     bijection = isomorphism_search(Xn, Yn)
@@ -262,10 +255,7 @@ def reconstruction_check(
     return ReconstructionReport(verdict, R, distinguishing, bijection, agreement)
 
 
-def parameter_invariance_check(
-    X: FiniteMMSpace, cell_points, cell_masses, R: int = 3, *,
-    limit: int = 10**7, mass_tol: float = 1e-9,
-) -> bool:
+def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses, R: int = 3) -> bool:
     """Matrix distributions are blind to splitting atoms into cells.
 
     ``cell_points[c]`` is the point of ``X`` that cell ``c`` sits on and
@@ -281,8 +271,6 @@ def parameter_invariance_check(
         tuple(f"c{i}" for i in range(len(cp))), cm, X.dist[np.ix_(cp, cp)]
     )
     for r in range(1, R + 1):
-        if not distributions_equal(
-            exact_mu_r(X, r, limit=limit), exact_mu_r(cell_space, r, limit=limit), mass_tol
-        ):
+        if not distributions_equal(exact_mu_r(X, r), exact_mu_r(cell_space, r)):
             return False
     return True

@@ -167,7 +167,7 @@ def max_flow_value(row_caps, col_caps, allowed) -> float:
     return float(min(best, total_r))
 
 
-def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max, tol: float = 1e-12) -> float:
+def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max) -> float:
     """Smallest feasible tolerance over a monotone threshold structure.
 
     ``retained_max(t, target)`` returns the maximum retainable mass when
@@ -177,7 +177,7 @@ def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max,
     """
 
     def feasible(t: float) -> bool:
-        need = m - lam * t - tol
+        need = m - lam * t - 1e-12
         if need <= 0.0:
             return True
         return retained_max(t, need) >= need
@@ -201,7 +201,7 @@ def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max,
     return float(min(thresholds[hi], max(thresholds[lo], cand)))
 
 
-def prokhorov_distance(dist, mu, nu, *, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+def prokhorov_distance(dist, mu, nu) -> tuple[float, np.ndarray]:
     """Exact Prokhorov distance between equal-mass weightings of one space.
 
     The distance is the smallest ``eps`` for which some coupling places all
@@ -227,7 +227,7 @@ def prokhorov_distance(dist, mu, nu, *, tol: float = 1e-12) -> tuple[float, np.n
         return max_flow_value(mu[rows], nu[cols], sub <= t + 1e-12)
 
     # moving mass costs one unit of tolerance per unit: lambda = 1
-    eps = _threshold_solve(thresholds, m, 1.0, flow_at, tol)
+    eps = _threshold_solve(thresholds, m, 1.0, flow_at)
     _, sub_plan = max_flow(mu[rows], nu[cols], sub <= eps + 1e-12)
     plan = np.zeros_like(d)
     plan[np.ix_(rows, cols)] = sub_plan

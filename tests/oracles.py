@@ -5,7 +5,7 @@ dense parameter grids, LP formulations, min-cut formulas) and shares no code
 path with the solvers under test.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -182,3 +182,26 @@ def sup_distance_to_lip_lp(v, d_other):
     )
     assert res.success
     return float(res.fun)
+
+
+def brute_isomorphisms(wx, dx, wy, dy, tol=1e-9):
+    """Every weight- and distance-preserving bijection between the supports.
+
+    Tries all permutations of the target support; returns full-length maps
+    as lists (-1 off the support), sorted.
+    """
+    wx, wy = np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)
+    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
+    sx, sy = np.flatnonzero(wx > 0.0), np.flatnonzero(wy > 0.0)
+    if len(sx) != len(sy):
+        return []
+    out = []
+    for perm in permutations(sy.tolist()):
+        p = np.array(perm, dtype=int)
+        if np.all(np.abs(wx[sx] - wy[p]) <= tol) and np.all(
+            np.abs(dx[np.ix_(sx, sx)] - dy[np.ix_(p, p)]) <= tol
+        ):
+            g = np.full(len(wx), -1, dtype=int)
+            g[sx] = p
+            out.append(g.tolist())
+    return sorted(out)

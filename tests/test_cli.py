@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mmdist import mm_space, write_space
+from mmdist import mm_space, observable_distance, write_space
 from mmdist.cli import main
 
 
@@ -20,6 +20,14 @@ def run_json(capsys, argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def exit_code(argv):
+    """Exit status of ``mmdist argv``, whether returned or raised by argparse."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestBoxCommand:
@@ -66,6 +74,21 @@ def test_non_finite_lambda_exits_one(tmp_path, capsys, spaces, lam):
         assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["-inf", "-nan", "-1e-3"])
+def test_option_like_lambda_is_a_usage_error(capsys, spaces, lam):
+    # argparse reads these values as an option; that is a user error (exit 1),
+    # not a size-limit refusal (exit 2)
+    x, _ = spaces
+    assert exit_code(["box", x, x, "--lambda", lam]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_missing_arguments_exit_one(capsys, spaces):
+    x, _ = spaces
+    assert exit_code([]) == 1
+    assert exit_code(["box", x]) == 1
+
+
 class TestValidateCommand:
     def test_valid_space(self, capsys, spaces):
         x, _ = spaces
@@ -90,6 +113,12 @@ class TestOtherCommands:
         assert code == 0
         assert rep["result"]["verdict"] == "distinguished"
         assert rep["result"]["distinguishing_r"] == 2
+
+    @pytest.mark.parametrize("max_r", ["0", "-2"])
+    def test_isotest_nonpositive_max_r_exits_one(self, capsys, spaces, max_r):
+        x, y = spaces
+        assert exit_code(["isotest", x, y, "--max-r", max_r]) == 1
+        assert "R must be at least 1" in capsys.readouterr().err
 
     def test_me_command(self, tmp_path, capsys, spaces):
         x, _ = spaces
@@ -129,6 +158,25 @@ class TestOtherCommands:
         assert code == 0
         assert len(rep["result"]["entries"]) == 2
 
+    def test_hlip_zero_samples_draws_none(self, tmp_path, capsys):
+        X = mm_space([0.8, 0.3, 0.3], [[0, 1.65, 1.34], [1.65, 0, 1.88], [1.34, 1.88, 0]])
+        Y = mm_space([0.7, 0.7], [[0, 1.89], [1.89, 0]])
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        write_space(x, X)
+        write_space(y, Y)
+        none = observable_distance(X, Y, 1.0, "sampled", samples=0).value
+        assert none != observable_distance(X, Y, 1.0, "sampled").value  # 48 samples differ here
+        code, rep = run_json(capsys, ["hlip", x, y, "--samples", "0"])
+        assert code == 0 and rep["result"]["value"] == none
+
+    @pytest.mark.parametrize("command", ["hlip", "matdist"])
+    @pytest.mark.parametrize("samples", ["0.5", "-3"])
+    def test_non_whole_samples_exit_one(self, capsys, spaces, command, samples):
+        x, y = spaces
+        argv = ["hlip", x, y] if command == "hlip" else ["matdist", x]
+        assert exit_code(argv + ["--samples", samples]) == 1
+        assert "whole number" in capsys.readouterr().err
+
     def test_dominate_command(self, capsys, spaces):
         x, y = spaces
         code, rep = run_json(capsys, ["dominate", y, x])
@@ -140,6 +188,13 @@ class TestOtherCommands:
         assert code == 0
         assert rep["result"]["homogeneous"] is True
         assert rep["result"]["isometry_group_order"] == 2
+
+    def test_homogeneous_size_limit_exits_two(self, tmp_path, capsys):
+        n = 9
+        p = tmp_path / "big.json"
+        write_space(p, mm_space(np.ones(n) / n, np.ones((n, n)) - np.eye(n)))
+        assert main(["homogeneous", str(p)]) == 2
+        assert "isometry_group refuses support size 9 (limit 8)" in capsys.readouterr().err
 
     def test_converge_report_csv(self, capsys, spaces):
         x, _ = spaces
@@ -160,6 +215,11 @@ class TestSuiteCommand:
         assert rep["result"]["passed"]
         names = [p["name"] for p in rep["result"]["properties"]]
         assert names == ["box-triangle", "scale-roundtrip"]
+
+    def test_zero_samples_scale_is_not_the_default(self, capsys):
+        code, rep = run_json(capsys, ["suite", "--properties", "scale-roundtrip", "--samples", "0"])
+        assert code == 0
+        assert rep["result"]["samples"] == 0.0
 
     def test_unknown_property_rejected(self, capsys):
         assert main(["suite", "--properties", "not-a-property"]) == 1

@@ -10,6 +10,7 @@ from mmdist import (
     empirical_convergence_experiment,
     is_homogeneous,
     isometry_group,
+    isomorphism_search,
     lipschitz_up_to_check,
     me1_subsequence_diagnostic,
     mm_space,
@@ -19,7 +20,7 @@ from mmdist import (
 )
 from mmdist.instances import random_space
 
-from oracles import prokhorov_subsets
+from oracles import brute_isomorphisms, prokhorov_subsets
 
 
 def two_point(w=(0.5, 0.5), d=1.0):
@@ -211,6 +212,52 @@ class TestIsometryGroup:
     def test_equilateral_triangle_full_symmetric_group(self):
         X = mm_space(np.ones(3) / 3, np.ones((3, 3)) - np.eye(3))
         assert len(isometry_group(X)) == 6
+
+    def test_size_limit_refusal(self):
+        n = 9
+        X = mm_space(np.ones(n) / n, np.ones((n, n)) - np.eye(n))
+        with pytest.raises(SizeLimitError):
+            isometry_group(X)
+
+
+def coarse_space(rng, n):
+    """Distances in {1, 2} and weights in {0, 0.5, 1}: symmetries are common."""
+    d = np.triu(rng.integers(1, 3, size=(n, n)).astype(float), k=1)
+    w = rng.integers(0, 3, size=n) * 0.5
+    w[int(rng.integers(n))] = 1.0  # keep the total mass positive
+    return mm_space(w, d + d.T)
+
+
+class TestIsometrySearchOracle:
+    def test_group_matches_permutation_oracle(self):
+        rng = np.random.default_rng(41)
+        orders = set()
+        for _ in range(150):
+            X = coarse_space(rng, int(rng.integers(1, 6)))
+            group = [g.tolist() for g in isometry_group(X)]
+            # the same maps in the same (lexicographic) order
+            assert group == brute_isomorphisms(X.weights, X.dist, X.weights, X.dist)
+            identity = np.full(X.n, -1)
+            identity[X.support] = X.support
+            assert group[0] == identity.tolist()
+            orders.add(len(group))
+        assert len(orders) >= 4  # the instances exercise nontrivial groups
+
+    def test_isomorphism_search_matches_permutation_oracle(self):
+        rng = np.random.default_rng(43)
+        found = 0
+        for _ in range(150):
+            X = coarse_space(rng, int(rng.integers(1, 6)))
+            Y = coarse_space(rng, X.n) if rng.random() < 0.5 else mm_space(
+                rng.permutation(X.weights), X.dist
+            )
+            maps = brute_isomorphisms(X.weights, X.dist, Y.weights, Y.dist)
+            p = isomorphism_search(X, Y)
+            assert (p is not None) == bool(maps)
+            if p is not None:
+                assert p.tolist() in maps
+                found += 1
+        assert 20 <= found <= 130  # both outcomes occur
 
 
 class TestHomogeneity:

@@ -61,9 +61,10 @@ class TestExactMuR:
             )
 
     def test_size_limit(self):
+        # 4 ** 12 tuples exceed the fixed limit of 10 ** 7
         X = random_space(np.random.default_rng(0), min_points=4, max_points=4)
         with pytest.raises(SizeLimitError):
-            exact_mu_r(X, 4, limit=100)
+            exact_mu_r(X, 12)
 
 
 class TestSampleMuR:
@@ -135,6 +136,12 @@ class TestReconstruction:
         assert rep.verdict == "distinguished"
         assert rep.distinguishing_r is not None and rep.distinguishing_r <= 2
         assert rep.agreement
+
+    @pytest.mark.parametrize("R", [0, -2])
+    def test_nonpositive_order_rejected(self, R):
+        # no order is compared, so no verdict can be given
+        with pytest.raises(ValueError):
+            reconstruction_check(two_point(), two_point(d=2.0), R)
 
     def test_measure_scale_is_shape_blind(self):
         # comparisons run after normalization, so a pure mass rescaling is
