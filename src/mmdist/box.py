@@ -275,14 +275,13 @@ def _best_flow_at(
     col_caps: np.ndarray,
     *,
     target: float | None = None,
-    with_plan: bool = False,
 ):
     """Max over maximal compatible cell sets of the transportation flow.
 
-    Returns ``(mass, cells, plan)``; ``plan`` is computed only on request.
-    Deterministic: ties go to the lexicographically smallest cell tuple.
+    Returns ``(mass, cells)``.  Deterministic: ties go to the
+    lexicographically smallest cell tuple.
     """
-    best = (0.0, (), None)
+    best = (0.0, ())
     for clique in _maximal_cliques(adj):
         rows = sorted({int(rows_of[c]) for c in clique})
         cols = sorted({int(cols_of[c]) for c in clique})
@@ -297,10 +296,7 @@ def _best_flow_at(
         if value > best[0] + _TIE_TOL or (
             value >= best[0] - _TIE_TOL and (best[1] == () or tup < best[1])
         ):
-            plan = None
-            if with_plan:
-                _, plan = max_flow(row_caps, col_caps, mask)
-            best = (max(best[0], value), tup, plan)
+            best = (max(best[0], value), tup)
         if target is not None and best[0] >= target:
             break
     return best
@@ -327,7 +323,7 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
         return adj
 
     def retained_max(t: float, tgt):
-        mass, _, _ = _best_flow_at(
+        mass, _ = _best_flow_at(
             adj_at(t), rows_of, cols_of, row_caps, col_caps, target=tgt
         )
         return mass
@@ -336,11 +332,12 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     thresholds = np.unique(np.concatenate(([0.0], off)))
     eps = _threshold_solve(thresholds, m, lam, retained_max)
 
-    mass, cells, sub_plan = _best_flow_at(
-        adj_at(eps), rows_of, cols_of, row_caps, col_caps, with_plan=True
-    )
+    mass, cells = _best_flow_at(adj_at(eps), rows_of, cols_of, row_caps, col_caps)
     if mass + lam * eps < m - 1e-9:
         raise InternalInvariantError("box certificate lost feasibility")
+    mask = np.zeros((len(sx), len(sy)), dtype=bool)
+    mask[rows_of[list(cells)], cols_of[list(cells)]] = True
+    _, sub_plan = max_flow(row_caps, col_caps, mask)
     full_plan = completion(sub_plan, row_caps, col_caps)
     pi = np.zeros((X.n, Y.n))
     pi[np.ix_(sx, sy)] = full_plan
@@ -358,21 +355,22 @@ def _box_equal_mass_heuristic(
     marginals; the returned value is an upper bound on the exact distance.
     """
     rng = np.random.default_rng(seed)
-    best: BoxResult | None = None
+    best_eps = np.inf
+    best_cells: tuple = ()
     best_pi: np.ndarray | None = None
 
-    def score(pi: np.ndarray) -> BoxResult:
+    def score(pi: np.ndarray) -> tuple[float, tuple]:
         pair = pullback_pair(X, Y, Coupling(pi, X.weights, Y.weights))
-        return box_pair(pair, lam, "exact", max_cells=256)
+        return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
 
     for attempt in range(HEURISTIC_RESTARTS):
         if attempt == 0:  # natural order: the diagonal plan for aligned spaces
             pi = northwest_plan(X.weights, Y.weights)
         else:
             pi = northwest_plan(X.weights, Y.weights, rng.permutation(X.n), rng.permutation(Y.n))
-        res = score(pi)
-        if best is None or res.value < best.value:
-            best, best_pi = res, pi
+        eps, cells = score(pi)
+        if eps < best_eps:
+            best_eps, best_cells, best_pi = eps, cells, pi
         for _ in range(HEURISTIC_STEPS):
             i1, i2 = rng.integers(0, X.n, size=2)
             j1, j2 = rng.integers(0, Y.n, size=2)
@@ -387,17 +385,17 @@ def _box_equal_mass_heuristic(
             trial[i2, j2] += shift
             trial[i1, j2] -= shift
             trial[i2, j1] -= shift
-            res = score(trial)
-            if res.value <= best.value + 1e-15:
+            eps, cells = score(trial)
+            if eps <= best_eps + 1e-15:
                 pi = trial
-                if res.value < best.value:
-                    best, best_pi = res, trial
+                if eps < best_eps:
+                    best_eps, best_cells, best_pi = eps, cells, trial
     # pullback cells are the nonzero entries of the coupling, in row-major order
     ii, jj = np.nonzero(best_pi > 0.0)
-    cells = tuple((int(ii[k]), int(jj[k])) for k in best.cells)
+    cells = tuple((int(ii[k]), int(jj[k])) for k in best_cells)
     retained = float(sum(best_pi[i, j] for i, j in cells))
     return BoxResult(
-        best.value, "heuristic-upper-bound", cells, retained, best.value, coupling=best_pi
+        best_eps, "heuristic-upper-bound", cells, retained, best_eps, coupling=best_pi
     )
 
 
@@ -476,4 +474,4 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
             u = p[z]
             pi[z] = Xn.weights[z] * kappa[u] / nu[u]
     pair = pullback_pair(X=Xn, Y=X, pi=Coupling(pi, Xn.weights, X.weights), tol=1e-7)
-    return box_pair(pair, 1.0, "exact", max_cells=4096).value
+    return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, 1.0)[0]

@@ -26,9 +26,9 @@ from .box import box_distance, box_upper_from_witness
 from .core import read_space, validate
 from .errors import InternalInvariantError, InvalidSpaceError, SizeLimitError, SpaceFormatError
 from .limits import (
+    _is_transitive,
     domination_search,
     empirical_convergence_experiment,
-    is_homogeneous,
     isometry_group,
     prokhorov,
     witness_search,
@@ -86,7 +86,6 @@ def _common_flags(p: argparse.ArgumentParser, *names: str) -> None:
         "max-cells": lambda: p.add_argument("--max-cells", dest="max_cells", type=int, default=64),
         "max-r": lambda: p.add_argument("--max-r", dest="max_r", type=int, default=None),
         "samples": lambda: p.add_argument("--samples", type=float, default=None),
-        "tol": lambda: p.add_argument("--tol", type=float, default=1e-9),
         "out": lambda: p.add_argument("--out", default=None, help="write the report here"),
     }
     for name in names:
@@ -272,14 +271,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
     if cmd == "homogeneous":
         X = space_input("space", args.space)
         group = isometry_group(X)
-        return (
-            {
-                "homogeneous": is_homogeneous(X),
-                "isometry_group_order": len(group),
-            },
-            inputs,
-            0,
-        )
+        return {"homogeneous": _is_transitive(X, group), "isometry_group_order": len(group)}, inputs, 0
 
     if cmd == "suite":
         names = None

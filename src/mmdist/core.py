@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpaceError, SpaceFormatError
+from .transport import northwest_plan
 
 #: absolute tolerance for mass bookkeeping (marginals, totals)
 MASS_TOL = 1e-12
@@ -84,7 +85,7 @@ class ValidationReport:
         return self.ok
 
 
-def validate(space: FiniteMMSpace, *, tol: float = METRIC_TOL) -> ValidationReport:
+def validate(space: FiniteMMSpace) -> ValidationReport:
     """Check every structural invariant of a finite mm-space.
 
     All violations are reported, none raised; loaders and factories turn a
@@ -111,22 +112,22 @@ def validate(space: FiniteMMSpace, *, tol: float = METRIC_TOL) -> ValidationRepo
     if not np.all(np.isfinite(space.dist)):
         v.append("dist contains non-finite entries")
         return ValidationReport(tuple(v))
-    if np.any(space.dist < -tol):
+    if np.any(space.dist < -METRIC_TOL):
         v.append("dist contains negative entries")
     asym = np.max(np.abs(space.dist - space.dist.T))
-    if asym > tol:
+    if asym > METRIC_TOL:
         i, j = np.unravel_index(
             np.argmax(np.abs(space.dist - space.dist.T)), space.dist.shape
         )
         v.append(f"dist is asymmetric at ({i}, {j}): |d_ij - d_ji| = {asym:.3g}")
     diag = np.max(np.abs(np.diag(space.dist)))
-    if diag > tol:
+    if diag > METRIC_TOL:
         v.append(f"dist diagonal is not zero (max {diag:.3g})")
     # triangle inequality over all ordered triples
     d = space.dist
     tri = d[:, None, :] + d.T[None, :, :]  # tri[i, j, k] = d_ik + d_kj
     worst = float((d[:, :, None] - tri).max())
-    if worst > tol:
+    if worst > METRIC_TOL:
         v.append(f"triangle inequality violated by {worst:.3g}")
     if np.all(space.weights <= 0.0) or float(space.weights.sum()) <= 0.0:
         v.append("total mass must be positive")
@@ -226,18 +227,18 @@ class Coupling:
         return v
 
 
-def _require_equal_mass(X: FiniteMMSpace, Y: FiniteMMSpace, tol: float = 1e-9):
-    if abs(X.total_mass - Y.total_mass) > tol:
+def _require_equal_mass(X: FiniteMMSpace, Y: FiniteMMSpace):
+    if abs(X.total_mass - Y.total_mass) > 1e-9:
         raise ValueError(
             f"coupled spaces must carry equal total mass "
             f"({X.total_mass:.12g} vs {Y.total_mass:.12g}); scale first"
         )
 
 
-def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi, *, tol: float = 1e-9) -> Coupling:
-    """Wrap a matrix as a coupling of ``X`` and ``Y``, checking marginals."""
+def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> Coupling:
+    """Wrap a matrix as a coupling of ``X`` and ``Y``, checking marginals to 1e-9."""
     c = Coupling(np.asarray(pi, dtype=float), X.weights, Y.weights)
-    bad = c.marginal_violations(tol)
+    bad = c.marginal_violations(1e-9)
     if bad:
         raise ValueError("not a coupling of the given spaces: " + "; ".join(bad))
     return c
@@ -255,30 +256,27 @@ def product_coupling(X: FiniteMMSpace, Y: FiniteMMSpace) -> Coupling:
     return Coupling(pi, X.weights, Y.weights)
 
 
-def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping, *, tol: float = 1e-9) -> Coupling:
+def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping) -> Coupling:
     """Coupling concentrated on the graph of a weight-preserving point map.
 
     ``mapping[i]`` is the index in ``Y`` receiving all mass of point ``i``;
     the map must preserve atom weights for the result to be a coupling.
     """
-    _require_equal_mass(X, Y, tol)
+    _require_equal_mass(X, Y)
     pi = np.zeros((X.n, Y.n))
     for i, j in enumerate(mapping):
         pi[i, int(j)] += X.weights[i]
-    return coupling_from_matrix(X, Y, pi, tol=tol)
+    return coupling_from_matrix(X, Y, pi)
 
 
-def northwest_coupling(
-    X: FiniteMMSpace, Y: FiniteMMSpace, row_order=None, col_order=None
-) -> Coupling:
+def northwest_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, row_order, col_order) -> Coupling:
     """A vertex of the transportation polytope obtained by greedy filling.
 
-    Filling follows ``row_order`` and ``col_order`` (defaults: ascending), so
-    permuting the orders sweeps through the polytope's extreme points.
+    Filling visits the rows of ``X`` in ``row_order`` and the columns of ``Y``
+    in ``col_order``, so permuting the orders sweeps through the polytope's
+    extreme points.
     """
     _require_equal_mass(X, Y)
-    from .transport import northwest_plan  # local import avoids a cycle
-
     pi = northwest_plan(X.weights, Y.weights, row_order, col_order)
     return Coupling(pi, X.weights, Y.weights)
 
@@ -286,8 +284,6 @@ def northwest_coupling(
 def random_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, rng: np.random.Generator) -> Coupling:
     """Random coupling: a convex mix of three random transportation vertices."""
     _require_equal_mass(X, Y)
-    from .transport import northwest_plan
-
     coeffs = rng.dirichlet(np.ones(3))
     pi = np.zeros((X.n, Y.n))
     for c in coeffs:
@@ -313,17 +309,12 @@ class SemiDistancePair:
     weights: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    labels: tuple = ()
     cells: tuple | None = None  # (i, j) provenance indices when pulled back
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "d1", _readonly(self.d1))
         object.__setattr__(self, "d2", _readonly(self.d2))
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(str(i) for i in range(len(self.weights)))
-            )
 
     @property
     def n(self) -> int:
@@ -338,26 +329,26 @@ class SemiDistancePair:
         return np.flatnonzero(self.weights > 0.0)
 
 
-def validate_pair(pair: SemiDistancePair, *, tol: float = METRIC_TOL) -> ValidationReport:
+def validate_pair(pair: SemiDistancePair) -> ValidationReport:
     v = []
     n = pair.n
     for name, d in (("d1", pair.d1), ("d2", pair.d2)):
         if d.shape != (n, n):
             v.append(f"{name} has shape {d.shape}, expected ({n}, {n})")
             continue
-        if float(np.max(np.abs(d - d.T), initial=0.0)) > tol:
+        if float(np.max(np.abs(d - d.T), initial=0.0)) > METRIC_TOL:
             v.append(f"{name} is not symmetric")
-        if float(np.max(np.abs(np.diag(d)), initial=0.0)) > tol:
+        if float(np.max(np.abs(np.diag(d)), initial=0.0)) > METRIC_TOL:
             v.append(f"{name} has nonzero diagonal")
-        if np.any(d < -tol):
+        if np.any(d < -METRIC_TOL):
             v.append(f"{name} has negative entries")
     if np.any(pair.weights < 0.0):
         v.append("negative cell mass")
     return ValidationReport(tuple(v))
 
 
-def semidist_pair(weights, d1, d2, labels=()) -> SemiDistancePair:
-    pair = SemiDistancePair(np.asarray(weights, float), np.asarray(d1, float), np.asarray(d2, float), tuple(labels))
+def semidist_pair(weights, d1, d2) -> SemiDistancePair:
+    pair = SemiDistancePair(np.asarray(weights, float), np.asarray(d1, float), np.asarray(d2, float))
     report = validate_pair(pair)
     if not report.ok:
         raise ValueError("; ".join(report.violations))
@@ -383,13 +374,10 @@ def pullback_pair(
             f"col off {col_err:.3g})"
         )
     ii, jj = np.nonzero(pi.pi > 0.0)
-    w = pi.pi[ii, jj]
-    labels = tuple((X.labels[i], Y.labels[j]) for i, j in zip(ii, jj))
     return SemiDistancePair(
-        w,
+        pi.pi[ii, jj],
         X.dist[np.ix_(ii, ii)],
         Y.dist[np.ix_(jj, jj)],
-        labels,
         cells=tuple((int(i), int(j)) for i, j in zip(ii, jj)),
     )
 
@@ -417,7 +405,8 @@ class Witness:
         object.__setattr__(self, "subset", np.array(sorted(int(i) for i in self.subset), dtype=int))
         object.__setattr__(self, "eps", float(self.eps))
 
-    def violations(self, Xn: FiniteMMSpace, X: FiniteMMSpace, tol: float = 1e-9) -> list[str]:
+    def violations(self, Xn: FiniteMMSpace, X: FiniteMMSpace) -> list[str]:
+        """Ways the witness fails for ``Xn`` to ``X``, each beyond 1e-9."""
         v = []
         if len(self.p) != Xn.n:
             v.append("map length does not match the first space")
@@ -428,14 +417,14 @@ class Witness:
         keep = np.zeros(Xn.n, dtype=bool)
         keep[self.subset] = True
         dropped = float(Xn.weights[~keep].sum())
-        if dropped > self.eps + tol:
+        if dropped > self.eps + 1e-9:
             v.append(f"dropped mass {dropped:.6g} exceeds eps {self.eps:.6g}")
         s = self.subset
         if len(s) >= 2:
             dn = Xn.dist[np.ix_(s, s)]
             dx = X.dist[np.ix_(self.p[s], self.p[s])]
             distortion = float(np.max(np.abs(dn - dx)))
-            if distortion > self.eps + tol:
+            if distortion > self.eps + 1e-9:
                 v.append(f"distortion {distortion:.6g} exceeds eps {self.eps:.6g}")
         return v
 

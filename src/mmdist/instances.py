@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteMMSpace, mm_space, scale_measure
+from .core import FiniteMMSpace, SemiDistancePair, mm_space, scale_measure
 
 
 def random_space(
@@ -63,8 +63,6 @@ def random_pair_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_semidist_pair(rng: np.random.Generator, *, max_cells: int = 4):
     """A random semimetric pair over a common weighted index set."""
-    from .core import SemiDistancePair
-
     n = int(rng.integers(1, max_cells + 1))
     w = rng.integers(1, 11, size=n).astype(float) * 0.1
     return SemiDistancePair(w, random_pair_matrices(rng, n), random_pair_matrices(rng, n))

@@ -18,6 +18,7 @@ import numpy as np
 from .box import _max_weight_clique, box_distance, box_upper_from_witness, smallest_eps_for_defects
 from .core import FiniteMMSpace, Witness
 from .errors import SizeLimitError
+from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms
 from .transport import prokhorov_distance
 
@@ -184,7 +185,6 @@ class ConvergenceReport:
     """
 
     rows: tuple
-    monotone: bool
     decreased: bool
     spans_two_decades: bool
 
@@ -232,11 +232,9 @@ def empirical_convergence_experiment(
             value = box_upper_from_witness(emp, X, w)
             mode = "witness-upper-bound"
         rows.append((int(N), float(value), mode))
-    values = [v for _, v, _ in rows]
-    monotone = all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
-    decreased = bool(values and values[-1] < values[0])
+    decreased = bool(rows) and rows[-1][1] < rows[0][1]
     spans = bool(rows) and max(n for n, _, _ in rows) >= 100 * min(n for n, _, _ in rows)
-    return ConvergenceReport(tuple(rows), monotone, decreased, spans)
+    return ConvergenceReport(tuple(rows), decreased, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,8 @@ class DominationCertificate:
         object.__setattr__(self, "p", np.array(self.p, dtype=int))
         object.__setattr__(self, "c", float(self.c))
 
-    def violations(self, X: FiniteMMSpace, Y: FiniteMMSpace, tol: float = 1e-9) -> list[str]:
+    def violations(self, X: FiniteMMSpace, Y: FiniteMMSpace) -> list[str]:
+        """Ways the certificate fails for ``X`` onto ``Y``; mass is checked to 1e-9."""
         v = []
         sx = X.support
         p = self.p
@@ -271,7 +270,7 @@ class DominationCertificate:
         pushed = np.zeros(Y.n)
         np.add.at(pushed, p[sx], X.weights[sx])
         err = float(np.max(np.abs(pushed - self.c * Y.weights)))
-        if err > tol:
+        if err > 1e-9:
             v.append(f"pushforward misses c * weights by {err:.3g}")
         return v
 
@@ -353,10 +352,16 @@ def isometry_group(X: FiniteMMSpace) -> list[np.ndarray]:
     return sorted(_isomorphisms(X, X), key=lambda g: g.tolist())
 
 
+def _is_transitive(X: FiniteMMSpace, group: list[np.ndarray]) -> bool:
+    """Whether ``group`` (which holds the identity) moves the first support
+    point onto every support point."""
+    s = X.support
+    return {int(g[s[0]]) for g in group} == set(s.tolist())
+
+
 def is_homogeneous(X: FiniteMMSpace) -> bool:
     """Whether the measure-preserving isometry group acts transitively."""
-    s = X.support
-    return {int(g[s[0]]) for g in isometry_group(X)} == set(s.tolist())
+    return _is_transitive(X, isometry_group(X))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +392,6 @@ def me1_subsequence_diagnostic(maps, weights, dY, *, eps_grid=None) -> Me1Diagno
     pairwise within the tolerance; a chain covering the whole sequence means
     the sequence is uniformly clustered at that scale.
     """
-    from .lipschitz import me_lambda_maps
-
     maps = [np.asarray(f, dtype=int) for f in maps]
     k = len(maps)
     if k == 0:

@@ -33,11 +33,20 @@ from itertools import combinations, product
 import numpy as np
 
 from .box import box_distance, smallest_eps_for_defects
-from .core import FiniteMMSpace, SemiDistancePair, check_lambda, metric_closure, scale_measure
+from .core import (
+    FiniteMMSpace,
+    SemiDistancePair,
+    check_lambda,
+    metric_closure,
+    northwest_coupling,
+    product_coupling,
+    pullback_pair,
+    scale_measure,
+)
 from .errors import SizeLimitError
 
 #: membership tolerance for the 1-Lipschitz test
-LIP_TOL = 1e-12
+LIP_TOL = 1e-9
 #: random transportation vertices ``sampled`` observable_distance tries
 #: besides the product coupling
 COUPLING_CANDIDATES = 8
@@ -135,11 +144,12 @@ class Lip1Set:
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0.0)
 
-    def contains(self, f, tol: float = LIP_TOL) -> bool:
+    def contains(self, f) -> bool:
+        """Whether ``f`` is 1-Lipschitz on the support, within :data:`LIP_TOL`."""
         s = self.support
         f = np.asarray(f, dtype=float)[s]
         d = self.dist[np.ix_(s, s)]
-        return float(np.max(np.abs(f[:, None] - f[None, :]) - d, initial=0.0)) <= tol
+        return float(np.max(np.abs(f[:, None] - f[None, :]) - d, initial=0.0)) <= LIP_TOL
 
     def vertices(self, *, max_support: int = 6) -> np.ndarray:
         """All extreme points, pinned at the first support point.
@@ -285,7 +295,6 @@ class HliResult:
     tag: str
     lam: float
     mode: str
-    mass_gap: float = 0.0
     coupling: np.ndarray | None = None
 
     def to_jsonable(self) -> dict:
@@ -308,8 +317,9 @@ def hli_lambda(
     from ``f`` to Lip1(C2) is ``max_ij (|f_i - f_j| - C2_ij)^+ / 2``; over
     ``f`` in Lip1(C1) this is at most ``(C1_ij - C2_ij)^+ / 2``, attained by
     the cone ``C1(., j)``.  Cubic in the support size.  ``sampled`` (any
-    ``lam``): certified lower bound from random members of each set, each
-    measured exactly against the other polytope.
+    ``lam``): certified lower bound from the distance cones and ``samples``
+    (nonnegative) random members of each set, each measured exactly against
+    the other polytope.
     """
     check_lambda(lam)
     w = pair.weights
@@ -322,6 +332,8 @@ def hli_lambda(
         return HliResult(float(np.max(np.abs(c1 - c2), initial=0.0)) / 2.0, "exact", lam, mode)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
     value = 0.0
     for da, db in ((pair.d1, pair.d2), (pair.d2, pair.d1)):
@@ -331,7 +343,7 @@ def hli_lambda(
         # inequality on the raw matrix; always probe them
         closure = metric_closure(source.dist[np.ix_(s, s)])
         probes = [source._extend(closure[:, j]) for j in range(len(s))]
-        probes += [source.sample(rng) for _ in range(max(0, samples))]
+        probes += [source.sample(rng) for _ in range(samples)]
         for f in probes:
             value = max(value, lip_point_distance(f, db, w, lam))
     return HliResult(value, "lower-bound", lam, mode)
@@ -365,14 +377,14 @@ def observable_distance(
                 Y, X, lam, mode, samples=samples, seed=seed, max_cells=max_cells
             )
             return HliResult(
-                res.value, res.tag, lam, mode, res.mass_gap,
+                res.value, res.tag, lam, mode,
                 None if res.coupling is None else res.coupling.T.copy(),
             )
         gap = mY - mX
         inner = observable_distance(
             X, scale_measure(Y, mX / mY), lam, mode, samples=samples, seed=seed, max_cells=max_cells
         )
-        return HliResult(inner.value + gap, inner.tag, lam, mode, inner.mass_gap + gap, inner.coupling)
+        return HliResult(inner.value + gap, inner.tag, lam, mode, inner.coupling)
 
     if mode == "exact0":
         if lam != 0.0:
@@ -386,8 +398,6 @@ def observable_distance(
         return HliResult(box.value / 2.0, "exact", lam, mode, coupling=box.coupling)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-
-    from .core import northwest_coupling, product_coupling, pullback_pair
 
     rng = np.random.default_rng(seed)
     candidates = [product_coupling(X, Y)]

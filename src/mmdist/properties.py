@@ -18,6 +18,7 @@ import numpy as np
 from . import instances as gen
 from .box import box_distance, box_pair, box_upper_from_witness
 from .core import (
+    FiniteMMSpace,
     diagonal_coupling,
     mm_space,
     normalized,
@@ -117,8 +118,6 @@ def prop_validation_detects_asymmetry(seed: int, trials: int) -> dict:
         X = gen.random_space(rng, min_points=2, max_points=4)
         d = np.array(X.dist)
         d[0, 1] += 0.5  # break symmetry only one way
-        from .core import FiniteMMSpace
-
         report = validate(FiniteMMSpace(X.labels, X.weights, d))
         ok = ok and any("asymmetric" in v for v in report.violations)
     return _result(ok)
@@ -288,7 +287,7 @@ def prop_mcshane_projection(seed: int, trials: int) -> dict:
         lset = Lip1Set(X.dist, X.weights)
         f = gen.random_function(rng, X.n, scale=4.0)
         proj = project_to_lip1(f, X.dist, np.arange(X.n))
-        ok = ok and lset.contains(proj, tol=1e-9)
+        ok = ok and lset.contains(proj)
         member = lset.sample(rng)
         again = project_to_lip1(member, X.dist, np.arange(X.n))
         ok = ok and float(np.max(np.abs(again - member))) <= 1e-9

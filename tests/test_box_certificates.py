@@ -1,0 +1,105 @@
+"""Frozen certificates of ``box_distance``: cells, retained mass and coupling.
+
+The expected reports were produced by the solver before its certificate code
+was reorganised; any change to the clique sweep, the flow plan or the
+heuristic scoring that alters a certificate shows here, even when the value
+stays the same.
+"""
+
+import pytest
+
+from mmdist import box_distance, mm_space
+
+D3A = [[0, 1.0, 1.5], [1.0, 0, 1.25], [1.5, 1.25, 0]]
+D3B = [[0, 1.75, 1.0], [1.75, 0, 1.5], [1.0, 1.5, 0]]
+D4A = [[0, 1.0, 1.5, 1.25], [1.0, 0, 1.75, 1.5], [1.5, 1.75, 0, 1.0], [1.25, 1.5, 1.0, 0]]
+D4B = [[0, 1.5, 1.0, 2.0], [1.5, 0, 1.25, 1.0], [1.0, 1.25, 0, 1.75], [2.0, 1.0, 1.75, 0]]
+
+CASES = {
+    "exact lam=0": (
+        ([0.25, 0.25, 0.5], D3A), ([0.5, 0.25, 0.25], D3B), 0.0, "exact",
+        {
+            "value": 0.5,
+            "mode": "exact",
+            "certificate": {
+                "cells": [[0, 1], [1, 2], [2, 0]],
+                "retained_mass": 1.0,
+                "pair_value": 0.5,
+                "mass_gap": 0.0,
+                "coupling": [[0.0, 0.25, 0.0], [0.0, 0.0, 0.25], [0.5, 0.0, 0.0]],
+            },
+        },
+    ),
+    "exact lam=1": (
+        ([0.25, 0.25, 0.5], D3A), ([0.5, 0.25, 0.25], D3B), 1.0, "exact",
+        {
+            "value": 0.25,
+            "mode": "exact",
+            "certificate": {
+                "cells": [[0, 0], [1, 2], [2, 1]],
+                "retained_mass": 0.75,
+                "pair_value": 0.25,
+                "mass_gap": 0.0,
+                "coupling": [[0.25, 0.0, 0.0], [0.0, 0.0, 0.25], [0.25, 0.25, 0.0]],
+            },
+        },
+    ),
+    "unequal mass": (
+        ([0.25, 0.25, 0.5], D3A), ([0.75, 0.5, 0.25], D3B), 1.0, "exact",
+        {
+            "value": 0.75,
+            "mode": "exact",
+            "certificate": {
+                "cells": [[0, 0], [1, 2], [2, 1]],
+                "retained_mass": 0.75,
+                "pair_value": 0.25,
+                "mass_gap": 0.5,
+                "coupling": [
+                    [0.25, 0.0, 0.0],
+                    [0.08333333333333334, 0.0, 0.16666666666666666],
+                    [0.16666666666666666, 0.3333333333333333, 0.0],
+                ],
+            },
+        },
+    ),
+    "zero-weight point": (
+        ([0.5, 0.0, 0.5], D3A), ([0.5, 0.25, 0.25], D3B), 1.0, "exact",
+        {
+            "value": 0.25,
+            "mode": "exact",
+            "certificate": {
+                "cells": [[0, 0], [2, 1]],
+                "retained_mass": 0.75,
+                "pair_value": 0.25,
+                "mass_gap": 0.0,
+                "coupling": [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.25, 0.25]],
+            },
+        },
+    ),
+    "heuristic 4x4": (
+        ([0.1, 0.2, 0.3, 0.4], D4A), ([0.25, 0.25, 0.25, 0.25], D4B), 1.0, "heuristic",
+        {
+            "value": 0.25,
+            "mode": "heuristic-upper-bound",
+            "certificate": {
+                "cells": [[0, 1], [1, 3], [2, 0], [3, 2]],
+                "retained_mass": 0.8,
+                "pair_value": 0.25,
+                "mass_gap": 0.0,
+                "coupling": [
+                    [0.0, 0.09999999999999998, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.2],
+                    [0.25, 0.0, 0.0, 0.04999999999999999],
+                    [0.0, 0.15000000000000002, 0.25, 0.0],
+                ],
+            },
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_certificate_is_frozen(name):
+    x, y, lam, mode, expected = CASES[name]
+    res = box_distance(mm_space(*x), mm_space(*y), lam, mode, seed=0)
+    assert res.to_jsonable() == expected

@@ -5,6 +5,7 @@ import pytest
 
 from mmdist import mm_space, observable_distance, write_space
 from mmdist.cli import main
+from mmdist.matrixdist import _isomorphisms
 
 
 @pytest.fixture
@@ -195,6 +196,20 @@ class TestOtherCommands:
         write_space(p, mm_space(np.ones(n) / n, np.ones((n, n)) - np.eye(n)))
         assert main(["homogeneous", str(p)]) == 2
         assert "isometry_group refuses support size 9 (limit 8)" in capsys.readouterr().err
+
+    def test_homogeneous_searches_isometries_once(self, monkeypatch, capsys, spaces):
+        calls = []
+
+        def counted(X, Y):
+            calls.append(1)
+            return _isomorphisms(X, Y)
+
+        monkeypatch.setattr("mmdist.matrixdist._isomorphisms", counted)
+        monkeypatch.setattr("mmdist.limits._isomorphisms", counted)
+        x, _ = spaces
+        code, rep = run_json(capsys, ["homogeneous", x])
+        assert code == 0 and rep["result"]["homogeneous"] is True
+        assert len(calls) == 1
 
     def test_converge_report_csv(self, capsys, spaces):
         x, _ = spaces

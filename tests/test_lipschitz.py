@@ -118,7 +118,7 @@ class TestProjection:
             k = int(rng.integers(1, X.n + 1))
             anchor = rng.choice(X.n, size=k, replace=False)
             out = project_to_lip1(f, X.dist, anchor)
-            assert Lip1Set(X.dist, X.weights).contains(out, tol=1e-9)
+            assert Lip1Set(X.dist, X.weights).contains(out)
 
 
 class TestVertices:
@@ -158,14 +158,14 @@ class TestVertices:
             X = random_space(rng, min_points=2, max_points=4)
             lset = Lip1Set(X.dist, X.weights)
             for v in lset.vertices():
-                assert lset.contains(v, tol=1e-9)
+                assert lset.contains(v)
 
     def test_samples_are_members(self):
         rng = np.random.default_rng(74)
         for _ in range(40):
             X = random_space(rng, min_points=1, max_points=5)
             lset = Lip1Set(X.dist, X.weights)
-            assert lset.contains(lset.sample(rng), tol=1e-9)
+            assert lset.contains(lset.sample(rng))
 
 
 class TestPointDistance:
@@ -272,6 +272,17 @@ class TestHliPair:
                 hli_lambda(pair, lam, mode)
             with pytest.raises(ValueError):
                 observable_distance(X, X, lam, mode)
+
+    def test_negative_samples_rejected(self):
+        pair = semidist_pair([0.5, 0.5], [[0, 1], [1, 0]], [[0, 2], [2, 0]])
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        Y = mm_space([0.5, 0.5], [[0, 2], [2, 0]])
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            hli_lambda(pair, 1.0, "sampled", samples=-1)
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            observable_distance(X, Y, 1.0, "sampled", samples=-3)
+        # zero samples is allowed: only the distance cones are probed
+        assert hli_lambda(pair, 1.0, "sampled", samples=0).value >= 0.0
 
     def test_pair_hausdorff_below_box(self):
         rng = np.random.default_rng(89)
