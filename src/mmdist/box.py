@@ -467,7 +467,8 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
         return box_upper_from_witness(scale_measure(Xn, mx / mn), X, w) + (mn - mx)
     nu = np.zeros(X.n)
     np.add.at(nu, p, Xn.weights)
-    _, kappa = prokhorov_distance(X.dist, nu, X.weights)
+    eps = prokhorov_distance(X.dist, nu, X.weights)
+    kappa = completion(max_flow(nu, X.weights, X.dist <= eps + 1e-12)[1], nu, X.weights)
     pi = np.zeros((Xn.n, X.n))
     for z in range(Xn.n):
         if Xn.weights[z] > 0.0:

@@ -64,7 +64,7 @@ def prokhorov(space: FiniteMMSpace, mu, nu) -> float:
         raise ValueError("weightings must be nonnegative")
     if abs(float(mu.sum()) - float(nu.sum())) > 1e-9:
         raise ValueError("prokhorov requires equal total masses")
-    return prokhorov_distance(space.dist, mu, nu)[0]
+    return prokhorov_distance(space.dist, mu, nu)
 
 
 def lipschitz_up_to_check(
@@ -135,7 +135,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         p = np.array(p_support, dtype=int)
         nu = np.zeros(X.n)
         np.add.at(nu, p, Xn.weights[sn])
-        prok = prokhorov_distance(X.dist, nu, X.weights)[0]
+        prok = prokhorov_distance(X.dist, nu, X.weights)
         delta = _distortion_matrix(Xn, X, p, sn)
         eps_pair, cells = smallest_eps_for_defects(delta, Xn.weights[sn], 1.0)
         return max(eps_pair, prok), cells

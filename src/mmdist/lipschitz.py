@@ -44,6 +44,7 @@ from .core import (
     scale_measure,
 )
 from .errors import SizeLimitError
+from .transport import _threshold_solve
 
 #: membership tolerance for the 1-Lipschitz test
 LIP_TOL = 1e-9
@@ -59,10 +60,10 @@ COUPLING_CANDIDATES = 8
 def me_lambda(f, g, weights, lam: float) -> float:
     """Mass-truncated uniform distance between two function vectors.
 
-    Exact: the optimum lies in the finite set of defect values and mass
-    breakpoints ``tail_mass / lam``, all of which are scanned.  The value is
-    the infimum of the defining condition; it is attained by the equivalent
-    strict-inequality form ``mass(|f - g| > eps) <= lam * eps`` used here.
+    Exact: the smallest ``eps`` with ``mass(|f - g| > eps) <= lam * eps``,
+    found by the threshold search the box solvers use.  The mass kept at
+    tolerance ``t`` is ``mass(|f - g| <= t)``, a step function of ``t``, so
+    the optimum is a defect value or a breakpoint ``tail_mass / lam``.
     """
     check_lambda(lam)
     f = np.asarray(f, dtype=float)
@@ -77,19 +78,8 @@ def me_lambda(f, g, weights, lam: float) -> float:
         return 0.0
     if lam == 0.0:
         return float(v.max())
-    values = np.unique(v)
-    cands = [0.0, float(w.sum()) / lam]
-    for u in values:
-        cands.append(float(u))
-        cands.append(float(w[v > u].sum()) / lam)
-    best = np.inf
-    for c in sorted(cands):
-        if c < 0.0:
-            continue
-        if float(w[v > c].sum()) <= lam * c + 1e-15:
-            best = c
-            break
-    return float(best)
+    thresholds = np.unique(np.concatenate(([0.0], v)))
+    return _threshold_solve(thresholds, float(w.sum()), lam, lambda t, _: float(w[v <= t].sum()))
 
 
 def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
@@ -222,8 +212,7 @@ class Lip1Set:
         sign = -1.0 if rng.random() < 0.5 else 1.0
         raw = sign * d[:, apex] + rng.normal(0.0, 0.25 * (1.0 + d.max()), size=k)
         # project anchor values through the closure so the result is Lipschitz
-        closure = metric_closure(d)
-        proj = np.min(raw[anchor][None, :] + closure[:, anchor], axis=1)
+        proj = project_to_lip1(raw, metric_closure(d), anchor)
         proj = proj - proj[0]
         return self._extend(proj)
 

@@ -5,9 +5,11 @@ a boolean mask of admissible cells.  Masses are floats; the max-flow routine
 uses shortest augmenting paths, whose augmentation count is bounded by the
 graph size independently of capacities, so float capacities are safe.
 
-The threshold search shared by the box solvers and the Prokhorov distance
-lives here too: both ask for the smallest tolerance ``t`` at which the mass
-retainable with defects up to ``t`` reaches ``m - lam * t``.
+There is one flow routine, ``max_flow`` (``max_flow_value`` is its value).
+There is one threshold search, ``_threshold_solve``, shared by the box
+solvers, the Prokhorov distance and ``lipschitz.me_lambda``: each asks for
+the smallest tolerance ``t`` at which the mass retainable with defects up to
+``t`` reaches ``m - lam * t``.
 """
 
 from __future__ import annotations
@@ -128,43 +130,13 @@ def max_flow(row_caps, col_caps, allowed) -> tuple[float, np.ndarray]:
 
 
 def max_flow_value(row_caps, col_caps, allowed) -> float:
-    """Maximum routable mass, via min-cut enumeration over the smaller side.
+    """Maximum routable mass through ``allowed`` cells: ``max_flow`` without the plan.
 
-    For a bipartite network the min cut keeps a subset ``A`` of rows and must
-    then pay for every column reachable from ``A``; enumerating subsets is
-    exact for float capacities and fast at the sizes this package targets.
+    The name stays so that flow-value probes (the clique sweep of the exact
+    box solver and the Prokhorov search) can be counted apart from the flows
+    whose plan is kept.
     """
-    r = np.asarray(row_caps, dtype=float)
-    c = np.asarray(col_caps, dtype=float)
-    mask = np.asarray(allowed, dtype=bool)
-    if mask.shape[0] > mask.shape[1]:
-        r, c, mask = c, r, mask.T
-    nr, nc = mask.shape
-    if nr > 20:  # fall back rather than enumerate 2^nr subsets
-        return max_flow(r, c, mask)[0]
-    col_bits = [sum(1 << j for j in range(nc) if mask[i, j]) for i in range(nr)]
-    total_r = float(r.sum())
-    best = np.inf
-    col_caps_arr = [float(x) for x in c]
-    for A in range(1 << nr):
-        kept = 0.0
-        reach = 0
-        for i in range(nr):
-            if A >> i & 1:
-                kept += r[i]
-                reach |= col_bits[i]
-            # rows outside A pay their capacity
-        cut = total_r - kept
-        j = 0
-        rb = reach
-        while rb:
-            if rb & 1:
-                cut += col_caps_arr[j]
-            rb >>= 1
-            j += 1
-        if cut < best:
-            best = cut
-    return float(min(best, total_r))
+    return max_flow(row_caps, col_caps, allowed)[0]
 
 
 def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max) -> float:
@@ -201,7 +173,7 @@ def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max)
     return float(min(thresholds[hi], max(thresholds[lo], cand)))
 
 
-def prokhorov_distance(dist, mu, nu) -> tuple[float, np.ndarray]:
+def prokhorov_distance(dist, mu, nu) -> float:
     """Exact Prokhorov distance between equal-mass weightings of one space.
 
     The distance is the smallest ``eps`` for which some coupling places all
@@ -210,7 +182,8 @@ def prokhorov_distance(dist, mu, nu) -> tuple[float, np.ndarray]:
     optimum lies either at a pairwise distance or at a mass breakpoint
     ``m - F`` of the flow value ``F``, both of which the search visits.
 
-    Returns ``(eps, plan)`` where ``plan`` is an optimal full coupling.
+    Returns ``eps`` only; an optimal coupling is ``completion`` of the
+    ``max_flow`` plan on the pairs ``dist <= eps``.
     """
     d = np.asarray(dist, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -227,8 +200,4 @@ def prokhorov_distance(dist, mu, nu) -> tuple[float, np.ndarray]:
         return max_flow_value(mu[rows], nu[cols], sub <= t + 1e-12)
 
     # moving mass costs one unit of tolerance per unit: lambda = 1
-    eps = _threshold_solve(thresholds, m, 1.0, flow_at)
-    _, sub_plan = max_flow(mu[rows], nu[cols], sub <= eps + 1e-12)
-    plan = np.zeros_like(d)
-    plan[np.ix_(rows, cols)] = sub_plan
-    return eps, completion(plan, mu, nu)
+    return _threshold_solve(thresholds, m, 1.0, flow_at)

@@ -19,6 +19,7 @@ from mmdist import (
     witness_search,
 )
 from mmdist.instances import random_space
+from mmdist.limits import EXACT_CLIQUE_SUPPORT
 
 from oracles import brute_isomorphisms, prokhorov_subsets
 
@@ -78,6 +79,20 @@ class TestLipschitzUpTo:
         fmap = [0, 0, 1]  # third point is stretched away
         kept = lipschitz_up_to_check(X, Y, fmap, 1.0, 0.1)
         assert kept is not None and list(kept) == [0, 1]
+
+    def test_greedy_peel_above_exact_support(self):
+        # 21 support points is past EXACT_CLIQUE_SUPPORT, so the greedy peel runs
+        X = normalized(random_space(np.random.default_rng(0), min_points=21, max_points=21))
+        assert len(X.support) > EXACT_CLIQUE_SUPPORT
+        fmap = np.arange(21)
+        fmap[[3, 11]] = 7  # two points land on a third
+        lam, eps = 1.0, 0.2
+        kept = lipschitz_up_to_check(X, X, fmap, lam, eps)
+        assert kept is not None
+        dY = X.dist[np.ix_(fmap[kept], fmap[kept])]
+        assert np.all(dY <= lam * X.dist[np.ix_(kept, kept)] + eps + 1e-12)
+        assert X.total_mass - float(X.weights[kept].sum()) <= eps + 1e-9
+        assert lipschitz_up_to_check(X, X, fmap, lam, 0.1) is None
 
 
 class TestWitnessSearch:

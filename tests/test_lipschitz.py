@@ -48,6 +48,7 @@ class TestMeLambda:
 
     def test_matches_grid_infimum(self):
         rng = np.random.default_rng(61)
+        cases = []
         for _ in range(40):
             n = int(rng.integers(1, 6))
             w = rng.integers(0, 9, size=n).astype(float) * 0.1
@@ -56,10 +57,25 @@ class TestMeLambda:
             f = np.round(rng.uniform(-2, 2, size=n), 3)
             g = np.round(rng.uniform(-2, 2, size=n), 3)
             lam = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+            cases.append((f, g, w, lam))
+        # tied |f - g| values and zero weights: a coarse grid makes both common
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            w = rng.integers(0, 4, size=n).astype(float) * 0.25
+            w[0] = 0.0
+            if not w[1:].any():
+                w[1] = 0.5
+            f = rng.integers(-2, 3, size=n) * 0.25
+            g = rng.integers(-2, 3, size=n) * 0.25
+            lam = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+            cases.append((f, g, w, lam))
+        # every defect ties at 0.5, which is also the breakpoint 1.0 / 2
+        cases.append(([0.5, 0.5, 0.5, 9.0], [0.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0], 2.0))
+        for f, g, w, lam in cases:
             got = me_lambda(f, g, w, lam)
             want = me_infimum_grid(f, g, w, lam)
             # the grid oracle overshoots the infimum by at most one step
-            step = (float(np.abs(f - g).max(initial=0.0)) + 1.0) / 20000
+            step = (float(np.abs(np.subtract(f, g)).max(initial=0.0)) + 1.0) / 20000
             assert want - step - 1e-12 <= got <= want + 1e-12
 
     @settings(max_examples=80, deadline=None)

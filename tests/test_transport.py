@@ -46,11 +46,20 @@ class TestMaxFlow:
 
     def test_value_shortcut_matches_flow(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            r, c, mask = random_instance(rng)
-            assert max_flow_value(r, c, mask) == pytest.approx(
-                max_flow(r, c, mask)[0], abs=1e-9
-            )
+        for nr in range(1, 7):
+            for nc in range(1, 7):  # rows > cols as well as rows <= cols
+                for _ in range(6):
+                    r, c, mask = random_instance(rng, nr, nc)
+                    r[rng.random(nr) < 0.2] = 0.0  # zero capacities
+                    c[rng.random(nc) < 0.2] = 0.0
+                    assert max_flow_value(r, c, mask) == pytest.approx(
+                        min_cut_value(r, c, mask), abs=1e-9
+                    )
+        # 21 rows: the oracle enumerates cuts over the 3 columns instead
+        r, c, mask = random_instance(rng, 21, 3)
+        assert max_flow_value(r, c, mask) == pytest.approx(
+            min_cut_value(c, r, mask.T), abs=1e-9
+        )
 
 
 class TestPlans:
@@ -81,17 +90,22 @@ class TestPlans:
 class TestProkhorov:
     def test_identical_weightings(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert prokhorov_distance(d, [0.5, 0.5], [0.5, 0.5])[0] == 0.0
+        assert prokhorov_distance(d, [0.5, 0.5], [0.5, 0.5]) == 0.0
 
     def test_two_point_mass_shift(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        eps, plan = prokhorov_distance(d, [0.7, 0.3], [0.5, 0.5])
+        mu, nu = np.array([0.7, 0.3]), np.array([0.5, 0.5])
+        eps = prokhorov_distance(d, mu, nu)
         assert eps == pytest.approx(0.2, abs=1e-12)
-        assert np.allclose(plan.sum(axis=1), [0.7, 0.3])
+        # an optimal coupling: the flow on the eps-near pairs, completed
+        plan = completion(max_flow(mu, nu, d <= eps + 1e-12)[1], mu, nu)
+        assert np.allclose(plan.sum(axis=1), mu)
+        assert np.allclose(plan.sum(axis=0), nu)
+        assert plan[d > eps + 1e-12].sum() <= eps + 1e-12
 
     def test_two_point_full_swap(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert prokhorov_distance(d, [1.0, 0.0], [0.0, 1.0])[0] == pytest.approx(1.0)
+        assert prokhorov_distance(d, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_matches_subset_oracle(self):
         rng = np.random.default_rng(11)
@@ -103,7 +117,7 @@ class TestProkhorov:
             mu = rng.integers(1, 10, size=n).astype(float)
             nu = rng.integers(1, 10, size=n).astype(float)
             mu, nu = mu / mu.sum(), nu / nu.sum()
-            got = prokhorov_distance(d, mu, nu)[0]
+            got = prokhorov_distance(d, mu, nu)
             want = prokhorov_subsets(d, mu, nu)
             assert got == pytest.approx(want, abs=1e-9)
 
