@@ -125,6 +125,13 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     defect-clique search at unit mass-tradeoff; maps are enumerated when both
     supports fit in :data:`WITNESS_ENUM_SUPPORT` and hill-climbed with
     restarts otherwise.
+
+    A map whose Prokhorov gap alone is at least the best objective so far
+    skips the clique search: its objective, a maximum that includes that
+    gap, cannot fall below the best, and both branches accept only a map
+    that is strictly better.  So the prune returns the same map, subset and
+    tolerance as scoring every map.  Among tied maps the enumeration keeps
+    the lexicographically first.
     """
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
         raise ValueError("witness_search requires equal total masses")
@@ -136,6 +143,8 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         nu = np.zeros(X.n)
         np.add.at(nu, p, Xn.weights[sn])
         prok = prokhorov_distance(X.dist, nu, X.weights)
+        if prok >= best_obj:
+            return prok, ()
         delta = _distortion_matrix(Xn, X, p, sn)
         eps_pair, cells = smallest_eps_for_defects(delta, Xn.weights[sn], 1.0)
         return max(eps_pair, prok), cells
@@ -146,9 +155,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
         for cand in product(sx.tolist(), repeat=len(sn)):
             obj, cells = evaluate(cand)
-            if obj < best_obj - 1e-15 or (
-                obj <= best_obj + 1e-15 and cand < best_p
-            ):
+            if obj < best_obj - 1e-15:
                 best_obj, best_p, best_cells = obj, cand, cells
     else:
         rng = np.random.default_rng(seed)

@@ -7,15 +7,17 @@ exactly by enumeration, approximated empirically, and compared across spaces:
 they determine a space up to measure-preserving isometry of supports, which
 an explicit backtracking search certifies independently.
 
-Matrices are compared after entrywise rounding at 1e-12 and lexicographic
-serialization, so distribution equality is exact multiset equality of keys
-with a mass tolerance.
+Matrices are compared after entrywise rounding at 1e-12.  A distribution
+stores its distinct matrices as the rows of one array, flattened row-major
+and sorted lexicographically, so distribution equality is exact equality of
+the key arrays with a mass tolerance.  The exact enumeration walks the
+``r``-tuples in chunks of index arrays and never builds a matrix per tuple in
+Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -27,32 +29,37 @@ _ROUND_DECIMALS = 12
 _TOL = 1e-9
 #: most ``r``-tuples :func:`exact_mu_r` enumerates before refusing
 EXACT_MU_R_LIMIT = 10**7
-
-
-def _canonical_key(mat: np.ndarray) -> tuple:
-    return tuple(np.round(np.asarray(mat, float).ravel(), _ROUND_DECIMALS).tolist())
+#: ``r``-tuples :func:`exact_mu_r` holds in memory at once
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixDistribution:
     """A finitely supported measure on ``r x r`` distance matrices.
 
-    ``entries`` maps canonically rounded matrices to masses and is stored
-    sorted by key, so two distributions agree exactly when their entry lists
-    agree.  Masses sum to ``m ** r`` for the exact enumeration of a space of
-    total mass ``m`` (1 for empirical or normalized variants).
+    ``keys`` holds the canonically rounded matrices, one flattened matrix per
+    row, sorted lexicographically and without repeats; ``masses[i]`` is the
+    mass of ``keys[i]``.  Two distributions therefore agree exactly when
+    their key arrays are equal and their masses agree.  Masses sum to
+    ``m ** r`` for the exact enumeration of a space of total mass ``m`` (1
+    for empirical or normalized variants).
     """
 
     r: int
-    entries: tuple  # tuple of (key tuple, mass)
+    keys: np.ndarray
+    masses: np.ndarray
+
+    @property
+    def entries(self) -> tuple:
+        """``(key tuple, mass)`` pairs in key order."""
+        return tuple(zip(map(tuple, self.keys.tolist()), self.masses.tolist()))
 
     @property
     def total_mass(self) -> float:
-        return float(sum(mass for _, mass in self.entries))
+        return float(sum(self.masses.tolist()))
 
     def normalized(self) -> "MatrixDistribution":
-        m = self.total_mass
-        return MatrixDistribution(self.r, tuple((k, mass / m) for k, mass in self.entries))
+        return MatrixDistribution(self.r, self.keys, self.masses / self.total_mass)
 
     def to_jsonable(self) -> dict:
         return {
@@ -65,20 +72,35 @@ class MatrixDistribution:
 
 def distributions_equal(a: MatrixDistribution, b: MatrixDistribution) -> bool:
     """Exact key equality with mass tolerance."""
-    if a.r != b.r:
+    if a.r != b.r or a.keys.shape != b.keys.shape:
         return False
-    da = dict(a.entries)
-    db = dict(b.entries)
-    if set(da) != set(db):
+    if not np.array_equal(a.keys, b.keys):
         return False
-    return all(abs(da[k] - db[k]) <= _TOL for k in da)
+    return bool(np.all(np.abs(a.masses - b.masses) <= _TOL))
 
 
-def _aggregate(r: int, items) -> MatrixDistribution:
-    acc: dict[tuple, float] = {}
-    for key, mass in items:
-        acc[key] = acc.get(key, 0.0) + mass
-    return MatrixDistribution(r, tuple(sorted(acc.items())))
+def _group(codes: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``codes`` in lexicographic order, with summed masses.
+
+    Each row is compared as one opaque byte string.  The codes are unsigned
+    and written big-endian, so byte order is lexicographic order of the rows.
+    ``bincount`` adds each row's masses in input order.
+    """
+    rows = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder(">"))
+    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    # the inverse's shape changed within numpy 2.0.x; ravel serves both
+    return codes[first], np.bincount(inverse.ravel(), weights=masses, minlength=len(first))
+
+
+def _aggregate(r: int, items) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the per-chunk ``(codes, masses)`` groups of ``r``-tuples into one.
+
+    ``r`` is unused: the benchmark tracer wraps this signature and counts
+    the items, one per chunk.
+    """
+    codes, masses = zip(*items)
+    return _group(np.concatenate(codes), np.concatenate(masses))
 
 
 def k_r(space: FiniteMMSpace, indices) -> np.ndarray:
@@ -88,24 +110,45 @@ def k_r(space: FiniteMMSpace, indices) -> np.ndarray:
 
 
 def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
-    """Exact matrix distribution by enumerating all ``r``-tuples of support points."""
+    """Exact matrix distribution by enumerating all ``r``-tuples of support points.
+
+    The tuples are the base-``k`` digits of consecutive integers, which is
+    ``itertools.product`` order over the ``k`` support points, taken
+    :data:`_CHUNK` at a time.  A tuple's mass is the product of its weights
+    from left to right.  Every matrix entry is replaced by the rank of its
+    rounded value among the rounded distances, a code that orders as the
+    value does, so a chunk is grouped by comparing code bytes.  Memory holds
+    one chunk plus the distinct matrices of each chunk so far.
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
     s = space.support
-    if len(s) ** r > EXACT_MU_R_LIMIT:
+    k = len(s)
+    total = k**r
+    if total > EXACT_MU_R_LIMIT:
         raise SizeLimitError(
-            f"exact_mu_r would enumerate {len(s) ** r} tuples (limit {EXACT_MU_R_LIMIT})"
+            f"exact_mu_r would enumerate {total} tuples (limit {EXACT_MU_R_LIMIT})"
         )
-    w = space.weights
+    w = space.weights[s]
+    # + 0.0 turns the -0.0 that rounding makes of tiny negative distances into 0.0
+    values, rank = np.unique(np.round(space.dist[np.ix_(s, s)], _ROUND_DECIMALS) + 0.0,
+                             return_inverse=True)
+    code = rank.reshape(k, k).astype(np.min_scalar_type(len(values) - 1))
 
-    def items():
-        for tup in product(s.tolist(), repeat=r):
-            mass = 1.0
-            for i in tup:
-                mass *= w[i]
-            yield _canonical_key(k_r(space, tup)), mass
+    def chunks():
+        # an empty support still gives one (empty) chunk
+        for start in range(0, max(total, 1), _CHUNK):
+            rest = np.arange(start, min(start + _CHUNK, total))
+            idx = np.empty((len(rest), r), dtype=np.intp)
+            for j in range(r - 1, -1, -1):
+                rest, idx[:, j] = np.divmod(rest, k)
+            mass = w[idx[:, 0]]
+            for j in range(1, r):
+                mass = mass * w[idx[:, j]]
+            yield _group(code[idx[:, :, None], idx[:, None, :]].reshape(len(idx), r * r), mass)
 
-    return _aggregate(r, items())
+    codes, masses = _aggregate(r, chunks())
+    return MatrixDistribution(r, values[codes], masses)
 
 
 def sample_mu_r(space: FiniteMMSpace, r: int, count: int, seed: int = 0) -> MatrixDistribution:
@@ -114,20 +157,19 @@ def sample_mu_r(space: FiniteMMSpace, r: int, count: int, seed: int = 0) -> Matr
     Masses sum to one, matching the exact distribution of the mass-normalized
     space in the large-count limit.
     """
+    if r < 1:
+        raise ValueError("r must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
-        return MatrixDistribution(r, ())
+        return MatrixDistribution(r, np.zeros((0, r * r)), np.zeros(0))
     rng = np.random.default_rng(seed)
     s = space.support
     p = space.weights[s] / space.weights[s].sum()
     draws = rng.choice(s, size=(count, r), p=p)
     mats = space.dist[draws[:, :, None], draws[:, None, :]].reshape(count, r * r)
     keys, counts = np.unique(np.round(mats, _ROUND_DECIMALS), axis=0, return_counts=True)
-    entries = tuple(
-        sorted((tuple(k.tolist()), c / count) for k, c in zip(keys, counts))
-    )
-    return MatrixDistribution(r, entries)
+    return MatrixDistribution(r, keys, counts / count)
 
 
 def total_variation(a: MatrixDistribution, b: MatrixDistribution) -> float:

@@ -2,7 +2,9 @@
 
 Everything here is computed straight from definitions (subset enumeration,
 dense parameter grids, LP formulations, min-cut formulas) and shares no code
-path with the solvers under test.
+path with the solvers under test.  The one exception is
+:func:`brute_witness`, which checks only the order of a search: it scores
+every map with the solver's own Prokhorov and defect-clique routines.
 """
 
 from itertools import combinations, permutations, product
@@ -205,3 +207,70 @@ def brute_isomorphisms(wx, dx, wy, dy, tol=1e-9):
             g[sx] = p
             out.append(g.tolist())
     return sorted(out)
+
+
+def brute_mu_r(weights, dist, r):
+    """Matrix distribution of order ``r``, one ``r``-tuple at a time.
+
+    Enumerates the tuples of support points in ``itertools.product`` order;
+    returns ``(key, mass)`` pairs sorted by key, where a key is the tuple's
+    distance matrix, rounded at 1e-12 and flattened row-major.
+    """
+    w = np.asarray(weights, dtype=float)
+    d = np.asarray(dist, dtype=float)
+    acc = {}
+    for tup in product(np.flatnonzero(w > 0.0).tolist(), repeat=r):
+        mass = 1.0
+        for i in tup:
+            mass *= w[i]
+        key = tuple(np.round(d[np.ix_(tup, tup)].ravel(), 12).tolist())
+        acc[key] = acc.get(key, 0.0) + mass
+    return sorted(acc.items())
+
+
+def brute_witness(Xn, X, seed=0):
+    """Witness search that scores every map it visits in full.
+
+    The same map order, acceptance rule and hill-climbing schedule as
+    ``mmdist.limits.witness_search``, without skipping the defect-clique
+    search for any map.  Returns ``(p, subset, eps)`` with ``p`` and
+    ``subset`` as lists.
+    """
+    from mmdist.box import smallest_eps_for_defects
+    from mmdist.limits import ANNEAL_RESTARTS, ANNEAL_STEPS, WITNESS_ENUM_SUPPORT
+    from mmdist.transport import prokhorov_distance
+
+    sn, sx = Xn.support, X.support
+
+    def evaluate(cand):
+        p = np.array(cand, dtype=int)
+        nu = np.zeros(X.n)
+        np.add.at(nu, p, Xn.weights[sn])
+        prok = prokhorov_distance(X.dist, nu, X.weights)
+        delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
+        eps_pair, cells = smallest_eps_for_defects(delta, Xn.weights[sn], 1.0)
+        return max(eps_pair, prok), cells
+
+    best_obj, best_p, best_cells = np.inf, (), ()
+    if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
+        for cand in product(sx.tolist(), repeat=len(sn)):
+            obj, cells = evaluate(cand)
+            if obj < best_obj - 1e-15 or (obj <= best_obj + 1e-15 and cand < best_p):
+                best_obj, best_p, best_cells = obj, cand, cells
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(ANNEAL_RESTARTS):
+            cand = tuple(rng.choice(sx, size=len(sn)).tolist())
+            obj, cells = evaluate(cand)
+            if obj < best_obj:
+                best_obj, best_p, best_cells = obj, cand, cells
+            for _ in range(ANNEAL_STEPS):
+                trial = list(best_p)
+                trial[int(rng.integers(len(sn)))] = int(rng.choice(sx))
+                trial = tuple(trial)
+                obj, cells = evaluate(trial)
+                if obj < best_obj:
+                    best_obj, best_p, best_cells = obj, trial, cells
+    p_full = np.full(Xn.n, int(sx[0]), dtype=int)
+    p_full[sn] = best_p
+    return p_full.tolist(), [int(sn[c]) for c in best_cells], float(best_obj)

@@ -159,6 +159,13 @@ class TestOtherCommands:
         assert code == 0
         assert len(rep["result"]["entries"]) == 2
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    @pytest.mark.parametrize("samples", [[], ["--samples", "5"]])
+    def test_matdist_r_below_one_exits_one(self, capsys, spaces, r, samples):
+        x, _ = spaces
+        assert exit_code(["matdist", x, "--r", r] + samples) == 1
+        assert "r must be at least 1" in capsys.readouterr().err
+
     def test_hlip_zero_samples_draws_none(self, tmp_path, capsys):
         X = mm_space([0.8, 0.3, 0.3], [[0, 1.65, 1.34], [1.65, 0, 1.88], [1.34, 1.88, 0]])
         Y = mm_space([0.7, 0.7], [[0, 1.89], [1.89, 0]])

@@ -18,10 +18,11 @@ from mmdist import (
     prokhorov,
     witness_search,
 )
+from mmdist import limits
 from mmdist.instances import random_space
 from mmdist.limits import EXACT_CLIQUE_SUPPORT
 
-from oracles import brute_isomorphisms, prokhorov_subsets
+from oracles import brute_isomorphisms, brute_witness, prokhorov_subsets
 
 
 def two_point(w=(0.5, 0.5), d=1.0):
@@ -121,6 +122,34 @@ class TestWitnessSearch:
     def test_unequal_masses_rejected(self):
         with pytest.raises(ValueError):
             witness_search(two_point(), two_point((1.0, 1.0)))
+
+    @staticmethod
+    def assert_matches_oracle(Xn, X):
+        w = witness_search(Xn, X)
+        assert (w.p.tolist(), w.subset.tolist(), w.eps) == brute_witness(Xn, X)
+
+    @staticmethod
+    def space(rng, n):
+        """A normalized ``n``-point space, sometimes with a zero-weight point."""
+        X = random_space(rng, min_points=n, max_points=n)
+        w = X.weights.copy()
+        if n > 1 and rng.random() < 0.3:
+            w[rng.integers(n)] = 0.0
+        return normalized(mm_space(w, X.dist))
+
+    def test_enumeration_matches_unpruned_oracle(self):
+        rng = np.random.default_rng(41)
+        sizes = [tuple(rng.integers(1, 5, size=2)) for _ in range(38)] + [(4, 5), (5, 3)]
+        for a, b in sizes:
+            self.assert_matches_oracle(self.space(rng, a), self.space(rng, b))
+
+    def test_hill_climb_matches_unpruned_oracle(self, monkeypatch):
+        # a short schedule: the prune acts per map, not per schedule length
+        monkeypatch.setattr(limits, "ANNEAL_RESTARTS", 2)
+        monkeypatch.setattr(limits, "ANNEAL_STEPS", 40)
+        rng = np.random.default_rng(43)
+        for a, b in [(7, 7), (8, 7), (7, 8)]:
+            self.assert_matches_oracle(self.space(rng, a), self.space(rng, b))
 
     def test_returned_eps_feeds_valid_upper_bound(self):
         rng = np.random.default_rng(23)

@@ -15,7 +15,10 @@ from mmdist import (
     scale_measure,
     total_variation,
 )
+from mmdist import matrixdist
 from mmdist.instances import random_space, shuffled_copy
+
+from oracles import brute_mu_r
 
 
 def two_point(w=(0.5, 0.5), d=1.0):
@@ -60,6 +63,46 @@ class TestExactMuR:
                 X.total_mass**r, abs=1e-9
             )
 
+    @staticmethod
+    def assert_matches_oracle(X, r):
+        mu = exact_mu_r(X, r)
+        oracle = brute_mu_r(X.weights, X.dist, r)
+        assert [key for key, _ in mu.entries] == [key for key, _ in oracle]
+        tol = 1e-15 * X.total_mass**r
+        for (_, mass), (_, expected) in zip(mu.entries, oracle):
+            assert abs(mass - expected) <= tol
+
+    @staticmethod
+    def tied_spaces(seed):
+        """Spaces of 1-5 points, zero weights included, distances on {1, 2}."""
+        rng = np.random.default_rng(seed)
+        for n in range(1, 6):
+            for _ in range(4):
+                w = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+                w[rng.integers(n)] = 0.5
+                d = np.triu(rng.choice([1.0, 2.0], size=(n, n)), k=1)
+                yield mm_space(w, d + d.T)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_tuple_oracle(self, r):
+        for X in self.tied_spaces(r):
+            self.assert_matches_oracle(X, r)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_tuple_oracle_across_chunks(self, monkeypatch, r):
+        monkeypatch.setattr(matrixdist, "_CHUNK", 7)
+        for X in self.tied_spaces(10 + r):
+            self.assert_matches_oracle(X, r)
+
+    @pytest.mark.parametrize("n", [17, 24])
+    def test_many_distinct_distances_keep_order(self, n):
+        # more than 128 (17 points) and more than 256 (24 points) distinct
+        # distances: multi-byte and high-bit codes must still sort as values
+        rng = np.random.default_rng(n)
+        d = np.triu(1.0 + rng.random((n, n)), k=1)
+        X = mm_space(rng.integers(1, 5, size=n) * 0.25, d + d.T)
+        self.assert_matches_oracle(X, 2)
+
     def test_size_limit(self):
         # 4 ** 12 tuples exceed the fixed limit of 10 ** 7
         X = random_space(np.random.default_rng(0), min_points=4, max_points=4)
@@ -70,6 +113,11 @@ class TestExactMuR:
 class TestSampleMuR:
     def test_zero_count_is_empty(self):
         assert sample_mu_r(two_point(), 2, 0).entries == ()
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_r_below_one_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            sample_mu_r(two_point(), r, 5)
 
     def test_single_point_all_zero_matrices(self):
         mu = sample_mu_r(mm_space([1.0], [[0.0]]), 2, 50, seed=1)
@@ -180,6 +228,11 @@ class TestParameterInvariance:
         X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
         # all mass lands on point 0: order two sees the missing cross pair
         assert not parameter_invariance_check(X, [0, 0], [0.5, 0.5], R=2)
+
+    def test_massless_cells_detected(self):
+        # the cell space has no support, so its distributions are empty
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        assert not parameter_invariance_check(X, [0, 1], [0.0, 0.0])
 
 
 class TestDistributionHelpers:

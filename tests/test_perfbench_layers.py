@@ -3,7 +3,8 @@
 ``perfbench/layers.py`` names every function it wraps by module and
 attribute.  A rename in ``src/`` would otherwise surface only when the
 benchmark runs with ``--trace 1``; this reads the tables without editing
-that file and resolves each name.
+that file and resolves each name.  It also installs the tracer once and
+checks that the counters of wrapped items still fire.
 """
 
 import importlib
@@ -12,13 +13,20 @@ from pathlib import Path
 
 import pytest
 
+import mmdist
+
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def _tables():
+def _layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def _tables():
+    layers = _layers()
     return [(module, attribute) for module, attribute, _ in layers.LAYERS + layers.ITEM_COUNTERS]
 
 
@@ -29,3 +37,18 @@ def test_wrapped_name_resolves(module, attribute):
         assert hasattr(obj, part), f"{module}.{attribute} no longer exists"
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_matrixdist_and_witness_counters_fire():
+    X = mmdist.mm_space([0.2, 0.3, 0.5], [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+    Y = mmdist.mm_space([0.5, 0.25, 0.25], [[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        mmdist.exact_mu_r(X, 2)
+        mmdist.witness_search(X, Y)
+    finally:
+        tracer.remove()
+    counts = tracer.layer_counts()
+    assert counts["matrixdist.exact_mu_r.tuples"] > 0
+    assert counts["limits.witness_search.maps"] > 0
