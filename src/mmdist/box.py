@@ -5,7 +5,8 @@ For a weighted index set with two semimetrics, the box value at parameter
 mass at most ``lam * eps`` the two semimetrics differ by at most ``eps`` on
 every retained pair.  Between two spaces, the distance additionally minimizes
 over all couplings of the (mass-normalized) measures; unequal totals are
-handled by scaling the heavier measure down and adding the mass gap.
+handled by scaling the heavier measure down and adding the mass gap, the rule
+:func:`mmdist.core.lighter_first` states once for every distance.
 
 Exactness rests on two observations.  First, discarding part of an atom is
 never useful, so the retained set may be taken to be a union of cells and the
@@ -13,14 +14,15 @@ search is combinatorial.  Second, for a fixed tolerance the retained cells
 must be pairwise compatible (a clique in the defect graph) and the retainable
 mass is a transportation max-flow, both of which change only at finitely many
 thresholds: the pairwise defect values and the mass breakpoints
-``(m - W) / lam``.  The solver scans this candidate set with a binary search
-and returns a certificate (retained cells, and for space-level solves an
-optimal coupling).
+``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this
+candidate set: a binary search, then a certificate (retained cells, and for
+space-level solves an optimal coupling).  The pair solver plugs in a
+maximum-weight clique, the space solver a flow over maximal cliques.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .core import (
     SemiDistancePair,
     Witness,
     check_lambda,
+    lighter_first,
     pullback_pair,
-    scale_measure,
 )
 from .errors import InternalInvariantError, SizeLimitError
 from .transport import _threshold_solve, completion, max_flow, max_flow_value, northwest_plan, prokhorov_distance
@@ -150,6 +152,27 @@ def _max_weight_clique(
     return best_mass, best_set
 
 
+def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at):
+    """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
+
+    Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
+    EDGE_TOL``.  ``best_at(adj, target)`` returns ``(mass, cells)``, the
+    heaviest compatible cell set for the adjacency ``adj`` (it may stop once
+    ``target`` is reached).  The candidate tolerances are zero and the
+    off-diagonal defects.  Returns ``(eps, best_at(adj_at(eps), None))``.
+    """
+
+    def adj_at(t: float) -> np.ndarray:
+        adj = delta <= t + EDGE_TOL
+        np.fill_diagonal(adj, False)
+        return adj
+
+    off = delta[np.triu_indices(len(delta), k=1)]
+    thresholds = np.unique(np.concatenate(([0.0], off)))
+    eps = _threshold_solve(thresholds, m, lam, lambda t, target: best_at(adj_at(t), target)[0])
+    return eps, best_at(adj_at(eps), None)
+
+
 def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float) -> tuple[float, tuple]:
     """Exact box value for a symmetric defect matrix over weighted indices.
 
@@ -168,24 +191,12 @@ def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float)
     m = float(w_all.sum())
     if len(support) == 1:
         return 0.0, (int(support[0]),)
-    off = d[np.triu_indices(len(support), k=1)]
     if lam == 0.0:
-        eps = float(off.max())
-        return eps, tuple(int(i) for i in support)
-
-    thresholds = np.unique(np.concatenate(([0.0], off)))
-
-    def retained_max(t: float, tgt):
-        adj = d <= t + EDGE_TOL
-        np.fill_diagonal(adj, False)
-        mass, _ = _max_weight_clique(adj, w, target=tgt)
-        return mass
-
-    eps = _threshold_solve(thresholds, m, lam, retained_max)
-    adj = d <= eps + EDGE_TOL
-    np.fill_diagonal(adj, False)
-    _, cells_local = _max_weight_clique(adj, w)
-    return eps, tuple(int(support[i]) for i in cells_local)
+        return float(d[np.triu_indices(len(support), k=1)].max()), tuple(int(i) for i in support)
+    eps, (_, cells) = _defect_solve(
+        d, m, lam, lambda adj, target: _max_weight_clique(adj, w, target=target)
+    )
+    return eps, tuple(int(support[i]) for i in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +326,10 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     col_caps = Y.weights[sy]
     rows_of = np.repeat(np.arange(len(sx)), len(sy))
     cols_of = np.tile(np.arange(len(sy)), len(sx))
-    delta = _cell_defect_matrix(X, Y, sx, sy)
-
-    def adj_at(t: float) -> np.ndarray:
-        adj = delta <= t + EDGE_TOL
-        np.fill_diagonal(adj, False)
-        return adj
-
-    def retained_max(t: float, tgt):
-        mass, _ = _best_flow_at(
-            adj_at(t), rows_of, cols_of, row_caps, col_caps, target=tgt
-        )
-        return mass
-
-    off = delta[np.triu_indices(n_cells, k=1)] if n_cells > 1 else np.array([0.0])
-    thresholds = np.unique(np.concatenate(([0.0], off)))
-    eps = _threshold_solve(thresholds, m, lam, retained_max)
-
-    mass, cells = _best_flow_at(adj_at(eps), rows_of, cols_of, row_caps, col_caps)
+    eps, (mass, cells) = _defect_solve(
+        _cell_defect_matrix(X, Y, sx, sy), m, lam,
+        lambda adj, target: _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps, target=target),
+    )
     if mass + lam * eps < m - 1e-9:
         raise InternalInvariantError("box certificate lost feasibility")
     mask = np.zeros((len(sx), len(sy)), dtype=bool)
@@ -360,8 +357,10 @@ def _box_equal_mass_heuristic(
     best_pi: np.ndarray | None = None
 
     def score(pi: np.ndarray) -> tuple[float, tuple]:
+        """Pair value of the pullback along ``pi`` and its kept coupling cells."""
         pair = pullback_pair(X, Y, Coupling(pi, X.weights, Y.weights))
-        return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
+        eps, kept = smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
+        return eps, tuple(pair.cells[k] for k in kept)
 
     for attempt in range(HEURISTIC_RESTARTS):
         if attempt == 0:  # natural order: the diagonal plan for aligned spaces
@@ -390,12 +389,9 @@ def _box_equal_mass_heuristic(
                 pi = trial
                 if eps < best_eps:
                     best_eps, best_cells, best_pi = eps, cells, trial
-    # pullback cells are the nonzero entries of the coupling, in row-major order
-    ii, jj = np.nonzero(best_pi > 0.0)
-    cells = tuple((int(ii[k]), int(jj[k])) for k in best_cells)
-    retained = float(sum(best_pi[i, j] for i, j in cells))
+    retained = float(sum(best_pi[i, j] for i, j in best_cells))
     return BoxResult(
-        best_eps, "heuristic-upper-bound", cells, retained, best_eps, coupling=best_pi
+        best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=best_pi
     )
 
 
@@ -418,33 +414,15 @@ def box_distance(
     check_lambda(lam)
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    mX, mY = X.total_mass, Y.total_mass
-    if abs(mX - mY) <= 1e-12:
-        if mode == "exact":
-            return _box_equal_mass_exact(X, Y, lam, max_cells)
-        return _box_equal_mass_heuristic(X, Y, lam, seed)
-    if mX > mY:
-        flipped = box_distance(Y, X, lam, mode, max_cells=max_cells, seed=seed)
-        return BoxResult(
-            flipped.value,
-            flipped.mode,
-            tuple((j, i) for (i, j) in flipped.cells),
-            flipped.retained_mass,
-            flipped.pair_value,
-            flipped.mass_gap,
-            None if flipped.coupling is None else flipped.coupling.T.copy(),
-        )
-    gap = mY - mX
-    inner = box_distance(X, scale_measure(Y, mX / mY), lam, mode, max_cells=max_cells, seed=seed)
-    return BoxResult(
-        inner.value + gap,
-        inner.mode,
-        inner.cells,
-        inner.retained_mass,
-        inner.pair_value,
-        inner.mass_gap + gap,
-        inner.coupling,
-    )
+    A, B, gap, swapped = lighter_first(X, Y)
+    if mode == "exact":
+        res = _box_equal_mass_exact(A, B, lam, max_cells)
+    else:
+        res = _box_equal_mass_heuristic(A, B, lam, seed)
+    if swapped:
+        cells = tuple((j, i) for i, j in res.cells)
+        res = replace(res, cells=cells, coupling=res.coupling.T.copy())
+    return replace(res, value=res.value + gap, mass_gap=gap)
 
 
 def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> float:
@@ -453,18 +431,17 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
     The witness map pushes the first measure onto the second space; gluing
     that pushforward coupling with a Prokhorov-optimal coupling of the
     pushforward against the target measure yields a concrete coupling, whose
-    pair value is an upper bound on the true distance by definition.
+    pair value is an upper bound on the true distance by definition.  For
+    unequal totals the heavier space, on its own side, is scaled down and the
+    mass gap is added (:func:`mmdist.core.lighter_first`).
     """
     p = np.asarray(w.p, dtype=int)
     if len(p) != Xn.n:
         raise ValueError("witness map length does not match the space")
     if np.any(p < 0) or np.any(p >= X.n):
         raise ValueError("witness map has out-of-range targets")
-    mn, mx = Xn.total_mass, X.total_mass
-    if abs(mn - mx) > 1e-12:
-        if mn < mx:
-            return box_upper_from_witness(Xn, scale_measure(X, mn / mx), w) + (mx - mn)
-        return box_upper_from_witness(scale_measure(Xn, mx / mn), X, w) + (mn - mx)
+    A, B, gap, swapped = lighter_first(Xn, X)
+    Xn, X = (B, A) if swapped else (A, B)
     nu = np.zeros(X.n)
     np.add.at(nu, p, Xn.weights)
     eps = prokhorov_distance(X.dist, nu, X.weights)
@@ -475,4 +452,4 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
             u = p[z]
             pi[z] = Xn.weights[z] * kappa[u] / nu[u]
     pair = pullback_pair(X=Xn, Y=X, pi=Coupling(pi, Xn.weights, X.weights), tol=1e-7)
-    return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, 1.0)[0]
+    return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, 1.0)[0] + gap

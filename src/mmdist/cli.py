@@ -68,6 +68,14 @@ def _count(samples: float | None, default):
     return int(samples)
 
 
+def _size_limit(text: str) -> int:
+    """``--max-cells`` as a whole number of at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"size limit must be at least 1, got {value}")
+    return value
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
@@ -83,7 +91,7 @@ def _common_flags(p: argparse.ArgumentParser, *names: str) -> None:
         ),
         "mode": lambda: p.add_argument("--mode", default=None),
         "seed": lambda: p.add_argument("--seed", type=int, default=0),
-        "max-cells": lambda: p.add_argument("--max-cells", dest="max_cells", type=int, default=64),
+        "max-cells": lambda: p.add_argument("--max-cells", dest="max_cells", type=_size_limit, default=64),
         "max-r": lambda: p.add_argument("--max-r", dest="max_r", type=int, default=None),
         "samples": lambda: p.add_argument("--samples", type=float, default=None),
         "out": lambda: p.add_argument("--out", default=None, help="write the report here"),

@@ -164,6 +164,23 @@ def scale_measure(space: FiniteMMSpace, alpha: float) -> FiniteMMSpace:
     return FiniteMMSpace(space.labels, space.weights * alpha, space.dist)
 
 
+def lighter_first(X: FiniteMMSpace, Y: FiniteMMSpace):
+    """The scale-and-gap rule for spaces of unequal total mass.
+
+    Returns ``(A, B, gap, swapped)``: ``A`` is the lighter space, ``B`` the
+    heavier one scaled down to the total of ``A``, ``gap`` the difference of
+    the totals, and ``swapped`` tells whether ``A`` is ``Y``.  Totals within
+    :data:`MASS_TOL` count as equal: both spaces come back unchanged with
+    ``gap = 0.0``.
+    """
+    mX, mY = X.total_mass, Y.total_mass
+    if abs(mX - mY) <= MASS_TOL:
+        return X, Y, 0.0, False
+    if mX > mY:
+        return Y, scale_measure(X, mY / mX), mX - mY, True
+    return X, scale_measure(Y, mX / mY), mY - mX, False
+
+
 def normalized(space: FiniteMMSpace) -> FiniteMMSpace:
     """Rescale the measure to total mass one."""
     return scale_measure(space, 1.0 / space.total_mass)
@@ -336,13 +353,18 @@ def validate_pair(pair: SemiDistancePair) -> ValidationReport:
         if d.shape != (n, n):
             v.append(f"{name} has shape {d.shape}, expected ({n}, {n})")
             continue
+        if not np.all(np.isfinite(d)):
+            v.append(f"{name} contains non-finite entries")
+            continue
         if float(np.max(np.abs(d - d.T), initial=0.0)) > METRIC_TOL:
             v.append(f"{name} is not symmetric")
         if float(np.max(np.abs(np.diag(d)), initial=0.0)) > METRIC_TOL:
             v.append(f"{name} has nonzero diagonal")
         if np.any(d < -METRIC_TOL):
             v.append(f"{name} has negative entries")
-    if np.any(pair.weights < 0.0):
+    if not np.all(np.isfinite(pair.weights)):
+        v.append("weights contain non-finite entries")
+    elif np.any(pair.weights < 0.0):
         v.append("negative cell mass")
     return ValidationReport(tuple(v))
 

@@ -60,6 +60,8 @@ def prokhorov(space: FiniteMMSpace, mu, nu) -> float:
     nu = np.asarray(nu, dtype=float)
     if mu.shape != (space.n,) or nu.shape != (space.n,):
         raise ValueError("mu and nu must be weight vectors on the space")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
+        raise ValueError("weightings must be finite")
     if np.any(mu < 0.0) or np.any(nu < 0.0):
         raise ValueError("weightings must be nonnegative")
     if abs(float(mu.sum()) - float(nu.sum())) > 1e-9:

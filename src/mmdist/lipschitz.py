@@ -37,11 +37,11 @@ from .core import (
     FiniteMMSpace,
     SemiDistancePair,
     check_lambda,
+    lighter_first,
     metric_closure,
     northwest_coupling,
     product_coupling,
     pullback_pair,
-    scale_measure,
 )
 from .errors import SizeLimitError
 from .transport import _threshold_solve
@@ -71,6 +71,8 @@ def me_lambda(f, g, weights, lam: float) -> float:
     w = np.asarray(weights, dtype=float)
     if not (len(f) == len(g) == len(w)):
         raise ValueError("f, g and weights must share one index set")
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g)) and np.all(np.isfinite(w))):
+        raise ValueError("f, g and weights must be finite")
     keep = w > 0.0
     v = np.abs(f - g)[keep]
     w = w[keep]
@@ -356,25 +358,10 @@ def observable_distance(
     coincides with the exact box search at ``lam = 0`` and the result is
     certified.  ``sampled``: evaluates sampled couplings with sampled pair
     bounds; tagged heuristic.  Unequal totals follow the same scale-and-gap
-    rule as the box distance.
+    rule as the box distance (:func:`mmdist.core.lighter_first`).
     """
     check_lambda(lam)
-    mX, mY = X.total_mass, Y.total_mass
-    if abs(mX - mY) > 1e-12:
-        if mX > mY:
-            res = observable_distance(
-                Y, X, lam, mode, samples=samples, seed=seed, max_cells=max_cells
-            )
-            return HliResult(
-                res.value, res.tag, lam, mode,
-                None if res.coupling is None else res.coupling.T.copy(),
-            )
-        gap = mY - mX
-        inner = observable_distance(
-            X, scale_measure(Y, mX / mY), lam, mode, samples=samples, seed=seed, max_cells=max_cells
-        )
-        return HliResult(inner.value + gap, inner.tag, lam, mode, inner.coupling)
-
+    X, Y, gap, swapped = lighter_first(X, Y)
     if mode == "exact0":
         if lam != 0.0:
             raise ValueError("exact0 mode requires lambda = 0")
@@ -384,23 +371,24 @@ def observable_distance(
                 f"{len(X.support) * len(Y.support)} cells (limit {max_cells})"
             )
         box = box_distance(X, Y, 0.0, "exact", max_cells=max_cells)
-        return HliResult(box.value / 2.0, "exact", lam, mode, coupling=box.coupling)
-    if mode != "sampled":
+        value, tag, pi = box.value / 2.0, "exact", box.coupling
+    elif mode == "sampled":
+        rng = np.random.default_rng(seed)
+        candidates = [product_coupling(X, Y)]
+        for _ in range(COUPLING_CANDIDATES):
+            candidates.append(
+                northwest_coupling(X, Y, rng.permutation(X.n), rng.permutation(Y.n))
+            )
+        value, tag, pi = np.inf, "heuristic", None
+        for c in candidates:
+            pair = pullback_pair(X, Y, c)
+            est = hli_lambda(
+                pair, lam, "sampled", samples=samples, seed=int(rng.integers(2**31)),
+            ).value
+            if est < value:
+                value, pi = est, c.pi
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    rng = np.random.default_rng(seed)
-    candidates = [product_coupling(X, Y)]
-    for _ in range(COUPLING_CANDIDATES):
-        candidates.append(
-            northwest_coupling(X, Y, rng.permutation(X.n), rng.permutation(Y.n))
-        )
-    best = np.inf
-    best_pi = None
-    for c in candidates:
-        pair = pullback_pair(X, Y, c)
-        est = hli_lambda(
-            pair, lam, "sampled", samples=samples, seed=int(rng.integers(2**31)),
-        ).value
-        if est < best:
-            best, best_pi = est, c.pi
-    return HliResult(float(best), "heuristic", lam, mode, coupling=best_pi)
+    if swapped:
+        pi = pi.T.copy()
+    return HliResult(value + gap, tag, lam, mode, pi)

@@ -567,12 +567,18 @@ PROPERTIES = {
 
 
 def run_suite(seed: int = 0, samples: float = 1.0, names=None) -> dict:
-    """Run the property battery; returns a deterministic JSON-ready report."""
+    """Run the property battery; returns a deterministic JSON-ready report.
+
+    ``samples`` scales every property's trial count and must be finite and
+    nonnegative; each property runs at least one trial.
+    """
     if names is None:
         names = sorted(PROPERTIES)
     unknown = [n for n in names if n not in PROPERTIES]
     if unknown:
         raise ValueError(f"unknown properties: {unknown}")
+    if not 0.0 <= samples < np.inf:
+        raise ValueError(f"samples scale must be finite and nonnegative, got {samples}")
     results = []
     for name in sorted(names):
         fn, base_trials = PROPERTIES[name]

@@ -3,12 +3,14 @@
 The expected reports were produced by the solver before its certificate code
 was reorganised; any change to the clique sweep, the flow plan or the
 heuristic scoring that alters a certificate shows here, even when the value
-stays the same.
+stays the same.  The unequal-mass cases, with either space heavier, freeze
+the scale-and-gap rule of ``box_distance``, ``observable_distance`` and
+``box_upper_from_witness`` in the same way.
 """
 
 import pytest
 
-from mmdist import box_distance, mm_space
+from mmdist import Witness, box_distance, box_upper_from_witness, mm_space, observable_distance
 
 D3A = [[0, 1.0, 1.5], [1.0, 0, 1.25], [1.5, 1.25, 0]]
 D3B = [[0, 1.75, 1.0], [1.75, 0, 1.5], [1.0, 1.5, 0]]
@@ -62,6 +64,24 @@ CASES = {
             },
         },
     ),
+    "unequal mass, first heavier": (
+        ([0.75, 0.5, 0.25], D3B), ([0.25, 0.25, 0.5], D3A), 1.0, "exact",
+        {
+            "value": 0.75,
+            "mode": "exact",
+            "certificate": {
+                "cells": [[0, 0], [2, 1], [1, 2]],
+                "retained_mass": 0.75,
+                "pair_value": 0.25,
+                "mass_gap": 0.5,
+                "coupling": [
+                    [0.25, 0.08333333333333334, 0.16666666666666666],
+                    [0.0, 0.0, 0.3333333333333333],
+                    [0.0, 0.16666666666666666, 0.0],
+                ],
+            },
+        },
+    ),
     "zero-weight point": (
         ([0.5, 0.0, 0.5], D3A), ([0.5, 0.25, 0.25], D3B), 1.0, "exact",
         {
@@ -95,6 +115,44 @@ CASES = {
             },
         },
     ),
+    "heuristic unequal mass": (
+        ([0.1, 0.2, 0.3, 0.4], D4A), ([0.3, 0.3, 0.3, 0.3], D4B), 1.0, "heuristic",
+        {
+            "value": 0.44999999999999996,
+            "mode": "heuristic-upper-bound",
+            "certificate": {
+                "cells": [[0, 1], [1, 3], [2, 0], [3, 2]],
+                "retained_mass": 0.8,
+                "pair_value": 0.25,
+                "mass_gap": 0.19999999999999996,
+                "coupling": [
+                    [0.0, 0.09999999999999998, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.2],
+                    [0.25, 0.0, 0.0, 0.04999999999999999],
+                    [0.0, 0.15000000000000002, 0.25, 0.0],
+                ],
+            },
+        },
+    ),
+    "heuristic unequal mass, first heavier": (
+        ([0.3, 0.3, 0.3, 0.3], D4B), ([0.1, 0.2, 0.3, 0.4], D4A), 1.0, "heuristic",
+        {
+            "value": 0.44999999999999996,
+            "mode": "heuristic-upper-bound",
+            "certificate": {
+                "cells": [[1, 0], [3, 1], [0, 2], [2, 3]],
+                "retained_mass": 0.8,
+                "pair_value": 0.25,
+                "mass_gap": 0.19999999999999996,
+                "coupling": [
+                    [0.0, 0.0, 0.25, 0.0],
+                    [0.09999999999999998, 0.0, 0.0, 0.15000000000000002],
+                    [0.0, 0.0, 0.0, 0.25],
+                    [0.0, 0.2, 0.04999999999999999, 0.0],
+                ],
+            },
+        },
+    ),
 }
 
 
@@ -103,3 +161,31 @@ def test_certificate_is_frozen(name):
     x, y, lam, mode, expected = CASES[name]
     res = box_distance(mm_space(*x), mm_space(*y), lam, mode, seed=0)
     assert res.to_jsonable() == expected
+
+
+LIGHT = ([0.25, 0.25, 0.5], D3A)
+HEAVY = ([0.75, 0.5, 0.25], D3B)
+
+
+@pytest.mark.parametrize(
+    "first,second,coupling",
+    [
+        (LIGHT, HEAVY, [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.3333333333333333, 0.16666666666666666]]),
+        (HEAVY, LIGHT, [[0.25, 0.25, 0.0], [0.0, 0.0, 0.3333333333333333], [0.0, 0.0, 0.16666666666666666]]),
+    ],
+)
+def test_observable_exact0_unequal_mass_is_frozen(first, second, coupling):
+    res = observable_distance(mm_space(*first), mm_space(*second), 0.0, "exact0")
+    assert (res.value, res.tag) == (1.25, "exact")
+    assert res.coupling.tolist() == coupling
+
+
+@pytest.mark.parametrize(
+    "p,light_first,heavy_first",
+    [([0, 1, 2], 1.0, 1.0), ([2, 0, 1], 1.0, 0.75)],
+)
+def test_witness_bound_unequal_mass_is_frozen(p, light_first, heavy_first):
+    light, heavy = mm_space(*LIGHT), mm_space(*HEAVY)
+    w = Witness(p, [0, 1, 2], 0.0)
+    assert box_upper_from_witness(light, heavy, w) == light_first
+    assert box_upper_from_witness(heavy, light, w) == heavy_first

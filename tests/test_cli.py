@@ -55,6 +55,14 @@ class TestBoxCommand:
         write_space(p, mm_space(np.ones(n) / n, np.ones((n, n)) - np.eye(n)))
         assert main(["box", str(p), str(p), "--max-cells", "64"]) == 2
 
+    @pytest.mark.parametrize("command", ["box", "hlip"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_max_cells_below_one_exits_one(self, capsys, spaces, command, limit):
+        # -1 was passed to the solver and refused as a size limit (exit 2)
+        x, y = spaces
+        assert exit_code([command, x, y, "--max-cells", limit]) == 1
+        assert "--max-cells" in capsys.readouterr().err
+
     def test_invalid_space_exits_one(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"labels": ["a"], "weights": [-1.0], "dist": [[0.0]]}))
@@ -185,6 +193,29 @@ class TestOtherCommands:
         assert exit_code(argv + ["--samples", samples]) == 1
         assert "whole number" in capsys.readouterr().err
 
+    def test_non_finite_function_exits_one(self, tmp_path, capsys):
+        # NaN reached the threshold search and exited 3
+        space = tmp_path / "s.json"
+        write_space(space, mm_space([0.25, 0.25, 0.5], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        f.write_text("[0, NaN, 1]")
+        g.write_text("[0, 0, 0]")
+        for lam in ("0", "1"):
+            assert main(["me", str(space), "--f", str(f), "--g", str(g), "--lambda", lam]) == 1
+            assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_weighting_exits_one(self, tmp_path, capsys, bad):
+        # NaN exited 3; Infinity exited 1 as "requires equal total masses"
+        space = tmp_path / "s.json"
+        write_space(space, mm_space([0.25, 0.25, 0.5], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+        mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+        mu.write_text(f"[0.5, {bad}, 0.5]")
+        nu.write_text("[0.25, 0.5, 0.25]")
+        assert main(["prokhorov", str(space), "--mu", str(mu), "--nu", str(nu)]) == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "equal total" not in err
+
     def test_dominate_command(self, capsys, spaces):
         x, y = spaces
         code, rep = run_json(capsys, ["dominate", y, x])
@@ -242,6 +273,12 @@ class TestSuiteCommand:
         code, rep = run_json(capsys, ["suite", "--properties", "scale-roundtrip", "--samples", "0"])
         assert code == 0
         assert rep["result"]["samples"] == 0.0
+
+    @pytest.mark.parametrize("samples", ["inf", "nan", "-3"])
+    def test_bad_samples_scale_exits_one(self, capsys, samples):
+        # inf ended in an OverflowError traceback; -3 ran one trial per property
+        assert exit_code(["suite", "--properties", "scale-roundtrip", "--samples", samples]) == 1
+        assert "samples" in capsys.readouterr().err
 
     def test_unknown_property_rejected(self, capsys):
         assert main(["suite", "--properties", "not-a-property"]) == 1

@@ -16,6 +16,7 @@ from mmdist import (
     random_coupling,
     read_space,
     scale_measure,
+    semidist_pair,
     spaces_equal,
     validate,
     write_space,
@@ -144,6 +145,26 @@ class TestPullback:
         bad = diagonal_coupling(two_point((0.4, 0.6)))
         with pytest.raises(ValueError):
             pullback_pair(X, Y, bad)
+
+
+class TestSemidistPair:
+    D = [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # [1, nan] was accepted and box_pair then returned 0.0
+        with pytest.raises(ValueError, match="weights contain non-finite entries"):
+            semidist_pair([1.0, bad], self.D, self.D)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    def test_non_finite_distances_rejected(self, bad, name):
+        # a NaN off-diagonal made box_pair raise InternalInvariantError
+        # and hli_lambda exact0 return nan
+        d = [[0.0, bad], [bad, 0.0]]
+        d1, d2 = (d, self.D) if name == "d1" else (self.D, d)
+        with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            semidist_pair([0.5, 0.5], d1, d2)
 
 
 class TestMetricClosure:

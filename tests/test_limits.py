@@ -46,6 +46,17 @@ class TestProkhorov:
         with pytest.raises(ValueError):
             prokhorov(two_point(), [1.0, 0.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_weightings_rejected(self, bad, first):
+        # NaN reached the threshold search; inf was reported as unequal totals
+        X = mm_space([1.0, 1.0, 1.0], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        mu, nu = [0.5, bad, 0.5], [0.25, 0.5, 0.25]
+        if not first:
+            mu, nu = nu, mu
+        with pytest.raises(ValueError, match="finite"):
+            prokhorov(X, mu, nu)
+
     def test_metric_axioms_against_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(40):

@@ -95,6 +95,17 @@ class TestMeLambda:
         with pytest.raises(ValueError):
             me_lambda([0.3, 0.0], [0.0, 0.0], [0.5, 0.5], lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("where", ["f", "g", "weights"])
+    def test_non_finite_vectors_rejected(self, bad, lam, where):
+        # [0, inf, 1] gave 0.8 at lambda 1 and inf at lambda 0
+        args = {"f": [0.0, 1.0, 1.0], "g": [0.0, 0.0, 0.0], "weights": [0.2, 0.3, 0.5]}
+        args[where] = list(args[where])
+        args[where][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            me_lambda(args["f"], args["g"], args["weights"], lam)
+
     def test_maps_variant_examples(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         w = np.array([0.5, 0.5])

@@ -52,3 +52,25 @@ def test_matrixdist_and_witness_counters_fire():
     counts = tracer.layer_counts()
     assert counts["matrixdist.exact_mu_r.tuples"] > 0
     assert counts["limits.witness_search.maps"] > 0
+
+
+def test_exact_box_layers_fire():
+    X = mmdist.mm_space([0.25, 0.25, 0.5], [[0, 1, 1.5], [1, 0, 1.25], [1.5, 1.25, 0]])
+    Y = mmdist.mm_space([0.5, 0.25, 0.25], [[0, 1.75, 1], [1.75, 0, 1.5], [1, 1.5, 0]])
+    pair = mmdist.semidist_pair([0.2, 0.3, 0.5], X.dist, Y.dist)
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        mmdist.box_distance(X, Y, 1.0)
+        mmdist.box_pair(pair, 1.0)
+    finally:
+        tracer.remove()
+    counts = tracer.layer_counts()
+    for layer in (
+        "box.threshold_solve.calls",
+        "box.best_flow_at.calls",
+        "box.maximal_cliques.sweeps",
+        "box.max_weight_clique.calls",
+        "transport.max_flow_value.calls",
+    ):
+        assert counts[layer] > 0, layer
