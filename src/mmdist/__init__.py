@@ -18,7 +18,6 @@ from .box import (
     smallest_eps_for_defects,
 )
 from .core import (
-    Coupling,
     FiniteMMSpace,
     SemiDistancePair,
     ValidationReport,

@@ -27,11 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    Coupling,
     FiniteMMSpace,
     SemiDistancePair,
     Witness,
     check_lambda,
+    check_max_cells,
     lighter_first,
     pullback_pair,
 )
@@ -216,6 +216,7 @@ def box_pair(
     heuristic mode peels the worst cell greedily and returns an upper bound.
     """
     check_lambda(lam)
+    check_max_cells(max_cells)
     delta = np.abs(pair.d1 - pair.d2)
     m = pair.total_mass
     if mode == "exact":
@@ -358,7 +359,7 @@ def _box_equal_mass_heuristic(
 
     def score(pi: np.ndarray) -> tuple[float, tuple]:
         """Pair value of the pullback along ``pi`` and its kept coupling cells."""
-        pair = pullback_pair(X, Y, Coupling(pi, X.weights, Y.weights))
+        pair = pullback_pair(X, Y, pi)
         eps, kept = smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
         return eps, tuple(pair.cells[k] for k in kept)
 
@@ -412,6 +413,7 @@ def box_distance(
     upper bound (never below the exact value).
     """
     check_lambda(lam)
+    check_max_cells(max_cells)
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     A, B, gap, swapped = lighter_first(X, Y)
@@ -451,5 +453,5 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
         if Xn.weights[z] > 0.0:
             u = p[z]
             pi[z] = Xn.weights[z] * kappa[u] / nu[u]
-    pair = pullback_pair(X=Xn, Y=X, pi=Coupling(pi, Xn.weights, X.weights), tol=1e-7)
+    pair = pullback_pair(Xn, X, pi, tol=1e-7)
     return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, 1.0)[0] + gap

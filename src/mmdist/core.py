@@ -1,13 +1,15 @@
 """Finite metric-measure spaces: core types, validation, scaling, couplings, I/O.
 
 The objects here are small and immutable.  A space is a tuple of point labels,
-nonnegative atom weights and a semimetric matrix.  A coupling is a nonnegative
-matrix whose marginals match two weight vectors of equal total mass; it is the
-finite stand-in for a pair of measure-preserving parametrizations of the two
-spaces over a common mass interval, recorded through the masses of their cell
-intersections.  Pulling the two semimetrics back onto the support cells of a
-coupling yields a :class:`SemiDistancePair`, which is what every solver in
-this package actually works on.
+nonnegative atom weights and a semimetric matrix.  A coupling is a plain float
+array: a nonnegative matrix whose marginals match two weight vectors of equal
+total mass.  It is the finite stand-in for a pair of measure-preserving
+parametrizations of the two spaces over a common mass interval, recorded
+through the masses of their cell intersections.  Pulling the two semimetrics
+back onto the support cells of a coupling yields a :class:`SemiDistancePair`,
+which is what every solver in this package actually works on;
+:func:`pullback_pair` and :func:`coupling_from_matrix` check the shape, the
+signs and the marginals of a coupling through one private check.
 
 Zero-weight points are kept in storage but excluded from supports; all
 comparisons between spaces are meant up to relabeling of the support.
@@ -192,6 +194,12 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
 
 
+def check_max_cells(max_cells: int) -> None:
+    """Reject a cell limit below one, which no instance could meet."""
+    if not max_cells >= 1:
+        raise ValueError(f"max_cells must be at least 1, got {max_cells}")
+
+
 def metric_closure(d: np.ndarray) -> np.ndarray:
     """Shortest-path (Floyd-Warshall) closure of a symmetric defect matrix.
 
@@ -209,41 +217,6 @@ def metric_closure(d: np.ndarray) -> np.ndarray:
 # couplings
 
 
-@dataclass(frozen=True, eq=False)
-class Coupling:
-    """A nonnegative matrix with prescribed row and column marginals.
-
-    ``pi[i, j]`` is the mass shared by point ``i`` of the first space and
-    point ``j`` of the second.  Rows must sum to ``row_weights`` and columns
-    to ``col_weights``; both weight vectors must carry the same total mass.
-    """
-
-    pi: np.ndarray
-    row_weights: np.ndarray
-    col_weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi", _readonly(self.pi))
-        object.__setattr__(self, "row_weights", _readonly(self.row_weights))
-        object.__setattr__(self, "col_weights", _readonly(self.col_weights))
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.pi.sum())
-
-    def marginal_violations(self, tol: float = MASS_TOL) -> list[str]:
-        v = []
-        if np.any(self.pi < -tol):
-            v.append("coupling has negative entries")
-        row_err = float(np.max(np.abs(self.pi.sum(axis=1) - self.row_weights), initial=0.0))
-        col_err = float(np.max(np.abs(self.pi.sum(axis=0) - self.col_weights), initial=0.0))
-        if row_err > tol:
-            v.append(f"row marginals off by {row_err:.3g}")
-        if col_err > tol:
-            v.append(f"column marginals off by {col_err:.3g}")
-        return v
-
-
 def _require_equal_mass(X: FiniteMMSpace, Y: FiniteMMSpace):
     if abs(X.total_mass - Y.total_mass) > 1e-9:
         raise ValueError(
@@ -252,41 +225,57 @@ def _require_equal_mass(X: FiniteMMSpace, Y: FiniteMMSpace):
         )
 
 
-def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> Coupling:
-    """Wrap a matrix as a coupling of ``X`` and ``Y``, checking marginals to 1e-9."""
-    c = Coupling(np.asarray(pi, dtype=float), X.weights, Y.weights)
-    bad = c.marginal_violations(1e-9)
-    if bad:
-        raise ValueError("not a coupling of the given spaces: " + "; ".join(bad))
-    return c
+def _check_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, pi, tol: float) -> np.ndarray:
+    """``pi`` as a float matrix; ValueError unless it couples ``X`` and ``Y`` within ``tol``."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (X.n, Y.n):
+        raise ValueError(f"coupling shape {pi.shape} does not match ({X.n}, {Y.n})")
+    if not np.all(pi >= -tol):
+        raise ValueError("coupling has negative or NaN entries")
+    row_err = float(np.max(np.abs(pi.sum(axis=1) - X.weights), initial=0.0))
+    col_err = float(np.max(np.abs(pi.sum(axis=0) - Y.weights), initial=0.0))
+    if not (row_err <= tol and col_err <= tol):
+        raise ValueError(
+            f"coupling marginals do not match the spaces (row off {row_err:.3g}, "
+            f"col off {col_err:.3g})"
+        )
+    return pi
 
 
-def diagonal_coupling(X: FiniteMMSpace) -> Coupling:
+def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> np.ndarray:
+    """Check a matrix as a coupling of ``X`` and ``Y`` to 1e-9 and return it."""
+    return _check_coupling(X, Y, pi, 1e-9)
+
+
+def diagonal_coupling(X: FiniteMMSpace) -> np.ndarray:
     """The coupling of a space with itself that keeps every atom in place."""
-    return Coupling(np.diag(X.weights), X.weights, X.weights)
+    return np.diag(X.weights)
 
 
-def product_coupling(X: FiniteMMSpace, Y: FiniteMMSpace) -> Coupling:
+def product_coupling(X: FiniteMMSpace, Y: FiniteMMSpace) -> np.ndarray:
     """Independent coupling ``w_X w_Y^T / m`` of two equal-mass spaces."""
     _require_equal_mass(X, Y)
-    pi = np.outer(X.weights, Y.weights) / X.total_mass
-    return Coupling(pi, X.weights, Y.weights)
+    return np.outer(X.weights, Y.weights) / X.total_mass
 
 
-def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping) -> Coupling:
+def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping) -> np.ndarray:
     """Coupling concentrated on the graph of a weight-preserving point map.
 
     ``mapping[i]`` is the index in ``Y`` receiving all mass of point ``i``;
     the map must preserve atom weights for the result to be a coupling.
     """
     _require_equal_mass(X, Y)
+    p = np.asarray(mapping, dtype=int)
+    if p.shape != (X.n,):
+        raise ValueError("map length does not match the first space")
+    if np.any(p < 0) or np.any(p >= Y.n):
+        raise ValueError("map has out-of-range targets")
     pi = np.zeros((X.n, Y.n))
-    for i, j in enumerate(mapping):
-        pi[i, int(j)] += X.weights[i]
+    pi[np.arange(X.n), p] = X.weights
     return coupling_from_matrix(X, Y, pi)
 
 
-def northwest_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, row_order, col_order) -> Coupling:
+def northwest_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, row_order, col_order) -> np.ndarray:
     """A vertex of the transportation polytope obtained by greedy filling.
 
     Filling visits the rows of ``X`` in ``row_order`` and the columns of ``Y``
@@ -294,11 +283,10 @@ def northwest_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, row_order, col_order)
     extreme points.
     """
     _require_equal_mass(X, Y)
-    pi = northwest_plan(X.weights, Y.weights, row_order, col_order)
-    return Coupling(pi, X.weights, Y.weights)
+    return northwest_plan(X.weights, Y.weights, row_order, col_order)
 
 
-def random_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, rng: np.random.Generator) -> Coupling:
+def random_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, rng: np.random.Generator) -> np.ndarray:
     """Random coupling: a convex mix of three random transportation vertices."""
     _require_equal_mass(X, Y)
     coeffs = rng.dirichlet(np.ones(3))
@@ -307,7 +295,7 @@ def random_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, rng: np.random.Generator
         pi += c * northwest_plan(
             X.weights, Y.weights, rng.permutation(X.n), rng.permutation(Y.n)
         )
-    return Coupling(pi, X.weights, Y.weights)
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +366,19 @@ def semidist_pair(weights, d1, d2) -> SemiDistancePair:
 
 
 def pullback_pair(
-    X: FiniteMMSpace, Y: FiniteMMSpace, pi: Coupling, *, tol: float = 1e-9
+    X: FiniteMMSpace, Y: FiniteMMSpace, pi, *, tol: float = 1e-9
 ) -> SemiDistancePair:
     """Pull both metrics back onto the support cells of a coupling.
 
     Cell ``(i, j)`` carries mass ``pi[i, j]``; between two cells the first
     matrix reads the distance in ``X`` and the second the distance in ``Y``.
-    Zero-mass cells do not appear.
+    Zero-mass cells do not appear.  ``pi`` must couple ``X`` and ``Y`` to
+    within ``tol``.
     """
-    if pi.pi.shape != (X.n, Y.n):
-        raise ValueError(f"coupling shape {pi.pi.shape} does not match ({X.n}, {Y.n})")
-    row_err = float(np.max(np.abs(pi.pi.sum(axis=1) - X.weights), initial=0.0))
-    col_err = float(np.max(np.abs(pi.pi.sum(axis=0) - Y.weights), initial=0.0))
-    if row_err > tol or col_err > tol:
-        raise ValueError(
-            f"coupling marginals do not match the spaces (row off {row_err:.3g}, "
-            f"col off {col_err:.3g})"
-        )
-    ii, jj = np.nonzero(pi.pi > 0.0)
+    pi = _check_coupling(X, Y, pi, tol)
+    ii, jj = np.nonzero(pi > 0.0)
     return SemiDistancePair(
-        pi.pi[ii, jj],
+        pi[ii, jj],
         X.dist[np.ix_(ii, ii)],
         Y.dist[np.ix_(jj, jj)],
         cells=tuple((int(i), int(j)) for i, j in zip(ii, jj)),

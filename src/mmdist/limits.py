@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .box import _max_weight_clique, box_distance, box_upper_from_witness, smallest_eps_for_defects
-from .core import FiniteMMSpace, Witness
+from .core import FiniteMMSpace, Witness, check_max_cells
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms
@@ -219,6 +219,7 @@ def empirical_convergence_experiment(
     grid fits, otherwise the witness-based upper bound through the natural
     sample-to-point map.
     """
+    check_max_cells(max_cells)
     if abs(X.total_mass - 1.0) > 1e-9:
         raise ValueError("empirical experiments require a normalized space")
     rows = []

@@ -37,6 +37,7 @@ from .core import (
     FiniteMMSpace,
     SemiDistancePair,
     check_lambda,
+    check_max_cells,
     lighter_first,
     metric_closure,
     northwest_coupling,
@@ -361,6 +362,7 @@ def observable_distance(
     rule as the box distance (:func:`mmdist.core.lighter_first`).
     """
     check_lambda(lam)
+    check_max_cells(max_cells)
     X, Y, gap, swapped = lighter_first(X, Y)
     if mode == "exact0":
         if lam != 0.0:
@@ -386,7 +388,7 @@ def observable_distance(
                 pair, lam, "sampled", samples=samples, seed=int(rng.integers(2**31)),
             ).value
             if est < value:
-                value, pi = est, c.pi
+                value, pi = est, c
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if swapped:

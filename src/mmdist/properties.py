@@ -94,8 +94,8 @@ def prop_coupling_marginals(seed: int, trials: int) -> dict:
         c = random_coupling(X, Y, rng)
         worst = max(
             worst,
-            float(np.max(np.abs(c.pi.sum(axis=1) - X.weights), initial=0.0)),
-            float(np.max(np.abs(c.pi.sum(axis=0) - Y.weights), initial=0.0)),
+            float(np.max(np.abs(c.sum(axis=1) - X.weights), initial=0.0)),
+            float(np.max(np.abs(c.sum(axis=0) - Y.weights), initial=0.0)),
         )
     return _result(worst <= 1e-12, worst=worst)
 

@@ -12,7 +12,7 @@ import pkgutil
 
 import mmdist
 
-MAX_DEFAULTED = 39
+MAX_DEFAULTED = 38
 
 
 def _defaulted(fn) -> list[str]:
@@ -51,4 +51,5 @@ def test_counter_sees_known_defaults():
     names = defaulted_public_names()
     assert "mmdist.box.box_pair(max_cells)" in names
     assert "mmdist.box.BoxResult.coupling" in names
-    assert "mmdist.core.Coupling.marginal_violations(tol)" in names
+    assert "mmdist.core.pullback_pair(tol)" in names
+    assert "mmdist.lipschitz.Lip1Set.vertices(max_support)" in names  # a method

@@ -17,6 +17,7 @@ from mmdist import (
     semidist_pair,
     smallest_eps_for_defects,
 )
+from mmdist.box import EDGE_TOL
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
 from oracles import brute_box_pair, brute_box_two_point_uniform
@@ -74,6 +75,27 @@ class TestBoxPair:
                 sub = np.abs(d1 - d2)[np.ix_(kept, kept)]
                 assert float(sub.max()) <= got.value + 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_matches_brute_force_hypothesis(self, data):
+        # zero weights, and defects that tie within EDGE_TOL of one another
+        n = data.draw(st.integers(1, 6))
+        k = n * (n - 1) // 2
+        weights = st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]), min_size=n, max_size=n)
+        w = np.array(data.draw(weights))
+        base = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=k, max_size=k))
+        defect = data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 0.5 - EDGE_TOL / 2, 0.5 + EDGE_TOL / 2, 1.0]),
+            min_size=k, max_size=k,
+        ))
+        lam = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        d1, d2 = np.zeros((n, n)), np.zeros((n, n))
+        iu = np.triu_indices(n, 1)
+        d1[iu], d2[iu] = base, np.add(base, defect)
+        d1, d2 = d1 + d1.T, d2 + d2.T
+        got = box_pair(semidist_pair(w, d1, d2), lam).value
+        assert got == pytest.approx(brute_box_pair(w, d1, d2, lam), abs=1e-9)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             box_pair(cross_pair([0.5, 0.5], 1.0, 2.0), -0.5)
@@ -90,6 +112,12 @@ class TestBoxPair:
         pair = cross_pair([0.5, 0.5], 1.0, 2.0)
         with pytest.raises(SizeLimitError):
             box_pair(pair, 1.0, max_cells=1)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_max_cells_below_one_rejected(self, mode):
+        pair = cross_pair([0.5, 0.5], 1.0, 2.0)
+        with pytest.raises(ValueError, match="max_cells"):
+            box_pair(pair, 1.0, mode, max_cells=0)
 
     def test_heuristic_never_below_exact(self):
         rng = np.random.default_rng(31)
@@ -204,6 +232,14 @@ class TestBoxDistance:
         X = mm_space(np.full(9, 1.0 / 9), np.ones((9, 9)) - np.eye(9))
         with pytest.raises(SizeLimitError):
             box_distance(X, X, 1.0, max_cells=64)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_max_cells_below_one_rejected(self, mode):
+        # exact mode raised SizeLimitError ("refuses 4 cells (limit 0)"),
+        # heuristic mode ignored the value
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="max_cells"):
+            box_distance(X, X, 1.0, mode, max_cells=0)
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_non_finite_lambda_rejected(self, mode):

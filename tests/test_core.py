@@ -7,6 +7,7 @@ from mmdist import (
     FiniteMMSpace,
     InvalidSpaceError,
     SpaceFormatError,
+    coupling_from_matrix,
     diagonal_coupling,
     matching_coupling,
     metric_closure,
@@ -25,6 +26,13 @@ from mmdist import (
 
 def two_point(w=(0.5, 0.5), d=1.0):
     return mm_space(list(w), [[0.0, d], [d, 0.0]])
+
+
+def assert_couples(c, X, Y):
+    """``c`` is a nonnegative matrix with the weights of ``X`` and ``Y`` as marginals."""
+    assert c.min() >= 0.0
+    assert np.max(np.abs(c.sum(axis=1) - X.weights)) <= 1e-12
+    assert np.max(np.abs(c.sum(axis=0) - Y.weights)) <= 1e-12
 
 
 class TestValidate:
@@ -92,18 +100,18 @@ class TestCouplings:
     def test_diagonal_marginals(self):
         X = two_point((0.3, 0.7))
         c = diagonal_coupling(X)
-        assert not c.marginal_violations()
+        assert_couples(c, X, X)
 
     def test_product_coupling_cells(self):
         X, Y = two_point(), two_point(d=2.0)
         c = product_coupling(X, Y)
-        assert np.allclose(c.pi, 0.25)
+        assert np.allclose(c, 0.25)
 
     def test_matching_requires_weight_match(self):
         X = two_point((0.3, 0.7))
         Y = two_point((0.7, 0.3))
         c = matching_coupling(X, Y, [1, 0])
-        assert not c.marginal_violations()
+        assert_couples(c, X, Y)
         with pytest.raises(ValueError):
             matching_coupling(X, Y, [0, 1])
 
@@ -113,11 +121,34 @@ class TestCouplings:
         Y = two_point()
         for _ in range(10):
             c = random_coupling(X, Y, rng)
-            assert not c.marginal_violations(1e-12)
+            assert_couples(c, X, Y)
 
     def test_unequal_mass_rejected(self):
         with pytest.raises(ValueError):
             product_coupling(two_point(), two_point((1.0, 1.0)))
+
+    @pytest.mark.parametrize("mapping", [[-1, 0], [1, 2], [1], [1, 0, 0]])
+    def test_matching_rejects_bad_maps(self, mapping):
+        # [-1, 0] wrapped to point 1 and looked like a valid coupling;
+        # [1, 2] raised IndexError
+        X = two_point((0.3, 0.7))
+        Y = two_point((0.7, 0.3))
+        with pytest.raises(ValueError, match="map"):
+            matching_coupling(X, Y, mapping)
+
+    @pytest.mark.parametrize("check", [pullback_pair, coupling_from_matrix])
+    def test_negative_entries_rejected(self, check):
+        # the marginals balance; pullback_pair used to drop the negative
+        # cells and build a pair of mass 1.2, whose box value at 1 is 0.6
+        X, Y = two_point(), two_point(d=2.0)
+        with pytest.raises(ValueError, match="negative"):
+            check(X, Y, np.array([[0.6, -0.1], [-0.1, 0.6]]))
+
+    @pytest.mark.parametrize("check", [pullback_pair, coupling_from_matrix])
+    def test_wrong_shape_rejected(self, check):
+        X, Y = two_point(), two_point(d=2.0)
+        with pytest.raises(ValueError, match="does not match"):
+            check(X, Y, np.full((2, 3), 1.0 / 6.0))
 
 
 class TestPullback:

@@ -184,6 +184,11 @@ class TestEmpiricalConvergence:
         with pytest.raises(ValueError):
             empirical_convergence_experiment(two_point((1.0, 1.0)), [10])
 
+    def test_max_cells_below_one_rejected(self):
+        # the witness bound silently replaced every exact solve
+        with pytest.raises(ValueError, match="max_cells"):
+            empirical_convergence_experiment(two_point(), [10], max_cells=0)
+
     def test_exact_resample_is_distance_zero(self):
         # empirical multiplicities that reproduce the weights exactly give
         # an identical space, so the distance vanishes

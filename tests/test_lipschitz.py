@@ -372,15 +372,13 @@ class TestObservableDistance:
     def test_space_level_matches_pair_on_best_coupling(self):
         # the certified coupling's vertex-based Hausdorff value must agree
         # with the space-level result computed through the box search
-        from mmdist import Coupling
-
         rng = np.random.default_rng(103)
         for _ in range(40):
             total = float(np.round(rng.uniform(0.5, 2.0), 2))
             X = random_space_total(rng, total, min_points=2, max_points=2)
             Y = random_space_total(rng, total, min_points=2, max_points=3)
             res = observable_distance(X, Y, 0.0)
-            pair = pullback_pair(X, Y, Coupling(res.coupling, X.weights, Y.weights))
+            pair = pullback_pair(X, Y, res.coupling)
             assert hli_lambda(pair, 0.0).value == pytest.approx(res.value, abs=1e-9)
 
     def test_sampled_mode_is_tagged_heuristic(self):
@@ -394,3 +392,9 @@ class TestObservableDistance:
         X = mm_space([1.0], [[0.0]])
         Y = mm_space([2.0], [[0.0]])
         assert observable_distance(X, Y, 0.0).value == 1.0
+
+    @pytest.mark.parametrize("mode,lam", [("exact0", 0.0), ("sampled", 1.0)])
+    def test_max_cells_below_one_rejected(self, mode, lam):
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="max_cells"):
+            observable_distance(X, X, lam, mode, max_cells=0)

@@ -74,3 +74,19 @@ def test_exact_box_layers_fire():
         "transport.max_flow_value.calls",
     ):
         assert counts[layer] > 0, layer
+
+
+def test_heuristic_box_layers_fire():
+    # every local-search step scores its coupling through pullback_pair,
+    # which the tracer wraps by name
+    X = mmdist.mm_space([0.25, 0.25, 0.5], [[0, 1, 1.5], [1, 0, 1.25], [1.5, 1.25, 0]])
+    Y = mmdist.mm_space([0.5, 0.25, 0.25], [[0, 1.75, 1], [1.75, 0, 1.5], [1, 1.5, 0]])
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        mmdist.box_distance(X, Y, 1.0, "heuristic")
+    finally:
+        tracer.remove()
+    counts = tracer.layer_counts()
+    for layer in ("core.pullback_pair.calls", "box.max_weight_clique.calls"):
+        assert counts[layer] > 0, layer
