@@ -38,6 +38,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_indices(values, what: str) -> np.ndarray:
+    """Caller-supplied point indices as an integer array.
+
+    Integer arrays pass and finite whole-valued floats are converted; any
+    other entry is a ValueError rather than a silent truncation.  Negative
+    and empty inputs pass: range and emptiness checks stay with the caller.
+    """
+    a = np.asarray(values)
+    if a.size and not (
+        a.dtype.kind in "iu"
+        or (a.dtype.kind == "f" and np.all(np.isfinite(a)) and np.all(a == np.round(a)))
+    ):
+        raise ValueError(f"{what} must hold integer point indices")
+    return a.astype(int)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMMSpace:
     """A finite weighted point set with a semimetric matrix.
@@ -265,7 +281,7 @@ def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping) -> np.ndarray
     the map must preserve atom weights for the result to be a coupling.
     """
     _require_equal_mass(X, Y)
-    p = np.asarray(mapping, dtype=int)
+    p = _as_indices(mapping, "map")
     if p.shape != (X.n,):
         raise ValueError("map length does not match the first space")
     if np.any(p < 0) or np.any(p >= Y.n):
@@ -404,8 +420,8 @@ class Witness:
     eps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.array(self.p, dtype=int))
-        object.__setattr__(self, "subset", np.array(sorted(int(i) for i in self.subset), dtype=int))
+        object.__setattr__(self, "p", _as_indices(self.p, "witness map"))
+        object.__setattr__(self, "subset", np.sort(_as_indices(self.subset, "witness subset")))
         object.__setattr__(self, "eps", float(self.eps))
 
     def violations(self, Xn: FiniteMMSpace, X: FiniteMMSpace) -> list[str]:

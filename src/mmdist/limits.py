@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .box import _max_weight_clique, box_distance, box_upper_from_witness, smallest_eps_for_defects
-from .core import FiniteMMSpace, Witness, check_max_cells
+from .core import FiniteMMSpace, Witness, _as_indices, check_max_cells
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms
@@ -83,7 +83,7 @@ def lipschitz_up_to_check(
     (an exact clique search at desk scale, greedy peeling beyond
     :data:`EXACT_CLIQUE_SUPPORT`), or ``None`` when its complement is too heavy.
     """
-    fmap = np.asarray(fmap, dtype=int)
+    fmap = _as_indices(fmap, "map")
     s = X.support
     dY = Y.dist[np.ix_(fmap[s], fmap[s])]
     dX = X.dist[np.ix_(s, s)]
@@ -260,7 +260,7 @@ class DominationCertificate:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.array(self.p, dtype=int))
+        object.__setattr__(self, "p", _as_indices(self.p, "domination map"))
         object.__setattr__(self, "c", float(self.c))
 
     def violations(self, X: FiniteMMSpace, Y: FiniteMMSpace) -> list[str]:
@@ -402,7 +402,7 @@ def me1_subsequence_diagnostic(maps, weights, dY, *, eps_grid=None) -> Me1Diagno
     pairwise within the tolerance; a chain covering the whole sequence means
     the sequence is uniformly clustered at that scale.
     """
-    maps = [np.asarray(f, dtype=int) for f in maps]
+    maps = [_as_indices(f, "map") for f in maps]
     k = len(maps)
     if k == 0:
         return Me1Diagnostic(np.zeros((0, 0)), ())

@@ -22,13 +22,14 @@ Lip1(C1) each term is at most ``(C1_ij - C2_ij)^+ / 2``, and the cone
 support pairs.  For ``lam > 0`` no closed form is used: the sampled mode
 bounds the distance from below by measuring cones and random members of each
 set exactly against the other.  Vertex enumeration (``Lip1Set.vertices``)
-stays as an independent check of the closed form.
+stays as an independent check of the closed form: it grows the tight trees
+of the vertices from the pinned point, one tight edge at a time, keeping only
+partial assignments that are feasible on the points placed so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .box import box_distance, smallest_eps_for_defects
 from .core import (
     FiniteMMSpace,
     SemiDistancePair,
+    _as_indices,
     check_lambda,
     check_max_cells,
     lighter_first,
@@ -92,8 +94,8 @@ def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
     distance matrix ``dY``; the distance is ``me_lambda`` applied to the
     pointwise target distances against zero.
     """
-    fmap = np.asarray(fmap, dtype=int)
-    gmap = np.asarray(gmap, dtype=int)
+    fmap = _as_indices(fmap, "fmap")
+    gmap = _as_indices(gmap, "gmap")
     gaps = np.asarray(dY, dtype=float)[fmap, gmap]
     return me_lambda(gaps, np.zeros_like(gaps), weights, lam)
 
@@ -109,7 +111,7 @@ def project_to_lip1(f, dist, anchor) -> np.ndarray:
     satisfying the triangle inequality the output is 1-Lipschitz everywhere
     and fixes any function that is already 1-Lipschitz (full anchor).
     """
-    anchor = np.asarray(anchor, dtype=int)
+    anchor = _as_indices(anchor, "anchor")
     if anchor.size == 0:
         raise ValueError("anchor must be nonempty")
     f = np.asarray(f, dtype=float)
@@ -147,12 +149,18 @@ class Lip1Set:
     def vertices(self, *, max_support: int = 6) -> np.ndarray:
         """All extreme points, pinned at the first support point.
 
-        Every vertex is the solution of ``k - 1`` tight constraints
-        ``f_j - f_i = +-d_ij`` forming a spanning tree of the support, so the
-        enumeration walks spanning trees with sign choices, keeps the
-        feasible solutions and deduplicates.  Returns full-length vectors
-        (non-support coordinates filled by McShane extension from the
-        support).
+        A feasible ``f`` is a vertex exactly when its tight constraints
+        ``f_b - f_a = +-d_ab``, together with the pin, connect the support.
+        So every vertex can be built from ``{first support point: 0}`` by
+        attaching one point at a time along a tight edge, in breadth-first
+        order of its tight tree, and each partial assignment on the way is
+        feasible on the points placed so far.  The search grows exactly
+        these partial assignments, one placed point per round, and merges
+        states with the same placed set and the same values at 1e-9.
+        Conversely, every complete assignment it builds is feasible and has
+        a tight spanning tree, so it is a vertex.  Rows are sorted by their
+        values at 1e-9; non-support coordinates are filled by McShane
+        extension from the support.
         """
         s = self.support
         k = len(s)
@@ -164,39 +172,25 @@ class Lip1Set:
         if k == 0:
             return np.zeros((0, n))
         d = self.dist[np.ix_(s, s)]
-        if k == 1:
-            out = np.zeros((1, n))
-            out[0] = self._extend(np.zeros(1))
-            return out
-        edges = list(combinations(range(k), 2))
-        seen: dict[tuple, np.ndarray] = {}
-        for tree in combinations(edges, k - 1):
-            if not _is_spanning_tree(tree, k):
-                continue
-            nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
-            for e, (a, b) in enumerate(tree):
-                nbrs[a].append((b, e, +1))
-                nbrs[b].append((a, e, -1))
-            for signs in product((1.0, -1.0), repeat=k - 1):
-                vals = np.full(k, np.nan)
-                vals[0] = 0.0
-                stack = [0]
-                while stack:
-                    a = stack.pop()
-                    for b, e, orient in nbrs[a]:
-                        if np.isnan(vals[b]):
-                            # edge e pinned as f_b - f_a = signs[e] * d_ab
-                            vals[b] = vals[a] + orient * signs[e] * d[tree[e][0], tree[e][1]]
-                            stack.append(b)
-                viol = np.max(np.abs(vals[:, None] - vals[None, :]) - d)
-                if viol > 1e-9:
-                    continue
-                key = tuple(np.round(vals / 1e-9).astype(np.int64).tolist())
-                if key not in seen:
-                    seen[key] = vals
-        out = np.zeros((len(seen), n))
-        for row, key in enumerate(sorted(seen)):
-            out[row] = self._extend(seen[key])
+        # (placed points, values at 1e-9) -> values, unplaced entries zero
+        states = {((0,), (0,) * k): np.zeros(k)}
+        for _ in range(k - 1):
+            grown: dict[tuple, np.ndarray] = {}
+            for (placed, _), vals in states.items():
+                p = list(placed)
+                for b in sorted(set(range(k)) - set(placed)):
+                    cand = np.concatenate((vals[p] + d[p, b], vals[p] - d[p, b]))
+                    ok = np.all(np.abs(cand[:, None] - vals[p]) - d[b, p] <= 1e-9, axis=1)
+                    for v in cand[ok]:
+                        new = vals.copy()
+                        new[b] = v
+                        at = tuple(np.round(new / 1e-9).astype(np.int64).tolist())
+                        grown.setdefault((tuple(sorted(p + [b])), at), new)
+            states = grown
+        out = np.zeros((len(states), n))
+        # every final state places all points, so the keys sort by values
+        for row, (_, vals) in enumerate(sorted(states.items())):
+            out[row] = self._extend(vals)
         return out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -231,25 +225,6 @@ class Lip1Set:
                 support_values[None, :] + self.dist[np.ix_(rest, s)], axis=1
             )
         return out
-
-
-def _is_spanning_tree(edges, k: int) -> bool:
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    joined = 0
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        joined += 1
-    return joined == k - 1
 
 
 # ---------------------------------------------------------------------------

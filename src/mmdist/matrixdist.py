@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMMSpace, normalized
+from .core import FiniteMMSpace, _as_indices, normalized
 from .errors import SizeLimitError
 
 _ROUND_DECIMALS = 12
@@ -105,7 +105,7 @@ def _aggregate(r: int, items) -> tuple[np.ndarray, np.ndarray]:
 
 def k_r(space: FiniteMMSpace, indices) -> np.ndarray:
     """Distance matrix of an ordered tuple of points."""
-    idx = np.asarray(indices, dtype=int)
+    idx = _as_indices(indices, "indices")
     return space.dist[np.ix_(idx, idx)]
 
 
@@ -307,7 +307,7 @@ def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses, R: in
     lossy assignment, such as merging distinct points, breaks equality and
     makes the check return False.
     """
-    cp = np.asarray(cell_points, dtype=int)
+    cp = _as_indices(cell_points, "cell_points")
     cm = np.asarray(cell_masses, dtype=float)
     cell_space = FiniteMMSpace(
         tuple(f"c{i}" for i in range(len(cp))), cm, X.dist[np.ix_(cp, cp)]

@@ -2,8 +2,8 @@
 
 Each property draws its instances from a dedicated generator seeded from the
 suite seed and its own name, runs a mathematical check, and reports a
-machine-readable outcome.  The CLI ``suite`` subcommand runs the registry;
-the acceptance tests reuse several of these checks at their own counts.
+machine-readable outcome.  The CLI ``suite`` subcommand and the acceptance
+tests run the registry through :func:`run_suite`.
 
 Counts scale with the ``samples`` argument; checks themselves are exact and
 deterministic, so a suite run is reproducible byte for byte given one seed.

@@ -289,6 +289,12 @@ class TestWitnessBound:
         with pytest.raises(ValueError):
             box_upper_from_witness(X, X, w)
 
+    def test_map_length_mismatch_rejected(self):
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        w = Witness(np.array([0, 1, 0]), np.arange(2), 0.0)
+        with pytest.raises(ValueError, match="length does not match"):
+            box_upper_from_witness(X, X, w)
+
     def test_bound_dominates_exact_on_random_pairs(self):
         rng = np.random.default_rng(43)
         from mmdist import normalized

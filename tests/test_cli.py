@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,11 @@ class TestOtherCommands:
         g.write_text("[0.0, 0.0]")
         code, rep = run_json(capsys, ["me", x, "--f", f, "--g", g, "--lambda", "1.0"])
         assert code == 0 and rep["result"]["value"] == 0.3
+
+    def test_hlip_size_limit_exits_two(self, capsys, spaces):
+        x, y = spaces
+        assert main(["hlip", str(x), str(y), "--lambda", "0", "--max-cells", "3"]) == 2
+        assert "exact0 observable_distance refuses 4 cells (limit 3)" in capsys.readouterr().err
 
     def test_hlip_exact0(self, capsys, spaces):
         x, y = spaces
@@ -282,6 +291,20 @@ class TestSuiteCommand:
 
     def test_unknown_property_rejected(self, capsys):
         assert main(["suite", "--properties", "not-a-property"]) == 1
+
+    def test_lip_factorization_seed_three_finishes(self):
+        # the pulled-back pairs of this seed reach supports 7 to 9, where an
+        # enumeration of spanning trees and sign vectors walks up to
+        # C(36, 8) edge subsets; the vertex search must finish in seconds
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        argv = ["suite", "--seed", "3", "--properties", "pullback-lip-factorization"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmdist.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["passed"] is True
 
     def test_determinism_excluding_wall_time(self, tmp_path):
         out1 = tmp_path / "a.json"

@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 from mmdist import (
+    DominationCertificate,
     FiniteMMSpace,
     InvalidSpaceError,
+    SemiDistancePair,
     SpaceFormatError,
+    Witness,
+    box_upper_from_witness,
     coupling_from_matrix,
     diagonal_coupling,
+    k_r,
+    lipschitz_up_to_check,
     matching_coupling,
+    me1_subsequence_diagnostic,
+    me_lambda_maps,
     metric_closure,
     mm_space,
+    parameter_invariance_check,
     product_coupling,
+    project_to_lip1,
     pullback_pair,
     random_coupling,
     read_space,
@@ -20,6 +30,7 @@ from mmdist import (
     semidist_pair,
     spaces_equal,
     validate,
+    validate_pair,
     write_space,
 )
 
@@ -68,6 +79,22 @@ class TestValidate:
     def test_zero_offdiagonal_distance_is_allowed(self):
         # semimetrics may glue distinct points
         assert validate(mm_space([0.5, 0.5], [[0, 0], [0, 0]])).ok
+
+    @pytest.mark.parametrize(
+        "labels, weights, dist, message",
+        [
+            ((), np.zeros(0), np.zeros((0, 0)), "at least one point"),
+            (("a", "b"), [0.5, 0.5, 0.0], [[0, 1], [1, 0]], "weights has shape (3,)"),
+            (("a", "b"), [0.5, 0.5], [[0, 1]], "dist has shape (1, 2)"),
+            (("a", "b"), [np.nan, 0.5], [[0, 1], [1, 0]], "weights contain non-finite"),
+            (("a", "b"), [0.5, 0.5], [[0, np.inf], [np.inf, 0]], "dist contains non-finite"),
+            (("a", "b"), [0.5, 0.5], [[0, -1], [-1, 0]], "dist contains negative entries"),
+            (("a", "b"), [0.5, 0.5], [[0.5, 1], [1, 0]], "diagonal is not zero"),
+        ],
+    )
+    def test_malformed_space_reported(self, labels, weights, dist, message):
+        report = validate(FiniteMMSpace(labels, weights, dist))
+        assert any(message in v for v in report.violations), report.violations
 
 
 class TestScaleMeasure:
@@ -151,6 +178,46 @@ class TestCouplings:
             check(X, Y, np.full((2, 3), 1.0 / 6.0))
 
 
+class TestIndexMaps:
+    """Caller-supplied maps and index lists must hold integers.
+
+    Each call used to truncate a non-integer entry without a word:
+    ``matching_coupling(X, X, [1.7, 0.2])`` returned the swap coupling and
+    ``box_upper_from_witness(X, X, Witness([0.99, 0.0], [0, 1], 0.0))`` read
+    the map as ``[0, 0]`` and returned 0.5.
+    """
+
+    X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+    CALLS = {
+        "matching_coupling": lambda X, m: matching_coupling(X, X, m),
+        "witness map": lambda X, m: box_upper_from_witness(X, X, Witness(m, [0, 1], 0.0)),
+        "witness subset": lambda X, m: Witness([0, 1], m, 0.0).subset,
+        "domination map": lambda X, m: DominationCertificate(m, 1.0).p,
+        "lipschitz_up_to_check": lambda X, m: lipschitz_up_to_check(X, X, m, 1.0, 0.0),
+        "me1_subsequence_diagnostic": lambda X, m: me1_subsequence_diagnostic(
+            [[0, 1], m], X.weights, X.dist
+        ).matrix,
+        "me_lambda_maps": lambda X, m: me_lambda_maps([0, 1], m, X.weights, X.dist, 1.0),
+        "project_to_lip1": lambda X, m: project_to_lip1([0.0, 0.0], X.dist, m),
+        "k_r": lambda X, m: k_r(X, m),
+        "parameter_invariance_check": lambda X, m: parameter_invariance_check(
+            X, m, [0.5, 0.5], R=1
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", [[1.7, 0.2], [0.99, 0.0], [np.nan, 0.0], ["a", "b"]])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_integer_entries_rejected(self, call, bad):
+        with pytest.raises(ValueError, match="integer point indices"):
+            self.CALLS[call](self.X, bad)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_whole_floats_read_as_integers(self, call):
+        got = self.CALLS[call](self.X, np.array([1.0, 0.0]))
+        want = self.CALLS[call](self.X, [1, 0])
+        assert np.array_equal(got, want)
+
+
 class TestPullback:
     def test_diagonal_pullback_identifies_metrics(self):
         X = mm_space([0.2, 0.8], [[0, 1.3], [1.3, 0]])
@@ -180,6 +247,20 @@ class TestPullback:
 
 class TestSemidistPair:
     D = [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "weights, d1, d2, message",
+        [
+            ([0.5, 0.5], [[0.0, 1.0]], D, "d1 has shape (1, 2)"),
+            ([0.5, 0.5], D, [[0.0, 1.0], [2.0, 0.0]], "d2 is not symmetric"),
+            ([0.5, 0.5], [[0.3, 1.0], [1.0, 0.0]], D, "d1 has nonzero diagonal"),
+            ([0.5, 0.5], D, [[0.0, -1.0], [-1.0, 0.0]], "d2 has negative entries"),
+            ([-0.5, 1.5], D, D, "negative cell mass"),
+        ],
+    )
+    def test_malformed_pair_reported(self, weights, d1, d2, message):
+        report = validate_pair(SemiDistancePair(weights, d1, d2))
+        assert any(message in v for v in report.violations), report.violations
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):

@@ -212,6 +212,17 @@ class TestEmpiricalConvergence:
         rep = empirical_convergence_experiment(X, [10, 100], seed=1)
         assert all(mode == "exact" for _, _, mode in rep.rows)
 
+    def test_witness_bound_above_cell_limit(self):
+        # each sample size seeds its own draw, so both runs see the same
+        # empirical space; the exact run solves box_distance(emp, X, 1.0)
+        X = normalized(random_space(np.random.default_rng(9), min_points=3, max_points=3))
+        exact = empirical_convergence_experiment(X, [7, 40], seed=4).rows
+        bound = empirical_convergence_experiment(X, [7, 40], seed=4, max_cells=2).rows
+        for (n, v_exact, m_exact), (n2, v_bound, m_bound) in zip(exact, bound):
+            assert n == n2
+            assert (m_exact, m_bound) == ("exact", "witness-upper-bound")
+            assert v_bound >= v_exact - 1e-12
+
 
 class TestDomination:
     def test_self_domination_identity(self):

@@ -18,6 +18,7 @@ from mmdist import (
     observable_distance,
     project_to_lip1,
     pullback_pair,
+    random_coupling,
     semidist_pair,
 )
 from mmdist.instances import (
@@ -158,16 +159,45 @@ class TestVertices:
 
     def test_matches_active_set_enumeration(self):
         rng = np.random.default_rng(71)
+        cases = []
         for _ in range(25):
             n = int(rng.integers(2, 5))
-            steps = rng.integers(50, 201, size=(n, n)).astype(float) / 100.0
+            cases.append(rng.integers(50, 201, size=(n, n)).astype(float) / 100.0)
+        for n in (5, 5, 4, 5):
+            # raw semimetrics: wide entries break the triangle inequality
+            cases.append(rng.uniform(0.1, 3.0, size=(n, n)))
+        for n in (3, 4, 5, 5):
+            # pseudometrics pulled back from fewer points: zero distances
+            X = random_space(rng, min_points=2, max_points=3)
+            cells = rng.integers(0, X.n, size=n)
+            cases.append(X.dist[np.ix_(cells, cells)])
+        for steps in cases:
             d = np.triu(steps, 1)
             d = d + d.T
+            n = len(d)
             got = {
                 tuple(np.round(v, 6)) for v in Lip1Set(d, np.ones(n)).vertices()
             }
             want = {tuple(np.round(v, 6)) for v in lip_vertices_active_sets(d)}
             assert got == want
+
+    def test_pullback_vertices_are_first_space_vertices(self):
+        # pairs drawn as the pullback-lip-factorization property draws them;
+        # supports 7 to 9 are beyond the active-set oracle.  Cells over one
+        # first-space point are at distance zero, so each vertex of the
+        # pulled-back set is a vertex of the first space read on the cells
+        rng = np.random.default_rng(12)
+        supports = set()
+        for _ in range(8):
+            total = float(np.round(rng.uniform(0.5, 2.0), 2))
+            X = random_space_total(rng, total, min_points=2, max_points=3)
+            Y = random_space_total(rng, total, min_points=2, max_points=3)
+            pair = pullback_pair(X, Y, random_coupling(X, Y, rng))
+            got = Lip1Set(pair.d1, pair.weights).vertices(max_support=9)
+            want = Lip1Set(X.dist, X.weights).vertices()[:, [i for i, _ in pair.cells]]
+            assert np.array_equal(got, want)
+            supports.add(len(pair.support))
+        assert {7, 8, 9} <= supports
 
     def test_equilateral_triangle_hexagon(self):
         d = np.ones((3, 3)) - np.eye(3)
@@ -392,6 +422,13 @@ class TestObservableDistance:
         X = mm_space([1.0], [[0.0]])
         Y = mm_space([2.0], [[0.0]])
         assert observable_distance(X, Y, 0.0).value == 1.0
+
+    def test_exact0_refuses_above_max_cells(self):
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        Y = mm_space([0.25, 0.25, 0.5], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(SizeLimitError, match="exact0 observable_distance refuses 6 cells"):
+            observable_distance(X, Y, 0.0, max_cells=5)
+        assert observable_distance(X, Y, 0.0, max_cells=6).tag == "exact"
 
     @pytest.mark.parametrize("mode,lam", [("exact0", 0.0), ("sampled", 1.0)])
     def test_max_cells_below_one_rejected(self, mode, lam):
