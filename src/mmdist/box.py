@@ -30,6 +30,7 @@ from .core import (
     FiniteMMSpace,
     SemiDistancePair,
     Witness,
+    _as_indices,
     check_lambda,
     check_max_cells,
     lighter_first,
@@ -168,8 +169,7 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at):
         return adj
 
     off = delta[np.triu_indices(len(delta), k=1)]
-    thresholds = np.unique(np.concatenate(([0.0], off)))
-    eps = _threshold_solve(thresholds, m, lam, lambda t, target: best_at(adj_at(t), target)[0])
+    eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0])
     return eps, best_at(adj_at(eps), None)
 
 
@@ -437,11 +437,9 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
     unequal totals the heavier space, on its own side, is scaled down and the
     mass gap is added (:func:`mmdist.core.lighter_first`).
     """
-    p = np.asarray(w.p, dtype=int)
+    p = _as_indices(w.p, "witness map", X.n)
     if len(p) != Xn.n:
         raise ValueError("witness map length does not match the space")
-    if np.any(p < 0) or np.any(p >= X.n):
-        raise ValueError("witness map has out-of-range targets")
     A, B, gap, swapped = lighter_first(Xn, X)
     Xn, X = (B, A) if swapped else (A, B)
     nu = np.zeros(X.n)

@@ -7,6 +7,11 @@ Reports echo the configuration and carry SHA-256 digests of the inputs, so
 identical inputs and flags reproduce identical bytes except for the
 ``wall_time_s`` field.
 
+Two tables state the interface once: ``_COMMANDS`` maps each subcommand to
+its help, the space files it reads (its positionals) and its flags, and
+``_FLAGS`` maps each flag to its ``add_argument`` keywords.  Every input file,
+space or vector, goes through one reader that records its path and digest.
+
 Exit codes: 0 success, 1 usage, parse or validation failure, 2 size-limit
 refusal, 3 internal invariant failure.
 """
@@ -18,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +44,7 @@ from .matrixdist import exact_mu_r, reconstruction_check, sample_mu_r
 from .properties import PROPERTIES, run_suite
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_vector(path: str, expected_len: int, what: str) -> np.ndarray:
+def _load_vector(path: str, what: str, n: int) -> np.ndarray:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -52,10 +54,8 @@ def _load_vector(path: str, expected_len: int, what: str) -> np.ndarray:
     if not isinstance(doc, list):
         raise SpaceFormatError(f"{path}: expected a JSON array of numbers for {what}")
     arr = np.asarray(doc, dtype=float)
-    if arr.shape != (expected_len,):
-        raise SpaceFormatError(
-            f"{path}: {what} has length {arr.shape}, expected ({expected_len},)"
-        )
+    if arr.shape != (n,):
+        raise SpaceFormatError(f"{path}: {what} has length {arr.shape}, expected ({n},)")
     return arr
 
 
@@ -76,28 +76,54 @@ def _size_limit(text: str) -> int:
     return value
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+# flag name -> add_argument keywords of ``--<name>``
+_FLAGS = {
+    "f": {"required": True, "help": "JSON array of values"},
+    "g": {"required": True, "help": "JSON array of values"},
+    "mu": {"required": True, "help": "JSON array of masses"},
+    "nu": {"required": True, "help": "JSON array of masses"},
+    "r": {"type": int, "default": 2},
+    "sizes": {"default": "10,100,1000", "help": "comma-separated sample sizes"},
+    "properties": {
+        "default": None,
+        "help": "comma-separated subset of: " + ", ".join(sorted(PROPERTIES)),
+    },
+    "lambda": {"dest": "lam", "type": float, "default": 1.0, "help": "mass-tradeoff parameter"},
+    "mode": {"default": None},
+    "seed": {"type": int, "default": 0},
+    "max-cells": {"type": _size_limit, "default": 64},
+    "max-r": {"type": int, "default": None},
+    "samples": {"type": float, "default": None},
+    "out": {"default": None, "help": "write the report here"},
+}
 
-
-def _common_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "lambda": lambda: p.add_argument(
-            "--lambda", dest="lam", type=float, default=1.0, help="mass-tradeoff parameter"
-        ),
-        "mode": lambda: p.add_argument("--mode", default=None),
-        "seed": lambda: p.add_argument("--seed", type=int, default=0),
-        "max-cells": lambda: p.add_argument("--max-cells", dest="max_cells", type=_size_limit, default=64),
-        "max-r": lambda: p.add_argument("--max-r", dest="max_r", type=int, default=None),
-        "samples": lambda: p.add_argument("--samples", type=float, default=None),
-        "out": lambda: p.add_argument("--out", default=None, help="write the report here"),
-    }
-    for name in names:
-        flags[name]()
+# subcommand -> (help, space files it reads, flags in usage order)
+_COMMANDS = {
+    "validate": ("report invariant violations of a space file", ("space",), ("out",)),
+    "box": (
+        "box distance between two spaces",
+        ("x", "y"),
+        ("lambda", "mode", "seed", "max-cells", "out"),
+    ),
+    "me": ("me distance between two functions on a space", ("space",), ("f", "g", "lambda", "out")),
+    "hlip": (
+        "observable distance between two spaces",
+        ("x", "y"),
+        ("lambda", "mode", "seed", "samples", "max-cells", "out"),
+    ),
+    "matdist": ("matrix distribution of a space", ("space",), ("r", "samples", "seed", "out")),
+    "isotest": ("reconstruction-based isomorphism test", ("x", "y"), ("max-r", "out")),
+    "prokhorov": ("Prokhorov distance between two weightings", ("space",), ("mu", "nu", "out")),
+    "witness": ("almost-isometry witness search", ("xn", "x"), ("seed", "out")),
+    "converge-report": (
+        "empirical-measure box convergence (CSV)",
+        ("space",),
+        ("sizes", "seed", "max-cells", "out"),
+    ),
+    "dominate": ("Lipschitz domination certificate search", ("x", "y"), ("out",)),
+    "homogeneous": ("transitivity of the isometry group", ("space",), ("out",)),
+    "suite": ("run the seeded property battery", (), ("properties", "seed", "samples", "out")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,69 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="distances and diagnostics for finite metric-measure spaces",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="report invariant violations of a space file")
-    p.add_argument("space")
-    _common_flags(p, "out")
-
-    p = sub.add_parser("box", help="box distance between two spaces")
-    p.add_argument("x")
-    p.add_argument("y")
-    _common_flags(p, "lambda", "mode", "seed", "max-cells", "out")
-
-    p = sub.add_parser("me", help="me distance between two functions on a space")
-    p.add_argument("space")
-    p.add_argument("--f", required=True, help="JSON array of values")
-    p.add_argument("--g", required=True, help="JSON array of values")
-    _common_flags(p, "lambda", "out")
-
-    p = sub.add_parser("hlip", help="observable distance between two spaces")
-    p.add_argument("x")
-    p.add_argument("y")
-    _common_flags(p, "lambda", "mode", "seed", "samples", "max-cells", "out")
-
-    p = sub.add_parser("matdist", help="matrix distribution of a space")
-    p.add_argument("space")
-    p.add_argument("--r", type=int, default=2)
-    _common_flags(p, "samples", "seed", "out")
-
-    p = sub.add_parser("isotest", help="reconstruction-based isomorphism test")
-    p.add_argument("x")
-    p.add_argument("y")
-    _common_flags(p, "max-r", "out")
-
-    p = sub.add_parser("prokhorov", help="Prokhorov distance between two weightings")
-    p.add_argument("space")
-    p.add_argument("--mu", required=True, help="JSON array of masses")
-    p.add_argument("--nu", required=True, help="JSON array of masses")
-    _common_flags(p, "out")
-
-    p = sub.add_parser("witness", help="almost-isometry witness search")
-    p.add_argument("xn")
-    p.add_argument("x")
-    _common_flags(p, "seed", "out")
-
-    p = sub.add_parser("converge-report", help="empirical-measure box convergence (CSV)")
-    p.add_argument("space")
-    p.add_argument("--sizes", default="10,100,1000", help="comma-separated sample sizes")
-    _common_flags(p, "seed", "max-cells", "out")
-
-    p = sub.add_parser("dominate", help="Lipschitz domination certificate search")
-    p.add_argument("x")
-    p.add_argument("y")
-    _common_flags(p, "out")
-
-    p = sub.add_parser("homogeneous", help="transitivity of the isometry group")
-    p.add_argument("space")
-    _common_flags(p, "out")
-
-    p = sub.add_parser("suite", help="run the seeded property battery")
-    p.add_argument(
-        "--properties",
-        default=None,
-        help="comma-separated subset of: " + ", ".join(sorted(PROPERTIES)),
-    )
-    _common_flags(p, "seed", "samples", "out")
+    for command, (help_text, files, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in files:
+            p.add_argument(name)
+        for name in flags:
+            p.add_argument("--" + name, **_FLAGS[name])
     return top
 
 
@@ -185,42 +154,41 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
     cmd = args.command
     inputs: dict[str, dict] = {}
 
-    def space_input(name: str, path: str, check: bool = True):
-        inputs[name] = {"path": path, "sha256": _digest(path)}
-        return read_space(path, check=check)
+    def load(name: str, read):
+        """``read`` the file given as argument ``name``, recording its path and digest."""
+        path = getattr(args, name)
+        inputs[name] = {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        return read(path)
+
+    read = partial(read_space, check=cmd != "validate")
+    spaces = [load(name, read) for name in _COMMANDS[cmd][1]]
+    X = spaces[0] if spaces else None
+
+    def vectors(*names: str):
+        return [load(name, partial(_load_vector, what=name, n=X.n)) for name in names]
 
     if cmd == "validate":
-        X = space_input("space", args.space, check=False)
         report = validate(X)
         return {"ok": report.ok, "violations": list(report.violations)}, inputs, 0
 
     if cmd == "box":
-        X = space_input("x", args.x)
-        Y = space_input("y", args.y)
         mode = args.mode or "exact"
-        res = box_distance(X, Y, args.lam, mode, max_cells=args.max_cells, seed=args.seed)
+        res = box_distance(*spaces, args.lam, mode, max_cells=args.max_cells, seed=args.seed)
         return res.to_jsonable(), inputs, 0
 
     if cmd == "me":
-        X = space_input("space", args.space)
-        f = _load_vector(args.f, X.n, "f")
-        g = _load_vector(args.g, X.n, "g")
-        inputs["f"] = {"path": args.f, "sha256": _digest(args.f)}
-        inputs["g"] = {"path": args.g, "sha256": _digest(args.g)}
+        f, g = vectors("f", "g")
         return {"value": me_lambda(f, g, X.weights, args.lam)}, inputs, 0
 
     if cmd == "hlip":
-        X = space_input("x", args.x)
-        Y = space_input("y", args.y)
         mode = args.mode or ("exact0" if args.lam == 0.0 else "sampled")
         res = observable_distance(
-            X, Y, args.lam, mode, samples=_count(args.samples, 48), seed=args.seed,
+            *spaces, args.lam, mode, samples=_count(args.samples, 48), seed=args.seed,
             max_cells=args.max_cells,
         )
         return res.to_jsonable(), inputs, 0
 
     if cmd == "matdist":
-        X = space_input("space", args.space)
         count = _count(args.samples, None)
         if count is None:
             dist = exact_mu_r(X, args.r)
@@ -229,23 +197,15 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         return dist.to_jsonable(), inputs, 0
 
     if cmd == "isotest":
-        X = space_input("x", args.x)
-        Y = space_input("y", args.y)
-        return reconstruction_check(X, Y, args.max_r).to_jsonable(), inputs, 0
+        return reconstruction_check(*spaces, args.max_r).to_jsonable(), inputs, 0
 
     if cmd == "prokhorov":
-        X = space_input("space", args.space)
-        mu = _load_vector(args.mu, X.n, "mu")
-        nu = _load_vector(args.nu, X.n, "nu")
-        inputs["mu"] = {"path": args.mu, "sha256": _digest(args.mu)}
-        inputs["nu"] = {"path": args.nu, "sha256": _digest(args.nu)}
+        mu, nu = vectors("mu", "nu")
         return {"value": prokhorov(X, mu, nu)}, inputs, 0
 
     if cmd == "witness":
-        Xn = space_input("xn", args.xn)
-        X = space_input("x", args.x)
-        w = witness_search(Xn, X, seed=args.seed)
-        bound = box_upper_from_witness(Xn, X, w)
+        w = witness_search(*spaces, seed=args.seed)
+        bound = box_upper_from_witness(*spaces, w)
         return (
             {
                 "eps": w.eps,
@@ -258,16 +218,13 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         )
 
     if cmd == "converge-report":
-        X = space_input("space", args.space)
         sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
         rep = empirical_convergence_experiment(X, sizes, seed=args.seed, max_cells=args.max_cells)
         lines = ["N,value,mode"] + [f"{n},{v!r},{mode}" for n, v, mode in rep.rows]
         return "\n".join(lines) + "\n", inputs, 0
 
     if cmd == "dominate":
-        X = space_input("x", args.x)
-        Y = space_input("y", args.y)
-        cert = domination_search(X, Y)
+        cert = domination_search(*spaces)
         if cert is None:
             return {"dominates": False, "p": None, "c": None}, inputs, 0
         return (
@@ -277,7 +234,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         )
 
     if cmd == "homogeneous":
-        X = space_input("space", args.space)
         group = isometry_group(X)
         return {"homogeneous": _is_transitive(X, group), "isometry_group_order": len(group)}, inputs, 0
 
@@ -306,27 +262,25 @@ def main(argv=None) -> int:
     except (InternalInvariantError, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
-    if isinstance(result, str):  # CSV report
-        if args.out:
-            Path(args.out).write_text(result, encoding="utf-8")
-        else:
-            sys.stdout.write(result)
-        return code
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("command", "out") and not callable(v)
-    }
-    report = {
-        "command": args.command,
-        "config": config,
-        "inputs": inputs,
-        "result": result,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-    }
-    _emit(report, args.out)
+    if not isinstance(result, str):  # every report but the CSV of converge-report
+        config = {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("command", "out") and not callable(v)
+        }
+        report = {
+            "command": args.command,
+            "config": config,
+            "inputs": inputs,
+            "result": result,
+            "wall_time_s": round(time.perf_counter() - t0, 6),
+        }
+        result = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(result, encoding="utf-8")
+    else:
+        sys.stdout.write(result)
     return code
-
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

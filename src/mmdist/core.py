@@ -38,12 +38,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_indices(values, what: str) -> np.ndarray:
+def _as_indices(values, what: str, n: int | None = None) -> np.ndarray:
     """Caller-supplied point indices as an integer array.
 
     Integer arrays pass and finite whole-valued floats are converted; any
-    other entry is a ValueError rather than a silent truncation.  Negative
-    and empty inputs pass: range and emptiness checks stay with the caller.
+    other entry is a ValueError rather than a silent truncation.  Given the
+    size ``n`` of the indexed space, an entry outside ``0..n-1`` is a
+    ValueError too, so a negative index cannot wrap to the end.  Empty inputs
+    pass: emptiness checks stay with the caller.
     """
     a = np.asarray(values)
     if a.size and not (
@@ -51,7 +53,10 @@ def _as_indices(values, what: str) -> np.ndarray:
         or (a.dtype.kind == "f" and np.all(np.isfinite(a)) and np.all(a == np.round(a)))
     ):
         raise ValueError(f"{what} must hold integer point indices")
-    return a.astype(int)
+    a = a.astype(int)
+    if n is not None and a.size and (a.min() < 0 or a.max() >= n):
+        raise ValueError(f"{what} has out-of-range targets")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,11 +286,9 @@ def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping) -> np.ndarray
     the map must preserve atom weights for the result to be a coupling.
     """
     _require_equal_mass(X, Y)
-    p = _as_indices(mapping, "map")
+    p = _as_indices(mapping, "map", Y.n)
     if p.shape != (X.n,):
         raise ValueError("map length does not match the first space")
-    if np.any(p < 0) or np.any(p >= Y.n):
-        raise ValueError("map has out-of-range targets")
     pi = np.zeros((X.n, Y.n))
     pi[np.arange(X.n), p] = X.weights
     return coupling_from_matrix(X, Y, pi)
@@ -432,6 +435,9 @@ class Witness:
             return v
         if np.any(self.p < 0) or np.any(self.p >= X.n):
             v.append("map has out-of-range targets")
+            return v
+        if np.any(self.subset < 0) or np.any(self.subset >= Xn.n):
+            v.append("subset has out-of-range indices")
             return v
         keep = np.zeros(Xn.n, dtype=bool)
         keep[self.subset] = True

@@ -61,9 +61,9 @@ def random_pair_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
     return d + d.T
 
 
-def random_semidist_pair(rng: np.random.Generator, *, max_cells: int = 4):
-    """A random semimetric pair over a common weighted index set."""
-    n = int(rng.integers(1, max_cells + 1))
+def random_semidist_pair(rng: np.random.Generator):
+    """A random semimetric pair over a common weighted index set of one to four cells."""
+    n = int(rng.integers(1, 5))
     w = rng.integers(1, 11, size=n).astype(float) * 0.1
     return SemiDistancePair(w, random_pair_matrices(rng, n), random_pair_matrices(rng, n))
 

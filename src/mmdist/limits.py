@@ -83,7 +83,9 @@ def lipschitz_up_to_check(
     (an exact clique search at desk scale, greedy peeling beyond
     :data:`EXACT_CLIQUE_SUPPORT`), or ``None`` when its complement is too heavy.
     """
-    fmap = _as_indices(fmap, "map")
+    fmap = _as_indices(fmap, "map", Y.n)
+    if fmap.shape != (X.n,):
+        raise ValueError("map length does not match the first space")
     s = X.support
     dY = Y.dist[np.ix_(fmap[s], fmap[s])]
     dX = X.dist[np.ix_(s, s)]
@@ -394,15 +396,15 @@ class Me1Diagnostic:
         return self.matrix.size == 0
 
 
-def me1_subsequence_diagnostic(maps, weights, dY, *, eps_grid=None) -> Me1Diagnostic:
+def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     """Pairwise me_1 structure of a sequence of maps into a common target.
 
-    For each tolerance in the grid (defaults to the distinct pairwise
-    values), a greedy forward pass extracts the longest chain that stays
-    pairwise within the tolerance; a chain covering the whole sequence means
-    the sequence is uniformly clustered at that scale.
+    For each distinct pairwise value as the tolerance, a greedy forward pass
+    extracts the longest chain that stays pairwise within the tolerance; a
+    chain covering the whole sequence means the sequence is uniformly
+    clustered at that scale.
     """
-    maps = [_as_indices(f, "map") for f in maps]
+    maps = [_as_indices(f, "map", len(dY)) for f in maps]
     k = len(maps)
     if k == 0:
         return Me1Diagnostic(np.zeros((0, 0)), ())
@@ -410,10 +412,9 @@ def me1_subsequence_diagnostic(maps, weights, dY, *, eps_grid=None) -> Me1Diagno
     for i in range(k):
         for j in range(i + 1, k):
             M[i, j] = M[j, i] = me_lambda_maps(maps[i], maps[j], weights, dY, 1.0)
-    if eps_grid is None:
-        eps_grid = np.unique(M[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
+    eps_grid = np.unique(M[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
     chains = []
-    for eps in np.asarray(eps_grid, dtype=float):
+    for eps in eps_grid:
         best: tuple = ()
         for start in range(k):
             chain = [start]

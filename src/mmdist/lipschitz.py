@@ -83,8 +83,7 @@ def me_lambda(f, g, weights, lam: float) -> float:
         return 0.0
     if lam == 0.0:
         return float(v.max())
-    thresholds = np.unique(np.concatenate(([0.0], v)))
-    return _threshold_solve(thresholds, float(w.sum()), lam, lambda t, _: float(w[v <= t].sum()))
+    return _threshold_solve(v, float(w.sum()), lam, lambda t, _: float(w[v <= t].sum()))
 
 
 def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
@@ -94,9 +93,10 @@ def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
     distance matrix ``dY``; the distance is ``me_lambda`` applied to the
     pointwise target distances against zero.
     """
-    fmap = _as_indices(fmap, "fmap")
-    gmap = _as_indices(gmap, "gmap")
-    gaps = np.asarray(dY, dtype=float)[fmap, gmap]
+    dY = np.asarray(dY, dtype=float)
+    fmap = _as_indices(fmap, "fmap", len(dY))
+    gmap = _as_indices(gmap, "gmap", len(dY))
+    gaps = dY[fmap, gmap]
     return me_lambda(gaps, np.zeros_like(gaps), weights, lam)
 
 
@@ -111,11 +111,11 @@ def project_to_lip1(f, dist, anchor) -> np.ndarray:
     satisfying the triangle inequality the output is 1-Lipschitz everywhere
     and fixes any function that is already 1-Lipschitz (full anchor).
     """
-    anchor = _as_indices(anchor, "anchor")
-    if anchor.size == 0:
-        raise ValueError("anchor must be nonempty")
     f = np.asarray(f, dtype=float)
     d = np.asarray(dist, dtype=float)
+    anchor = _as_indices(anchor, "anchor", len(f))
+    if anchor.size == 0:
+        raise ValueError("anchor must be nonempty")
     return np.min(f[anchor][None, :] + d[:, anchor], axis=1)
 
 

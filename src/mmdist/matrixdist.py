@@ -105,7 +105,7 @@ def _aggregate(r: int, items) -> tuple[np.ndarray, np.ndarray]:
 
 def k_r(space: FiniteMMSpace, indices) -> np.ndarray:
     """Distance matrix of an ordered tuple of points."""
-    idx = _as_indices(indices, "indices")
+    idx = _as_indices(indices, "indices", space.n)
     return space.dist[np.ix_(idx, idx)]
 
 
@@ -297,8 +297,8 @@ def reconstruction_check(
     return ReconstructionReport(verdict, R, distinguishing, bijection, agreement)
 
 
-def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses, R: int = 3) -> bool:
-    """Matrix distributions are blind to splitting atoms into cells.
+def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses) -> bool:
+    """Matrix distributions of orders 1 to 3 are blind to splitting atoms into cells.
 
     ``cell_points[c]`` is the point of ``X`` that cell ``c`` sits on and
     ``cell_masses[c]`` its mass; the induced cell space inherits distances
@@ -307,12 +307,14 @@ def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses, R: in
     lossy assignment, such as merging distinct points, breaks equality and
     makes the check return False.
     """
-    cp = _as_indices(cell_points, "cell_points")
+    cp = _as_indices(cell_points, "cell_points", X.n)
     cm = np.asarray(cell_masses, dtype=float)
+    if cm.shape != cp.shape:
+        raise ValueError("cell_points and cell_masses differ in length")
     cell_space = FiniteMMSpace(
         tuple(f"c{i}" for i in range(len(cp))), cm, X.dist[np.ix_(cp, cp)]
     )
-    for r in range(1, R + 1):
+    for r in range(1, 4):
         if not distributions_equal(exact_mu_r(X, r), exact_mu_r(cell_space, r)):
             return False
     return True

@@ -1,9 +1,10 @@
 """Named property checks over seeded random instances.
 
-Each property draws its instances from a dedicated generator seeded from the
-suite seed and its own name, runs a mathematical check, and reports a
-machine-readable outcome.  The CLI ``suite`` subcommand and the acceptance
-tests run the registry through :func:`run_suite`.
+Each property draws its instances from a dedicated generator, which
+:func:`run_suite` seeds from the suite seed and the property's registry name,
+runs a mathematical check, and reports a machine-readable outcome.  The CLI
+``suite`` subcommand and the acceptance tests run the registry through
+:func:`run_suite`.
 
 Counts scale with the ``samples`` argument; checks themselves are exact and
 deterministic, so a suite run is reproducible byte for byte given one seed.
@@ -74,8 +75,7 @@ def _mass_pattern(rng, pattern: str) -> tuple[float, float, float]:
 # core
 
 
-def prop_pullback_diagonal_identity(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "pullback-diagonal-identity")
+def prop_pullback_diagonal_identity(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = 0.0
     for _ in range(trials):
         X = gen.random_space(rng, max_points=4)
@@ -84,8 +84,7 @@ def prop_pullback_diagonal_identity(seed: int, trials: int) -> dict:
     return _result(worst == 0.0, worst=worst)
 
 
-def prop_coupling_marginals(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "coupling-marginals")
+def prop_coupling_marginals(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = 0.0
     for _ in range(trials):
         total = float(np.round(rng.uniform(0.5, 2.0), 2))
@@ -100,8 +99,7 @@ def prop_coupling_marginals(seed: int, trials: int) -> dict:
     return _result(worst <= 1e-12, worst=worst)
 
 
-def prop_scale_roundtrip(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "scale-roundtrip")
+def prop_scale_roundtrip(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = 0.0
     for _ in range(trials):
         X = gen.random_space(rng, max_points=5)
@@ -111,8 +109,7 @@ def prop_scale_roundtrip(seed: int, trials: int) -> dict:
     return _result(worst <= 1e-12, worst=worst)
 
 
-def prop_validation_detects_asymmetry(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "validation-detects-asymmetry")
+def prop_validation_detects_asymmetry(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     for _ in range(trials):
         X = gen.random_space(rng, min_points=2, max_points=4)
@@ -127,8 +124,7 @@ def prop_validation_detects_asymmetry(seed: int, trials: int) -> dict:
 # box distance
 
 
-def prop_box_symmetry(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-symmetry")
+def prop_box_symmetry(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = 0.0
     for k in range(trials):
         lam = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
@@ -140,8 +136,7 @@ def prop_box_symmetry(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst=worst)
 
 
-def prop_box_triangle(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-triangle")
+def prop_box_triangle(rng: np.random.Generator, seed: int, trials: int) -> dict:
     patterns = ["equal", "xy", "xz", "yz", "distinct"]
     worst = -np.inf
     for k in range(trials):
@@ -157,8 +152,7 @@ def prop_box_triangle(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_box_identity_on_isomorphic(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-identity-on-isomorphic")
+def prop_box_identity_on_isomorphic(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = 0.0
     for _ in range(trials):
         lam = float(rng.choice([0.0, 1.0]))
@@ -168,8 +162,7 @@ def prop_box_identity_on_isomorphic(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst=worst)
 
 
-def prop_box_lambda_monotone(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-lambda-monotone")
+def prop_box_lambda_monotone(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for _ in range(trials):
         X = gen.random_space(rng, max_points=3)
@@ -181,8 +174,7 @@ def prop_box_lambda_monotone(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_box_scaling_sandwich(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-scaling-sandwich")
+def prop_box_scaling_sandwich(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for _ in range(trials):
         lam = float(rng.choice([0.0, 1.0]))
@@ -196,8 +188,7 @@ def prop_box_scaling_sandwich(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_box_coupling_upper(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-coupling-upper")
+def prop_box_coupling_upper(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for _ in range(trials):
         lam = float(rng.choice([0.0, 0.5, 1.0]))
@@ -211,8 +202,7 @@ def prop_box_coupling_upper(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_box_heuristic_upper(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-heuristic-upper")
+def prop_box_heuristic_upper(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for k in range(trials):
         lam = float(rng.choice([0.0, 1.0]))
@@ -224,8 +214,7 @@ def prop_box_heuristic_upper(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_box_zero_iff_isomorphic(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "box-zero-iff-isomorphic")
+def prop_box_zero_iff_isomorphic(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     for k in range(trials):
         X = gen.random_space(rng, max_points=5)
@@ -243,8 +232,7 @@ def prop_box_zero_iff_isomorphic(seed: int, trials: int) -> dict:
 # me and Lipschitz sets
 
 
-def prop_me_metric(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "me-metric")
+def prop_me_metric(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     worst_tri = -np.inf
     for _ in range(trials):
@@ -264,8 +252,7 @@ def prop_me_metric(seed: int, trials: int) -> dict:
     return _result(ok and worst_tri <= TOL, worst_triangle_excess=worst_tri)
 
 
-def prop_me_lambda_monotone(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "me-lambda-monotone")
+def prop_me_lambda_monotone(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for _ in range(trials):
         n = int(rng.integers(1, 6))
@@ -279,8 +266,7 @@ def prop_me_lambda_monotone(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_mcshane_projection(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "mcshane-projection")
+def prop_mcshane_projection(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     for _ in range(trials):
         X = gen.random_space(rng, min_points=2, max_points=5)
@@ -294,11 +280,10 @@ def prop_mcshane_projection(seed: int, trials: int) -> dict:
     return _result(ok)
 
 
-def prop_hausdorff_pair_bounded_by_box(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "hausdorff-pair-bounded-by-box")
+def prop_hausdorff_pair_bounded_by_box(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for k in range(trials):
-        pair = gen.random_semidist_pair(rng, max_cells=4)
+        pair = gen.random_semidist_pair(rng)
         h0 = hli_lambda(pair, 0.0, "exact0").value
         b0 = box_pair(pair, 0.0).value
         worst = max(worst, h0 - b0)
@@ -308,10 +293,9 @@ def prop_hausdorff_pair_bounded_by_box(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_pullback_lip_factorization(seed: int, trials: int) -> dict:
+def prop_pullback_lip_factorization(rng: np.random.Generator, seed: int, trials: int) -> dict:
     """Vertices of the pulled-back Lipschitz set are constant on cells over a
     common first-space point and descend to Lipschitz functions there."""
-    rng = _rng(seed, "pullback-lip-factorization")
     ok = True
     for _ in range(trials):
         total = float(np.round(rng.uniform(0.5, 2.0), 2))
@@ -336,8 +320,7 @@ def prop_pullback_lip_factorization(seed: int, trials: int) -> dict:
     return _result(ok)
 
 
-def prop_observable_sandwich(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "observable-sandwich")
+def prop_observable_sandwich(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for _ in range(trials):
         X = gen.random_space(rng, max_points=3)
@@ -352,8 +335,7 @@ def prop_observable_sandwich(seed: int, trials: int) -> dict:
 # matrix distributions
 
 
-def prop_mu_mass_total(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "mu-mass-total")
+def prop_mu_mass_total(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = 0.0
     for _ in range(trials):
         X = gen.random_space(rng, max_points=4)
@@ -363,8 +345,7 @@ def prop_mu_mass_total(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst=worst)
 
 
-def prop_mu_invariance_splitting(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "mu-invariance-splitting")
+def prop_mu_invariance_splitting(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     for _ in range(trials):
         X = gen.random_space(rng, min_points=2, max_points=4)
@@ -378,12 +359,11 @@ def prop_mu_invariance_splitting(seed: int, trials: int) -> dict:
             else:
                 cell_points.append(i)
                 cell_masses.append(float(X.weights[i]))
-        ok = ok and parameter_invariance_check(X, cell_points, cell_masses, R=3)
+        ok = ok and parameter_invariance_check(X, cell_points, cell_masses)
     return _result(ok)
 
 
-def prop_reconstruction_agreement(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "reconstruction-agreement")
+def prop_reconstruction_agreement(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     disagreements = 0
     for k in range(trials):
@@ -399,8 +379,7 @@ def prop_reconstruction_agreement(seed: int, trials: int) -> dict:
     return _result(ok, disagreements=disagreements)
 
 
-def prop_sampling_convergence(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "sampling-convergence")
+def prop_sampling_convergence(rng: np.random.Generator, seed: int, trials: int) -> dict:
     count = 10**5
     worst = 0.0
     for _ in range(max(1, trials // 10)):
@@ -423,8 +402,7 @@ def prop_sampling_convergence(seed: int, trials: int) -> dict:
 # limits
 
 
-def prop_prokhorov_metric(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "prokhorov-metric")
+def prop_prokhorov_metric(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     worst_tri = -np.inf
     for _ in range(trials):
@@ -442,8 +420,7 @@ def prop_prokhorov_metric(seed: int, trials: int) -> dict:
     return _result(ok and worst_tri <= TOL, worst_triangle_excess=worst_tri)
 
 
-def prop_witness_bound_direction(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "witness-bound-direction")
+def prop_witness_bound_direction(rng: np.random.Generator, seed: int, trials: int) -> dict:
     worst = -np.inf
     for _ in range(trials):
         X = normalized(gen.random_space(rng, max_points=3))
@@ -455,8 +432,7 @@ def prop_witness_bound_direction(seed: int, trials: int) -> dict:
     return _result(worst <= TOL, worst_excess=worst)
 
 
-def prop_domination_transitivity(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "domination-transitivity")
+def prop_domination_transitivity(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     for _ in range(trials):
         X = gen.random_space(rng, min_points=2, max_points=4)
@@ -475,10 +451,9 @@ def prop_domination_transitivity(seed: int, trials: int) -> dict:
     return _result(ok)
 
 
-def prop_domination_stability(seed: int, trials: int) -> dict:
+def prop_domination_stability(rng: np.random.Generator, seed: int, trials: int) -> dict:
     """Perturbation families with certified domination along the sequence
     end in domination of the limits."""
-    rng = _rng(seed, "domination-stability")
     ok = True
     for _ in range(max(1, trials // 10)):
         X = gen.random_space(rng, min_points=2, max_points=3)
@@ -496,8 +471,7 @@ def prop_domination_stability(seed: int, trials: int) -> dict:
     return _result(ok)
 
 
-def prop_homogeneity_stability(seed: int, trials: int) -> dict:
-    rng = _rng(seed, "homogeneity-stability")
+def prop_homogeneity_stability(rng: np.random.Generator, seed: int, trials: int) -> dict:
     ok = True
     for _ in range(trials):
         kind = int(rng.integers(0, 3))
@@ -583,7 +557,7 @@ def run_suite(seed: int = 0, samples: float = 1.0, names=None) -> dict:
     for name in sorted(names):
         fn, base_trials = PROPERTIES[name]
         trials = max(1, int(round(base_trials * samples)))
-        out = fn(seed, trials)
+        out = fn(_rng(seed, name), seed, trials)
         results.append({"name": name, "trials": trials, **out})
     return {
         "seed": seed,

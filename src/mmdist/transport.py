@@ -139,9 +139,10 @@ def max_flow_value(row_caps, col_caps, allowed) -> float:
     return max_flow(row_caps, col_caps, allowed)[0]
 
 
-def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max) -> float:
+def _threshold_solve(values, m: float, lam: float, retained_max) -> float:
     """Smallest feasible tolerance over a monotone threshold structure.
 
+    The thresholds are zero and the distinct entries of the array ``values``.
     ``retained_max(t, target)`` returns the maximum retainable mass when
     defects up to ``t`` are allowed (with optional early exit at ``target``);
     it is nondecreasing and piecewise constant between thresholds, so the
@@ -154,6 +155,7 @@ def _threshold_solve(thresholds: np.ndarray, m: float, lam: float, retained_max)
             return True
         return retained_max(t, need) >= need
 
+    thresholds = np.unique(np.concatenate(([0.0], np.ravel(values))))
     hi = len(thresholds) - 1
     if not feasible(float(thresholds[hi])):
         raise InternalInvariantError("threshold search infeasible at the largest defect")
@@ -194,10 +196,9 @@ def prokhorov_distance(dist, mu, nu) -> float:
     rows = np.flatnonzero(mu > 0.0)
     cols = np.flatnonzero(nu > 0.0)
     sub = d[np.ix_(rows, cols)]
-    thresholds = np.unique(np.concatenate(([0.0], sub.ravel())))
 
     def flow_at(t: float, target) -> float:
         return max_flow_value(mu[rows], nu[cols], sub <= t + 1e-12)
 
     # moving mass costs one unit of tolerance per unit: lambda = 1
-    return _threshold_solve(thresholds, m, 1.0, flow_at)
+    return _threshold_solve(sub, m, 1.0, flow_at)

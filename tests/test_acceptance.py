@@ -130,7 +130,7 @@ def test_hausdorff_box_sandwich():
     rng = np.random.default_rng(1004)
     # pair level at lambda = 0, up to 4 cells
     for _ in range(100):
-        pair = random_semidist_pair(rng, max_cells=4)
+        pair = random_semidist_pair(rng)
         assert hli_lambda(pair, 0.0).value <= box_pair(pair, 0.0).value + TOL
     # space level sandwich on up to 3 support points
     for _ in range(100):
@@ -163,7 +163,7 @@ def test_invariance_and_reconstruction():
             else:
                 points.append(i)
                 masses.append(float(X.weights[i]))
-        assert parameter_invariance_check(X, points, masses, R=3)
+        assert parameter_invariance_check(X, points, masses)
     anomalies = 0
     for k in range(200):
         X = random_space(rng, max_points=4)

@@ -12,7 +12,7 @@ import pkgutil
 
 import mmdist
 
-MAX_DEFAULTED = 38
+MAX_DEFAULTED = 35
 
 
 def _defaulted(fn) -> list[str]:

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from mmdist import mm_space, observable_distance, write_space
-from mmdist.cli import main
+from mmdist.cli import _COMMANDS, build_parser, main
 from mmdist.matrixdist import _isomorphisms
 
 
@@ -25,6 +27,10 @@ def run_json(capsys, argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def exit_code(argv):
@@ -102,6 +108,45 @@ def test_missing_arguments_exit_one(capsys, spaces):
     assert exit_code(["box", x]) == 1
 
 
+class TestCommandTable:
+    """The subcommand table must reproduce the hand-written parsers' usage."""
+
+    USAGE = {
+        "validate": "usage: mmdist validate [-h] [--out OUT] space\n",
+        "box": "usage: mmdist box [-h] [--lambda LAM] [--mode MODE] [--seed SEED]\n"
+        "                  [--max-cells MAX_CELLS] [--out OUT]\n"
+        "                  x y\n",
+        "me": "usage: mmdist me [-h] --f F --g G [--lambda LAM] [--out OUT] space\n",
+        "hlip": "usage: mmdist hlip [-h] [--lambda LAM] [--mode MODE] [--seed SEED]\n"
+        "                   [--samples SAMPLES] [--max-cells MAX_CELLS] [--out OUT]\n"
+        "                   x y\n",
+        "matdist": "usage: mmdist matdist [-h] [--r R] [--samples SAMPLES] [--seed SEED]\n"
+        "                      [--out OUT]\n"
+        "                      space\n",
+        "isotest": "usage: mmdist isotest [-h] [--max-r MAX_R] [--out OUT] x y\n",
+        "prokhorov": "usage: mmdist prokhorov [-h] --mu MU --nu NU [--out OUT] space\n",
+        "witness": "usage: mmdist witness [-h] [--seed SEED] [--out OUT] xn x\n",
+        "converge-report": "usage: mmdist converge-report [-h] [--sizes SIZES] [--seed SEED]\n"
+        "                              [--max-cells MAX_CELLS] [--out OUT]\n"
+        "                              space\n",
+        "dominate": "usage: mmdist dominate [-h] [--out OUT] x y\n",
+        "homogeneous": "usage: mmdist homogeneous [-h] [--out OUT] space\n",
+        "suite": "usage: mmdist suite [-h] [--properties PROPERTIES] [--seed SEED]\n"
+        "                    [--samples SAMPLES] [--out OUT]\n",
+    }
+
+    def test_usage_lines_are_frozen(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert {name: p.format_usage() for name, p in sub.choices.items()} == self.USAGE
+
+    def test_readme_synopsis_lists_every_subcommand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        synopsis = readme.split("## CLI", 1)[1].split("```")[1]
+        listed = [line.split()[1] for line in synopsis.splitlines() if line.startswith("mmdist ")]
+        assert sorted(listed) == sorted(_COMMANDS)
+
+
 class TestValidateCommand:
     def test_valid_space(self, capsys, spaces):
         x, _ = spaces
@@ -141,6 +186,8 @@ class TestOtherCommands:
         g.write_text("[0.0, 0.0]")
         code, rep = run_json(capsys, ["me", x, "--f", f, "--g", g, "--lambda", "1.0"])
         assert code == 0 and rep["result"]["value"] == 0.3
+        for name, path in {"space": x, "f": f, "g": g}.items():
+            assert rep["inputs"][name] == {"path": str(path), "sha256": sha256(path)}
 
     def test_hlip_size_limit_exits_two(self, capsys, spaces):
         x, y = spaces
@@ -162,6 +209,8 @@ class TestOtherCommands:
         nu.write_text("[0.5, 0.5]")
         code, rep = run_json(capsys, ["prokhorov", x, "--mu", mu, "--nu", nu])
         assert code == 0 and abs(rep["result"]["value"] - 0.2) < 1e-9
+        for name, path in {"space": x, "mu": mu, "nu": nu}.items():
+            assert rep["inputs"][name] == {"path": str(path), "sha256": sha256(path)}
 
     def test_witness_command(self, capsys, spaces):
         x, _ = spaces

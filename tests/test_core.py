@@ -179,7 +179,7 @@ class TestCouplings:
 
 
 class TestIndexMaps:
-    """Caller-supplied maps and index lists must hold integers.
+    """Caller-supplied maps and index lists must hold integers in range.
 
     Each call used to truncate a non-integer entry without a word:
     ``matching_coupling(X, X, [1.7, 0.2])`` returned the swap coupling and
@@ -200,9 +200,7 @@ class TestIndexMaps:
         "me_lambda_maps": lambda X, m: me_lambda_maps([0, 1], m, X.weights, X.dist, 1.0),
         "project_to_lip1": lambda X, m: project_to_lip1([0.0, 0.0], X.dist, m),
         "k_r": lambda X, m: k_r(X, m),
-        "parameter_invariance_check": lambda X, m: parameter_invariance_check(
-            X, m, [0.5, 0.5], R=1
-        ),
+        "parameter_invariance_check": lambda X, m: parameter_invariance_check(X, m, [0.5, 0.5]),
     }
 
     @pytest.mark.parametrize("bad", [[1.7, 0.2], [0.99, 0.0], [np.nan, 0.0], ["a", "b"]])
@@ -210,6 +208,20 @@ class TestIndexMaps:
     def test_non_integer_entries_rejected(self, call, bad):
         with pytest.raises(ValueError, match="integer point indices"):
             self.CALLS[call](self.X, bad)
+
+    @pytest.mark.parametrize("bad", [[-1, 0], [0, 2]])
+    @pytest.mark.parametrize("call", sorted(set(CALLS) - {"witness subset", "domination map"}))
+    def test_out_of_range_entries_rejected(self, call, bad):
+        # -1 wrapped to the last point in all but the two coupling calls,
+        # and 2 raised IndexError there
+        with pytest.raises(ValueError, match="out-of-range targets"):
+            self.CALLS[call](self.X, bad)
+
+    @pytest.mark.parametrize("subset", [[0, 7], [-1, 0]])
+    def test_witness_reports_out_of_range_subset(self, subset):
+        # 7 raised IndexError and -1 wrapped to the last point
+        w = Witness([0, 1], subset, 0.0)
+        assert w.violations(self.X, self.X) == ["subset has out-of-range indices"]
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_whole_floats_read_as_integers(self, call):

@@ -92,6 +92,12 @@ class TestLipschitzUpTo:
         kept = lipschitz_up_to_check(X, Y, fmap, 1.0, 0.1)
         assert kept is not None and list(kept) == [0, 1]
 
+    def test_short_map_rejected(self):
+        # raised IndexError
+        X = two_point()
+        with pytest.raises(ValueError, match="map length"):
+            lipschitz_up_to_check(X, X, [0], 1.0, 0.0)
+
     def test_greedy_peel_above_exact_support(self):
         # 21 support points is past EXACT_CLIQUE_SUPPORT, so the greedy peel runs
         X = normalized(random_space(np.random.default_rng(0), min_points=21, max_points=21))
@@ -363,8 +369,5 @@ class TestMe1Diagnostic:
     def test_alternating_pair_extracts_one_parity(self):
         d = np.array([[0.0, 0.4], [0.4, 0.0]])
         maps = [[0, 0], [1, 1], [0, 0], [1, 1]]
-        rep = me1_subsequence_diagnostic(
-            maps, [0.5, 0.5], d, eps_grid=[0.0, 0.2]
-        )
-        for _, chain in rep.chains:
-            assert chain == (0, 2)
+        rep = me1_subsequence_diagnostic(maps, [0.5, 0.5], d)
+        assert rep.chains == ((0.0, (0, 2)), (0.4, (0, 1, 2, 3)))

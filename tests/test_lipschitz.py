@@ -266,7 +266,7 @@ class TestHliPair:
         # are already at distance zero from the d2 set
         rng = np.random.default_rng(83)
         for _ in range(20):
-            pair = random_semidist_pair(rng, max_cells=4)
+            pair = random_semidist_pair(rng)
             d_small = np.minimum(pair.d1, pair.d2)
             for v in Lip1Set(d_small, pair.weights).vertices():
                 assert lip_point_distance(v, pair.d2, pair.weights, 0.0) <= 1e-9
@@ -344,7 +344,7 @@ class TestHliPair:
     def test_pair_hausdorff_below_box(self):
         rng = np.random.default_rng(89)
         for k in range(40):
-            pair = random_semidist_pair(rng, max_cells=4)
+            pair = random_semidist_pair(rng)
             h0 = hli_lambda(pair, 0.0).value
             assert h0 <= box_pair(pair, 0.0).value + 1e-9
             lam = float(rng.uniform(0.3, 2.0))
@@ -355,7 +355,7 @@ class TestHliPair:
     def test_sampled_lower_bound_below_exact_at_lambda_zero(self):
         rng = np.random.default_rng(97)
         for k in range(20):
-            pair = random_semidist_pair(rng, max_cells=4)
+            pair = random_semidist_pair(rng)
             exact = hli_lambda(pair, 0.0).value
             sampled = hli_lambda(pair, 0.0, "sampled", samples=24, seed=k).value
             assert sampled <= exact + 1e-9

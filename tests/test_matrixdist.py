@@ -222,12 +222,21 @@ class TestParameterInvariance:
                 else:
                     points.append(i)
                     masses.append(float(X.weights[i]))
-            assert parameter_invariance_check(X, points, masses, R=3)
+            assert parameter_invariance_check(X, points, masses)
 
     def test_merging_distinct_points_detected(self):
         X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
         # all mass lands on point 0: order two sees the missing cross pair
-        assert not parameter_invariance_check(X, [0, 0], [0.5, 0.5], R=2)
+        assert not parameter_invariance_check(X, [0, 0], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "points, masses", [([0, 1, 1], [0.5, 0.5]), ([0, 1], [0.3, 0.3, 0.4])]
+    )
+    def test_length_mismatch_rejected(self, points, masses):
+        # the first returned True, the second raised IndexError
+        X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="differ in length"):
+            parameter_invariance_check(X, points, masses)
 
     def test_massless_cells_detected(self):
         # the cell space has no support, so its distributions are empty
