@@ -237,7 +237,7 @@ def _greedy_peel(delta: np.ndarray, weights: np.ndarray, lam: float, m: float) -
     """Upper bound by repeatedly dropping a cell of the worst defect pair."""
     current = [int(i) for i in np.flatnonzero(np.asarray(weights) > 0.0)]
     w = np.asarray(weights, dtype=float)
-    best_eps = np.inf
+    best_eps = np.inf if current else 0.0  # no support: nothing to peel
     best_cells: tuple = ()
     while current:
         sub = delta[np.ix_(current, current)]

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .box import box_distance, box_upper_from_witness
-from .core import read_space, validate
+from .core import _json_doc, _parse_space, validate
 from .errors import InternalInvariantError, InvalidSpaceError, SizeLimitError, SpaceFormatError
 from .limits import (
     _is_transitive,
@@ -44,11 +44,8 @@ from .matrixdist import exact_mu_r, reconstruction_check, sample_mu_r
 from .properties import PROPERTIES, run_suite
 
 
-def _load_vector(path: str, what: str, n: int) -> np.ndarray:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SpaceFormatError(f"{path}: not valid JSON ({exc})") from exc
+def _parse_vector(data: bytes, path: str, what: str, n: int) -> np.ndarray:
+    doc = _json_doc(data, path)
     if isinstance(doc, dict) and "values" in doc:
         doc = doc["values"]
     if not isinstance(doc, list):
@@ -129,6 +126,13 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 like any user error; exit 2 means a size-limit refusal."""
 
+    def parse_known_args(self, args=None, namespace=None):
+        # leftovers are an error of the parser holding them, so a subcommand prints its own usage
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return args, extra
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -154,18 +158,19 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
     cmd = args.command
     inputs: dict[str, dict] = {}
 
-    def load(name: str, read):
-        """``read`` the file given as argument ``name``, recording its path and digest."""
+    def load(name: str, parse):
+        """``parse`` the file named by argument ``name``, read once; record its path and digest."""
         path = getattr(args, name)
-        inputs[name] = {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-        return read(path)
+        data = Path(path).read_bytes()
+        inputs[name] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        return parse(data, path)
 
-    read = partial(read_space, check=cmd != "validate")
-    spaces = [load(name, read) for name in _COMMANDS[cmd][1]]
+    parse = partial(_parse_space, check=cmd != "validate")
+    spaces = [load(name, parse) for name in _COMMANDS[cmd][1]]
     X = spaces[0] if spaces else None
 
     def vectors(*names: str):
-        return [load(name, partial(_load_vector, what=name, n=X.n)) for name in names]
+        return [load(name, partial(_parse_vector, what=name, n=X.n)) for name in names]
 
     if cmd == "validate":
         report = validate(X)
@@ -205,17 +210,13 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
 
     if cmd == "witness":
         w = witness_search(*spaces, seed=args.seed)
-        bound = box_upper_from_witness(*spaces, w)
-        return (
-            {
-                "eps": w.eps,
-                "p": [int(v) for v in w.p],
-                "subset": [int(v) for v in w.subset],
-                "box1_upper_bound": bound,
-            },
-            inputs,
-            0,
-        )
+        result = {
+            "eps": w.eps,
+            "p": [int(v) for v in w.p],
+            "subset": [int(v) for v in w.subset],
+            "box1_upper_bound": box_upper_from_witness(*spaces, w),
+        }
+        return result, inputs, 0
 
     if cmd == "converge-report":
         sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
@@ -227,11 +228,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         cert = domination_search(*spaces)
         if cert is None:
             return {"dominates": False, "p": None, "c": None}, inputs, 0
-        return (
-            {"dominates": True, "p": [int(v) for v in cert.p], "c": cert.c},
-            inputs,
-            0,
-        )
+        return {"dominates": True, "p": [int(v) for v in cert.p], "c": cert.c}, inputs, 0
 
     if cmd == "homogeneous":
         group = isometry_group(X)

@@ -17,6 +17,7 @@ comparisons between spaces are meant up to relabeling of the support.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -490,10 +491,19 @@ def read_space(path, *, check: bool = True) -> FiniteMMSpace:
     :class:`InvalidSpaceError`; structural problems always raise
     :class:`SpaceFormatError`.
     """
+    return _parse_space(Path(path).read_bytes(), path, check=check)
+
+
+def _json_doc(data: bytes, path):
+    """The JSON document in a file's bytes, decoded as ``Path.read_text`` decodes them."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _parse_space(data: bytes, path, *, check: bool) -> FiniteMMSpace:
+    doc = _json_doc(data, path)
     if not isinstance(doc, dict):
         raise SpaceFormatError(f"{path}: expected a JSON object")
     missing = {"labels", "weights", "dist"} - set(doc)

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .box import _max_weight_clique, box_distance, box_upper_from_witness, smallest_eps_for_defects
-from .core import FiniteMMSpace, Witness, _as_indices, check_max_cells
+from .core import FiniteMMSpace, Witness, _as_indices, check_lambda, check_max_cells
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms
@@ -83,6 +83,9 @@ def lipschitz_up_to_check(
     (an exact clique search at desk scale, greedy peeling beyond
     :data:`EXACT_CLIQUE_SUPPORT`), or ``None`` when its complement is too heavy.
     """
+    check_lambda(lam)
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     fmap = _as_indices(fmap, "map", Y.n)
     if fmap.shape != (X.n,):
         raise ValueError("map length does not match the first space")

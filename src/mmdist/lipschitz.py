@@ -10,10 +10,11 @@ The 1-Lipschitz functions for a semimetric live on the support of the
 weights, where they form the polytope Lip1(C), ``C`` the shortest-path
 closure of the semimetric restricted to the support.  Zero-weight indices
 are dropped before the closure: a path through one would tighten the
-constraints between support points.  A member of Lip1(D) is within ``eps``
-of ``f`` on a retained set ``S`` exactly when ``|f_i - f_j| <= 2 eps + D_ij``
-for all ``i, j`` in ``S``, so the point-to-set me distance is the same
-defect-clique search the box solvers use.
+constraints between support points.  ``Lip1Set.closure`` holds ``C``,
+computed once per set, and every computation on the set reads it.  A member
+of Lip1(D) is within ``eps`` of ``f`` on a retained set ``S`` exactly when
+``|f_i - f_j| <= 2 eps + D_ij`` for all ``i, j`` in ``S``, so the point-to-set
+me distance is the same defect-clique search the box solvers use.
 
 At ``lam = 0`` the Hausdorff distance has a closed form.  The distance from
 ``f`` to Lip1(C2) is ``max_ij (|f_i - f_j| - C2_ij)^+ / 2``.  Over ``f`` in
@@ -30,6 +31,7 @@ partial assignments that are feasible on the points placed so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .core import (
     FiniteMMSpace,
     SemiDistancePair,
     _as_indices,
+    _readonly,
     check_lambda,
     check_max_cells,
     lighter_first,
@@ -132,19 +135,25 @@ class Lip1Set:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dist", np.asarray(self.dist, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        # read-only copies: the cached closure must keep describing ``dist``
+        object.__setattr__(self, "dist", _readonly(self.dist))
+        object.__setattr__(self, "weights", _readonly(self.weights))
 
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0.0)
 
+    @cached_property
+    def closure(self) -> np.ndarray:
+        """Shortest-path closure of ``dist`` on the support, computed once per set."""
+        s = self.support
+        return metric_closure(self.dist[np.ix_(s, s)])
+
     def contains(self, f) -> bool:
         """Whether ``f`` is 1-Lipschitz on the support, within :data:`LIP_TOL`."""
-        s = self.support
-        f = np.asarray(f, dtype=float)[s]
-        d = self.dist[np.ix_(s, s)]
-        return float(np.max(np.abs(f[:, None] - f[None, :]) - d, initial=0.0)) <= LIP_TOL
+        f = np.asarray(f, dtype=float)[self.support]
+        excess = np.abs(f[:, None] - f[None, :]) - self.closure
+        return float(np.max(excess, initial=0.0)) <= LIP_TOL
 
     def vertices(self, *, max_support: int = 6) -> np.ndarray:
         """All extreme points, pinned at the first support point.
@@ -187,11 +196,8 @@ class Lip1Set:
                         at = tuple(np.round(new / 1e-9).astype(np.int64).tolist())
                         grown.setdefault((tuple(sorted(p + [b])), at), new)
             states = grown
-        out = np.zeros((len(states), n))
         # every final state places all points, so the keys sort by values
-        for row, (_, vals) in enumerate(sorted(states.items())):
-            out[row] = self._extend(vals)
-        return out
+        return np.array([self._extend(vals) for _, vals in sorted(states.items())]).reshape(-1, n)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A random member: signed cone values on a random anchor, projected.
@@ -202,28 +208,22 @@ class Lip1Set:
         """
         s = self.support
         k = len(s)
+        if k == 0:  # nothing to sample from: the pinned zero function
+            return np.zeros(self.dist.shape[0])
         d = self.dist[np.ix_(s, s)]
-        size = int(rng.integers(1, k + 1))
-        anchor = np.sort(rng.choice(k, size=size, replace=False))
+        anchor = np.sort(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
         apex = int(rng.integers(0, k))
         sign = -1.0 if rng.random() < 0.5 else 1.0
         raw = sign * d[:, apex] + rng.normal(0.0, 0.25 * (1.0 + d.max()), size=k)
         # project anchor values through the closure so the result is Lipschitz
-        proj = project_to_lip1(raw, metric_closure(d), anchor)
-        proj = proj - proj[0]
-        return self._extend(proj)
+        proj = project_to_lip1(raw, self.closure, anchor)
+        return self._extend(proj - proj[0])
 
     def _extend(self, support_values: np.ndarray) -> np.ndarray:
         """Fill non-support coordinates by McShane extension from the support."""
         s = self.support
-        n = self.dist.shape[0]
-        out = np.zeros(n)
+        out = project_to_lip1(support_values, self.dist[:, s], np.arange(len(s)))
         out[s] = support_values
-        rest = np.setdiff1d(np.arange(n), s)
-        if rest.size:
-            out[rest] = np.min(
-                support_values[None, :] + self.dist[np.ix_(rest, s)], axis=1
-            )
         return out
 
 
@@ -231,21 +231,18 @@ class Lip1Set:
 # Hausdorff distances between Lipschitz sets
 
 
-def lip_point_distance(f, dist_other, weights, lam: float) -> float:
+def lip_point_distance(f, target: Lip1Set, lam: float) -> float:
     """Exact me-distance from a function to a 1-Lipschitz set.
 
-    A 1-Lipschitz (for ``dist_other``) function within ``eps`` of ``f`` on a
-    set ``S`` exists iff ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D``
-    the shortest-path closure on the support; so the distance is the
-    defect-clique optimum for the halved excess matrix.
+    A member of ``target`` within ``eps`` of ``f`` on a set ``S`` exists iff
+    ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D`` the set's closure;
+    so the distance is the defect-clique optimum for the halved excess matrix.
     """
-    w = np.asarray(weights, dtype=float)
-    s = np.flatnonzero(w > 0.0)
+    s = target.support
     f = np.asarray(f, dtype=float)[s]
-    D = metric_closure(np.asarray(dist_other, dtype=float)[np.ix_(s, s)])
-    delta = np.clip((np.abs(f[:, None] - f[None, :]) - D) / 2.0, 0.0, None)
+    delta = np.clip((np.abs(f[:, None] - f[None, :]) - target.closure) / 2.0, 0.0, None)
     np.fill_diagonal(delta, 0.0)
-    eps, _ = smallest_eps_for_defects(delta, w[s], lam)
+    eps, _ = smallest_eps_for_defects(delta, target.weights[s], lam)
     return eps
 
 
@@ -289,30 +286,24 @@ def hli_lambda(
     the other polytope.
     """
     check_lambda(lam)
-    w = pair.weights
+    sets = (Lip1Set(pair.d1, pair.weights), Lip1Set(pair.d2, pair.weights))
     if mode == "exact0":
         if lam != 0.0:
             raise ValueError("exact0 mode requires lambda = 0")
-        s = pair.support
-        c1 = metric_closure(pair.d1[np.ix_(s, s)])
-        c2 = metric_closure(pair.d2[np.ix_(s, s)])
-        return HliResult(float(np.max(np.abs(c1 - c2), initial=0.0)) / 2.0, "exact", lam, mode)
+        gap = np.abs(sets[0].closure - sets[1].closure)
+        return HliResult(float(np.max(gap, initial=0.0)) / 2.0, "exact", lam, mode)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
     value = 0.0
-    for da, db in ((pair.d1, pair.d2), (pair.d2, pair.d1)):
-        source = Lip1Set(da, w)
-        s = source.support
-        # cones of the closure are members even without a triangle
-        # inequality on the raw matrix; always probe them
-        closure = metric_closure(source.dist[np.ix_(s, s)])
-        probes = [source._extend(closure[:, j]) for j in range(len(s))]
+    for source, target in (sets, sets[::-1]):
+        # closure cones are members even where the raw matrix breaks the triangle inequality
+        probes = [source._extend(cone) for cone in source.closure.T]
         probes += [source.sample(rng) for _ in range(samples)]
         for f in probes:
-            value = max(value, lip_point_distance(f, db, w, lam))
+            value = max(value, lip_point_distance(f, target, lam))
     return HliResult(value, "lower-bound", lam, mode)
 
 

@@ -312,11 +312,9 @@ def prop_pullback_lip_factorization(rng: np.random.Generator, seed: int, trials:
                     ok = False
                 by_point[i] = v[c]
             sub = sorted(by_point)
-            d = X.dist[np.ix_(sub, sub)]
-            vals = np.array([by_point[i] for i in sub])
-            ok = ok and float(
-                np.max(np.abs(vals[:, None] - vals[None, :]) - d, initial=0.0)
-            ) <= 1e-9
+            ok = ok and Lip1Set(X.dist[np.ix_(sub, sub)], np.ones(len(sub))).contains(
+                [by_point[i] for i in sub]
+            )
     return _result(ok)
 
 

@@ -36,6 +36,12 @@ class TestBoxPair:
         assert res.cells == (0, 1)
         assert res.retained_mass == 1.0
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_no_positive_weight_gives_zero(self, mode):
+        # heuristic mode returned inf
+        pair = semidist_pair([0.0, 0.0], [[0, 1], [1, 0]], [[0, 2], [2, 0]])
+        assert box_pair(pair, 1.0, mode).value == 0.0
+
     def test_cross_defect_lambda_zero(self):
         # frozen from the subset-enumeration oracle
         pair = cross_pair([0.5, 0.5], 1.0, 2.0)

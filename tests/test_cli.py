@@ -108,6 +108,32 @@ def test_missing_arguments_exit_one(capsys, spaces):
     assert exit_code(["box", x]) == 1
 
 
+def test_unknown_flag_after_subcommand_prints_its_usage(capsys, spaces):
+    # the top-level usage was printed
+    x, y = spaces
+    assert exit_code(["box", x, y, "--bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mmdist box [-h] ")
+    assert "mmdist box: error: unrecognized arguments: --bogus" in err
+
+
+def test_each_input_file_is_read_once(tmp_path, capsys, spaces, monkeypatch):
+    # the digest was taken from one read and the parse from a second one
+    x, _ = spaces
+    f = tmp_path / "f.json"
+    f.write_text("[0.3, 0.0]")
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        real = getattr(Path, name)
+        monkeypatch.setattr(
+            Path, name, lambda self, *a, real=real, **k: reads.append(self) or real(self, *a, **k)
+        )
+    code, rep = run_json(capsys, ["me", x, "--f", f, "--g", f])
+    assert code == 0
+    assert len(reads) == 3
+    assert rep["inputs"]["f"]["sha256"] == sha256(f)
+
+
 class TestCommandTable:
     """The subcommand table must reproduce the hand-written parsers' usage."""
 

@@ -92,6 +92,20 @@ class TestLipschitzUpTo:
         kept = lipschitz_up_to_check(X, Y, fmap, 1.0, 0.1)
         assert kept is not None and list(kept) == [0, 1]
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_bad_lambda_rejected(self, lam):
+        # lam = -1 returned None as if the map failed the check
+        X = two_point()
+        with pytest.raises(ValueError, match="lambda"):
+            lipschitz_up_to_check(X, X, [0, 1], lam, 0.0)
+
+    @pytest.mark.parametrize("eps", [-0.1, np.nan, np.inf])
+    def test_bad_eps_rejected(self, eps):
+        # eps = nan kept every point as if a certificate held
+        X = two_point()
+        with pytest.raises(ValueError, match="eps"):
+            lipschitz_up_to_check(X, X, [0, 1], 1.0, eps)
+
     def test_short_map_rejected(self):
         # raised IndexError
         X = two_point()

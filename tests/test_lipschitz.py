@@ -234,7 +234,7 @@ class TestPointDistance:
             d = np.triu(steps, 1)
             d = d + d.T
             f = np.round(rng.uniform(-2, 2, size=n), 3)
-            got = lip_point_distance(f, d, np.ones(n), 0.0)
+            got = lip_point_distance(f, Lip1Set(d, np.ones(n)), 0.0)
             want = sup_distance_to_lip_lp(f, metric_closure(d))
             assert got == pytest.approx(want, abs=1e-7)
 
@@ -244,7 +244,7 @@ class TestPointDistance:
         lset = Lip1Set(X.dist, X.weights)
         for _ in range(10):
             f = lset.sample(rng)
-            assert lip_point_distance(f, X.dist, X.weights, 0.7) <= 1e-9
+            assert lip_point_distance(f, lset, 0.7) <= 1e-9
 
 
 class TestHliPair:
@@ -269,7 +269,7 @@ class TestHliPair:
             pair = random_semidist_pair(rng)
             d_small = np.minimum(pair.d1, pair.d2)
             for v in Lip1Set(d_small, pair.weights).vertices():
-                assert lip_point_distance(v, pair.d2, pair.weights, 0.0) <= 1e-9
+                assert lip_point_distance(v, Lip1Set(pair.d2, pair.weights), 0.0) <= 1e-9
 
     def test_exact0_requires_lambda_zero(self):
         pair = semidist_pair([1.0], [[0.0]], [[0.0]])
@@ -297,8 +297,14 @@ class TestHliPair:
         assert hli_lambda(pair, 0.0, "exact0").value == 0.0
         assert hli_lambda(pair, 1.0, "sampled", samples=8).value == 0.0
         # 1-Lipschitz on the support {0, 1}
-        assert lip_point_distance([0.0, 2.0, 0.0], d, w, 0.0) == 0.0
+        assert lip_point_distance([0.0, 2.0, 0.0], Lip1Set(d, w), 0.0) == 0.0
         assert box_pair(pair, 0.0).value == 0.0
+
+    @pytest.mark.parametrize("lam,mode", [(0.0, "exact0"), (0.0, "sampled"), (1.0, "sampled")])
+    def test_no_positive_weight_gives_zero(self, lam, mode):
+        # sampled mode raised numpy's "low >= high" from Lip1Set.sample
+        pair = semidist_pair([0.0, 0.0], [[0, 1], [1, 0]], [[0, 2], [2, 0]])
+        assert hli_lambda(pair, lam, mode).value == 0.0
 
     def test_exact0_matches_vertex_oracle(self):
         # directed parts are maxima of a convex function over the polytope,
@@ -317,7 +323,7 @@ class TestHliPair:
             for da, db in ((pair.d1, pair.d2), (pair.d2, pair.d1)):
                 da_s, db_s = da[np.ix_(s, s)], db[np.ix_(s, s)]
                 for v in Lip1Set(da_s, w[s]).vertices():
-                    want = max(want, lip_point_distance(v, db_s, w[s], 0.0))
+                    want = max(want, lip_point_distance(v, Lip1Set(db_s, w[s]), 0.0))
             assert hli_lambda(pair, 0.0, "exact0").value == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])

@@ -76,6 +76,25 @@ def test_exact_box_layers_fire():
         assert counts[layer] > 0, layer
 
 
+def test_hli_sampled_layers_fire():
+    # each Lipschitz set closes its semimetric once; every probe and sample
+    # reads that closure
+    pair = mmdist.semidist_pair(
+        [0.2, 0.3, 0.5],
+        [[0, 1, 1.5], [1, 0, 1.25], [1.5, 1.25, 0]],
+        [[0, 1.75, 1], [1.75, 0, 1.5], [1, 1.5, 0]],
+    )
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        mmdist.hli_lambda(pair, 1.0, "sampled", samples=2)
+    finally:
+        tracer.remove()
+    counts = tracer.layer_counts()
+    assert counts["core.metric_closure.calls"] == 2
+    assert counts["lipschitz.lip_point_distance.calls"] > 0
+
+
 def test_heuristic_box_layers_fire():
     # every local-search step scores its coupling through pullback_pair,
     # which the tracer wraps by name
