@@ -178,8 +178,8 @@ class Lip1Set:
                 f"vertex enumeration refuses support size {k} (limit {max_support})"
             )
         n = self.dist.shape[0]
-        if k == 0:
-            return np.zeros((0, n))
+        if k == 0:  # the pinned zero function is the only member
+            return np.zeros((1, n))
         d = self.dist[np.ix_(s, s)]
         # (placed points, values at 1e-9) -> values, unplaced entries zero
         states = {((0,), (0,) * k): np.zeros(k)}

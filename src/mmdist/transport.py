@@ -6,6 +6,11 @@ uses shortest augmenting paths, whose augmentation count is bounded by the
 graph size independently of capacities, so float capacities are safe.
 
 There is one flow routine, ``max_flow`` (``max_flow_value`` is its value).
+Its instances are small (two supports of a few points each, in the box
+sweep and the Prokhorov search), so it runs on Python lists and carries the
+row and column slacks along its augmenting paths instead of summing the plan
+each round; a slack, and so a plan or a value, can differ from the summed
+one only in the last bit.
 There is one threshold search, ``_threshold_solve``, shared by the box
 solvers, the Prokhorov distance and ``lipschitz.me_lambda``: each asks for
 the smallest tolerance ``t`` at which the mass retainable with defects up to
@@ -67,66 +72,75 @@ def max_flow(row_caps, col_caps, allowed) -> tuple[float, np.ndarray]:
     """Maximum mass routable through ``allowed`` cells, with an optimal plan.
 
     Edmonds-Karp on the bipartite source/sink network; deterministic
-    (breadth-first in ascending index order).
+    (breadth-first in ascending index order).  The plan is a list of rows
+    until it is returned; an augmenting path changes only the slack of its
+    source row and goal column, so those two are updated in place.
     """
-    r = np.asarray(row_caps, dtype=float)
-    c = np.asarray(col_caps, dtype=float)
     mask = np.asarray(allowed, dtype=bool)
     nr, nc = mask.shape
-    plan = np.zeros((nr, nc))
+    row_slack = np.asarray(row_caps, dtype=float).tolist()
+    col_slack = np.asarray(col_caps, dtype=float).tolist()
+    row_cols = [[] for _ in range(nr)]  # admissible columns of each row, ascending
+    col_rows = [[] for _ in range(nc)]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(mask))):  # row-major order
+        row_cols[i].append(j)
+        col_rows[j].append(i)
+    plan = [[0.0] * nc for _ in range(nr)]
     while True:
         # BFS from the source over the residual network
-        row_prev = np.full(nr, -2, dtype=int)  # -2 unvisited, -1 from source
-        col_prev = np.full(nc, -2, dtype=int)
-        row_slack = r - plan.sum(axis=1)
-        col_slack = c - plan.sum(axis=0)
-        frontier = [("r", i) for i in range(nr) if row_slack[i] > _RESIDUAL_TOL]
-        for _, i in frontier:
+        row_prev = [-2] * nr  # -2 unvisited, -1 from source
+        col_prev = [-2] * nc
+        frontier = [i for i in range(nr) if row_slack[i] > _RESIDUAL_TOL]
+        for i in frontier:
             row_prev[i] = -1
         goal = -1
-        while frontier and goal < 0:
-            nxt = []
-            for kind, k in frontier:
-                if kind == "r":
-                    for j in range(nc):
-                        if mask[k, j] and col_prev[j] == -2:
-                            col_prev[j] = k
-                            if col_slack[j] > _RESIDUAL_TOL:
-                                goal = j
-                                break
-                            nxt.append(("c", j))
-                    if goal >= 0:
-                        break
-                else:
-                    for i in range(nr):
-                        if plan[i, k] > _RESIDUAL_TOL and row_prev[i] == -2:
-                            row_prev[i] = k
-                            nxt.append(("r", i))
-            frontier = nxt
+        while frontier:
+            cols = []  # rows reach unvisited columns through the mask
+            for k in frontier:
+                for j in row_cols[k]:
+                    if col_prev[j] == -2:
+                        col_prev[j] = k
+                        if col_slack[j] > _RESIDUAL_TOL:
+                            goal = j
+                            break
+                        cols.append(j)
+                if goal >= 0:
+                    break
+            if goal >= 0:
+                break
+            frontier = []  # columns reach unvisited rows through the plan
+            for k in cols:
+                for i in col_rows[k]:
+                    if plan[i][k] > _RESIDUAL_TOL and row_prev[i] == -2:
+                        row_prev[i] = k
+                        frontier.append(i)
         if goal < 0:
             break
         # trace the augmenting path and its bottleneck
         path = []  # (i, j, forward?)
         j = goal
-        bottleneck = float(col_slack[j])
+        bottleneck = col_slack[j]
         while True:
             i = col_prev[j]
             path.append((i, j, True))
             if row_prev[i] == -1:
-                bottleneck = min(bottleneck, float(row_slack[i]))
+                bottleneck = min(bottleneck, row_slack[i])
                 break
             j2 = row_prev[i]
             path.append((i, j2, False))
-            bottleneck = min(bottleneck, float(plan[i, j2]))
+            bottleneck = min(bottleneck, plan[i][j2])
             j = j2
         if bottleneck <= _RESIDUAL_TOL:
             break
+        row_slack[i] -= bottleneck  # the trace ended at the source row i
+        col_slack[goal] -= bottleneck
         for i, j, forward in path:
             if forward:
-                plan[i, j] += bottleneck
+                plan[i][j] += bottleneck
             else:
-                plan[i, j] -= bottleneck
-    return float(plan.sum()), plan
+                plan[i][j] -= bottleneck
+    out = np.array(plan, dtype=float).reshape(nr, nc)
+    return float(out.sum()), out
 
 
 def max_flow_value(row_caps, col_caps, allowed) -> float:

@@ -105,6 +105,77 @@ def min_cut_value(row_caps, col_caps, allowed):
     return best
 
 
+#: the residual tolerance of ``transport.max_flow``
+_RESIDUAL_TOL = 1e-15
+
+
+def numpy_max_flow(row_caps, col_caps, allowed):
+    """Edmonds-Karp on numpy arrays, recomputing slacks from the plan each round.
+
+    The reference for the list-based ``transport.max_flow``: the same
+    breadth-first order (ascending indices) and the same augmenting paths,
+    with the row and column slacks summed from the plan at every round.
+    """
+    r = np.asarray(row_caps, dtype=float)
+    c = np.asarray(col_caps, dtype=float)
+    mask = np.asarray(allowed, dtype=bool)
+    nr, nc = mask.shape
+    plan = np.zeros((nr, nc))
+    while True:
+        # BFS from the source over the residual network
+        row_prev = np.full(nr, -2, dtype=int)  # -2 unvisited, -1 from source
+        col_prev = np.full(nc, -2, dtype=int)
+        row_slack = r - plan.sum(axis=1)
+        col_slack = c - plan.sum(axis=0)
+        frontier = [("r", i) for i in range(nr) if row_slack[i] > _RESIDUAL_TOL]
+        for _, i in frontier:
+            row_prev[i] = -1
+        goal = -1
+        while frontier and goal < 0:
+            nxt = []
+            for kind, k in frontier:
+                if kind == "r":
+                    for j in range(nc):
+                        if mask[k, j] and col_prev[j] == -2:
+                            col_prev[j] = k
+                            if col_slack[j] > _RESIDUAL_TOL:
+                                goal = j
+                                break
+                            nxt.append(("c", j))
+                    if goal >= 0:
+                        break
+                else:
+                    for i in range(nr):
+                        if plan[i, k] > _RESIDUAL_TOL and row_prev[i] == -2:
+                            row_prev[i] = k
+                            nxt.append(("r", i))
+            frontier = nxt
+        if goal < 0:
+            break
+        # trace the augmenting path and its bottleneck
+        path = []  # (i, j, forward?)
+        j = goal
+        bottleneck = float(col_slack[j])
+        while True:
+            i = col_prev[j]
+            path.append((i, j, True))
+            if row_prev[i] == -1:
+                bottleneck = min(bottleneck, float(row_slack[i]))
+                break
+            j2 = row_prev[i]
+            path.append((i, j2, False))
+            bottleneck = min(bottleneck, float(plan[i, j2]))
+            j = j2
+        if bottleneck <= _RESIDUAL_TOL:
+            break
+        for i, j, forward in path:
+            if forward:
+                plan[i, j] += bottleneck
+            else:
+                plan[i, j] -= bottleneck
+    return float(plan.sum()), plan
+
+
 def lip_vertices_active_sets(d, tol=1e-9):
     """Vertex enumeration by solving all (k-1)-subsets of tight constraints.
 

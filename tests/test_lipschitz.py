@@ -153,6 +153,15 @@ class TestVertices:
     def test_single_point(self):
         assert np.array_equal(Lip1Set(np.zeros((1, 1)), [1.0]).vertices(), np.zeros((1, 1)))
 
+    def test_empty_support_holds_the_zero_function(self):
+        # no positive weight: the set is the pinned zero function alone,
+        # which sample returns and contains accepts
+        lset = Lip1Set([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
+        v = lset.vertices()
+        assert np.array_equal(v, np.zeros((1, 2)))
+        assert np.array_equal(v[0], lset.sample(np.random.default_rng(0)))
+        assert lset.contains(v[0])
+
     def test_two_point_interval_endpoints(self):
         v = Lip1Set([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]).vertices()
         assert sorted(map(tuple, v)) == [(0.0, -1.0), (0.0, 1.0)]

@@ -109,3 +109,19 @@ def test_heuristic_box_layers_fire():
     counts = tracer.layer_counts()
     for layer in ("core.pullback_pair.calls", "box.max_weight_clique.calls"):
         assert counts[layer] > 0, layer
+
+
+def test_prokhorov_flow_layers_fire():
+    # each flow-value probe of the Prokhorov search runs max_flow through
+    # the transport module's global name, so the tracer sees both layers
+    X = mmdist.mm_space([0.25, 0.25, 0.5], [[0, 1, 1.5], [1, 0, 1.25], [1.5, 1.25, 0]])
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        mmdist.prokhorov(X, [0.5, 0.25, 0.25], [0.25, 0.25, 0.5])
+    finally:
+        tracer.remove()
+    counts = tracer.layer_counts()
+    assert counts["transport.prokhorov_distance.calls"] == 1
+    assert counts["transport.max_flow_value.calls"] > 0
+    assert counts["transport.max_flow.calls"] == counts["transport.max_flow_value.calls"]

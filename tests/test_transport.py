@@ -9,7 +9,7 @@ from mmdist.transport import (
     prokhorov_distance,
 )
 
-from oracles import min_cut_value, prokhorov_subsets
+from oracles import min_cut_value, numpy_max_flow, prokhorov_subsets
 
 
 def random_instance(rng, nr=None, nc=None):
@@ -60,6 +60,43 @@ class TestMaxFlow:
         assert max_flow_value(r, c, mask) == pytest.approx(
             min_cut_value(c, r, mask.T), abs=1e-9
         )
+
+    def test_matches_numpy_reference(self):
+        # the list-based routine against the numpy Edmonds-Karp it replaced:
+        # same breadth-first order, same paths, so the same plan.  Capacities
+        # on a 1/16 grid (zeros included) make ties common
+        rng = np.random.default_rng(13)
+        for nr in range(1, 9):
+            for nc in range(1, 9):
+                for density in (0.25, 0.75, 1.0, 0.0):
+                    for _ in range(3):
+                        r = rng.integers(0, 17, size=nr) / 16.0
+                        c = rng.integers(0, 17, size=nc) / 16.0
+                        mask = rng.random((nr, nc)) < density
+                        value, plan = max_flow(r, c, mask)
+                        want_value, want_plan = numpy_max_flow(r, c, mask)
+                        assert abs(value - want_value) <= 1e-15
+                        assert plan.shape == want_plan.shape
+                        assert np.all(np.abs(plan - want_plan) <= 1e-15)
+
+    def test_plan_is_feasible(self):
+        rng = np.random.default_rng(14)
+        for _ in range(400):
+            r, c, mask = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            r = r * rng.random(len(r))  # off-grid capacities
+            c = c * rng.random(len(c))
+            value, plan = max_flow(r, c, mask)
+            assert np.all(plan >= 0.0)
+            assert np.all(plan[~mask] == 0.0)
+            assert np.all(plan.sum(axis=1) <= r + 1e-15)
+            assert np.all(plan.sum(axis=0) <= c + 1e-15)
+            assert value == float(plan.sum())
+
+    @pytest.mark.parametrize("nr,nc", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side_routes_nothing(self, nr, nc):
+        value, plan = max_flow(np.ones(nr), np.ones(nc), np.ones((nr, nc), bool))
+        assert value == 0.0
+        assert np.array_equal(plan, np.zeros((nr, nc)))
 
 
 class TestPlans:
