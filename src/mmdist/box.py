@@ -17,7 +17,10 @@ thresholds: the pairwise defect values and the mass breakpoints
 ``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this
 candidate set: a binary search, then a certificate (retained cells, and for
 space-level solves an optimal coupling).  The pair solver plugs in a
-maximum-weight clique, the space solver a flow over maximal cliques.
+maximum-weight clique, the space solver a flow over maximal cliques; it
+numbers the coupling cells once, row-major, and the defect matrix, the sweep,
+the flows (on a clique's row and column index lists) and the certificate all
+read that one numbering.
 """
 
 from __future__ import annotations
@@ -269,16 +272,6 @@ def _greedy_peel(delta: np.ndarray, weights: np.ndarray, lam: float, m: float) -
 # spaces
 
 
-def _cell_defect_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, sx: np.ndarray, sy: np.ndarray):
-    """Defect between all pairs of coupling cells (x, y), (x', y')."""
-    dx = X.dist[np.ix_(sx, sx)]
-    dy = Y.dist[np.ix_(sy, sy)]
-    # delta[(i,j),(i',j')] = |dx[i,i'] - dy[j,j']| on the flattened cell grid
-    return np.abs(dx[:, None, :, None] - dy[None, :, None, :]).reshape(
-        len(sx) * len(sy), len(sx) * len(sy)
-    )
-
-
 def _best_flow_at(
     adj: np.ndarray,
     rows_of: np.ndarray,
@@ -290,8 +283,9 @@ def _best_flow_at(
 ):
     """Max over maximal compatible cell sets of the transportation flow.
 
-    Returns ``(mass, cells)``.  Deterministic: ties go to the
-    lexicographically smallest cell tuple.
+    Cell ``c`` is ``(rows_of[c], cols_of[c])``; a clique goes to the flow as
+    those index lists.  Returns ``(mass, cells)``.  Deterministic: ties go to
+    the lexicographically smallest cell tuple.
     """
     best = (0.0, ())
     for clique in _maximal_cliques(adj):
@@ -300,15 +294,11 @@ def _best_flow_at(
         ub = min(float(row_caps[rows].sum()), float(col_caps[cols].sum()))
         if ub < best[0] - _TIE_TOL:
             continue
-        mask = np.zeros((len(row_caps), len(col_caps)), dtype=bool)
-        for c in clique:
-            mask[rows_of[c], cols_of[c]] = True
-        value = max_flow_value(row_caps, col_caps, mask)
-        tup = tuple(int(c) for c in clique)
+        value = max_flow_value(row_caps, col_caps, (rows_of[list(clique)], cols_of[list(clique)]))
         if value > best[0] + _TIE_TOL or (
-            value >= best[0] - _TIE_TOL and (best[1] == () or tup < best[1])
+            value >= best[0] - _TIE_TOL and (best[1] == () or clique < best[1])
         ):
-            best = (max(best[0], value), tup)
+            best = (max(best[0], value), clique)
         if target is not None and best[0] >= target:
             break
     return best
@@ -323,23 +313,20 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
             "use heuristic mode"
         )
     m = X.total_mass
-    row_caps = X.weights[sx]
-    col_caps = Y.weights[sy]
-    rows_of = np.repeat(np.arange(len(sx)), len(sy))
-    cols_of = np.tile(np.arange(len(sy)), len(sx))
+    row_caps, col_caps = X.weights[sx], Y.weights[sy]
+    # cell c, row-major: support row rows_of[c] and column cols_of[c], points xs[c] and ys[c]
+    rows_of, cols_of = np.divmod(np.arange(n_cells), len(sy))
+    xs, ys = sx[rows_of], sy[cols_of]
     eps, (mass, cells) = _defect_solve(
-        _cell_defect_matrix(X, Y, sx, sy), m, lam,
+        np.abs(X.dist[np.ix_(xs, xs)] - Y.dist[np.ix_(ys, ys)]), m, lam,
         lambda adj, target: _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps, target=target),
     )
     if mass + lam * eps < m - 1e-9:
         raise InternalInvariantError("box certificate lost feasibility")
-    mask = np.zeros((len(sx), len(sy)), dtype=bool)
-    mask[rows_of[list(cells)], cols_of[list(cells)]] = True
-    _, sub_plan = max_flow(row_caps, col_caps, mask)
-    full_plan = completion(sub_plan, row_caps, col_caps)
+    _, sub_plan = max_flow(row_caps, col_caps, (rows_of[list(cells)], cols_of[list(cells)]))
     pi = np.zeros((X.n, Y.n))
-    pi[np.ix_(sx, sy)] = full_plan
-    cell_pairs = tuple((int(sx[rows_of[c]]), int(sy[cols_of[c]])) for c in cells)
+    pi[np.ix_(sx, sy)] = completion(sub_plan, row_caps, col_caps)
+    cell_pairs = tuple((int(xs[c]), int(ys[c])) for c in cells)
     retained = float(sum(pi[i, j] for i, j in cell_pairs))
     return BoxResult(eps, "exact", cell_pairs, retained, eps, coupling=pi)
 
@@ -445,7 +432,7 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
     nu = np.zeros(X.n)
     np.add.at(nu, p, Xn.weights)
     eps = prokhorov_distance(X.dist, nu, X.weights)
-    kappa = completion(max_flow(nu, X.weights, X.dist <= eps + 1e-12)[1], nu, X.weights)
+    kappa = completion(max_flow(nu, X.weights, np.nonzero(X.dist <= eps + 1e-12))[1], nu, X.weights)
     pi = np.zeros((Xn.n, X.n))
     for z in range(Xn.n):
         if Xn.weights[z] > 0.0:

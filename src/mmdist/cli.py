@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .box import box_distance, box_upper_from_witness
-from .core import _json_doc, _parse_space, validate
+from .core import _json_doc, _json_floats, _parse_space, validate
 from .errors import InternalInvariantError, InvalidSpaceError, SizeLimitError, SpaceFormatError
 from .limits import (
     _is_transitive,
@@ -50,7 +50,7 @@ def _parse_vector(data: bytes, path: str, what: str, n: int) -> np.ndarray:
         doc = doc["values"]
     if not isinstance(doc, list):
         raise SpaceFormatError(f"{path}: expected a JSON array of numbers for {what}")
-    arr = np.asarray(doc, dtype=float)
+    arr = _json_floats(doc, path)
     if arr.shape != (n,):
         raise SpaceFormatError(f"{path}: {what} has length {arr.shape}, expected ({n},)")
     return arr

@@ -147,10 +147,10 @@ def validate(space: FiniteMMSpace) -> ValidationReport:
     diag = np.max(np.abs(np.diag(space.dist)))
     if diag > METRIC_TOL:
         v.append(f"dist diagonal is not zero (max {diag:.3g})")
-    # triangle inequality over all ordered triples
+    # triangle inequality over all ordered triples, one pivot k at a time so
+    # that memory stays O(n^2): excess d_ij - (d_ik + d_kj)
     d = space.dist
-    tri = d[:, None, :] + d.T[None, :, :]  # tri[i, j, k] = d_ik + d_kj
-    worst = float((d[:, :, None] - tri).max())
+    worst = max(float((d - (d[:, k : k + 1] + d[k : k + 1, :])).max()) for k in range(n))
     if worst > METRIC_TOL:
         v.append(f"triangle inequality violated by {worst:.3g}")
     if np.all(space.weights <= 0.0) or float(space.weights.sum()) <= 0.0:
@@ -502,6 +502,20 @@ def _json_doc(data: bytes, path):
         raise SpaceFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _json_floats(entries: list, path) -> np.ndarray:
+    """JSON numbers as a float array; any other entry is a SpaceFormatError.
+
+    numpy alone would read ``true`` as 1.0 and the string ``"0.5"`` as 0.5.
+    """
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise SpaceFormatError(f"{path}: non-numeric entry {x!r}")
+    try:
+        return np.array(entries, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise SpaceFormatError(f"{path}: non-numeric entry ({exc})") from exc
+
+
 def _parse_space(data: bytes, path, *, check: bool) -> FiniteMMSpace:
     doc = _json_doc(data, path)
     if not isinstance(doc, dict):
@@ -519,11 +533,8 @@ def _parse_space(data: bytes, path, *, check: bool) -> FiniteMMSpace:
         raise SpaceFormatError(f"{path}: {n} labels but {len(weights)} weights")
     if len(dist) != n or any(not isinstance(r, list) or len(r) != n for r in dist):
         raise SpaceFormatError(f"{path}: dist must be a {n}x{n} matrix")
-    try:
-        w = np.array(weights, dtype=float)
-        d = np.array(dist, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpaceFormatError(f"{path}: non-numeric entry ({exc})") from exc
+    w = _json_floats(weights, path)
+    d = _json_floats([x for row in dist for x in row], path).reshape(n, n)
     if not check:
         return FiniteMMSpace(tuple(str(x) for x in labels), w, d)
     return mm_space(w, d, labels)

@@ -273,6 +273,8 @@ class DominationCertificate:
         v = []
         sx = X.support
         p = self.p
+        if len(p) != X.n:
+            return ["map length does not match the first space"]
         if np.any(p[sx] < 0) or np.any(p[sx] >= Y.n):
             return ["map undefined on part of the support"]
         if self.c < 1.0 - 1e-12:
@@ -345,6 +347,8 @@ def compose_domination(
     """Compose X > Y and Y > Z certificates into an X > Z certificate."""
     p = np.full(len(first.p), -1, dtype=int)
     defined = first.p >= 0
+    if np.any(first.p[defined] >= len(second.p)):
+        raise ValueError("domination maps do not compose: the first map leaves the second's domain")
     p[defined] = second.p[first.p[defined]]
     return DominationCertificate(p, first.c * second.c)
 

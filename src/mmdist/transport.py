@@ -1,9 +1,10 @@
 """Transportation-polytope primitives used by the distance solvers.
 
 Everything here works on plain arrays: row capacities, column capacities and
-a boolean mask of admissible cells.  Masses are floats; the max-flow routine
-uses shortest augmenting paths, whose augmentation count is bounded by the
-graph size independently of capacities, so float capacities are safe.
+admissible cells as index lists ``(rows, cols)``, as ``np.nonzero`` gives
+them.  Masses are floats; the max-flow routine uses shortest augmenting
+paths, whose augmentation count is bounded by the graph size independently
+of capacities, so float capacities are safe.
 
 There is one flow routine, ``max_flow`` (``max_flow_value`` is its value).
 Its instances are small (two supports of a few points each, in the box
@@ -68,21 +69,21 @@ def completion(plan, row_targets, col_targets) -> np.ndarray:
     return plan + northwest_plan(r, c)
 
 
-def max_flow(row_caps, col_caps, allowed) -> tuple[float, np.ndarray]:
-    """Maximum mass routable through ``allowed`` cells, with an optimal plan.
+def max_flow(row_caps, col_caps, cells) -> tuple[float, np.ndarray]:
+    """Maximum mass routable through ``cells = (rows, cols)``, with an optimal plan.
 
-    Edmonds-Karp on the bipartite source/sink network; deterministic
-    (breadth-first in ascending index order).  The plan is a list of rows
-    until it is returned; an augmenting path changes only the slack of its
-    source row and goal column, so those two are updated in place.
+    Edmonds-Karp on the bipartite source/sink network; deterministic: cells
+    are visited in the order given, and row-major order (``np.nonzero``'s)
+    makes the search breadth-first in ascending index order.  The plan is a
+    list of rows until it is returned; an augmenting path changes only the
+    slack of its source row and goal column, so those two are updated in place.
     """
-    mask = np.asarray(allowed, dtype=bool)
-    nr, nc = mask.shape
     row_slack = np.asarray(row_caps, dtype=float).tolist()
     col_slack = np.asarray(col_caps, dtype=float).tolist()
-    row_cols = [[] for _ in range(nr)]  # admissible columns of each row, ascending
+    nr, nc = len(row_slack), len(col_slack)
+    row_cols = [[] for _ in range(nr)]  # admissible columns of each row
     col_rows = [[] for _ in range(nc)]
-    for i, j in zip(*(a.tolist() for a in np.nonzero(mask))):  # row-major order
+    for i, j in zip(*(np.asarray(a).tolist() for a in cells)):
         row_cols[i].append(j)
         col_rows[j].append(i)
     plan = [[0.0] * nc for _ in range(nr)]
@@ -95,7 +96,7 @@ def max_flow(row_caps, col_caps, allowed) -> tuple[float, np.ndarray]:
             row_prev[i] = -1
         goal = -1
         while frontier:
-            cols = []  # rows reach unvisited columns through the mask
+            cols = []  # rows reach unvisited columns through admissible cells
             for k in frontier:
                 for j in row_cols[k]:
                     if col_prev[j] == -2:
@@ -143,14 +144,14 @@ def max_flow(row_caps, col_caps, allowed) -> tuple[float, np.ndarray]:
     return float(out.sum()), out
 
 
-def max_flow_value(row_caps, col_caps, allowed) -> float:
-    """Maximum routable mass through ``allowed`` cells: ``max_flow`` without the plan.
+def max_flow_value(row_caps, col_caps, cells) -> float:
+    """Maximum routable mass through ``cells``: ``max_flow`` without the plan.
 
-    The name stays so that flow-value probes (the clique sweep of the exact
-    box solver and the Prokhorov search) can be counted apart from the flows
-    whose plan is kept.
+    Cells are visited in the order given, as there.  The name stays so that
+    flow-value probes (the clique sweep of the exact box solver and the
+    Prokhorov search) can be counted apart from the flows whose plan is kept.
     """
-    return max_flow(row_caps, col_caps, allowed)[0]
+    return max_flow(row_caps, col_caps, cells)[0]
 
 
 def _threshold_solve(values, m: float, lam: float, retained_max) -> float:
@@ -212,7 +213,7 @@ def prokhorov_distance(dist, mu, nu) -> float:
     sub = d[np.ix_(rows, cols)]
 
     def flow_at(t: float, target) -> float:
-        return max_flow_value(mu[rows], nu[cols], sub <= t + 1e-12)
+        return max_flow_value(mu[rows], nu[cols], np.nonzero(sub <= t + 1e-12))
 
     # moving mass costs one unit of tolerance per unit: lambda = 1
     return _threshold_solve(sub, m, 1.0, flow_at)

@@ -105,6 +105,34 @@ def min_cut_value(row_caps, col_caps, allowed):
     return best
 
 
+def brute_best_flow(adj, rows_of, cols_of, row_caps, col_caps):
+    """Heaviest transportation flow over the cliques of a cell graph, by enumeration.
+
+    Cell ``c`` of the graph ``adj`` is the grid cell ``(rows_of[c],
+    cols_of[c])``.  Every clique is scored by :func:`min_cut_value` on its
+    mask.  Returns ``(mass, cells)``: the largest score, and the
+    lexicographically smallest maximal clique that reaches it.
+    """
+    n = len(adj)
+    cliques = [
+        c
+        for k in range(1, n + 1)
+        for c in combinations(range(n), k)
+        if all(adj[a, b] for a, b in combinations(c, 2))
+    ]
+
+    def flow(clique):
+        mask = np.zeros((len(row_caps), len(col_caps)), dtype=bool)
+        mask[rows_of[list(clique)], cols_of[list(clique)]] = True
+        return min_cut_value(row_caps, col_caps, mask)
+
+    best = max(flow(c) for c in cliques)
+    maximal = [
+        c for c in cliques if not any(all(adj[v, u] for u in c) for v in range(n) if v not in c)
+    ]
+    return best, min(c for c in maximal if flow(c) >= best - 1e-12)
+
+
 #: the residual tolerance of ``transport.max_flow``
 _RESIDUAL_TOL = 1e-15
 

@@ -17,10 +17,10 @@ from mmdist import (
     semidist_pair,
     smallest_eps_for_defects,
 )
-from mmdist.box import EDGE_TOL
+from mmdist.box import EDGE_TOL, _best_flow_at
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
-from oracles import brute_box_pair, brute_box_two_point_uniform
+from oracles import brute_best_flow, brute_box_pair, brute_box_two_point_uniform, min_cut_value
 
 
 def cross_pair(w, a, b):
@@ -311,3 +311,49 @@ class TestWitnessBound:
             Y = normalized(random_space(rng, max_points=3))
             w = witness_search(Y, X)
             assert box_upper_from_witness(Y, X, w) >= box_distance(Y, X, 1.0).value - 1e-9
+
+
+class TestBestFlowAt:
+    """The clique sweep of the exact space solver against clique enumeration."""
+
+    @staticmethod
+    def instances():
+        # grids up to 3x3 with cells numbered row-major; capacities on a 1/16
+        # grid (zeros included) so that flows are exact and ties common
+        rng = np.random.default_rng(41)
+        for nr in range(1, 4):
+            for nc in range(1, 4):
+                for density in (0.2, 0.5, 0.8):
+                    for _ in range(4):
+                        rows_of, cols_of = np.divmod(np.arange(nr * nc), nc)
+                        adj = np.triu(rng.random((nr * nc, nr * nc)) < density, k=1)
+                        adj = adj | adj.T
+                        row_caps = rng.integers(0, 17, size=nr) / 16.0
+                        col_caps = rng.integers(0, 17, size=nc) / 16.0
+                        yield adj, rows_of, cols_of, row_caps, col_caps
+
+    def test_matches_clique_enumeration(self):
+        for adj, rows_of, cols_of, row_caps, col_caps in self.instances():
+            mass, cells = _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps)
+            want_mass, want_cells = brute_best_flow(adj, rows_of, cols_of, row_caps, col_caps)
+            assert mass == pytest.approx(want_mass, abs=1e-12)
+            assert cells == want_cells
+
+    def test_target_stops_at_a_witness(self):
+        rng = np.random.default_rng(42)
+        for adj, rows_of, cols_of, row_caps, col_caps in self.instances():
+            full = _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps)
+            target = float(rng.integers(1, 17)) / 16.0
+            mass, cells = _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps, target=target)
+            if full[0] < target:  # never reached: the whole sweep runs
+                assert (mass, cells) == full
+                continue
+            # a witness: a maximal clique whose own flow reaches the target
+            assert mass >= target
+            sub = adj[np.ix_(cells, cells)]
+            assert sub.sum() == len(cells) * (len(cells) - 1)
+            outside = [v for v in range(len(adj)) if v not in cells]
+            assert not any(adj[v, list(cells)].all() for v in outside)
+            mask = np.zeros((len(row_caps), len(col_caps)), dtype=bool)
+            mask[rows_of[list(cells)], cols_of[list(cells)]] = True
+            assert mass == pytest.approx(min_cut_value(row_caps, col_caps, mask), abs=1e-12)

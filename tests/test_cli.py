@@ -189,6 +189,22 @@ class TestValidateCommand:
         assert not rep["result"]["ok"]
         assert rep["result"]["violations"]
 
+    @pytest.mark.parametrize(
+        "weights,dist",
+        [
+            ([True, True], [[False, True], [True, False]]),  # was "ok": true
+            ([0.5, 0.5], [[0, True], [True, 0]]),
+            (["0.5", 0.5], [[0, 1], [1, 0]]),  # numpy reads the string as 0.5
+            ([0.5, 0.5], [[0, 10**400], [10**400, 0]]),  # an OverflowError traceback
+        ],
+        ids=["booleans", "boolean-distance", "string", "huge-integer"],
+    )
+    def test_non_numeric_entry_exits_one(self, tmp_path, capsys, weights, dist):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"labels": ["a", "b"], "weights": weights, "dist": dist}))
+        assert main(["validate", str(p)]) == 1
+        assert "non-numeric entry" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_isotest_distinguishes_golden_pair(self, capsys, spaces):
@@ -276,6 +292,20 @@ class TestOtherCommands:
         argv = ["hlip", x, y] if command == "hlip" else ["matdist", x]
         assert exit_code(argv + ["--samples", samples]) == 1
         assert "whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[true, false]", '["0.3", 0]', "[null, 0]", f"[{10**400}, 0]"],
+        ids=["boolean", "string", "null", "huge-integer"],
+    )
+    def test_non_numeric_function_exits_one(self, tmp_path, capsys, spaces, text):
+        # a JSON boolean was read as 1.0 or 0.0
+        x, _ = spaces
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        f.write_text(text)
+        g.write_text("[0.0, 0.0]")
+        assert main(["me", str(x), "--f", str(f), "--g", str(g), "--lambda", "1"]) == 1
+        assert "non-numeric entry" in capsys.readouterr().err
 
     def test_non_finite_function_exits_one(self, tmp_path, capsys):
         # NaN reached the threshold search and exited 3

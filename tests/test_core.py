@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,36 @@ class TestValidate:
         d = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
         bad = FiniteMMSpace(("a", "b", "c"), [1, 1, 1], d)
         assert any("triangle" in v for v in validate(bad).violations)
+
+    def test_triangle_excess_matches_triple_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            n = int(rng.integers(3, 7))
+            d = np.triu(np.round(rng.uniform(0.1, 3.0, size=(n, n)), 3), k=1)
+            d = d + d.T
+            worst = max(
+                d[i, j] - (d[i, k] + d[k, j]) for i in range(n) for j in range(n) for k in range(n)
+            )
+            report = validate(FiniteMMSpace(tuple(map(str, range(n))), np.ones(n), d))
+            tri = [v for v in report.violations if "triangle" in v]
+            if worst > 1e-12:  # METRIC_TOL
+                assert tri == [f"triangle inequality violated by {worst:.3g}"]
+            else:
+                assert tri == []
+
+    def test_triangle_check_memory_is_quadratic(self):
+        # two n x n x n arrays peaked at 122 MB for 200 points
+        rng = np.random.default_rng(22)
+        n = 300
+        d = np.triu(rng.uniform(1.0, 2.0, size=(n, n)), k=1)
+        X = FiniteMMSpace(tuple(map(str, range(n))), np.ones(n), d + d.T)
+        tracemalloc.start()
+        try:
+            assert validate(X).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_duplicate_labels_reported(self):
         bad = FiniteMMSpace(("a", "a"), [1, 1], [[0, 1], [1, 0]])

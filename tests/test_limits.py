@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmdist import (
+    DominationCertificate,
     SizeLimitError,
     box_distance,
     box_upper_from_witness,
@@ -285,6 +286,22 @@ class TestDomination:
         X = mm_space(np.ones(n), np.ones((n, n)) - np.eye(n))
         with pytest.raises(SizeLimitError):
             domination_search(X, X)
+
+    @pytest.mark.parametrize("p", [[0], [0, 1, 2, 0]])
+    def test_map_length_is_a_violation(self, p):
+        # a map shorter or longer than the first space is reported, as
+        # Witness.violations does, not an IndexError or a pass
+        X = mm_space([1.0, 1.0, 1.0], np.ones((3, 3)) - np.eye(3))
+        assert DominationCertificate(p, 1.0).violations(X, X) == [
+            "map length does not match the first space"
+        ]
+
+    def test_maps_that_do_not_compose_are_rejected(self):
+        # the first map sends a point to index 3 of a 2-point middle space
+        first = DominationCertificate([0, 3], 1.0)
+        second = DominationCertificate([0, 1], 1.0)
+        with pytest.raises(ValueError, match="do not compose"):
+            compose_domination(first, second)
 
 
 class TestIsometryGroup:

@@ -125,3 +125,20 @@ def test_prokhorov_flow_layers_fire():
     assert counts["transport.prokhorov_distance.calls"] == 1
     assert counts["transport.max_flow_value.calls"] > 0
     assert counts["transport.max_flow.calls"] == counts["transport.max_flow_value.calls"]
+
+
+def test_exact_box_flows_are_the_probes_and_one_certificate():
+    # every clique probe of the sweep runs one flow value (through max_flow)
+    # and the certificate runs one more max_flow, so the per-layer table
+    # counts the same flows whatever form the admissible cells take
+    X = mmdist.mm_space([0.25, 0.25, 0.5], [[0, 1, 1.5], [1, 0, 1.25], [1.5, 1.25, 0]])
+    Y = mmdist.mm_space([0.5, 0.25, 0.25], [[0, 1.75, 1], [1.75, 0, 1.5], [1, 1.5, 0]])
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        mmdist.box_distance(X, Y, 1.0)
+    finally:
+        tracer.remove()
+    counts = tracer.layer_counts()
+    assert counts["box.best_flow_at.flow_ratio"] > 0
+    assert counts["transport.max_flow.calls"] == counts["transport.max_flow_value.calls"] + 1

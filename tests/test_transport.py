@@ -25,19 +25,19 @@ class TestMaxFlow:
     def test_full_mask_routes_everything(self):
         r = np.array([0.3, 0.7])
         c = np.array([0.5, 0.5])
-        value, plan = max_flow(r, c, np.ones((2, 2), bool))
+        value, plan = max_flow(r, c, np.nonzero(np.ones((2, 2), bool)))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(plan.sum(axis=1), r)
 
     def test_empty_mask_routes_nothing(self):
-        value, plan = max_flow([1.0], [1.0], np.zeros((1, 1), bool))
+        value, plan = max_flow([1.0], [1.0], np.nonzero(np.zeros((1, 1), bool)))
         assert value == 0.0
 
     def test_matches_cut_enumeration(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             r, c, mask = random_instance(rng)
-            ek, plan = max_flow(r, c, mask)
+            ek, plan = max_flow(r, c, np.nonzero(mask))
             assert ek == pytest.approx(min_cut_value(r, c, mask), abs=1e-9)
             # plans respect capacities and the mask
             assert np.all(plan[~mask] == 0.0)
@@ -52,12 +52,12 @@ class TestMaxFlow:
                     r, c, mask = random_instance(rng, nr, nc)
                     r[rng.random(nr) < 0.2] = 0.0  # zero capacities
                     c[rng.random(nc) < 0.2] = 0.0
-                    assert max_flow_value(r, c, mask) == pytest.approx(
+                    assert max_flow_value(r, c, np.nonzero(mask)) == pytest.approx(
                         min_cut_value(r, c, mask), abs=1e-9
                     )
         # 21 rows: the oracle enumerates cuts over the 3 columns instead
         r, c, mask = random_instance(rng, 21, 3)
-        assert max_flow_value(r, c, mask) == pytest.approx(
+        assert max_flow_value(r, c, np.nonzero(mask)) == pytest.approx(
             min_cut_value(c, r, mask.T), abs=1e-9
         )
 
@@ -73,7 +73,7 @@ class TestMaxFlow:
                         r = rng.integers(0, 17, size=nr) / 16.0
                         c = rng.integers(0, 17, size=nc) / 16.0
                         mask = rng.random((nr, nc)) < density
-                        value, plan = max_flow(r, c, mask)
+                        value, plan = max_flow(r, c, np.nonzero(mask))
                         want_value, want_plan = numpy_max_flow(r, c, mask)
                         assert abs(value - want_value) <= 1e-15
                         assert plan.shape == want_plan.shape
@@ -85,7 +85,7 @@ class TestMaxFlow:
             r, c, mask = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
             r = r * rng.random(len(r))  # off-grid capacities
             c = c * rng.random(len(c))
-            value, plan = max_flow(r, c, mask)
+            value, plan = max_flow(r, c, np.nonzero(mask))
             assert np.all(plan >= 0.0)
             assert np.all(plan[~mask] == 0.0)
             assert np.all(plan.sum(axis=1) <= r + 1e-15)
@@ -94,7 +94,7 @@ class TestMaxFlow:
 
     @pytest.mark.parametrize("nr,nc", [(0, 3), (3, 0), (0, 0)])
     def test_empty_side_routes_nothing(self, nr, nc):
-        value, plan = max_flow(np.ones(nr), np.ones(nc), np.ones((nr, nc), bool))
+        value, plan = max_flow(np.ones(nr), np.ones(nc), np.nonzero(np.ones((nr, nc), bool)))
         assert value == 0.0
         assert np.array_equal(plan, np.zeros((nr, nc)))
 
@@ -117,7 +117,7 @@ class TestPlans:
                 r = r * total / r.sum()
             else:
                 c = c * total / c.sum()
-            _, plan = max_flow(r, c, mask)
+            _, plan = max_flow(r, c, np.nonzero(mask))
             full = completion(plan, r, c)
             assert np.allclose(full.sum(axis=1), r, atol=1e-9)
             assert np.allclose(full.sum(axis=0), c, atol=1e-9)
@@ -135,7 +135,7 @@ class TestProkhorov:
         eps = prokhorov_distance(d, mu, nu)
         assert eps == pytest.approx(0.2, abs=1e-12)
         # an optimal coupling: the flow on the eps-near pairs, completed
-        plan = completion(max_flow(mu, nu, d <= eps + 1e-12)[1], mu, nu)
+        plan = completion(max_flow(mu, nu, np.nonzero(d <= eps + 1e-12))[1], mu, nu)
         assert np.allclose(plan.sum(axis=1), mu)
         assert np.allclose(plan.sum(axis=0), nu)
         assert plan[d > eps + 1e-12].sum() <= eps + 1e-12
