@@ -15,12 +15,12 @@ must be pairwise compatible (a clique in the defect graph) and the retainable
 mass is a transportation max-flow, both of which change only at finitely many
 thresholds: the pairwise defect values and the mass breakpoints
 ``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this
-candidate set: a binary search, then a certificate (retained cells, and for
-space-level solves an optimal coupling).  The pair solver plugs in a
-maximum-weight clique, the space solver a flow over maximal cliques; it
-numbers the coupling cells once, row-major, and the defect matrix, the sweep,
-the flows (on a clique's row and column index lists) and the certificate all
-read that one numbering.
+candidate set: a binary search whose probes build the defect graph once each,
+as neighbour sets, then a certificate (retained cells, and for space-level
+solves an optimal coupling).  The pair solver plugs in a maximum-weight clique,
+the space solver a flow over maximal cliques; it numbers the coupling cells
+once, row-major, and the defect matrix, the sweep, the flows (on a clique's row
+and column index lists) and the certificate all read that one numbering.
 """
 
 from __future__ import annotations
@@ -90,13 +90,11 @@ class BoxResult:
 # clique machinery
 
 
-def _maximal_cliques(adj: np.ndarray):
-    """Yield maximal cliques of a boolean adjacency matrix (Bron-Kerbosch).
+def _maximal_cliques(neigh: list[set]):
+    """Yield maximal cliques of a graph given as neighbour sets (Bron-Kerbosch).
 
     Pivoting keeps the recursion small; iteration order is deterministic.
     """
-    n = adj.shape[0]
-    neigh = [set(np.flatnonzero(adj[v]).tolist()) - {v} for v in range(n)]
 
     def bk(r: set, p: set, x: set):
         if not p and not x:
@@ -108,13 +106,13 @@ def _maximal_cliques(adj: np.ndarray):
             p = p - {v}
             x = x | {v}
 
-    yield from bk(set(), set(range(n)), set())
+    yield from bk(set(), set(range(len(neigh))), set())
 
 
 def _max_weight_clique(
-    adj: np.ndarray, weights: np.ndarray, *, target: float | None = None
+    neigh: list[set], weights: np.ndarray, *, target: float | None = None
 ) -> tuple[float, tuple]:
-    """Branch-and-bound maximum-weight clique with deterministic tie-breaking.
+    """Branch-and-bound maximum-weight clique of a graph given as neighbour sets.
 
     Returns ``(mass, vertices)`` maximizing mass, then taking the
     lexicographically smallest vertex tuple among (near-)ties.  With
@@ -123,7 +121,6 @@ def _max_weight_clique(
     """
     n = len(weights)
     order = sorted(range(n), key=lambda v: -weights[v])
-    neigh = [set(np.flatnonzero(adj[v]).tolist()) - {v} for v in range(n)]
     best_mass = 0.0
     best_set: tuple = ()
     done = False
@@ -160,16 +157,14 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at):
     """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
 
     Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
-    EDGE_TOL``.  ``best_at(adj, target)`` returns ``(mass, cells)``, the
-    heaviest compatible cell set for the adjacency ``adj`` (it may stop once
-    ``target`` is reached).  The candidate tolerances are zero and the
+    EDGE_TOL``; ``adj_at(t)`` gives each cell's set of compatible cells, and
+    ``best_at(neigh, target)`` returns ``(mass, cells)``, a heaviest clique of
+    those sets (it may stop at ``target``).  The candidates are zero and the
     off-diagonal defects.  Returns ``(eps, best_at(adj_at(eps), None))``.
     """
 
-    def adj_at(t: float) -> np.ndarray:
-        adj = delta <= t + EDGE_TOL
-        np.fill_diagonal(adj, False)
-        return adj
+    def adj_at(t: float) -> list[set]:
+        return [set(np.flatnonzero(row).tolist()) - {a} for a, row in enumerate(delta <= t + EDGE_TOL)]
 
     off = delta[np.triu_indices(len(delta), k=1)]
     eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0])
@@ -186,18 +181,23 @@ def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float)
     """
     check_lambda(lam)
     w_all = np.asarray(weights, dtype=float)
+    d_all = np.asarray(delta, dtype=float)
+    if w_all.ndim != 1 or d_all.shape != (len(w_all), len(w_all)):
+        raise ValueError("defects must be a square matrix over the weights")
+    if not (np.isfinite(w_all).all() and (w_all >= 0.0).all()):
+        raise ValueError("weights must be finite and nonnegative")
+    if np.isnan(d_all).any():
+        raise ValueError("defects must not be NaN")
     support = np.flatnonzero(w_all > 0.0)
     if len(support) == 0:
         return 0.0, ()
-    d = np.maximum(np.asarray(delta, dtype=float), 0.0)[np.ix_(support, support)]
+    d = np.maximum(d_all, 0.0)[np.ix_(support, support)]
     w = w_all[support]
     m = float(w_all.sum())
-    if len(support) == 1:
-        return 0.0, (int(support[0]),)
     if lam == 0.0:
-        return float(d[np.triu_indices(len(support), k=1)].max()), tuple(int(i) for i in support)
+        return float(d[np.triu_indices(len(support), k=1)].max(initial=0.0)), tuple(int(i) for i in support)
     eps, (_, cells) = _defect_solve(
-        d, m, lam, lambda adj, target: _max_weight_clique(adj, w, target=target)
+        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target)
     )
     return eps, tuple(int(support[i]) for i in cells)
 
@@ -273,7 +273,7 @@ def _greedy_peel(delta: np.ndarray, weights: np.ndarray, lam: float, m: float) -
 
 
 def _best_flow_at(
-    adj: np.ndarray,
+    neigh: list[set],
     rows_of: np.ndarray,
     cols_of: np.ndarray,
     row_caps: np.ndarray,
@@ -281,14 +281,14 @@ def _best_flow_at(
     *,
     target: float | None = None,
 ):
-    """Max over maximal compatible cell sets of the transportation flow.
+    """Max over the maximal cliques of the cell graph ``neigh`` of the flow.
 
-    Cell ``c`` is ``(rows_of[c], cols_of[c])``; a clique goes to the flow as
-    those index lists.  Returns ``(mass, cells)``.  Deterministic: ties go to
-    the lexicographically smallest cell tuple.
+    ``neigh`` holds neighbour sets; cell ``c`` is ``(rows_of[c], cols_of[c])``
+    and a clique goes to the transportation flow as those index lists.
+    Returns ``(mass, cells)``; ties go to the lexicographically smallest cells.
     """
     best = (0.0, ())
-    for clique in _maximal_cliques(adj):
+    for clique in _maximal_cliques(neigh):
         rows = sorted({int(rows_of[c]) for c in clique})
         cols = sorted({int(cols_of[c]) for c in clique})
         ub = min(float(row_caps[rows].sum()), float(col_caps[cols].sum()))
@@ -319,7 +319,7 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     xs, ys = sx[rows_of], sy[cols_of]
     eps, (mass, cells) = _defect_solve(
         np.abs(X.dist[np.ix_(xs, xs)] - Y.dist[np.ix_(ys, ys)]), m, lam,
-        lambda adj, target: _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps, target=target),
+        lambda neigh, target: _best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, target=target),
     )
     if mass + lam * eps < m - 1e-9:
         raise InternalInvariantError("box certificate lost feasibility")

@@ -182,9 +182,9 @@ def spaces_equal(a: FiniteMMSpace, b: FiniteMMSpace, tol: float = MASS_TOL) -> b
 
 
 def scale_measure(space: FiniteMMSpace, alpha: float) -> FiniteMMSpace:
-    """Multiply every atom mass by ``alpha`` > 0, leaving distances untouched."""
-    if not (alpha > 0.0):
-        raise ValueError(f"measure scale factor must be positive, got {alpha}")
+    """Multiply every atom mass by a finite ``alpha`` > 0, leaving distances untouched."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"measure scale factor must be finite and positive, got {alpha}")
     return FiniteMMSpace(space.labels, space.weights * alpha, space.dist)
 
 
@@ -484,14 +484,13 @@ def write_space(path, space: FiniteMMSpace) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def read_space(path, *, check: bool = True) -> FiniteMMSpace:
+def read_space(path) -> FiniteMMSpace:
     """Read a space file; see :func:`write_space` for the schema.
 
-    With ``check`` (the default) invariant violations raise
-    :class:`InvalidSpaceError`; structural problems always raise
-    :class:`SpaceFormatError`.
+    Invariant violations raise :class:`InvalidSpaceError`; structural
+    problems raise :class:`SpaceFormatError`.
     """
-    return _parse_space(Path(path).read_bytes(), path, check=check)
+    return _parse_space(Path(path).read_bytes(), path, check=True)
 
 
 def _json_doc(data: bytes, path):

@@ -96,7 +96,7 @@ def lipschitz_up_to_check(
     np.fill_diagonal(ok, False)
     # maximum-mass subset that is pairwise admissible = max-weight clique
     if len(s) <= EXACT_CLIQUE_SUPPORT:
-        _, clique = _max_weight_clique(ok, X.weights[s])
+        _, clique = _max_weight_clique([set(np.flatnonzero(row).tolist()) for row in ok], X.weights[s])
     else:  # greedy peel: drop the endpoint with most violations
         alive = list(range(len(s)))
         while True:
@@ -204,7 +204,12 @@ class ConvergenceReport:
 
 
 def empirical_space(X: FiniteMMSpace, counts: np.ndarray) -> FiniteMMSpace:
-    """The empirical mm-space of sampled multiplicities (atoms merge)."""
+    """The empirical mm-space of sampled multiplicities (atoms merge): one
+    nonnegative whole count per point, with a positive total."""
+    counts = np.asarray(counts, dtype=float)
+    whole = counts.shape == (X.n,) and (counts >= 0.0).all() and (counts == np.round(counts)).all()
+    if not (whole and 0.0 < counts.sum() < np.inf):
+        raise ValueError("counts must be one nonnegative whole number per point, with a positive total")
     total = int(counts.sum())
     weights = counts / total * X.total_mass
     return FiniteMMSpace(X.labels, weights, X.dist)

@@ -99,6 +99,8 @@ def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
     dY = np.asarray(dY, dtype=float)
     fmap = _as_indices(fmap, "fmap", len(dY))
     gmap = _as_indices(gmap, "gmap", len(dY))
+    if fmap.shape != gmap.shape:
+        raise ValueError("fmap and gmap differ in length")
     gaps = dY[fmap, gmap]
     return me_lambda(gaps, np.zeros_like(gaps), weights, lam)
 
@@ -238,8 +240,13 @@ def lip_point_distance(f, target: Lip1Set, lam: float) -> float:
     ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D`` the set's closure;
     so the distance is the defect-clique optimum for the halved excess matrix.
     """
+    f = np.asarray(f, dtype=float)
+    if f.shape != target.weights.shape:
+        raise ValueError("f length does not match the set")
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
     s = target.support
-    f = np.asarray(f, dtype=float)[s]
+    f = f[s]
     delta = np.clip((np.abs(f[:, None] - f[None, :]) - target.closure) / 2.0, 0.0, None)
     np.fill_diagonal(delta, 0.0)
     eps, _ = smallest_eps_for_defects(delta, target.weights[s], lam)

@@ -133,6 +133,25 @@ def brute_best_flow(adj, rows_of, cols_of, row_caps, col_caps):
     return best, min(c for c in maximal if flow(c) >= best - 1e-12)
 
 
+def brute_max_weight_clique(neigh, weights, tie_tol=1e-12):
+    """Heaviest clique of a graph given as neighbour sets, by enumeration.
+
+    Returns ``(mass, cells)``: the largest clique mass, and among the
+    nonempty cliques whose mass is within ``tie_tol`` of it the
+    lexicographically smallest vertex tuple.
+    """
+    n = len(neigh)
+    cliques = [
+        c
+        for k in range(1, n + 1)
+        for c in combinations(range(n), k)
+        if all(b in neigh[a] for a, b in combinations(c, 2))
+    ]
+    mass = {c: float(sum(weights[v] for v in c)) for c in cliques}
+    best = max(mass.values())
+    return best, min(c for c in cliques if mass[c] >= best - tie_tol)
+
+
 #: the residual tolerance of ``transport.max_flow``
 _RESIDUAL_TOL = 1e-15
 

@@ -12,7 +12,7 @@ import pkgutil
 
 import mmdist
 
-MAX_DEFAULTED = 35
+MAX_DEFAULTED = 34
 
 
 def _defaulted(fn) -> list[str]:

@@ -17,10 +17,22 @@ from mmdist import (
     semidist_pair,
     smallest_eps_for_defects,
 )
-from mmdist.box import EDGE_TOL, _best_flow_at
+from mmdist.box import _TIE_TOL, EDGE_TOL, _best_flow_at, _max_weight_clique
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
-from oracles import brute_best_flow, brute_box_pair, brute_box_two_point_uniform, min_cut_value
+from oracles import (
+    brute_best_flow,
+    brute_box_pair,
+    brute_box_two_point_uniform,
+    brute_max_weight_clique,
+    min_cut_value,
+)
+
+
+def neighbour_sets(adj):
+    """Neighbour sets, the form the clique searches take, of a symmetric
+    boolean matrix with a false diagonal."""
+    return [set(np.flatnonzero(row).tolist()) for row in adj]
 
 
 def cross_pair(w, a, b):
@@ -113,6 +125,35 @@ class TestBoxPair:
             box_pair(pair, lam)
         with pytest.raises(ValueError):
             smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+    def test_one_positive_weight_keeps_that_index(self, lam):
+        # the other indices weigh nothing, so one point is kept at tolerance zero
+        delta = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        for i in range(3):
+            w = np.zeros(3)
+            w[i] = 0.75
+            assert smallest_eps_for_defects(delta, w, lam) == (0.0, (i,))
+
+    @pytest.mark.parametrize(
+        "delta,weights,match",
+        [
+            # a NaN defect raised InternalInvariantError
+            ([[0.0, np.nan], [np.nan, 0.0]], [0.5, 0.5], "defects"),
+            # weights of another length raised IndexError
+            ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.25, 0.25], "weights"),
+            ([[0.0, 1.0], [1.0, 0.0]], [0.5], "weights"),
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], [0.5, 0.5], "weights"),
+            # a negative weight cancelled the total and returned (0.0, (0,))
+            ([[0.0, 1.0], [1.0, 0.0]], [0.5, -0.5], "weights"),
+            ([[0.0, 1.0], [1.0, 0.0]], [0.5, np.nan], "weights"),
+            ([[0.0, 1.0], [1.0, 0.0]], [0.5, np.inf], "weights"),
+        ],
+    )
+    def test_bad_defect_input_rejected(self, delta, weights, match):
+        for lam in (0.0, 1.0):
+            with pytest.raises(ValueError, match=match):
+                smallest_eps_for_defects(np.array(delta), np.array(weights), lam)
 
     def test_size_limit_refusal(self):
         pair = cross_pair([0.5, 0.5], 1.0, 2.0)
@@ -313,6 +354,41 @@ class TestWitnessBound:
             assert box_upper_from_witness(Y, X, w) >= box_distance(Y, X, 1.0).value - 1e-9
 
 
+class TestMaxWeightClique:
+    """The branch-and-bound clique search against clique enumeration."""
+
+    @staticmethod
+    def instances():
+        # weights on a 1/16 grid (zeros included) so that ties are exact and common
+        rng = np.random.default_rng(44)
+        for n in range(1, 8):
+            for density in (0.2, 0.5, 0.8):
+                for _ in range(6):
+                    adj = np.triu(rng.random((n, n)) < density, k=1)
+                    neigh = neighbour_sets(adj | adj.T)
+                    yield neigh, rng.integers(0, 17, size=n) / 16.0
+
+    def test_matches_clique_enumeration(self):
+        for neigh, weights in self.instances():
+            mass, cells = _max_weight_clique(neigh, weights)
+            want_mass, want_cells = brute_max_weight_clique(neigh, weights, _TIE_TOL)
+            assert mass == pytest.approx(want_mass, abs=1e-12)
+            assert cells == want_cells
+
+    def test_target_stops_at_a_witness(self):
+        rng = np.random.default_rng(45)
+        for neigh, weights in self.instances():
+            full = _max_weight_clique(neigh, weights)
+            target = float(rng.integers(1, 33)) / 16.0
+            mass, cells = _max_weight_clique(neigh, weights, target=target)
+            if full[0] < target:  # never reached: the whole search runs
+                assert (mass, cells) == full
+                continue
+            assert mass >= target
+            assert all(b in neigh[a] for a in cells for b in cells if a != b)
+            assert mass == pytest.approx(float(weights[list(cells)].sum()), abs=1e-12)
+
+
 class TestBestFlowAt:
     """The clique sweep of the exact space solver against clique enumeration."""
 
@@ -334,7 +410,7 @@ class TestBestFlowAt:
 
     def test_matches_clique_enumeration(self):
         for adj, rows_of, cols_of, row_caps, col_caps in self.instances():
-            mass, cells = _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps)
+            mass, cells = _best_flow_at(neighbour_sets(adj), rows_of, cols_of, row_caps, col_caps)
             want_mass, want_cells = brute_best_flow(adj, rows_of, cols_of, row_caps, col_caps)
             assert mass == pytest.approx(want_mass, abs=1e-12)
             assert cells == want_cells
@@ -342,9 +418,10 @@ class TestBestFlowAt:
     def test_target_stops_at_a_witness(self):
         rng = np.random.default_rng(42)
         for adj, rows_of, cols_of, row_caps, col_caps in self.instances():
-            full = _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps)
+            neigh = neighbour_sets(adj)
+            full = _best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps)
             target = float(rng.integers(1, 17)) / 16.0
-            mass, cells = _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps, target=target)
+            mass, cells = _best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, target=target)
             if full[0] < target:  # never reached: the whole sweep runs
                 assert (mass, cells) == full
                 continue

@@ -148,7 +148,8 @@ class TestScaleMeasure:
         back = scale_measure(scale_measure(X, 3.7), 1 / 3.7)
         assert np.max(np.abs(back.weights - X.weights)) <= 1e-12
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    # alpha = inf gave infinite weights, which validate rejects
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
     def test_nonpositive_alpha_rejected(self, alpha):
         with pytest.raises(ValueError):
             scale_measure(two_point(), alpha)

@@ -219,6 +219,23 @@ class TestEmpiricalConvergence:
         emp = empirical_space(X, np.array([5, 5]))
         assert box_distance(emp, X, 1.0).value == 0.0
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [0, 0],  # NaN weights and a RuntimeWarning
+            [0.5, 0.4],  # inf weights: the total truncated to zero
+            [3, -1],  # a negative weight
+            [1, 2, 3],  # a weight vector of the wrong length
+            [4],
+            [1, np.nan],
+        ],
+    )
+    def test_bad_counts_rejected(self, counts):
+        from mmdist.limits import empirical_space
+
+        with pytest.raises(ValueError, match="counts"):
+            empirical_space(two_point(), np.array(counts, dtype=float))
+
     def test_two_point_trend(self):
         # seed chosen so the first draw is imperfect; a perfect small draw
         # (distance zero) makes a strict decrease impossible by definition

@@ -117,6 +117,12 @@ class TestMeLambda:
         d5 = np.array([[0.0, 5.0], [5.0, 0.0]])
         assert me_lambda_maps([0, 0], [1, 0], [0.2, 0.8], d5, 1.0) == pytest.approx(0.2)
 
+    def test_maps_of_different_lengths_rejected(self):
+        # the one-entry map was broadcast against the other and gave 0.5
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="length"):
+            me_lambda_maps([0, 1], [1], [0.5, 0.5], d, 1.0)
+
 
 class TestProjection:
     def test_lipschitz_input_is_fixed(self):
@@ -254,6 +260,20 @@ class TestPointDistance:
         for _ in range(10):
             f = lset.sample(rng)
             assert lip_point_distance(f, lset, 0.7) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "f,match",
+        [
+            ([0.0, 1.0], "length"),  # raised IndexError
+            ([0.0, 1.0, 2.0, 3.0], "length"),
+            ([0.0, np.nan, 1.0], "finite"),  # raised InternalInvariantError
+            ([0.0, np.inf, 1.0], "finite"),
+        ],
+    )
+    def test_bad_function_rejected(self, f, match):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=match):
+            lip_point_distance(f, Lip1Set(d, np.ones(3)), 1.0)
 
 
 class TestHliPair:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import mmdist
+import mmdist.cli  # noqa: F401  (the tracer wraps cli.main, so it must be loaded)
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -109,6 +110,19 @@ def test_heuristic_box_layers_fire():
     counts = tracer.layer_counts()
     for layer in ("core.pullback_pair.calls", "box.max_weight_clique.calls"):
         assert counts[layer] > 0, layer
+
+
+def test_lipschitz_check_clique_layer_fires():
+    # the one call of the clique search from outside the box module: the
+    # tracer must replace the name that limits imported too
+    X = mmdist.mm_space([0.25, 0.25, 0.5], [[0, 1, 1.5], [1, 0, 1.25], [1.5, 1.25, 0]])
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        mmdist.lipschitz_up_to_check(X, X, [0, 1, 1], 1.0, 0.5)
+    finally:
+        tracer.remove()
+    assert tracer.layer_counts()["box.max_weight_clique.calls"] == 1
 
 
 def test_prokhorov_flow_layers_fire():
