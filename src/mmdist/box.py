@@ -20,7 +20,9 @@ as neighbour sets, then a certificate (retained cells, and for space-level
 solves an optimal coupling).  The pair solver plugs in a maximum-weight clique,
 the space solver a flow over maximal cliques; it numbers the coupling cells
 once, row-major, and the defect matrix, the sweep, the flows (on a clique's row
-and column index lists) and the certificate all read that one numbering.
+and column index lists) and the certificate all read that one numbering.  The
+flow sweep prunes subtrees of the clique search by a flow bound
+(:func:`_flow_bound`) against the best flow so far or the probe's target.
 """
 
 from __future__ import annotations
@@ -90,13 +92,18 @@ class BoxResult:
 # clique machinery
 
 
-def _maximal_cliques(neigh: list[set]):
+def _maximal_cliques(neigh: list[set], keep):
     """Yield maximal cliques of a graph given as neighbour sets (Bron-Kerbosch).
 
     Pivoting keeps the recursion small; iteration order is deterministic.
+    ``keep(cells)`` is asked at every node of the recursion with the set
+    ``r | p``, which contains every clique below that node; a false answer
+    skips the node's subtree, and the other cliques come in the same order.
     """
 
     def bk(r: set, p: set, x: set):
+        if not keep(r | p):
+            return
         if not p and not x:
             yield tuple(sorted(r))
             return
@@ -158,9 +165,12 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at):
 
     Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
     EDGE_TOL``; ``adj_at(t)`` gives each cell's set of compatible cells, and
-    ``best_at(neigh, target)`` returns ``(mass, cells)``, a heaviest clique of
-    those sets (it may stop at ``target``).  The candidates are zero and the
-    off-diagonal defects.  Returns ``(eps, best_at(adj_at(eps), None))``.
+    ``best_at(neigh, target)`` returns ``(mass, cells)``: with ``target``
+    None, a heaviest clique of those sets; with a ``target``, a clique whose
+    mass reaches ``target`` if one does, and otherwise one below it, maybe
+    below the heaviest, since a probe compares the mass with ``target`` only.
+    The candidates are zero and the off-diagonal defects.  Returns ``(eps,
+    best_at(adj_at(eps), None))``.
     """
 
     def adj_at(t: float) -> list[set]:
@@ -272,6 +282,21 @@ def _greedy_peel(delta: np.ndarray, weights: np.ndarray, lam: float, m: float) -
 # spaces
 
 
+def _flow_bound(cells, rows: list, cols: list, r_cap: list, c_cap: list) -> float:
+    """Upper bound on the flow through ``cells``, nondecreasing as cells are added.
+
+    Row ``i`` routes at most ``min(r_i, sum of c_j over the columns the cells
+    admit in row i)``, and column ``j`` likewise; the bound is the smaller of
+    the row sum and the column sum of these.
+    """
+    row_reach = [0.0] * len(r_cap)
+    col_reach = [0.0] * len(c_cap)
+    for c in cells:
+        row_reach[rows[c]] += c_cap[cols[c]]
+        col_reach[cols[c]] += r_cap[rows[c]]
+    return min(sum(map(min, r_cap, row_reach)), sum(map(min, c_cap, col_reach)))
+
+
 def _best_flow_at(
     neigh: list[set],
     rows_of: np.ndarray,
@@ -286,15 +311,24 @@ def _best_flow_at(
     ``neigh`` holds neighbour sets; cell ``c`` is ``(rows_of[c], cols_of[c])``
     and a clique goes to the transportation flow as those index lists.
     Returns ``(mass, cells)``; ties go to the lexicographically smallest cells.
+
+    A subtree of the clique search, or a clique, whose :func:`_flow_bound` is
+    below ``max(best mass, target)`` less the tie tolerance is skipped: no
+    clique in it can become the best or reach the target.  So without
+    ``target`` the result is the full sweep's, and with it the sweep stops at
+    the full sweep's first witness; if no clique reaches ``target``, ``mass``
+    is the flow of ``cells`` and may be below the full sweep's mass.
     """
+    rows, cols = rows_of.tolist(), cols_of.tolist()
+    r_cap, c_cap = row_caps.tolist(), col_caps.tolist()
     best = (0.0, ())
-    for clique in _maximal_cliques(neigh):
-        rows = sorted({int(rows_of[c]) for c in clique})
-        cols = sorted({int(cols_of[c]) for c in clique})
-        ub = min(float(row_caps[rows].sum()), float(col_caps[cols].sum()))
-        if ub < best[0] - _TIE_TOL:
-            continue
-        value = max_flow_value(row_caps, col_caps, (rows_of[list(clique)], cols_of[list(clique)]))
+
+    def keep(cells: set) -> bool:
+        floor = best[0] if target is None else max(best[0], target)
+        return _flow_bound(cells, rows, cols, r_cap, c_cap) >= floor - _TIE_TOL
+
+    for clique in _maximal_cliques(neigh, keep):
+        value = max_flow_value(r_cap, c_cap, ([rows[c] for c in clique], [cols[c] for c in clique]))
         if value > best[0] + _TIE_TOL or (
             value >= best[0] - _TIE_TOL and (best[1] == () or clique < best[1])
         ):

@@ -328,7 +328,8 @@ class SemiDistancePair:
 
     The triangle inequality is deliberately not required: instances arise as
     pullbacks of metrics onto coupling cells (those do satisfy it) but the
-    solvers only rely on symmetry and the zero diagonal.
+    solvers only rely on symmetry and the zero diagonal.  Construction runs
+    :func:`validate_pair` and raises ``ValueError`` naming every violation.
     """
 
     weights: np.ndarray
@@ -340,6 +341,9 @@ class SemiDistancePair:
         object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "d1", _readonly(self.d1))
         object.__setattr__(self, "d2", _readonly(self.d2))
+        report = validate_pair(self)
+        if not report.ok:
+            raise ValueError("; ".join(report.violations))
 
     @property
     def n(self) -> int:
@@ -355,6 +359,8 @@ class SemiDistancePair:
 
 
 def validate_pair(pair: SemiDistancePair) -> ValidationReport:
+    if pair.weights.ndim != 1:
+        return ValidationReport(("weights must be a vector",))
     v = []
     n = pair.n
     for name, d in (("d1", pair.d1), ("d2", pair.d2)):
@@ -378,11 +384,7 @@ def validate_pair(pair: SemiDistancePair) -> ValidationReport:
 
 
 def semidist_pair(weights, d1, d2) -> SemiDistancePair:
-    pair = SemiDistancePair(np.asarray(weights, float), np.asarray(d1, float), np.asarray(d2, float))
-    report = validate_pair(pair)
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
-    return pair
+    return SemiDistancePair(weights, d1, d2)
 
 
 def pullback_pair(

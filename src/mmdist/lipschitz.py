@@ -131,6 +131,8 @@ class Lip1Set:
     Functions are considered on the support only and pinned to zero at the
     first support point; adding constants never leaves the set, so all
     distances computed against it optimize over translations implicitly.
+    ``dist`` must be square over the weights and free of NaN, and the
+    weights nonnegative (``ValueError`` otherwise).
     """
 
     dist: np.ndarray
@@ -140,6 +142,15 @@ class Lip1Set:
         # read-only copies: the cached closure must keep describing ``dist``
         object.__setattr__(self, "dist", _readonly(self.dist))
         object.__setattr__(self, "weights", _readonly(self.weights))
+        if self.weights.ndim != 1:
+            raise ValueError("weights must be a vector")
+        n = len(self.weights)
+        if self.dist.shape != (n, n):
+            raise ValueError(f"dist has shape {self.dist.shape}, expected ({n}, {n})")
+        if not (self.weights >= 0.0).all():
+            raise ValueError("weights must be nonnegative and not NaN")
+        if np.isnan(self.dist).any():
+            raise ValueError("dist must not be NaN")
 
     @property
     def support(self) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Everything here is computed straight from definitions (subset enumeration,
 dense parameter grids, LP formulations, min-cut formulas) and shares no code
-path with the solvers under test.  The one exception is
-:func:`brute_witness`, which checks only the order of a search: it scores
-every map with the solver's own Prokhorov and defect-clique routines.
+path with the solvers under test.  The two exceptions check only what a
+search skips: :func:`brute_witness` scores every map with the solver's own
+Prokhorov and defect-clique routines, and :func:`reference_best_flow_at`
+runs the exact box solver's clique sweep with no branch-and-bound cut.
 """
 
 from itertools import combinations, permutations, product
@@ -131,6 +132,34 @@ def brute_best_flow(adj, rows_of, cols_of, row_caps, col_caps):
         c for c in cliques if not any(all(adj[v, u] for u in c) for v in range(n) if v not in c)
     ]
     return best, min(c for c in maximal if flow(c) >= best - 1e-12)
+
+
+def reference_best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, *, target=None):
+    """The clique sweep of ``mmdist.box._best_flow_at`` without its subtree cut.
+
+    Every maximal clique is enumerated; a clique is skipped only when its
+    row or column capacities cannot beat the best flow so far.  It takes the
+    solver's arguments; without ``target``, or with a reached one, the solver
+    must return what it returns.
+    """
+    from mmdist.box import _TIE_TOL, _maximal_cliques
+    from mmdist.transport import max_flow_value
+
+    best = (0.0, ())
+    for clique in _maximal_cliques(neigh, lambda cells: True):
+        rows = sorted({int(rows_of[c]) for c in clique})
+        cols = sorted({int(cols_of[c]) for c in clique})
+        ub = min(float(row_caps[rows].sum()), float(col_caps[cols].sum()))
+        if ub < best[0] - _TIE_TOL:
+            continue
+        value = max_flow_value(row_caps, col_caps, (rows_of[list(clique)], cols_of[list(clique)]))
+        if value > best[0] + _TIE_TOL or (
+            value >= best[0] - _TIE_TOL and (best[1] == () or clique < best[1])
+        ):
+            best = (max(best[0], value), clique)
+        if target is not None and best[0] >= target:
+            break
+    return best
 
 
 def brute_max_weight_clique(neigh, weights, tie_tol=1e-12):

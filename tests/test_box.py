@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from mmdist import (
     semidist_pair,
     smallest_eps_for_defects,
 )
-from mmdist.box import _TIE_TOL, EDGE_TOL, _best_flow_at, _max_weight_clique
+from mmdist import box as box_module
+from mmdist.box import _TIE_TOL, EDGE_TOL, _best_flow_at, _flow_bound, _max_weight_clique
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
 from oracles import (
@@ -26,6 +29,7 @@ from oracles import (
     brute_box_two_point_uniform,
     brute_max_weight_clique,
     min_cut_value,
+    reference_best_flow_at,
 )
 
 
@@ -416,21 +420,75 @@ class TestBestFlowAt:
             assert cells == want_cells
 
     def test_target_stops_at_a_witness(self):
+        # the pruned sweep decides "some clique reaches target" as the full
+        # sweep does; a reached target gives the full sweep's witness, an
+        # unreached one a clique and its flow, maybe below the full mass
         rng = np.random.default_rng(42)
         for adj, rows_of, cols_of, row_caps, col_caps in self.instances():
             neigh = neighbour_sets(adj)
-            full = _best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps)
+            args = (neigh, rows_of, cols_of, row_caps, col_caps)
+            full = reference_best_flow_at(*args)
             target = float(rng.integers(1, 17)) / 16.0
-            mass, cells = _best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, target=target)
-            if full[0] < target:  # never reached: the whole sweep runs
-                assert (mass, cells) == full
+            mass, cells = _best_flow_at(*args, target=target)
+            assert (mass >= target) == (full[0] >= target)
+            if mass >= target:
+                assert (mass, cells) == reference_best_flow_at(*args, target=target)
                 continue
-            # a witness: a maximal clique whose own flow reaches the target
-            assert mass >= target
-            sub = adj[np.ix_(cells, cells)]
-            assert sub.sum() == len(cells) * (len(cells) - 1)
-            outside = [v for v in range(len(adj)) if v not in cells]
-            assert not any(adj[v, list(cells)].all() for v in outside)
+            assert mass <= full[0]
+            assert all(b in neigh[a] for a in cells for b in cells if a != b)
             mask = np.zeros((len(row_caps), len(col_caps)), dtype=bool)
             mask[rows_of[list(cells)], cols_of[list(cells)]] = True
             assert mass == pytest.approx(min_cut_value(row_caps, col_caps, mask), abs=1e-12)
+
+    def test_flow_bound_is_monotone_and_above_the_flow(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            nr, nc = (int(k) for k in rng.integers(1, 5, size=2))
+            rows, cols = (a.tolist() for a in np.divmod(np.arange(nr * nc), nc))
+            r_cap = (rng.integers(0, 5, size=nr) / 4.0).tolist()  # zeros included
+            c_cap = (rng.integers(0, 5, size=nc) / 4.0).tolist()
+            cells = [c for c in range(nr * nc) if rng.random() < 0.5]
+            mask = np.zeros((nr, nc), dtype=bool)
+            mask[[rows[c] for c in cells], [cols[c] for c in cells]] = True
+            bound = _flow_bound(cells, rows, cols, r_cap, c_cap)
+            assert bound >= min_cut_value(r_cap, c_cap, mask) - 1e-12
+            assert _flow_bound(cells[1:], rows, cols, r_cap, c_cap) <= bound
+
+
+def exact_corpus():
+    """46 seeded exact-box instances: n x n for n = 3..6 at lam = 0, 0.5, 1.
+
+    Weights lie on a 1/16 grid and distances on a 1/4 grid in [1, 2], so
+    flows, defects and ties are exact.  Each (n, lam) has a pair with a
+    zero-weight point and a space against a relabelled copy, and all but
+    (6, 0), whose unpruned sweeps take about a second, a pair with equal
+    totals and one with unequal totals.
+    """
+    rng = np.random.default_rng(2016)
+
+    def space(weights):
+        n = len(weights)
+        d = np.triu(rng.integers(4, 9, size=(n, n)) / 4.0, 1)
+        return mm_space(weights, d + d.T)
+
+    for n in range(3, 7):
+        for lam in (0.0, 0.5, 1.0):
+            w = rng.integers(1, 17, size=n) / 16.0
+            X = space(w)
+            Y_equal = space(rng.permutation(w))
+            Y_unequal = space(rng.integers(1, 17, size=n) / 16.0)
+            if n < 6 or lam > 0.0:
+                yield X, Y_equal, lam
+                yield X, Y_unequal, lam
+            w0 = w.copy()
+            w0[rng.integers(n)] = 0.0
+            yield space(w0), space(rng.permutation(w)), lam
+            yield X, shuffled_copy(rng, X)[0], lam
+
+
+def test_exact_reports_match_the_unpruned_sweep(monkeypatch):
+    cases = list(exact_corpus())
+    got = [json.dumps(box_distance(X, Y, lam).to_jsonable()) for X, Y, lam in cases]
+    monkeypatch.setattr(box_module, "_best_flow_at", reference_best_flow_at)
+    want = [json.dumps(box_distance(X, Y, lam).to_jsonable()) for X, Y, lam in cases]
+    assert got == want

@@ -5,12 +5,16 @@ was reorganised; any change to the clique sweep, the flow plan or the
 heuristic scoring that alters a certificate shows here, even when the value
 stays the same.  The unequal-mass cases, with either space heavier, freeze
 the scale-and-gap rule of ``box_distance``, ``observable_distance`` and
-``box_upper_from_witness`` in the same way.
+``box_upper_from_witness`` in the same way.  The two seeded pairs at scale
+were frozen before the clique sweep pruned by its flow bound; their tests also
+count the maximal cliques the sweeps yield.
 """
 
+import numpy as np
 import pytest
 
-from mmdist import Witness, box_distance, box_upper_from_witness, mm_space, observable_distance
+from mmdist import Witness, box, box_distance, box_upper_from_witness, mm_space, observable_distance
+from mmdist.instances import random_space
 
 D3A = [[0, 1.0, 1.5], [1.0, 0, 1.25], [1.5, 1.25, 0]]
 D3B = [[0, 1.75, 1.0], [1.75, 0, 1.5], [1.0, 1.5, 0]]
@@ -161,6 +165,80 @@ def test_certificate_is_frozen(name):
     x, y, lam, mode, expected = CASES[name]
     res = box_distance(mm_space(*x), mm_space(*y), lam, mode, seed=0)
     assert res.to_jsonable() == expected
+
+
+#: seeded pairs ``random_space(default_rng(5), min_points=n, max_points=n)``,
+#: drawn twice: (n, lam, report)
+SCALE_CASES = {
+    "7x7 lam=0": (
+        7, 0.0,
+        {
+            "value": 2.3099999999999996,
+            "mode": "exact",
+            "certificate": {
+                "cells": [
+                    [0, 3], [0, 5], [1, 0], [1, 2], [2, 2], [2, 5], [2, 6], [3, 1], [3, 6],
+                    [4, 0], [5, 1], [6, 2], [6, 4],
+                ],
+                "retained_mass": 3.8000000000000003,
+                "pair_value": 1.41,
+                "mass_gap": 0.8999999999999999,
+                "coupling": [
+                    [0.0, 0.0, 0.0, 0.5659574468085107, 0.0, 0.1340425531914894, 0.0],
+                    [0.07340425531914896, 0.0, 0.07659574468085106, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.15531914893617027, 0.0, 0.0, 0.06808510638297871, 0.676595744680851],
+                    [0.0, 0.25851063829787235, 0.0, 0.0, 0.0, 0.0, 0.09148936170212768],
+                    [0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.55, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.5765957446808511, 0.0, 0.32340425531914896, 0.0, 0.0],
+                ],
+            },
+        },
+    ),
+    "8x8 lam=1": (
+        8, 1.0,
+        {
+            "value": 1.110000000000001,
+            "mode": "exact",
+            "certificate": {
+                "cells": [[5, 0], [4, 1], [6, 3], [2, 4], [1, 5], [7, 6], [3, 7]],
+                "retained_mass": 2.4,
+                "pair_value": 0.6100000000000001,
+                "mass_gap": 0.5000000000000009,
+                "coupling": [
+                    [0.042857142857142844, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.07142857142857129, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0],
+                    [0.021428571428571686, 0.0, 0.05, 0.0, 0.2, 0.0, 0.0, 0.028571428571428234],
+                    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3857142857142856],
+                    [0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.014285714285714013],
+                    [0.21428571428571422, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.2714285714285713],
+                    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.09999999999999992],
+                ],
+            },
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALE_CASES))
+def test_certificate_at_scale_is_frozen(name, monkeypatch):
+    n, lam, expected = SCALE_CASES[name]
+    swept = []
+    sweep = box._maximal_cliques
+
+    def counted(*args, **kwargs):
+        for clique in sweep(*args, **kwargs):
+            swept.append(clique)
+            yield clique
+
+    monkeypatch.setattr(box, "_maximal_cliques", counted)
+    rng = np.random.default_rng(5)
+    X = random_space(rng, min_points=n, max_points=n)
+    Y = random_space(rng, min_points=n, max_points=n)
+    assert box_distance(X, Y, lam).to_jsonable() == expected
+    # without the flow-bound cut the sweeps yield 270,266 (7x7) and 65,445 (8x8) cliques
+    assert len(swept) < 10_000
 
 
 LIGHT = ([0.25, 0.25, 0.5], D3A)

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,11 @@ from mmdist import (
     SemiDistancePair,
     SpaceFormatError,
     Witness,
+    box_pair,
     box_upper_from_witness,
     coupling_from_matrix,
     diagonal_coupling,
+    hli_lambda,
     k_r,
     lipschitz_up_to_check,
     matching_coupling,
@@ -300,11 +303,23 @@ class TestSemidistPair:
             ([0.5, 0.5], [[0.3, 1.0], [1.0, 0.0]], D, "d1 has nonzero diagonal"),
             ([0.5, 0.5], D, [[0.0, -1.0], [-1.0, 0.0]], "d2 has negative entries"),
             ([-0.5, 1.5], D, D, "negative cell mass"),
+            (0.5, [[0.0]], [[0.0]], "weights must be a vector"),  # raised TypeError
+            ([[0.5]], [[0.0]], [[0.0]], "weights must be a vector"),  # was accepted
         ],
     )
     def test_malformed_pair_reported(self, weights, d1, d2, message):
-        report = validate_pair(SemiDistancePair(weights, d1, d2))
-        assert any(message in v for v in report.violations), report.violations
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SemiDistancePair(weights, d1, d2)
+
+    def test_directly_built_pair_is_checked(self):
+        # box_pair(heuristic) answered 0.0, and hli_lambda exact0 answered
+        # inf tagged exact, for these pairs built without semidist_pair
+        with pytest.raises(ValueError, match="negative cell mass"):
+            box_pair(SemiDistancePair([0.5, -0.5], self.D, self.D), 1.0, "heuristic")
+        inf = [[0.0, np.inf], [np.inf, 0.0]]
+        with pytest.raises(ValueError, match="d1 contains non-finite entries"):
+            hli_lambda(SemiDistancePair([1.0, 1.0], inf, self.D), 0.0)
+        assert validate_pair(SemiDistancePair([1.0, 1.0], self.D, self.D)).ok
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):

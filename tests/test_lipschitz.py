@@ -276,6 +276,22 @@ class TestPointDistance:
             lip_point_distance(f, Lip1Set(d, np.ones(3)), 1.0)
 
 
+    @pytest.mark.parametrize(
+        "dist,weights,match",
+        [
+            ([[0.0, 1.0]], [1.0, 1.0], "shape"),  # raised IndexError
+            (np.zeros((3, 3)), [1.0, 1.0], "shape"),  # answered 1.0
+            ([[0.0, 1.0], [1.0, 0.0]], [-1.0, 1.0], "weights"),  # answered 0.0
+            ([[0.0, 1.0], [1.0, 0.0]], [np.nan, 1.0], "weights"),  # answered 0.0
+            ([[0.0, np.nan], [np.nan, 0.0]], [1.0, 1.0], "NaN"),
+            ([[0.0]], 1.0, "vector"),  # raised TypeError
+        ],
+    )
+    def test_bad_set_rejected(self, dist, weights, match):
+        with pytest.raises(ValueError, match=match):
+            lip_point_distance([0.0, 5.0], Lip1Set(dist, weights), 1.0)
+
+
 class TestHliPair:
     def test_identical_semimetrics(self):
         pair = semidist_pair([0.5, 0.5], [[0, 1], [1, 0]], [[0, 1], [1, 0]])
