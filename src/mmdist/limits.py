@@ -5,7 +5,8 @@ on a fixed finite space, searches for almost-isometry witnesses (a point map,
 a retained subset and one tolerance bounding discarded mass, distortion and
 the pushforward's Prokhorov gap simultaneously), runs empirical-measure
 convergence experiments against the box distance, and probes Lipschitz
-domination and homogeneity, which are stable under box convergence.
+domination and homogeneity, which are stable under box convergence, with the
+one depth-first search over point maps, :func:`mmdist.matrixdist._point_maps`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .box import _max_weight_clique, box_distance, box_upper_from_witness, small
 from .core import FiniteMMSpace, Witness, _as_indices, check_lambda, check_max_cells
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
-from .matrixdist import _isomorphisms
+from .matrixdist import _isomorphisms, _point_maps
 from .transport import prokhorov_distance
 
 __all__ = [
@@ -82,6 +83,9 @@ def lipschitz_up_to_check(
     Returns the maximal-mass subset on which the inequality holds pairwise
     (an exact clique search at desk scale, greedy peeling beyond
     :data:`EXACT_CLIQUE_SUPPORT`), or ``None`` when its complement is too heavy.
+    A greedy set is still certified admissible, but a greedy ``None`` says only
+    that the greedy set's complement is too heavy, not that every admissible
+    set's complement is.
     """
     check_lambda(lam)
     if not 0.0 <= eps < np.inf:
@@ -117,12 +121,6 @@ def lipschitz_up_to_check(
 # witness search
 
 
-def _distortion_matrix(Xn, X, p, sn):
-    dn = Xn.dist[np.ix_(sn, sn)]
-    dx = X.dist[np.ix_(p, p)]
-    return np.abs(dn - dx)
-
-
 def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Witness:
     """Best almost-isometry witness from ``Xn`` to ``X``.
 
@@ -152,7 +150,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         prok = prokhorov_distance(X.dist, nu, X.weights)
         if prok >= best_obj:
             return prok, ()
-        delta = _distortion_matrix(Xn, X, p, sn)
+        delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
         eps_pair, cells = smallest_eps_for_defects(delta, Xn.weights[sn], 1.0)
         return max(eps_pair, prok), cells
 
@@ -300,9 +298,10 @@ class DominationCertificate:
 def domination_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> DominationCertificate | None:
     """Search for a Lipschitz domination certificate from ``X`` onto ``Y``.
 
-    The mass ratio is forced to ``c = m_X / m_Y``; backtracking assigns
-    support points of ``X`` with 1-Lipschitz pruning and pushforward mass
-    accounting.  Returns ``None`` after exhaustion.
+    The mass ratio is forced to ``c = m_X / m_Y``.  :func:`_point_maps`
+    places the support of ``X`` in order, keeping placements that fit the
+    budget ``c * w_Y`` and expand no distance to a placed point; the first
+    map that fills the budget is returned, ``None`` after exhaustion.
     """
     sx, sy = X.support, Y.support
     if len(sx) > DOMINATION_MAX_SUPPORT or len(sy) > DOMINATION_MAX_SUPPORT:
@@ -314,36 +313,23 @@ def domination_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> DominationCertifica
     if c < 1.0 - 1e-12:
         return None
     budget = c * Y.weights
-    dX = X.dist
-    dY = Y.dist
-    assign = np.full(X.n, -1, dtype=int)
-    pushed = np.zeros(Y.n)
+    wX, dX, dY = X.weights.tolist(), X.dist.tolist(), Y.dist.tolist()
+    room = (budget + 1e-9).tolist()
 
-    def backtrack(k: int) -> bool:
-        if k == len(sx):
-            return bool(np.max(np.abs(pushed - budget)) <= 1e-9)
-        i = sx[k]
-        for j in sy:
-            if pushed[j] + X.weights[i] > budget[j] + 1e-9:
-                continue
-            ok = True
-            for prev in sx[:k]:
-                if dY[j, assign[prev]] > dX[i, prev] + 1e-12:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[i] = j
-            pushed[j] += X.weights[i]
-            if backtrack(k + 1):
-                return True
-            pushed[j] -= X.weights[i]
-            assign[i] = -1
-        return False
+    def fits(p, placed, i, j):
+        load = 0.0
+        for a in placed:
+            if p[a] == j:
+                load += wX[a]
+            if dY[j][p[a]] > dX[i][a] + 1e-12:
+                return False
+        return load + wX[i] <= room[j]
 
-    if not backtrack(0):
-        return None
-    return DominationCertificate(assign, c)
+    for p in _point_maps(X.n, sx.tolist(), sy.tolist(), fits):
+        pushed = np.bincount(p[sx], weights=X.weights[sx], minlength=Y.n)
+        if np.max(np.abs(pushed - budget)) <= 1e-9:
+            return DominationCertificate(p, c)
+    return None
 
 
 def compose_domination(

@@ -5,7 +5,7 @@ pairwise distance matrix pushes the ``r``-fold product measure onto a finite
 distribution over ``r x r`` matrices.  These distributions are computed
 exactly by enumeration, approximated empirically, and compared across spaces:
 they determine a space up to measure-preserving isometry of supports, which
-an explicit backtracking search certifies independently.
+the one depth-first search over point maps, :func:`_point_maps`, certifies.
 
 Matrices are compared after entrywise rounding at 1e-12.  A distribution
 stores its distinct matrices as the rows of one array, flattened row-major
@@ -184,11 +184,37 @@ def total_variation(a: MatrixDistribution, b: MatrixDistribution) -> float:
 # isomorphism
 
 
+def _point_maps(n: int, sources, targets, fits):
+    """Yield every point map that places ``sources`` one by one onto ``targets``.
+
+    The ``d``-th source ``i`` tries the targets in order and keeps ``j`` only
+    when ``fits(p, placed, i, j)`` holds, where ``placed`` lists the first
+    ``d`` sources and ``p[a]`` is the target of each (entries off ``placed``
+    are stale).  Maps come out as length-``n`` index arrays, -1 off
+    ``sources``, in lexicographic order of their targets along ``sources``.
+    ``fits`` runs once per tried placement, so callers hand it Python lists,
+    which index faster than numpy arrays one scalar at a time.
+    """
+    p = [-1] * n
+
+    def extend(d: int):
+        if d == len(sources):
+            yield np.array(p)
+            return
+        i, placed = sources[d], sources[:d]
+        for j in targets:
+            if fits(p, placed, i, j):
+                p[i] = j
+                yield from extend(d + 1)
+
+    yield from extend(0)
+
+
 def _isomorphisms(X: FiniteMMSpace, Y: FiniteMMSpace):
     """Yield every weight- and distance-preserving bijection between the supports.
 
-    Backtracking over weight classes with distance-profile pruning; each map
-    is full-length (non-support entries -1).
+    :func:`_point_maps` places the support of ``X`` by weight class, then
+    distance profile, for pruning; each map is full-length (-1 off support).
     """
     sx, sy = X.support, Y.support
     if len(sx) != len(sy):
@@ -202,34 +228,18 @@ def _isomorphisms(X: FiniteMMSpace, Y: FiniteMMSpace):
     dy = Y.dist[np.ix_(sy, sy)]
     if np.max(np.abs(np.sort(dx.ravel()) - np.sort(dy.ravel()))) > _TOL:
         return
-    k = len(sx)
-    # order source points by weight class then distance profile, for pruning
-    order = sorted(range(k), key=lambda i: (wx[i], tuple(np.sort(dx[i]))))
-    assigned = np.full(k, -1, dtype=int)
-    used = np.zeros(k, dtype=bool)
+    order = sorted(range(len(sx)), key=lambda i: (wx[i], tuple(np.sort(dx[i]))))
+    wX, wY, dX, dY = X.weights.tolist(), Y.weights.tolist(), X.dist.tolist(), Y.dist.tolist()
 
-    def profile_ok(step: int, j: int) -> bool:
-        i = order[step]
-        if abs(wx[i] - wy[j]) > _TOL:
+    def fits(p, placed, i, j):
+        if abs(wX[i] - wY[j]) > _TOL:
             return False
-        return all(abs(dx[i, a] - dy[j, assigned[a]]) <= _TOL for a in order[:step])
+        for a in placed:
+            if p[a] == j or abs(dX[i][a] - dY[j][p[a]]) > _TOL:
+                return False
+        return True
 
-    def backtrack(step: int):
-        if step == k:
-            out = np.full(X.n, -1, dtype=int)
-            out[sx] = sy[assigned]
-            yield out
-            return
-        i = order[step]
-        for j in range(k):
-            if not used[j] and profile_ok(step, j):
-                assigned[i] = j
-                used[j] = True
-                yield from backtrack(step + 1)
-                assigned[i] = -1
-                used[j] = False
-
-    yield from backtrack(0)
+    yield from _point_maps(X.n, sx[order].tolist(), sy.tolist(), fits)
 
 
 def isomorphism_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> np.ndarray | None:

@@ -2,10 +2,13 @@
 
 Everything here is computed straight from definitions (subset enumeration,
 dense parameter grids, LP formulations, min-cut formulas) and shares no code
-path with the solvers under test.  The two exceptions check only what a
-search skips: :func:`brute_witness` scores every map with the solver's own
-Prokhorov and defect-clique routines, and :func:`reference_best_flow_at`
-runs the exact box solver's clique sweep with no branch-and-bound cut.
+path with the solvers under test.  The exceptions check only what a
+search skips or how it is organised: :func:`brute_witness` scores every map
+with the solver's own Prokhorov and defect-clique routines,
+:func:`reference_best_flow_at` runs the exact box solver's clique sweep with
+no branch-and-bound cut, and :func:`reference_isomorphisms` and
+:func:`reference_domination_search` are the two hand-written backtracking
+loops that the one point-map search of ``mmdist.matrixdist`` replaced.
 """
 
 from itertools import combinations, permutations, product
@@ -421,3 +424,125 @@ def brute_witness(Xn, X, seed=0):
     p_full = np.full(Xn.n, int(sx[0]), dtype=int)
     p_full[sn] = best_p
     return p_full.tolist(), [int(sn[c]) for c in best_cells], float(best_obj)
+
+
+def brute_domination(X, Y):
+    """Every 1-Lipschitz map of supports pushing ``X``'s measure onto ``c``
+    times ``Y``'s, ``c = m_X / m_Y``, at the tolerances of
+    ``mmdist.limits.domination_search`` (1e-12 on distances, 1e-9 on mass).
+
+    Enumerates all maps from a support of at most 5 points; returns
+    ``(maps, c)`` with full-length maps as lists (-1 off the support), in
+    lexicographic order, and no maps when ``c < 1``.
+    """
+    sx, sy = X.support, Y.support
+    assert len(sx) <= 5 and len(sy) <= 5
+    c = X.total_mass / Y.total_mass
+    if c < 1.0 - 1e-12:
+        return [], c
+    # one row per map, in lexicographic order
+    q = np.array(list(product(sy.tolist(), repeat=len(sx))), dtype=int).reshape(-1, len(sx))
+    rows = np.arange(len(q))
+    pushed = np.zeros((len(q), Y.n))
+    for col, i in enumerate(sx):
+        pushed[rows, q[:, col]] += X.weights[i]
+    lipschitz = (Y.dist[q[:, :, None], q[:, None, :]] <= X.dist[np.ix_(sx, sx)] + 1e-12).all(axis=(1, 2))
+    fills = (np.abs(pushed - c * Y.weights) <= 1e-9).all(axis=1)
+    maps = np.full((len(q), X.n), -1, dtype=int)
+    maps[:, sx] = q
+    return maps[lipschitz & fills].tolist(), c
+
+
+def reference_isomorphisms(X, Y):
+    """The isomorphism backtracking of ``mmdist.matrixdist`` before it ran on
+    the shared point-map search; yields the same maps in the same order."""
+    from mmdist.matrixdist import _TOL
+
+    sx, sy = X.support, Y.support
+    if len(sx) != len(sy):
+        return
+    if abs(X.total_mass - Y.total_mass) > _TOL:
+        return
+    wx, wy = X.weights[sx], Y.weights[sy]
+    if np.max(np.abs(np.sort(wx) - np.sort(wy))) > _TOL:
+        return
+    dx = X.dist[np.ix_(sx, sx)]
+    dy = Y.dist[np.ix_(sy, sy)]
+    if np.max(np.abs(np.sort(dx.ravel()) - np.sort(dy.ravel()))) > _TOL:
+        return
+    k = len(sx)
+    # order source points by weight class then distance profile, for pruning
+    order = sorted(range(k), key=lambda i: (wx[i], tuple(np.sort(dx[i]))))
+    assigned = np.full(k, -1, dtype=int)
+    used = np.zeros(k, dtype=bool)
+
+    def profile_ok(step: int, j: int) -> bool:
+        i = order[step]
+        if abs(wx[i] - wy[j]) > _TOL:
+            return False
+        return all(abs(dx[i, a] - dy[j, assigned[a]]) <= _TOL for a in order[:step])
+
+    def backtrack(step: int):
+        if step == k:
+            out = np.full(X.n, -1, dtype=int)
+            out[sx] = sy[assigned]
+            yield out
+            return
+        i = order[step]
+        for j in range(k):
+            if not used[j] and profile_ok(step, j):
+                assigned[i] = j
+                used[j] = True
+                yield from backtrack(step + 1)
+                assigned[i] = -1
+                used[j] = False
+
+    yield from backtrack(0)
+
+
+def reference_domination_search(X, Y):
+    """The domination backtracking of ``mmdist.limits`` before it ran on the
+    shared point-map search; returns the same certificate or ``None``."""
+    from mmdist.errors import SizeLimitError
+    from mmdist.limits import DOMINATION_MAX_SUPPORT, DominationCertificate
+
+    sx, sy = X.support, Y.support
+    if len(sx) > DOMINATION_MAX_SUPPORT or len(sy) > DOMINATION_MAX_SUPPORT:
+        raise SizeLimitError(
+            f"domination_search refuses supports {len(sx)}x{len(sy)} "
+            f"(limit {DOMINATION_MAX_SUPPORT})"
+        )
+    c = X.total_mass / Y.total_mass
+    if c < 1.0 - 1e-12:
+        return None
+    budget = c * Y.weights
+    dX = X.dist
+    dY = Y.dist
+    assign = np.full(X.n, -1, dtype=int)
+    pushed = np.zeros(Y.n)
+
+    def backtrack(k: int) -> bool:
+        if k == len(sx):
+            return bool(np.max(np.abs(pushed - budget)) <= 1e-9)
+        i = sx[k]
+        for j in sy:
+            if pushed[j] + X.weights[i] > budget[j] + 1e-9:
+                continue
+            ok = True
+            for prev in sx[:k]:
+                if dY[j, assign[prev]] > dX[i, prev] + 1e-12:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assign[i] = j
+            pushed[j] += X.weights[i]
+            if backtrack(k + 1):
+                return True
+            pushed[j] -= X.weights[i]
+            assign[i] = -1
+        return False
+
+    if not backtrack(0):
+        return None
+    return DominationCertificate(assign, c)

@@ -399,8 +399,9 @@ class TestSuiteCommand:
 
     def test_lip_factorization_seed_three_finishes(self):
         # the pulled-back pairs of this seed reach supports 7 to 9, where an
-        # enumeration of spanning trees and sign vectors walks up to
-        # C(36, 8) edge subsets; the vertex search must finish in seconds
+        # enumeration of Lipschitz vertices can walk up to C(36, 8) edge
+        # subsets; the property compares support closures instead and must
+        # finish in seconds (test_lipschitz enumerates the vertices there)
         paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         argv = ["suite", "--seed", "3", "--properties", "pullback-lip-factorization"]

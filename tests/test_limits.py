@@ -3,6 +3,7 @@ import pytest
 
 from mmdist import (
     DominationCertificate,
+    FiniteMMSpace,
     SizeLimitError,
     box_distance,
     box_upper_from_witness,
@@ -20,10 +21,18 @@ from mmdist import (
     witness_search,
 )
 from mmdist import limits
-from mmdist.instances import random_space
+from mmdist.instances import random_space, shuffled_copy
 from mmdist.limits import EXACT_CLIQUE_SUPPORT
+from mmdist.matrixdist import _isomorphisms
 
-from oracles import brute_isomorphisms, brute_witness, prokhorov_subsets
+from oracles import (
+    brute_domination,
+    brute_isomorphisms,
+    brute_witness,
+    prokhorov_subsets,
+    reference_domination_search,
+    reference_isomorphisms,
+)
 
 
 def two_point(w=(0.5, 0.5), d=1.0):
@@ -383,6 +392,77 @@ class TestIsometrySearchOracle:
                 assert p.tolist() in maps
                 found += 1
         assert 20 <= found <= 130  # both outcomes occur
+
+
+def derived_space(rng, X):
+    """A space built from ``X``: relabelled, with permuted weights, or with
+    weights divided by ``c`` and distances scaled down, so that ``X``
+    dominates it."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return shuffled_copy(rng, X)[0]
+    if kind == 1:
+        return FiniteMMSpace(X.labels, rng.permutation(X.weights), X.dist)
+    c, scale = rng.choice([1.0, 1.25, 2.0]), rng.choice([0.5, 0.8, 1.0])
+    Y = FiniteMMSpace(X.labels, X.weights / c, X.dist * scale)
+    return shuffled_copy(rng, Y)[0] if rng.random() < 0.5 else Y
+
+
+def identity_corpus(rng, count, max_points=6):
+    """``count`` seeded pairs of 1 to ``max_points`` points: coarse spaces
+    (half-grid weights with zeros) and ``random_space`` draws, each paired
+    with an independent draw or with a space derived from it."""
+
+    def draw(coarse):
+        n = int(rng.integers(1, max_points + 1))
+        return coarse_space(rng, n) if coarse else random_space(rng, min_points=n, max_points=n)
+
+    pairs = []
+    for _ in range(count):
+        coarse = rng.random() < 0.5
+        X = draw(coarse)
+        pairs.append((X, draw(coarse) if rng.random() < 0.25 else derived_space(rng, X)))
+    return pairs
+
+
+def as_lists(maps):
+    return [g.tolist() for g in maps]
+
+
+class TestPointMapSearch:
+    def test_same_maps_as_the_reference_loops(self):
+        rng = np.random.default_rng(47)
+        isomorphic = dominated = symmetric = 0
+        for X, Y in identity_corpus(rng, 1000):
+            maps = as_lists(_isomorphisms(X, Y))
+            assert maps == as_lists(reference_isomorphisms(X, Y))
+            group = as_lists(reference_isomorphisms(X, X))
+            assert as_lists(_isomorphisms(X, X)) == group
+            assert as_lists(isometry_group(X)) == sorted(group)
+            cert, ref = domination_search(X, Y), reference_domination_search(X, Y)
+            assert (cert is None) == (ref is None)
+            if cert is not None:
+                assert (cert.p.tolist(), cert.c) == (ref.p.tolist(), ref.c)
+            isomorphic += bool(maps)
+            dominated += cert is not None
+            symmetric += len(group) > 1
+        # every search both succeeds and fails on the corpus
+        assert 100 <= isomorphic <= 900 and 100 <= dominated <= 900 and symmetric >= 100
+
+    def test_domination_matches_brute_force(self):
+        rng = np.random.default_rng(53)
+        found = heavier = 0
+        for X, Y in identity_corpus(rng, 150, max_points=5):
+            maps, c = brute_domination(X, Y)
+            cert = domination_search(X, Y)
+            assert (cert is None) == (not maps)
+            if cert is not None:
+                # the search meets the lexicographically first map
+                assert cert.p.tolist() == maps[0] and cert.c == c
+                assert not cert.violations(X, Y)
+                found += 1
+                heavier += c > 1.0
+        assert 20 <= found <= 130 and heavier >= 5
 
 
 class TestHomogeneity:
