@@ -23,6 +23,12 @@ once, row-major, and the defect matrix, the sweep, the flows (on a clique's row
 and column index lists) and the certificate all read that one numbering.  The
 flow sweep prunes subtrees of the clique search by a flow bound
 (:func:`_flow_bound`) against the best flow so far or the probe's target.
+
+The heuristic space solver scores trial couplings with the pair solve and
+keeps a trial only if its value is at most the incumbent's.  Feasibility is
+monotone in the tolerance, so the solve takes the incumbent as a ``cap``:
+one probe there rejects a trial whose value is above it, and a trial that
+passes gets the full search, whose answer the cap does not change.
 """
 
 from __future__ import annotations
@@ -124,8 +130,11 @@ def _max_weight_clique(
     Returns ``(mass, vertices)`` maximizing mass, then taking the
     lexicographically smallest vertex tuple among (near-)ties.  With
     ``target`` set the search stops as soon as any clique reaches it, in
-    which case the result is only a witness of feasibility.
+    which case the result is only a witness of feasibility.  The weights are
+    read as a Python list, which indexes faster than numpy one scalar at a
+    time and adds the same floats.
     """
+    weights = np.asarray(weights, dtype=float).tolist()
     n = len(weights)
     order = sorted(range(n), key=lambda v: -weights[v])
     best_mass = 0.0
@@ -147,7 +156,7 @@ def _max_weight_clique(
         consider(r, mass)
         if done:
             return
-        remaining = sum(weights[v] for v in cand)
+        remaining = sum(map(weights.__getitem__, cand))
         for idx, v in enumerate(cand):
             if mass + remaining < best_mass - _TIE_TOL:
                 return  # even taking every remaining candidate cannot win
@@ -160,7 +169,7 @@ def _max_weight_clique(
     return best_mass, best_set
 
 
-def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at):
+def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf):
     """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
 
     Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
@@ -170,15 +179,19 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at):
     mass reaches ``target`` if one does, and otherwise one below it, maybe
     below the heaviest, since a probe compares the mass with ``target`` only.
     The candidates are zero and the off-diagonal defects.  Returns ``(eps,
-    best_at(adj_at(eps), None))``.
+    best_at(adj_at(eps), None))``; with a ``cap`` whose probe fails, ``(inf,
+    (0.0, ()))`` (see :func:`mmdist.transport._threshold_solve`).
     """
 
     def adj_at(t: float) -> list[set]:
-        return [set(np.flatnonzero(row).tolist()) - {a} for a, row in enumerate(delta <= t + EDGE_TOL)]
+        rows, cols = np.nonzero(delta <= t + EDGE_TOL)
+        ends = np.searchsorted(rows, np.arange(len(delta) + 1)).tolist()  # row a: ends[a]:ends[a + 1]
+        cols = cols.tolist()
+        return [set(cols[ends[a] : ends[a + 1]]) - {a} for a in range(len(delta))]
 
     off = delta[np.triu_indices(len(delta), k=1)]
-    eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0])
-    return eps, best_at(adj_at(eps), None)
+    eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0], cap)
+    return (eps, (0.0, ())) if eps == np.inf else (eps, best_at(adj_at(eps), None))
 
 
 def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float) -> tuple[float, tuple]:
@@ -202,14 +215,22 @@ def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float)
     if len(support) == 0:
         return 0.0, ()
     d = np.maximum(d_all, 0.0)[np.ix_(support, support)]
-    w = w_all[support]
-    m = float(w_all.sum())
-    if lam == 0.0:
-        return float(d[np.triu_indices(len(support), k=1)].max(initial=0.0)), tuple(int(i) for i in support)
-    eps, (_, cells) = _defect_solve(
-        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target)
-    )
+    eps, cells = _clique_solve(d, w_all[support], float(w_all.sum()), lam)
     return eps, tuple(int(support[i]) for i in cells)
+
+
+def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf):
+    """:func:`smallest_eps_for_defects` on positive weights ``w`` of total ``m``.
+
+    With a finite ``cap`` at ``lam > 0``, ``(inf, ())`` when the answer is
+    above ``cap``, decided by one probe; ``lam = 0`` takes the closed form.
+    """
+    if lam == 0.0:
+        return float(d[np.triu_indices(len(w), k=1)].max(initial=0.0)), tuple(range(len(w)))
+    eps, (_, cells) = _defect_solve(
+        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target), cap
+    )
+    return eps, cells
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +393,12 @@ def _box_equal_mass_heuristic(
 
     Moves are 2x2 pivots on the transportation polytope, which preserve the
     marginals; the returned value is an upper bound on the exact distance.
+
+    A coupling valued above ``best_eps + 1e-15`` changes nothing, so each
+    score passes that bound to the pair solve as its ``cap``: one probe there
+    turns such a coupling away (``inf``), and any other gets its uncapped
+    value (see :func:`mmdist.transport._threshold_solve`); every decision is
+    that of uncapped scoring.  The first score has no bound (``inf``).
     """
     rng = np.random.default_rng(seed)
     best_eps = np.inf
@@ -379,9 +406,11 @@ def _box_equal_mass_heuristic(
     best_pi: np.ndarray | None = None
 
     def score(pi: np.ndarray) -> tuple[float, tuple]:
-        """Pair value of the pullback along ``pi`` and its kept coupling cells."""
-        pair = pullback_pair(X, Y, pi)
-        eps, kept = smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
+        """Pair value of the pullback along ``pi`` and its kept coupling cells,
+        or ``(inf, ())`` if the value is above ``best_eps + 1e-15``."""
+        pair = pullback_pair(X, Y, pi)  # its cells all have positive mass
+        w = pair.weights
+        eps, kept = _clique_solve(np.abs(pair.d1 - pair.d2), w, float(w.sum()), lam, best_eps + 1e-15)
         return eps, tuple(pair.cells[k] for k in kept)
 
     for attempt in range(HEURISTIC_RESTARTS):

@@ -354,12 +354,14 @@ def isometry_group(X: FiniteMMSpace) -> list[np.ndarray]:
     The isomorphisms of ``X`` onto itself, as full-length maps (non-support
     entries -1) in lexicographic order, so the identity comes first.
     """
+    _check_isometry_support(X, "isometry_group")
+    return sorted(_isomorphisms(X, X), key=lambda g: g.tolist())
+
+
+def _check_isometry_support(X: FiniteMMSpace, name: str) -> None:
     k = len(X.support)
     if k > ISOMETRY_MAX_SUPPORT:
-        raise SizeLimitError(
-            f"isometry_group refuses support size {k} (limit {ISOMETRY_MAX_SUPPORT})"
-        )
-    return sorted(_isomorphisms(X, X), key=lambda g: g.tolist())
+        raise SizeLimitError(f"{name} refuses support size {k} (limit {ISOMETRY_MAX_SUPPORT})")
 
 
 def _is_transitive(X: FiniteMMSpace, group: list[np.ndarray]) -> bool:
@@ -370,8 +372,14 @@ def _is_transitive(X: FiniteMMSpace, group: list[np.ndarray]) -> bool:
 
 
 def is_homogeneous(X: FiniteMMSpace) -> bool:
-    """Whether the measure-preserving isometry group acts transitively."""
-    return _is_transitive(X, isometry_group(X))
+    """Whether the measure-preserving isometry group acts transitively.
+
+    One search per support point ``t``, pinning the first support point to
+    ``t`` and stopping at its first map; the group is never enumerated.
+    """
+    _check_isometry_support(X, "is_homogeneous")
+    s = X.support.tolist()
+    return all(next(_isomorphisms(X, X, pin=(s[0], t)), None) is not None for t in s)
 
 
 # ---------------------------------------------------------------------------

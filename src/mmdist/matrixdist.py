@@ -210,11 +210,13 @@ def _point_maps(n: int, sources, targets, fits):
     yield from extend(0)
 
 
-def _isomorphisms(X: FiniteMMSpace, Y: FiniteMMSpace):
+def _isomorphisms(X: FiniteMMSpace, Y: FiniteMMSpace, pin: tuple[int, int] | None = None):
     """Yield every weight- and distance-preserving bijection between the supports.
 
     :func:`_point_maps` places the support of ``X`` by weight class, then
     distance profile, for pruning; each map is full-length (-1 off support).
+    With ``pin = (i, j)`` only the maps sending point ``i`` to ``j`` come
+    out, and ``i`` is placed first.
     """
     sx, sy = X.support, Y.support
     if len(sx) != len(sy):
@@ -229,17 +231,21 @@ def _isomorphisms(X: FiniteMMSpace, Y: FiniteMMSpace):
     if np.max(np.abs(np.sort(dx.ravel()) - np.sort(dy.ravel()))) > _TOL:
         return
     order = sorted(range(len(sx)), key=lambda i: (wx[i], tuple(np.sort(dx[i]))))
+    sources = sx[order].tolist()
+    if pin is not None:
+        sources.remove(pin[0])
+        sources.insert(0, pin[0])
     wX, wY, dX, dY = X.weights.tolist(), Y.weights.tolist(), X.dist.tolist(), Y.dist.tolist()
 
     def fits(p, placed, i, j):
-        if abs(wX[i] - wY[j]) > _TOL:
+        if abs(wX[i] - wY[j]) > _TOL or (pin is not None and i == pin[0] and j != pin[1]):
             return False
         for a in placed:
             if p[a] == j or abs(dX[i][a] - dY[j][p[a]]) > _TOL:
                 return False
         return True
 
-    yield from _point_maps(X.n, sx[order].tolist(), sy.tolist(), fits)
+    yield from _point_maps(X.n, sources, sy.tolist(), fits)
 
 
 def isomorphism_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> np.ndarray | None:

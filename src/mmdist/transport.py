@@ -154,7 +154,7 @@ def max_flow_value(row_caps, col_caps, cells) -> float:
     return max_flow(row_caps, col_caps, cells)[0]
 
 
-def _threshold_solve(values, m: float, lam: float, retained_max) -> float:
+def _threshold_solve(values, m: float, lam: float, retained_max, cap: float = np.inf) -> float:
     """Smallest feasible tolerance over a monotone threshold structure.
 
     The thresholds are zero and the distinct entries of the array ``values``.
@@ -162,6 +162,14 @@ def _threshold_solve(values, m: float, lam: float, retained_max) -> float:
     defects up to ``t`` are allowed (with optional early exit at ``target``);
     it is nondecreasing and piecewise constant between thresholds, so the
     optimum sits at a threshold or at a mass breakpoint inside one interval.
+
+    A finite ``cap`` is probed first.  Feasibility is monotone in ``t``, so
+    if ``cap`` is infeasible the answer is above it: every threshold up to
+    ``cap`` is infeasible, and a breakpoint ``(m - W) / lam`` over a lower
+    threshold below ``cap`` has ``W`` at most the mass at ``cap``.  Then
+    ``inf`` is returned.  Otherwise the first threshold at or above ``cap``
+    is feasible, the search runs up to it only and ends at the same pair of
+    thresholds, so it returns the uncapped answer.
     """
 
     def feasible(t: float) -> bool:
@@ -171,10 +179,14 @@ def _threshold_solve(values, m: float, lam: float, retained_max) -> float:
         return retained_max(t, need) >= need
 
     thresholds = np.unique(np.concatenate(([0.0], np.ravel(values))))
-    hi = len(thresholds) - 1
-    if not feasible(float(thresholds[hi])):
-        raise InternalInvariantError("threshold search infeasible at the largest defect")
-    if feasible(float(thresholds[0])):
+    if cap < np.inf and not feasible(cap):
+        return np.inf
+    hi = int(np.searchsorted(thresholds, cap))  # feasible, as cap is
+    if hi == len(thresholds):
+        hi -= 1
+        if not feasible(float(thresholds[hi])):
+            raise InternalInvariantError("threshold search infeasible at the largest defect")
+    if hi == 0 or feasible(float(thresholds[0])):
         return float(thresholds[0])
     lo = 0
     while hi - lo > 1:

@@ -20,7 +20,7 @@ from mmdist import (
     smallest_eps_for_defects,
 )
 from mmdist import box as box_module
-from mmdist.box import _TIE_TOL, EDGE_TOL, _best_flow_at, _flow_bound, _max_weight_clique
+from mmdist.box import _TIE_TOL, EDGE_TOL, _best_flow_at, _defect_solve, _flow_bound, _max_weight_clique
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     brute_max_weight_clique,
     min_cut_value,
     reference_best_flow_at,
+    reference_box_heuristic,
 )
 
 
@@ -117,6 +118,38 @@ class TestBoxPair:
         d1, d2 = d1 + d1.T, d2 + d2.T
         got = box_pair(semidist_pair(w, d1, d2), lam).value
         assert got == pytest.approx(brute_box_pair(w, d1, d2, lam), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_capped_solve_matches_the_full_search_hypothesis(self, data):
+        # a cap is rejected (inf) only when the full search's answer is above
+        # it, and otherwise changes nothing; a cap within the probes' slack
+        # (1e-12 of mass, EDGE_TOL of defect) below the answer may pass
+        n = data.draw(st.integers(1, 6))
+        k = n * (n - 1) // 2
+        w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=n, max_size=n)))
+        ties = [0.0, 0.25, 0.5, 0.5 - EDGE_TOL / 2, 0.5 + EDGE_TOL / 2, 0.5 + EDGE_TOL, 1.0]
+        delta = np.zeros((n, n))
+        delta[np.triu_indices(n, 1)] = data.draw(st.lists(st.sampled_from(ties), min_size=k, max_size=k))
+        delta = delta + delta.T
+        lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        m = float(w.sum())
+
+        def solve(cap):
+            best_at = lambda neigh, target: _max_weight_clique(neigh, w, target=target)  # noqa: E731
+            return _defect_solve(delta, m, lam, best_at, cap)
+
+        eps, (mass, cells) = solve(np.inf)
+        nudges = (0.0, -EDGE_TOL, EDGE_TOL, -1e-15, 1e-15, -1e-11, 1e-11, -1e-3, 1e-3)
+        for anchor in {0.0, eps, *delta.ravel().tolist()}:
+            for cap in (anchor + nudge for nudge in nudges):
+                got_eps, (got_mass, got_cells) = solve(cap)
+                if got_eps == np.inf:
+                    assert eps > cap and (got_mass, got_cells) == (0.0, ())
+                else:
+                    assert (got_eps, got_mass, got_cells) == (eps, mass, cells)
+                if eps > cap + 4e-12:  # beyond the slack at lam >= 0.25
+                    assert got_eps == np.inf
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -492,3 +525,60 @@ def test_exact_reports_match_the_unpruned_sweep(monkeypatch):
     monkeypatch.setattr(box_module, "_best_flow_at", reference_best_flow_at)
     want = [json.dumps(box_distance(X, Y, lam).to_jsonable()) for X, Y, lam in cases]
     assert got == want
+
+
+def heuristic_corpus():
+    """32 seeded heuristic-box instances: 2 to 12 points at lam = 0, 0.25, 1, 3.
+
+    Weights lie on a 1/16 grid and distances on a 1/4 grid in [1, 2], so
+    pair values tie often and the local search accepts equal-value moves.
+    Each (n, lam) has two of: equal totals, unequal totals (the lighter space
+    first or second), a zero-weight point, and a space against a relabelled
+    copy; the four kinds rotate over lam from one n to the next.
+    """
+    rng = np.random.default_rng(2018)
+
+    def space(weights):
+        n = len(weights)
+        d = np.triu(rng.integers(4, 9, size=(n, n)) / 4.0, 1)
+        return mm_space(weights, d + d.T)
+
+    kind = 0
+    for n in (2, 4, 7, 12):
+        for lam in (0.0, 0.25, 1.0, 3.0):
+            for _ in range(2):
+                w = rng.integers(1, 17, size=n) / 16.0
+                X = space(w)
+                if kind % 4 == 0:
+                    yield X, space(rng.permutation(w)), lam
+                elif kind % 4 == 1:
+                    Y = space(rng.integers(1, 17, size=n) / 16.0)
+                    yield (X, Y, lam) if kind % 8 == 1 else (Y, X, lam)
+                elif kind % 4 == 2:
+                    w0 = w.copy()
+                    w0[rng.integers(n)] = 0.0
+                    yield space(w0), space(rng.permutation(w)), lam
+                else:
+                    yield X, shuffled_copy(rng, X)[0], lam
+                kind += 1
+        kind += 1
+
+
+def test_heuristic_reports_match_full_scoring(monkeypatch):
+    # the heuristic rejects a coupling by one probe at the incumbent; scoring
+    # every coupling in full must give the same reports, byte for byte.  Both
+    # loops read the schedule from the module; a shorter one keeps the corpus
+    # within about a second
+    monkeypatch.setattr(box_module, "HEURISTIC_RESTARTS", 3)
+    monkeypatch.setattr(box_module, "HEURISTIC_STEPS", 40)
+    cases = list(heuristic_corpus())
+
+    def reports():
+        return [
+            json.dumps(box_distance(X, Y, lam, "heuristic", seed=k).to_jsonable())
+            for k, (X, Y, lam) in enumerate(cases)
+        ]
+
+    got = reports()
+    monkeypatch.setattr(box_module, "_box_equal_mass_heuristic", reference_box_heuristic)
+    assert got == reports()

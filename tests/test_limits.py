@@ -20,10 +20,11 @@ from mmdist import (
     prokhorov,
     witness_search,
 )
-from mmdist import limits
+from mmdist import limits, matrixdist
 from mmdist.instances import random_space, shuffled_copy
 from mmdist.limits import EXACT_CLIQUE_SUPPORT
 from mmdist.matrixdist import _isomorphisms
+from mmdist.matrixdist import _point_maps as point_maps
 
 from oracles import (
     brute_domination,
@@ -478,6 +479,48 @@ class TestHomogeneity:
 
     def test_weighted_pair_not_homogeneous(self):
         assert not is_homogeneous(two_point((0.3, 0.7)))
+
+    def test_matches_the_group_orbit(self):
+        # coarse spaces (zero weights, distances in {1, 2}) and relabelled
+        # cycles, with one weight zeroed or doubled in half of those
+        rng = np.random.default_rng(59)
+        verdicts = []
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            if rng.random() < 0.5:
+                X = coarse_space(rng, n)
+            else:
+                k = np.arange(n)
+                gap = np.abs(k[:, None] - k[None, :])
+                d = np.minimum(gap, n - gap).astype(float)
+                w = np.full(n, 0.5)
+                if n > 2 and rng.random() < 0.5:
+                    w[int(rng.integers(n))] = 0.0 if rng.random() < 0.5 else 1.0
+                X = shuffled_copy(rng, mm_space(w, d))[0]
+            want = limits._is_transitive(X, isometry_group(X))
+            assert is_homogeneous(X) == want
+            verdicts.append(want)
+        assert 40 <= sum(verdicts) <= 160  # both outcomes occur
+
+    def test_equilateral_space_stops_at_one_map_per_point(self, monkeypatch):
+        # the group has 8! = 40,320 maps; one search per target of the first
+        # point, each stopping at its first map, yields 8
+        yielded = []
+
+        def counted(*args):
+            for p in point_maps(*args):
+                yielded.append(p)
+                yield p
+
+        monkeypatch.setattr(matrixdist, "_point_maps", counted)
+        n = limits.ISOMETRY_MAX_SUPPORT
+        assert is_homogeneous(mm_space(np.ones(n) / n, np.ones((n, n)) - np.eye(n)))
+        assert len(yielded) == n
+
+    def test_size_limit_refusal(self):
+        n = limits.ISOMETRY_MAX_SUPPORT + 1
+        with pytest.raises(SizeLimitError, match="is_homogeneous refuses support size 9"):
+            is_homogeneous(mm_space(np.ones(n) / n, np.ones((n, n)) - np.eye(n)))
 
 
 class TestMe1Diagnostic:

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmdist
@@ -110,6 +111,32 @@ def test_heuristic_box_layers_fire():
     counts = tracer.layer_counts()
     for layer in ("core.pullback_pair.calls", "box.max_weight_clique.calls"):
         assert counts[layer] > 0, layer
+
+
+def test_heuristic_box_rejects_by_one_probe(monkeypatch):
+    # a trial coupling whose probe at the incumbent fails costs one clique
+    # search; here 70 of the 105 scored couplings do.  Scoring every coupling
+    # with a full threshold search (the reference loop) costs 1,055
+    from mmdist import box as box_module
+    from mmdist.instances import random_space
+    from oracles import reference_box_heuristic
+
+    rng = np.random.default_rng(18)
+    X, Y = (random_space(rng, min_points=6, max_points=6) for _ in range(2))
+
+    def traced():
+        tracer = _layers().Tracer()
+        tracer.install()
+        try:
+            mmdist.box_distance(X, Y, 1.0, "heuristic", seed=0)
+        finally:
+            tracer.remove()
+        counts = tracer.layer_counts()
+        return counts["box.threshold_solve.calls"], counts["box.max_weight_clique.calls"]
+
+    assert traced() == (105, 416)
+    monkeypatch.setattr(box_module, "_box_equal_mass_heuristic", reference_box_heuristic)
+    assert traced() == (105, 1055)
 
 
 def test_lipschitz_check_clique_layer_fires():
