@@ -37,7 +37,6 @@ from .core import (
     semidist_pair,
     spaces_equal,
     validate,
-    validate_pair,
     write_space,
 )
 from .errors import (

@@ -501,5 +501,5 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
         if Xn.weights[z] > 0.0:
             u = p[z]
             pi[z] = Xn.weights[z] * kappa[u] / nu[u]
-    pair = pullback_pair(Xn, X, pi, tol=1e-7)
+    pair = pullback_pair(Xn, X, pi)
     return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, 1.0)[0] + gap

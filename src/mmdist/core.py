@@ -7,9 +7,10 @@ total mass.  It is the finite stand-in for a pair of measure-preserving
 parametrizations of the two spaces over a common mass interval, recorded
 through the masses of their cell intersections.  Pulling the two semimetrics
 back onto the support cells of a coupling yields a :class:`SemiDistancePair`,
-which is what every solver in this package actually works on;
-:func:`pullback_pair` and :func:`coupling_from_matrix` check the shape, the
-signs and the marginals of a coupling through one private check.
+which is what every solver in this package actually works on.  Each object
+is checked in one place: :func:`coupling_from_matrix` checks the shape, the
+signs and the marginals of a coupling (:func:`pullback_pair` calls it), and
+the :class:`SemiDistancePair` constructor checks a pair.
 
 Zero-weight points are kept in storage but excluded from supports; all
 comparisons between spaces are meant up to relabeling of the support.
@@ -170,14 +171,14 @@ def mm_space(weights, dist, labels=None) -> FiniteMMSpace:
     return space
 
 
-def spaces_equal(a: FiniteMMSpace, b: FiniteMMSpace, tol: float = MASS_TOL) -> bool:
-    """Entrywise equality of labels, weights and distances within ``tol``."""
+def spaces_equal(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:
+    """Entrywise equality of labels, weights and distances within :data:`MASS_TOL`."""
     return (
         a.labels == b.labels
         and a.weights.shape == b.weights.shape
         and a.dist.shape == b.dist.shape
-        and float(np.max(np.abs(a.weights - b.weights), initial=0.0)) <= tol
-        and float(np.max(np.abs(a.dist - b.dist), initial=0.0)) <= tol
+        and float(np.max(np.abs(a.weights - b.weights), initial=0.0)) <= MASS_TOL
+        and float(np.max(np.abs(a.dist - b.dist), initial=0.0)) <= MASS_TOL
     )
 
 
@@ -247,26 +248,25 @@ def _require_equal_mass(X: FiniteMMSpace, Y: FiniteMMSpace):
         )
 
 
-def _check_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, pi, tol: float) -> np.ndarray:
-    """``pi`` as a float matrix; ValueError unless it couples ``X`` and ``Y`` within ``tol``."""
+def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> np.ndarray:
+    """``pi`` as a float matrix; ValueError unless it couples ``X`` and ``Y`` to 1e-9.
+
+    Every entry must be at least -1e-9, and every row and column sum within
+    1e-9 of the matching weight.
+    """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (X.n, Y.n):
         raise ValueError(f"coupling shape {pi.shape} does not match ({X.n}, {Y.n})")
-    if not np.all(pi >= -tol):
+    if not np.all(pi >= -1e-9):
         raise ValueError("coupling has negative or NaN entries")
     row_err = float(np.max(np.abs(pi.sum(axis=1) - X.weights), initial=0.0))
     col_err = float(np.max(np.abs(pi.sum(axis=0) - Y.weights), initial=0.0))
-    if not (row_err <= tol and col_err <= tol):
+    if not (row_err <= 1e-9 and col_err <= 1e-9):
         raise ValueError(
             f"coupling marginals do not match the spaces (row off {row_err:.3g}, "
             f"col off {col_err:.3g})"
         )
     return pi
-
-
-def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> np.ndarray:
-    """Check a matrix as a coupling of ``X`` and ``Y`` to 1e-9 and return it."""
-    return _check_coupling(X, Y, pi, 1e-9)
 
 
 def diagonal_coupling(X: FiniteMMSpace) -> np.ndarray:
@@ -328,8 +328,10 @@ class SemiDistancePair:
 
     The triangle inequality is deliberately not required: instances arise as
     pullbacks of metrics onto coupling cells (those do satisfy it) but the
-    solvers only rely on symmetry and the zero diagonal.  Construction runs
-    :func:`validate_pair` and raises ``ValueError`` naming every violation.
+    solvers only rely on symmetry and the zero diagonal.  The constructor is
+    the one check of a pair: it raises one ``ValueError`` naming every
+    violation (or only that the weights are not a vector), and the stored
+    arrays are read-only, so every pair that exists is valid.
     """
 
     weights: np.ndarray
@@ -341,9 +343,28 @@ class SemiDistancePair:
         object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "d1", _readonly(self.d1))
         object.__setattr__(self, "d2", _readonly(self.d2))
-        report = validate_pair(self)
-        if not report.ok:
-            raise ValueError("; ".join(report.violations))
+        if self.weights.ndim != 1:
+            raise ValueError("weights must be a vector")
+        v = []
+        for name, d in (("d1", self.d1), ("d2", self.d2)):
+            if d.shape != (self.n, self.n):
+                v.append(f"{name} has shape {d.shape}, expected ({self.n}, {self.n})")
+                continue
+            if not np.all(np.isfinite(d)):
+                v.append(f"{name} contains non-finite entries")
+                continue
+            if float(np.max(np.abs(d - d.T), initial=0.0)) > METRIC_TOL:
+                v.append(f"{name} is not symmetric")
+            if float(np.max(np.abs(np.diag(d)), initial=0.0)) > METRIC_TOL:
+                v.append(f"{name} has nonzero diagonal")
+            if np.any(d < -METRIC_TOL):
+                v.append(f"{name} has negative entries")
+        if not np.all(np.isfinite(self.weights)):
+            v.append("weights contain non-finite entries")
+        elif np.any(self.weights < 0.0):
+            v.append("negative cell mass")
+        if v:
+            raise ValueError("; ".join(v))
 
     @property
     def n(self) -> int:
@@ -358,46 +379,19 @@ class SemiDistancePair:
         return np.flatnonzero(self.weights > 0.0)
 
 
-def validate_pair(pair: SemiDistancePair) -> ValidationReport:
-    if pair.weights.ndim != 1:
-        return ValidationReport(("weights must be a vector",))
-    v = []
-    n = pair.n
-    for name, d in (("d1", pair.d1), ("d2", pair.d2)):
-        if d.shape != (n, n):
-            v.append(f"{name} has shape {d.shape}, expected ({n}, {n})")
-            continue
-        if not np.all(np.isfinite(d)):
-            v.append(f"{name} contains non-finite entries")
-            continue
-        if float(np.max(np.abs(d - d.T), initial=0.0)) > METRIC_TOL:
-            v.append(f"{name} is not symmetric")
-        if float(np.max(np.abs(np.diag(d)), initial=0.0)) > METRIC_TOL:
-            v.append(f"{name} has nonzero diagonal")
-        if np.any(d < -METRIC_TOL):
-            v.append(f"{name} has negative entries")
-    if not np.all(np.isfinite(pair.weights)):
-        v.append("weights contain non-finite entries")
-    elif np.any(pair.weights < 0.0):
-        v.append("negative cell mass")
-    return ValidationReport(tuple(v))
-
-
 def semidist_pair(weights, d1, d2) -> SemiDistancePair:
     return SemiDistancePair(weights, d1, d2)
 
 
-def pullback_pair(
-    X: FiniteMMSpace, Y: FiniteMMSpace, pi, *, tol: float = 1e-9
-) -> SemiDistancePair:
+def pullback_pair(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> SemiDistancePair:
     """Pull both metrics back onto the support cells of a coupling.
 
     Cell ``(i, j)`` carries mass ``pi[i, j]``; between two cells the first
     matrix reads the distance in ``X`` and the second the distance in ``Y``.
-    Zero-mass cells do not appear.  ``pi`` must couple ``X`` and ``Y`` to
-    within ``tol``.
+    Zero-mass cells do not appear.  ``pi`` must pass
+    :func:`coupling_from_matrix`.
     """
-    pi = _check_coupling(X, Y, pi, tol)
+    pi = coupling_from_matrix(X, Y, pi)
     ii, jj = np.nonzero(pi > 0.0)
     return SemiDistancePair(
         pi[ii, jj],

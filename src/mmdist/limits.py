@@ -388,10 +388,11 @@ def is_homogeneous(X: FiniteMMSpace) -> bool:
 
 @dataclass(frozen=True)
 class Me1Diagnostic:
-    """Pairwise me distances of a map sequence with greedy cluster chains.
+    """Pairwise me distances of a map sequence with its longest cluster chains.
 
     ``chains`` holds ``(eps, indices)`` for each grid tolerance: the longest
-    subsequence whose members stay pairwise within ``eps``.  Diagnostic only.
+    subsequence whose members stay pairwise within ``eps``, the
+    lexicographically smallest among equally long ones.  Diagnostic only.
     """
 
     matrix: np.ndarray
@@ -405,8 +406,9 @@ class Me1Diagnostic:
 def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     """Pairwise me_1 structure of a sequence of maps into a common target.
 
-    For each distinct pairwise value as the tolerance, a greedy forward pass
-    extracts the longest chain that stays pairwise within the tolerance; a
+    For each distinct pairwise value as the tolerance, the longest chain that
+    stays pairwise within the tolerance is a maximum clique of the graph
+    ``M <= eps + 1e-12``, found exactly by the unit-weight clique search; a
     chain covering the whole sequence means the sequence is uniformly
     clustered at that scale.
     """
@@ -421,13 +423,6 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     eps_grid = np.unique(M[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
     chains = []
     for eps in eps_grid:
-        best: tuple = ()
-        for start in range(k):
-            chain = [start]
-            for j in range(start + 1, k):
-                if all(M[j, c] <= eps + 1e-12 for c in chain):
-                    chain.append(j)
-            if len(chain) > len(best):
-                best = tuple(chain)
-        chains.append((float(eps), best))
+        neigh = [set(np.flatnonzero(row).tolist()) for row in M <= eps + 1e-12]
+        chains.append((float(eps), _max_weight_clique(neigh, np.ones(k))[1]))
     return Me1Diagnostic(M, tuple(chains))

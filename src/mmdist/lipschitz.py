@@ -333,7 +333,7 @@ def observable_distance(
     *,
     samples: int = 48,
     seed: int = 0,
-    max_cells: int = 16,
+    max_cells: int = 64,
 ) -> HliResult:
     """Observable distance: couplings are optimized under the Hausdorff value.
 

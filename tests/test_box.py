@@ -390,6 +390,48 @@ class TestWitnessBound:
             w = witness_search(Y, X)
             assert box_upper_from_witness(Y, X, w) >= box_distance(Y, X, 1.0).value - 1e-9
 
+    @staticmethod
+    def reweighted(rng, X):
+        """``X`` with random weights, some of them zero, at one of three totals."""
+        w = rng.uniform(0.0, 1.0, X.n) * (rng.random(X.n) < 0.8)
+        w[rng.integers(X.n)] += 0.5
+        return mm_space(w * rng.choice([1.0 / w.sum(), 1.0, 3.7]), X.dist)
+
+    def test_glued_couplings_pass_the_one_coupling_check(self, monkeypatch):
+        # the glued coupling goes through pullback_pair's 1e-9 check; record
+        # how far its signs and marginals are off, on random maps between
+        # spaces of 1-6 and 8-24 points (equal totals and unequal ones in
+        # both orders, zero weights) and on the identity maps of empirical
+        # measures that empirical_convergence_experiment builds
+        from mmdist.limits import empirical_space
+
+        errors = []
+
+        def recorded(X, Y, pi):
+            row = np.abs(pi.sum(axis=1) - X.weights).max()
+            col = np.abs(pi.sum(axis=0) - Y.weights).max()
+            errors.append(max(row, col, -pi.min()))
+            return pullback_pair(X, Y, pi)
+
+        monkeypatch.setattr(box_module, "pullback_pair", recorded)
+        rng = np.random.default_rng(2024)
+        for lo, hi, count in ((1, 6, 150), (8, 24, 12)):
+            for _ in range(count):
+                n, m = rng.integers(lo, hi + 1, size=2)
+                Xn = self.reweighted(rng, random_space(rng, min_points=n, max_points=n))
+                X = self.reweighted(rng, random_space(rng, min_points=m, max_points=m))
+                w = Witness(rng.integers(0, m, size=n), np.arange(n), 0.0)
+                assert box_upper_from_witness(Xn, X, w) >= abs(Xn.total_mass - X.total_mass)
+        for _ in range(6):
+            m = int(rng.integers(8, 25))
+            X = self.reweighted(rng, random_space(rng, min_points=m, max_points=m))
+            X = scale_measure(X, 1.0 / X.total_mass)
+            for N in (5, 50, 500):
+                emp = empirical_space(X, rng.multinomial(N, X.weights / X.weights.sum()))
+                box_upper_from_witness(emp, X, Witness(np.arange(m), emp.support, 0.0))
+        assert len(errors) == 150 + 12 + 18
+        assert max(errors) <= 1e-12
+
 
 class TestMaxWeightClique:
     """The branch-and-bound clique search against clique enumeration."""

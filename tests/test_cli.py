@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmdist import mm_space, observable_distance, write_space
+from mmdist import mm_space, observable_distance, read_space, write_space
 from mmdist.cli import _COMMANDS, build_parser, main
 from mmdist.matrixdist import _isomorphisms
 
@@ -242,6 +242,21 @@ class TestOtherCommands:
         assert code == 0
         assert rep["result"]["value"] == 0.5
         assert rep["result"]["tag"] == "exact"
+
+    def test_observable_distance_default_limit_matches_hlip(self, tmp_path, capsys):
+        # observable_distance refused this 5x5 pair under its own default of
+        # 16 cells, while hlip answered it under the --max-cells default of 64
+        rng = np.random.default_rng(55)
+        paths = []
+        for name in ("x", "y"):
+            d = np.triu(rng.integers(100, 201, size=(5, 5)), 1) * 0.01
+            paths.append(tmp_path / f"{name}.json")
+            write_space(paths[-1], mm_space(rng.integers(1, 5, size=5) / 4.0, d + d.T))
+        code, rep = run_json(capsys, ["hlip", *paths, "--lambda", "0"])
+        assert code == 0
+        X, Y = (read_space(p) for p in paths)
+        res = observable_distance(X, Y, 0.0)
+        assert res.tag == "exact" and rep["result"]["value"] == res.value
 
     def test_prokhorov_command(self, tmp_path, capsys, spaces):
         x, _ = spaces

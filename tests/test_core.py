@@ -34,7 +34,6 @@ from mmdist import (
     semidist_pair,
     spaces_equal,
     validate,
-    validate_pair,
     write_space,
 )
 
@@ -212,6 +211,18 @@ class TestCouplings:
         with pytest.raises(ValueError, match="does not match"):
             check(X, Y, np.full((2, 3), 1.0 / 6.0))
 
+    @pytest.mark.parametrize("check", [pullback_pair, coupling_from_matrix])
+    def test_marginal_off_by_2e_9_rejected(self, check):
+        X, Y = two_point(), two_point(d=2.0)
+        with pytest.raises(ValueError, match=r"marginals do not match the spaces \(row off 2e-09"):
+            check(X, Y, np.array([[0.5 + 2e-9, 0.0], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("check", [pullback_pair, coupling_from_matrix])
+    def test_marginal_off_by_5e_10_accepted(self, check):
+        # the one coupling tolerance is 1e-9, for every caller
+        X, Y = two_point(), two_point(d=2.0)
+        assert check(X, Y, np.array([[0.5 + 5e-10, 0.0], [0.0, 0.5]])) is not None
+
 
 class TestIndexMaps:
     """Caller-supplied maps and index lists must hold integers in range.
@@ -319,7 +330,7 @@ class TestSemidistPair:
         inf = [[0.0, np.inf], [np.inf, 0.0]]
         with pytest.raises(ValueError, match="d1 contains non-finite entries"):
             hli_lambda(SemiDistancePair([1.0, 1.0], inf, self.D), 0.0)
-        assert validate_pair(SemiDistancePair([1.0, 1.0], self.D, self.D)).ok
+        assert SemiDistancePair([1.0, 1.0], self.D, self.D).n == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):
@@ -359,7 +370,8 @@ class TestIO:
         p = tmp_path / "space.json"
         write_space(p, X)
         back = read_space(p)
-        assert spaces_equal(back, X, tol=0.0)
+        assert back.labels == X.labels
+        assert np.array_equal(back.weights, X.weights) and np.array_equal(back.dist, X.dist)
 
     def test_negative_weight_fails_load(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -542,3 +544,28 @@ class TestMe1Diagnostic:
         maps = [[0, 0], [1, 1], [0, 0], [1, 1]]
         rep = me1_subsequence_diagnostic(maps, [0.5, 0.5], d)
         assert rep.chains == ((0.0, (0, 2)), (0.4, (0, 1, 2, 3)))
+
+    def test_longest_chain_beats_the_greedy_ones(self):
+        # pairs 0-1, 0-2, 0-3 and 2-3 are within 0.25, 1-2 and 1-3 are not;
+        # the greedy forward passes returned (0, 1)
+        d = np.array([[0.0, 1.0, 0.25], [1.0, 0.0, 1.0], [0.25, 1.0, 0.0]])
+        maps = [[0, 2, 0], [2, 1, 2], [0, 2, 1], [2, 2, 1]]
+        rep = me1_subsequence_diagnostic(maps, [1.0, 0.25, 0.25], d)
+        assert rep.chains == ((0.25, (0, 2, 3)), (0.5, (0, 1, 2, 3)))
+
+    def test_chains_are_the_longest(self):
+        # every chain is the lexicographically first among the longest
+        # subsequences that stay pairwise within its tolerance
+        def longest(M, eps):
+            for size in range(len(M), 0, -1):
+                for c in itertools.combinations(range(len(M)), size):
+                    if all(M[a, b] <= eps + 1e-12 for a, b in itertools.combinations(c, 2)):
+                        return c
+
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            d = np.triu(rng.integers(1, 5, size=(3, 3)), 1) * 0.25
+            maps = rng.integers(0, 3, size=(int(rng.integers(4, 8)), 3))
+            rep = me1_subsequence_diagnostic(maps, rng.integers(1, 5, size=3) / 4.0, d + d.T)
+            for eps, chain in rep.chains:
+                assert chain == longest(rep.matrix, eps)
