@@ -38,10 +38,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    METRIC_TOL,
     FiniteMMSpace,
     SemiDistancePair,
     Witness,
     _as_indices,
+    _weight_violations,
     check_lambda,
     check_max_cells,
     lighter_first,
@@ -184,14 +186,19 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
     """
 
     def adj_at(t: float) -> list[set]:
-        rows, cols = np.nonzero(delta <= t + EDGE_TOL)
-        ends = np.searchsorted(rows, np.arange(len(delta) + 1)).tolist()  # row a: ends[a]:ends[a + 1]
-        cols = cols.tolist()
-        return [set(cols[ends[a] : ends[a + 1]]) - {a} for a in range(len(delta))]
+        return _neighbour_sets(delta <= t + EDGE_TOL)
 
     off = delta[np.triu_indices(len(delta), k=1)]
     eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0], cap)
     return (eps, (0.0, ())) if eps == np.inf else (eps, best_at(adj_at(eps), None))
+
+
+def _neighbour_sets(mask: np.ndarray) -> list[set]:
+    """Each row's true columns but its own: the graph form the clique searches take."""
+    rows, cols = np.nonzero(mask)
+    ends = np.searchsorted(rows, np.arange(len(mask) + 1)).tolist()  # row a: ends[a]:ends[a + 1]
+    cols = cols.tolist()
+    return [set(cols[ends[a] : ends[a + 1]]) - {a} for a in range(len(mask))]
 
 
 def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float) -> tuple[float, tuple]:
@@ -199,18 +206,19 @@ def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float)
 
     Returns ``(eps, cells)`` where ``cells`` is the retained index set with
     maximum mass (lexicographically smallest among ties).  This is the common
-    core of :func:`box_pair` and of the point-to-Lipschitz-set distances in
-    :mod:`mmdist.lipschitz`.
+    core of :func:`box_pair` and :func:`box_upper_from_witness`.  Defects are
+    square over the weights, free of NaN, symmetric within ``2 * METRIC_TOL``
+    (as ``|d1 - d2|`` of a valid pair is); ``inf`` never fits, below 0 reads 0.
     """
     check_lambda(lam)
     w_all = np.asarray(weights, dtype=float)
     d_all = np.asarray(delta, dtype=float)
-    if w_all.ndim != 1 or d_all.shape != (len(w_all), len(w_all)):
-        raise ValueError("defects must be a square matrix over the weights")
-    if not (np.isfinite(w_all).all() and (w_all >= 0.0).all()):
-        raise ValueError("weights must be finite and nonnegative")
-    if np.isnan(d_all).any():
-        raise ValueError("defects must not be NaN")
+    n = w_all.size
+    v = _weight_violations(w_all, n, "weight")
+    if not (d_all.shape == (n, n) and np.allclose(d_all, d_all.T, rtol=0.0, atol=2 * METRIC_TOL)):  # NaN fails
+        v.append("defects must be a symmetric square matrix over the weights, free of NaN")
+    if v:
+        raise ValueError("; ".join(v))
     support = np.flatnonzero(w_all > 0.0)
     if len(support) == 0:
         return 0.0, ()
@@ -364,8 +372,8 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     n_cells = len(sx) * len(sy)
     if n_cells > max_cells:
         raise SizeLimitError(
-            f"exact box_distance refuses {n_cells} cells (limit {max_cells}); "
-            "use heuristic mode"
+            f"exact box solve refuses {n_cells} coupling cells (limit {max_cells}); "
+            "raise max_cells or use an approximate mode"
         )
     m = X.total_mass
     row_caps, col_caps = X.weights[sx], Y.weights[sy]

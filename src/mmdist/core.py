@@ -10,7 +10,8 @@ back onto the support cells of a coupling yields a :class:`SemiDistancePair`,
 which is what every solver in this package actually works on.  Each object
 is checked in one place: :func:`coupling_from_matrix` checks the shape, the
 signs and the marginals of a coupling (:func:`pullback_pair` calls it), and
-the :class:`SemiDistancePair` constructor checks a pair.
+the :class:`SemiDistancePair` constructor checks a pair.  Each weight vector
+or matrix input meets :func:`_weight_violations` or :func:`_semimetric_violations`.
 
 Zero-weight points are kept in storage but excluded from supports; all
 comparisons between spaces are meant up to relabeling of the support.
@@ -110,6 +111,38 @@ class ValidationReport:
         return self.ok
 
 
+def _weight_violations(w: np.ndarray, n: int, name: str) -> list[str]:
+    """The weight rule: shape ``(n,)``, finite, nonnegative; ``name`` names one
+    entry (``"weight"`` gives :func:`validate`'s wording)."""
+    if w.shape != (n,):
+        return [f"{name}s has shape {w.shape}, expected ({n},)"]
+    if not np.isfinite(w).all():
+        return [f"{name}s contain non-finite entries"]
+    if (w < 0.0).any():
+        return [f"negative {name} at index {np.flatnonzero(w < 0.0)[0]}"]
+    return []
+
+
+def _semimetric_violations(d: np.ndarray, n: int, name: str) -> list[str]:
+    """The matrix rule: ``n x n``, finite, and nonnegative, symmetric and zero on
+    the diagonal within :data:`METRIC_TOL`; a bad shape or a non-finite entry is reported alone."""
+    if d.shape != (n, n):
+        return [f"{name} has shape {d.shape}, expected ({n}, {n})"]
+    if not np.isfinite(d).all():
+        return [f"{name} contains non-finite entries"]
+    v = []
+    if (d < -METRIC_TOL).any():
+        v.append(f"{name} contains negative entries")
+    gap = np.abs(d - d.T)
+    if gap.max(initial=0.0) > METRIC_TOL:
+        i, j = np.unravel_index(np.argmax(gap), d.shape)
+        v.append(f"{name} is asymmetric at ({i}, {j}): |d_ij - d_ji| = {gap[i, j]:.3g}")
+    diag = np.abs(d.diagonal()).max(initial=0.0)
+    if diag > METRIC_TOL:
+        v.append(f"{name} diagonal is not zero (max {diag:.3g})")
+    return v
+
+
 def validate(space: FiniteMMSpace) -> ValidationReport:
     """Check every structural invariant of a finite mm-space.
 
@@ -123,31 +156,15 @@ def validate(space: FiniteMMSpace) -> ValidationReport:
         return ValidationReport(tuple(v))
     if len(set(space.labels)) != n:
         v.append("labels are not unique")
+    weight_v = _weight_violations(space.weights, n, "weight")
     if space.weights.shape != (n,):
-        v.append(f"weights has shape {space.weights.shape}, expected ({n},)")
-        return ValidationReport(tuple(v))
+        return ValidationReport(tuple(v + weight_v))
+    dist_v = _semimetric_violations(space.dist, n, "dist")
     if space.dist.shape != (n, n):
-        v.append(f"dist has shape {space.dist.shape}, expected ({n}, {n})")
-        return ValidationReport(tuple(v))
-    if not np.all(np.isfinite(space.weights)):
-        v.append("weights contain non-finite entries")
-    elif np.any(space.weights < 0.0):
-        bad = np.flatnonzero(space.weights < 0.0)
-        v.append(f"negative weight at index {bad[0]}")
+        return ValidationReport(tuple(v + dist_v))
+    v += weight_v + dist_v
     if not np.all(np.isfinite(space.dist)):
-        v.append("dist contains non-finite entries")
         return ValidationReport(tuple(v))
-    if np.any(space.dist < -METRIC_TOL):
-        v.append("dist contains negative entries")
-    asym = np.max(np.abs(space.dist - space.dist.T))
-    if asym > METRIC_TOL:
-        i, j = np.unravel_index(
-            np.argmax(np.abs(space.dist - space.dist.T)), space.dist.shape
-        )
-        v.append(f"dist is asymmetric at ({i}, {j}): |d_ij - d_ji| = {asym:.3g}")
-    diag = np.max(np.abs(np.diag(space.dist)))
-    if diag > METRIC_TOL:
-        v.append(f"dist diagonal is not zero (max {diag:.3g})")
     # triangle inequality over all ordered triples, one pivot k at a time so
     # that memory stays O(n^2): excess d_ij - (d_ik + d_kj)
     d = space.dist
@@ -330,8 +347,8 @@ class SemiDistancePair:
     pullbacks of metrics onto coupling cells (those do satisfy it) but the
     solvers only rely on symmetry and the zero diagonal.  The constructor is
     the one check of a pair: it raises one ``ValueError`` naming every
-    violation (or only that the weights are not a vector), and the stored
-    arrays are read-only, so every pair that exists is valid.
+    violation of the rules :func:`validate` applies (the weights set the
+    length), and the stored arrays are read-only, so every pair is valid.
     """
 
     weights: np.ndarray
@@ -343,26 +360,9 @@ class SemiDistancePair:
         object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "d1", _readonly(self.d1))
         object.__setattr__(self, "d2", _readonly(self.d2))
-        if self.weights.ndim != 1:
-            raise ValueError("weights must be a vector")
-        v = []
-        for name, d in (("d1", self.d1), ("d2", self.d2)):
-            if d.shape != (self.n, self.n):
-                v.append(f"{name} has shape {d.shape}, expected ({self.n}, {self.n})")
-                continue
-            if not np.all(np.isfinite(d)):
-                v.append(f"{name} contains non-finite entries")
-                continue
-            if float(np.max(np.abs(d - d.T), initial=0.0)) > METRIC_TOL:
-                v.append(f"{name} is not symmetric")
-            if float(np.max(np.abs(np.diag(d)), initial=0.0)) > METRIC_TOL:
-                v.append(f"{name} has nonzero diagonal")
-            if np.any(d < -METRIC_TOL):
-                v.append(f"{name} has negative entries")
-        if not np.all(np.isfinite(self.weights)):
-            v.append("weights contain non-finite entries")
-        elif np.any(self.weights < 0.0):
-            v.append("negative cell mass")
+        n = self.weights.size
+        v = _weight_violations(self.weights, n, "weight")
+        v += _semimetric_violations(self.d1, n, "d1") + _semimetric_violations(self.d2, n, "d2")
         if v:
             raise ValueError("; ".join(v))
 

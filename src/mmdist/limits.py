@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .box import _max_weight_clique, box_distance, box_upper_from_witness, smallest_eps_for_defects
-from .core import FiniteMMSpace, Witness, _as_indices, check_lambda, check_max_cells
+from .box import _clique_solve, _max_weight_clique, _neighbour_sets, box_distance, box_upper_from_witness
+from .core import FiniteMMSpace, Witness, _as_indices, _weight_violations, check_lambda, check_max_cells
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms, _point_maps
@@ -57,16 +57,10 @@ def prokhorov(space: FiniteMMSpace, mu, nu) -> float:
     ``nu`` mass of its closed ``eps``-neighborhood plus ``eps``; checked by
     transportation feasibility over the ``eps``-near pairs.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if mu.shape != (space.n,) or nu.shape != (space.n,):
-        raise ValueError("mu and nu must be weight vectors on the space")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
-        raise ValueError("weightings must be finite")
-    if np.any(mu < 0.0) or np.any(nu < 0.0):
-        raise ValueError("weightings must be nonnegative")
-    if abs(float(mu.sum()) - float(nu.sum())) > 1e-9:
-        raise ValueError("prokhorov requires equal total masses")
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    v = _weight_violations(mu, space.n, "mu weight") + _weight_violations(nu, space.n, "nu weight")
+    if v:
+        raise ValueError("; ".join(v))
     return prokhorov_distance(space.dist, mu, nu)
 
 
@@ -97,11 +91,11 @@ def lipschitz_up_to_check(
     dY = Y.dist[np.ix_(fmap[s], fmap[s])]
     dX = X.dist[np.ix_(s, s)]
     ok = dY <= lam * dX + eps + 1e-12
-    np.fill_diagonal(ok, False)
     # maximum-mass subset that is pairwise admissible = max-weight clique
     if len(s) <= EXACT_CLIQUE_SUPPORT:
-        _, clique = _max_weight_clique([set(np.flatnonzero(row).tolist()) for row in ok], X.weights[s])
+        _, clique = _max_weight_clique(_neighbour_sets(ok), X.weights[s])
     else:  # greedy peel: drop the endpoint with most violations
+        np.fill_diagonal(ok, False)
         alive = list(range(len(s)))
         while True:
             viol = (~ok[np.ix_(alive, alive)]).sum(axis=1) - 1  # self always bad
@@ -141,7 +135,8 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
         raise ValueError("witness_search requires equal total masses")
     sn, sx = Xn.support, X.support
-    m = Xn.total_mass
+    w = Xn.weights[sn]
+    m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
     def evaluate(p_support: tuple) -> tuple[float, tuple]:
         p = np.array(p_support, dtype=int)
@@ -151,7 +146,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         if prok >= best_obj:
             return prok, ()
         delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
-        eps_pair, cells = smallest_eps_for_defects(delta, Xn.weights[sn], 1.0)
+        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0)
         return max(eps_pair, prok), cells
 
     best_obj = np.inf
@@ -423,6 +418,5 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     eps_grid = np.unique(M[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
     chains = []
     for eps in eps_grid:
-        neigh = [set(np.flatnonzero(row).tolist()) for row in M <= eps + 1e-12]
-        chains.append((float(eps), _max_weight_clique(neigh, np.ones(k))[1]))
+        chains.append((float(eps), _max_weight_clique(_neighbour_sets(M <= eps + 1e-12), np.ones(k))[1]))
     return Me1Diagnostic(M, tuple(chains))

@@ -35,12 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .box import box_distance, smallest_eps_for_defects
+from .box import _clique_solve, box_distance
 from .core import (
     FiniteMMSpace,
     SemiDistancePair,
     _as_indices,
     _readonly,
+    _semimetric_violations,
+    _weight_violations,
     check_lambda,
     check_max_cells,
     lighter_first,
@@ -75,10 +77,11 @@ def me_lambda(f, g, weights, lam: float) -> float:
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if not (len(f) == len(g) == len(w)):
-        raise ValueError("f, g and weights must share one index set")
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g)) and np.all(np.isfinite(w))):
-        raise ValueError("f, g and weights must be finite")
+    v = _weight_violations(w, w.size, "weight")
+    if not (f.shape == g.shape == w.shape and np.isfinite(f).all() and np.isfinite(g).all()):
+        v.append("f and g must be finite vectors over the index set of the weights")
+    if v:
+        raise ValueError("; ".join(v))
     keep = w > 0.0
     v = np.abs(f - g)[keep]
     w = w[keep]
@@ -118,6 +121,9 @@ def project_to_lip1(f, dist, anchor) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     d = np.asarray(dist, dtype=float)
+    v = _semimetric_violations(d, f.size, "dist")
+    if v:
+        raise ValueError("; ".join(v))
     anchor = _as_indices(anchor, "anchor", len(f))
     if anchor.size == 0:
         raise ValueError("anchor must be nonempty")
@@ -131,8 +137,8 @@ class Lip1Set:
     Functions are considered on the support only and pinned to zero at the
     first support point; adding constants never leaves the set, so all
     distances computed against it optimize over translations implicitly.
-    ``dist`` must be square over the weights and free of NaN, and the
-    weights nonnegative (``ValueError`` otherwise).
+    The weights and ``dist`` meet the rules of a pair's weights and ``d1``
+    (``ValueError`` otherwise).
     """
 
     dist: np.ndarray
@@ -142,15 +148,10 @@ class Lip1Set:
         # read-only copies: the cached closure must keep describing ``dist``
         object.__setattr__(self, "dist", _readonly(self.dist))
         object.__setattr__(self, "weights", _readonly(self.weights))
-        if self.weights.ndim != 1:
-            raise ValueError("weights must be a vector")
-        n = len(self.weights)
-        if self.dist.shape != (n, n):
-            raise ValueError(f"dist has shape {self.dist.shape}, expected ({n}, {n})")
-        if not (self.weights >= 0.0).all():
-            raise ValueError("weights must be nonnegative and not NaN")
-        if np.isnan(self.dist).any():
-            raise ValueError("dist must not be NaN")
+        n = self.weights.size
+        v = _weight_violations(self.weights, n, "weight") + _semimetric_violations(self.dist, n, "dist")
+        if v:
+            raise ValueError("; ".join(v))
 
     @property
     def support(self) -> np.ndarray:
@@ -229,13 +230,13 @@ class Lip1Set:
         sign = -1.0 if rng.random() < 0.5 else 1.0
         raw = sign * d[:, apex] + rng.normal(0.0, 0.25 * (1.0 + d.max()), size=k)
         # project anchor values through the closure so the result is Lipschitz
-        proj = project_to_lip1(raw, self.closure, anchor)
+        proj = np.min(raw[anchor][None, :] + self.closure[:, anchor], axis=1)
         return self._extend(proj - proj[0])
 
     def _extend(self, support_values: np.ndarray) -> np.ndarray:
         """Fill non-support coordinates by McShane extension from the support."""
         s = self.support
-        out = project_to_lip1(support_values, self.dist[:, s], np.arange(len(s)))
+        out = np.min(support_values[None, :] + self.dist[:, s], axis=1)
         out[s] = support_values
         return out
 
@@ -251,17 +252,17 @@ def lip_point_distance(f, target: Lip1Set, lam: float) -> float:
     ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D`` the set's closure;
     so the distance is the defect-clique optimum for the halved excess matrix.
     """
+    check_lambda(lam)
     f = np.asarray(f, dtype=float)
     if f.shape != target.weights.shape:
         raise ValueError("f length does not match the set")
     if not np.isfinite(f).all():
         raise ValueError("f must be finite")
     s = target.support
-    f = f[s]
+    f, w = f[s], target.weights[s]
     delta = np.clip((np.abs(f[:, None] - f[None, :]) - target.closure) / 2.0, 0.0, None)
     np.fill_diagonal(delta, 0.0)
-    eps, _ = smallest_eps_for_defects(delta, target.weights[s], lam)
-    return eps
+    return _clique_solve(delta, w, float(w.sum()), lam)[0]
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,7 @@ class HliResult:
 def hli_lambda(
     pair: SemiDistancePair,
     lam: float,
-    mode: str = "exact0",
+    mode: str | None = None,
     *,
     samples: int = 48,
     seed: int = 0,
@@ -301,9 +302,11 @@ def hli_lambda(
     the cone ``C1(., j)``.  Cubic in the support size.  ``sampled`` (any
     ``lam``): certified lower bound from the distance cones and ``samples``
     (nonnegative) random members of each set, each measured exactly against
-    the other polytope.
+    the other polytope.  ``mode=None`` picks ``exact0`` at ``lam = 0``, else
+    ``sampled``.
     """
     check_lambda(lam)
+    mode = mode or ("exact0" if lam == 0.0 else "sampled")
     sets = (Lip1Set(pair.d1, pair.weights), Lip1Set(pair.d2, pair.weights))
     if mode == "exact0":
         if lam != 0.0:
@@ -329,7 +332,7 @@ def observable_distance(
     X: FiniteMMSpace,
     Y: FiniteMMSpace,
     lam: float,
-    mode: str = "exact0",
+    mode: str | None = None,
     *,
     samples: int = 48,
     seed: int = 0,
@@ -344,18 +347,15 @@ def observable_distance(
     certified.  ``sampled``: evaluates sampled couplings with sampled pair
     bounds; tagged heuristic.  Unequal totals follow the same scale-and-gap
     rule as the box distance (:func:`mmdist.core.lighter_first`).
+    ``mode=None`` picks ``exact0`` at ``lam = 0``, else ``sampled``.
     """
     check_lambda(lam)
     check_max_cells(max_cells)
+    mode = mode or ("exact0" if lam == 0.0 else "sampled")
     X, Y, gap, swapped = lighter_first(X, Y)
     if mode == "exact0":
         if lam != 0.0:
             raise ValueError("exact0 mode requires lambda = 0")
-        if len(X.support) * len(Y.support) > max_cells:
-            raise SizeLimitError(
-                f"exact0 observable_distance refuses "
-                f"{len(X.support) * len(Y.support)} cells (limit {max_cells})"
-            )
         box = box_distance(X, Y, 0.0, "exact", max_cells=max_cells)
         value, tag, pi = box.value / 2.0, "exact", box.coupling
     elif mode == "sampled":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMMSpace, _as_indices, normalized
+from .core import FiniteMMSpace, _as_indices, _weight_violations, normalized
 from .errors import SizeLimitError
 
 _ROUND_DECIMALS = 12
@@ -325,8 +325,9 @@ def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses) -> bo
     """
     cp = _as_indices(cell_points, "cell_points", X.n)
     cm = np.asarray(cell_masses, dtype=float)
-    if cm.shape != cp.shape:
-        raise ValueError("cell_points and cell_masses differ in length")
+    v = _weight_violations(cm, cp.size, "cell weight")
+    if v:
+        raise ValueError("; ".join(v))
     cell_space = FiniteMMSpace(
         tuple(f"c{i}" for i in range(len(cp))), cm, X.dist[np.ix_(cp, cp)]
     )

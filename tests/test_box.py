@@ -20,7 +20,15 @@ from mmdist import (
     smallest_eps_for_defects,
 )
 from mmdist import box as box_module
-from mmdist.box import _TIE_TOL, EDGE_TOL, _best_flow_at, _defect_solve, _flow_bound, _max_weight_clique
+from mmdist.box import (
+    _TIE_TOL,
+    EDGE_TOL,
+    _best_flow_at,
+    _defect_solve,
+    _flow_bound,
+    _max_weight_clique,
+    _neighbour_sets,
+)
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
 from oracles import (
@@ -38,6 +46,16 @@ def neighbour_sets(adj):
     """Neighbour sets, the form the clique searches take, of a symmetric
     boolean matrix with a false diagonal."""
     return [set(np.flatnonzero(row).tolist()) for row in adj]
+
+
+def test_neighbour_sets_drop_the_diagonal():
+    rng = np.random.default_rng(4)
+    for n in range(6):
+        mask = rng.random((n, n)) < 0.5
+        mask = mask | mask.T
+        off = mask.copy()
+        np.fill_diagonal(off, False)
+        assert _neighbour_sets(mask) == neighbour_sets(off)
 
 
 def cross_pair(w, a, b):
@@ -188,6 +206,7 @@ class TestBoxPair:
         ],
     )
     def test_bad_defect_input_rejected(self, delta, weights, match):
+        match = {"weights": "weight"}.get(match, match)  # "negative weight at index 1" is singular
         for lam in (0.0, 1.0):
             with pytest.raises(ValueError, match=match):
                 smallest_eps_for_defects(np.array(delta), np.array(weights), lam)

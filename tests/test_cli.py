@@ -234,7 +234,7 @@ class TestOtherCommands:
     def test_hlip_size_limit_exits_two(self, capsys, spaces):
         x, y = spaces
         assert main(["hlip", str(x), str(y), "--lambda", "0", "--max-cells", "3"]) == 2
-        assert "exact0 observable_distance refuses 4 cells (limit 3)" in capsys.readouterr().err
+        assert "exact box solve refuses 4 coupling cells (limit 3)" in capsys.readouterr().err
 
     def test_hlip_exact0(self, capsys, spaces):
         x, y = spaces

@@ -305,9 +305,17 @@ class TestPullback:
 
 class TestSemidistPair:
     D = [[0.0, 1.0], [1.0, 0.0]]
+    # fault named by a case -> the message, worded as validate words it
+    WORDING = {
+        "d2 is not symmetric": "d2 is asymmetric at (0, 1): |d_ij - d_ji| = 1",
+        "d1 has nonzero diagonal": "d1 diagonal is not zero (max 0.3)",
+        "d2 has negative entries": "d2 contains negative entries",
+        "negative cell mass": "negative weight at index 0",
+        "weights must be a vector": "weights has shape (",
+    }
 
     @pytest.mark.parametrize(
-        "weights, d1, d2, message",
+        "weights, d1, d2, fault",
         [
             ([0.5, 0.5], [[0.0, 1.0]], D, "d1 has shape (1, 2)"),
             ([0.5, 0.5], D, [[0.0, 1.0], [2.0, 0.0]], "d2 is not symmetric"),
@@ -318,14 +326,14 @@ class TestSemidistPair:
             ([[0.5]], [[0.0]], [[0.0]], "weights must be a vector"),  # was accepted
         ],
     )
-    def test_malformed_pair_reported(self, weights, d1, d2, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+    def test_malformed_pair_reported(self, weights, d1, d2, fault):
+        with pytest.raises(ValueError, match=re.escape(self.WORDING.get(fault, fault))):
             SemiDistancePair(weights, d1, d2)
 
     def test_directly_built_pair_is_checked(self):
         # box_pair(heuristic) answered 0.0, and hli_lambda exact0 answered
         # inf tagged exact, for these pairs built without semidist_pair
-        with pytest.raises(ValueError, match="negative cell mass"):
+        with pytest.raises(ValueError, match="negative weight at index 1"):
             box_pair(SemiDistancePair([0.5, -0.5], self.D, self.D), 1.0, "heuristic")
         inf = [[0.0, np.inf], [np.inf, 0.0]]
         with pytest.raises(ValueError, match="d1 contains non-finite entries"):

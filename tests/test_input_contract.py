@@ -1,0 +1,226 @@
+"""The input contract: one weight rule and one matrix rule at every entry point.
+
+Every public callable of the ``mmdist`` namespace that takes a weight vector
+(``weights``, ``mu``, ``nu``, ``cell_masses``) or a matrix (``dist``, ``d1``,
+``d2``, ``delta``) is a row of ``CONTRACT``, and a completeness check keeps it
+so.  Each bad input of each row raises ``ValueError`` whose message names that
+input.  The frozen corpus under ``data/validate_corpus`` pins the report of
+``mmdist validate`` on malformed space files.
+"""
+
+import contextlib
+import inspect
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mmdist
+from mmdist import (
+    FiniteMMSpace,
+    Lip1Set,
+    SemiDistancePair,
+    me1_subsequence_diagnostic,
+    me_lambda,
+    me_lambda_maps,
+    mm_space,
+    parameter_invariance_check,
+    project_to_lip1,
+    prokhorov,
+    semidist_pair,
+    smallest_eps_for_defects,
+    validate,
+)
+from mmdist.cli import main
+
+INPUT_NAMES = {"weights", "mu", "nu", "cell_masses", "dist", "d1", "d2", "delta"}
+
+D = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+W = [0.5, 0.25, 0.25]
+X = mm_space(W, D)
+
+
+def _validated(weights, dist):
+    """A raw ``FiniteMMSpace`` is checked by ``validate``; its report as a ValueError."""
+    report = validate(FiniteMMSpace(("a", "b", "c"), weights, dist))
+    if not report.ok:
+        raise ValueError("; ".join(report.violations))
+
+
+# entry point -> (call taking the inputs by name, valid inputs, what each
+# input is called in messages, the name a too-short weight vector gets: the
+# matrix whose shape the weights set, or the weights themselves)
+CONTRACT = {
+    FiniteMMSpace: (_validated, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "weight"),
+    mm_space: (mm_space, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "dist"),
+    SemiDistancePair: (
+        SemiDistancePair, {"weights": W, "d1": D, "d2": D}, {"weights": "weight", "d1": "d1", "d2": "d2"}, "d1",
+    ),
+    semidist_pair: (
+        semidist_pair, {"weights": W, "d1": D, "d2": D}, {"weights": "weight", "d1": "d1", "d2": "d2"}, "d1",
+    ),
+    Lip1Set: (Lip1Set, {"dist": D, "weights": W}, {"dist": "dist", "weights": "weight"}, "dist"),
+    project_to_lip1: (
+        lambda dist: project_to_lip1([0.0, 0.0, 0.0], dist, [0, 1, 2]), {"dist": D}, {"dist": "dist"}, None,
+    ),
+    me_lambda: (
+        lambda weights: me_lambda([0.0, 1.0, 3.0], [0.0, 0.0, 0.0], weights, 1.0),
+        {"weights": W}, {"weights": "weight"}, "weight",
+    ),
+    me_lambda_maps: (
+        lambda weights: me_lambda_maps([0, 1, 2], [2, 1, 0], weights, D, 1.0),
+        {"weights": W}, {"weights": "weight"}, "weight",
+    ),
+    me1_subsequence_diagnostic: (
+        lambda weights: me1_subsequence_diagnostic([[0, 1, 2], [2, 1, 0]], weights, D),
+        {"weights": W}, {"weights": "weight"}, "weight",
+    ),
+    prokhorov: (
+        lambda mu, nu: prokhorov(X, mu, nu), {"mu": W, "nu": W[::-1]}, {"mu": "mu weight", "nu": "nu weight"},
+        "weight",
+    ),
+    parameter_invariance_check: (
+        lambda cell_masses: parameter_invariance_check(X, [0, 1, 2], cell_masses),
+        {"cell_masses": W}, {"cell_masses": "cell weight"}, "weight",
+    ),
+    smallest_eps_for_defects: (
+        lambda delta, weights: smallest_eps_for_defects(delta, weights, 1.0),
+        {"delta": D, "weights": W}, {"delta": "defects", "weights": "weight"}, "weight",
+    ),
+}
+
+BAD_WEIGHTS = {
+    "negative": [0.5, -0.25, 0.25],
+    "nan": [0.5, np.nan, 0.25],
+    "inf": [0.5, np.inf, 0.25],
+    "short": [0.5, 0.5],
+    "not a vector": [W],
+}
+BAD_MATRICES = {
+    "negative": [[0.0, -1.0, 2.0], [-1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+    "nan": [[0.0, np.nan, 2.0], [np.nan, 0.0, 1.0], [2.0, 1.0, 0.0]],
+    "inf": [[0.0, np.inf, 2.0], [np.inf, 0.0, 1.0], [2.0, 1.0, 0.0]],
+    "wrong shape": [[0.0, 1.0], [1.0, 0.0]],
+    "asymmetric": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]],
+}
+#: a defect matrix may hold inf ("never compatible") and negative entries (read as 0)
+DEFECT_ALLOWED = {"negative", "inf"}
+
+
+def _cases():
+    for entry, (_, inputs, names, short_name) in CONTRACT.items():
+        for param in inputs:
+            weight_like = param in ("weights", "mu", "nu", "cell_masses")
+            for kind, bad in (BAD_WEIGHTS if weight_like else BAD_MATRICES).items():
+                if param == "delta" and kind in DEFECT_ALLOWED:
+                    continue
+                named = short_name if kind == "short" else names[param]
+                yield pytest.param(entry, param, bad, named, id=f"{entry.__name__}-{param}-{kind}")
+
+
+@pytest.mark.parametrize("entry, param, bad, named", list(_cases()))
+def test_bad_input_raises_value_error_naming_it(entry, param, bad, named):
+    call, inputs, _, _ = CONTRACT[entry]
+    with pytest.raises(ValueError, match=named):
+        call(**{**inputs, param: bad})
+
+
+@pytest.mark.parametrize("entry", list(CONTRACT), ids=lambda e: e.__name__)
+def test_valid_inputs_pass(entry):
+    call, inputs, _, _ = CONTRACT[entry]
+    call(**inputs)
+
+
+def test_every_entry_point_taking_weights_or_a_matrix_is_in_the_table():
+    missing = {}
+    for name, obj in vars(mmdist).items():
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+            continue
+        try:
+            params = INPUT_NAMES & set(inspect.signature(obj).parameters)
+        except ValueError:  # exception classes have no signature
+            continue
+        if params and (obj not in CONTRACT or params != set(CONTRACT[obj][1])):
+            missing[name] = sorted(params)
+    assert not missing, f"add these entry points and inputs to CONTRACT: {missing}"
+
+
+def test_defect_matrix_allows_inf_and_negative_entries():
+    delta = [[0.0, np.inf, -1.0], [np.inf, 0.0, 0.5], [-1.0, 0.5, 0.0]]
+    assert smallest_eps_for_defects(delta, W, 0.0) == (np.inf, (0, 1, 2))
+    # asymmetry within 2 * METRIC_TOL is what |d1 - d2| of a valid pair can carry
+    tiny = np.array(D) + np.array([[0.0, 2e-12, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert smallest_eps_for_defects(tiny, W, 0.0)[0] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# inputs that were accepted without a word
+
+
+def test_asymmetric_defect_matrix_rejected():
+    # returned 5.0, and 0.1 for the transpose (lambda = 0)
+    delta = np.array([[0.0, 5.0, 0.1], [0.1, 0.0, 0.1], [0.1, 0.1, 0.0]])
+    for d in (delta, delta.T):
+        with pytest.raises(ValueError, match="defects must be a symmetric square matrix"):
+            smallest_eps_for_defects(d, [1.0, 1.0, 1.0], 0.0)
+
+
+def test_me_lambda_negative_weight_rejected():
+    # returned 0.0
+    with pytest.raises(ValueError, match="negative weight at index 1"):
+        me_lambda([0.0, 5.0], [0.0, 0.0], [1.0, -1.0], 1.0)
+
+
+@pytest.mark.parametrize("bad, message", [(-0.25, "negative cell weight"), (np.nan, "non-finite")])
+def test_parameter_invariance_bad_cell_mass_rejected(bad, message):
+    # returned False
+    Y = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=message):
+        parameter_invariance_check(Y, [0, 1, 1], [0.5, 0.75, bad])
+
+
+@pytest.mark.parametrize(
+    "dist, weights, message",
+    [
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0, np.inf], "weights contain non-finite entries"),
+        ([[0.0, 1.0], [3.0, 0.0]], [1.0, 1.0], "dist is asymmetric at"),
+        ([[0.0, np.inf], [np.inf, 0.0]], [1.0, 1.0], "dist contains non-finite entries"),
+    ],
+)
+def test_lip1set_bad_input_rejected(dist, weights, message):
+    # all three sets were built; from f = [0, 5] at lambda 1, lip_point_distance
+    # then answered 1.0 on the asymmetric dist and 0.0 on the inf dist
+    with pytest.raises(ValueError, match=message):
+        Lip1Set(dist, weights)
+
+
+# ---------------------------------------------------------------------------
+# the frozen validate corpus
+
+CORPUS = Path(__file__).parent / "data" / "validate_corpus"
+EXPECTED = json.loads((Path(__file__).parent / "data" / "validate_expected.json").read_text())
+
+
+def test_corpus_is_complete():
+    assert sorted(p.stem for p in CORPUS.glob("*.json")) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_validate_report_is_frozen(name):
+    path = CORPUS / f"{name}.json"
+    want = EXPECTED[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert code == want["exit"]
+    assert (json.loads(out.getvalue())["result"] if out.getvalue() else None) == want["result"]
+    assert err.getvalue().replace(str(path), "<path>") == want["stderr"]
+    doc = json.loads(path.read_text())
+    try:
+        space = FiniteMMSpace(doc["labels"], np.array(doc["weights"], float), np.array(doc["dist"], float))
+    except ValueError:  # ragged or non-numeric: only the file reader sees it
+        assert want["validate"] is None
+        return
+    assert list(validate(space).violations) == want["validate"]

@@ -288,6 +288,12 @@ class TestPointDistance:
         ],
     )
     def test_bad_set_rejected(self, dist, weights, match):
+        # fault named by a case -> the message, worded as validate words it
+        match = {
+            "weights": "weight",
+            "NaN": "dist contains non-finite entries",
+            "vector": r"weights has shape \(\), expected \(1,\)",
+        }.get(match, match)
         with pytest.raises(ValueError, match=match):
             lip_point_distance([0.0, 5.0], Lip1Set(dist, weights), 1.0)
 
@@ -320,6 +326,17 @@ class TestHliPair:
         pair = semidist_pair([1.0], [[0.0]], [[0.0]])
         with pytest.raises(ValueError):
             hli_lambda(pair, 1.0, "exact0")
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_default_mode_follows_lambda(self, lam):
+        # the default was exact0, so every lambda > 0 raised "exact0 mode requires lambda = 0"
+        pair = semidist_pair([0.5, 0.5], [[0, 1], [1, 0]], [[0, 2], [2, 0]])
+        mode = "exact0" if lam == 0.0 else "sampled"
+        res = hli_lambda(pair, lam)
+        assert res.mode == mode and res == hli_lambda(pair, lam, mode)
+        X, Y = (mm_space([0.5, 0.5], [[0, d], [d, 0]]) for d in (1.0, 2.0))
+        res = observable_distance(X, Y, lam)
+        assert res.mode == mode and res.value == observable_distance(X, Y, lam, mode).value
 
     def test_exact0_answers_on_support_nine(self):
         # no size limit: the closed form is cubic in the support size.  The
@@ -477,7 +494,7 @@ class TestObservableDistance:
     def test_exact0_refuses_above_max_cells(self):
         X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
         Y = mm_space([0.25, 0.25, 0.5], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        with pytest.raises(SizeLimitError, match="exact0 observable_distance refuses 6 cells"):
+        with pytest.raises(SizeLimitError, match="exact box solve refuses 6 coupling cells"):
             observable_distance(X, Y, 0.0, max_cells=5)
         assert observable_distance(X, Y, 0.0, max_cells=6).tag == "exact"
 
