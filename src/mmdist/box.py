@@ -28,7 +28,11 @@ The heuristic space solver scores trial couplings with the pair solve and
 keeps a trial only if its value is at most the incumbent's.  Feasibility is
 monotone in the tolerance, so the solve takes the incumbent as a ``cap``:
 one probe there rejects a trial whose value is above it, and a trial that
-passes gets the full search, whose answer the cap does not change.
+passes gets the full search, whose answer the cap does not change.  The
+witness search of :mod:`mmdist.limits` gates its maps the same way.  Its
+mirror image is the ``floor`` of a running maximum (the sampled Hausdorff
+bound of :mod:`mmdist.lipschitz`): one probe at the floor settles a value
+that cannot raise it, and such a value gets no certificate.
 """
 
 from __future__ import annotations
@@ -171,7 +175,9 @@ def _max_weight_clique(
     return best_mass, best_set
 
 
-def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf):
+def _defect_solve(
+    delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf, floor: float = 0.0
+):
     """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
 
     Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
@@ -182,15 +188,19 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
     below the heaviest, since a probe compares the mass with ``target`` only.
     The candidates are zero and the off-diagonal defects.  Returns ``(eps,
     best_at(adj_at(eps), None))``; with a ``cap`` whose probe fails, ``(inf,
-    (0.0, ()))`` (see :func:`mmdist.transport._threshold_solve`).
+    (0.0, ()))``, and with a positive ``floor`` that ``eps`` does not exceed,
+    ``(floor, (0.0, ()))``: no certificate is built for a value the gate
+    decided (see :func:`mmdist.transport._threshold_solve`).
     """
 
     def adj_at(t: float) -> list[set]:
         return _neighbour_sets(delta <= t + EDGE_TOL)
 
     off = delta[np.triu_indices(len(delta), k=1)]
-    eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0], cap)
-    return (eps, (0.0, ())) if eps == np.inf else (eps, best_at(adj_at(eps), None))
+    eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0], cap, floor)
+    if eps == np.inf or (floor > 0.0 and eps == floor):
+        return eps, (0.0, ())
+    return eps, best_at(adj_at(eps), None)
 
 
 def _neighbour_sets(mask: np.ndarray) -> list[set]:
@@ -227,16 +237,22 @@ def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float)
     return eps, tuple(int(support[i]) for i in cells)
 
 
-def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf):
+def _clique_solve(
+    d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0
+):
     """:func:`smallest_eps_for_defects` on positive weights ``w`` of total ``m``.
 
     With a finite ``cap`` at ``lam > 0``, ``(inf, ())`` when the answer is
-    above ``cap``, decided by one probe; ``lam = 0`` takes the closed form.
+    above ``cap``, decided by one probe.  With a ``floor``, the value is
+    ``max(floor, answer)``, and ``(floor, ())`` when one probe shows that
+    the answer does not exceed a positive ``floor``.  ``lam = 0`` takes the
+    closed form, ignores ``cap`` and keeps every cell.
     """
     if lam == 0.0:
-        return float(d[np.triu_indices(len(w), k=1)].max(initial=0.0)), tuple(range(len(w)))
+        eps = float(d[np.triu_indices(len(w), k=1)].max(initial=0.0))
+        return max(eps, floor), tuple(range(len(w)))
     eps, (_, cells) = _defect_solve(
-        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target), cap
+        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target), cap, floor
     )
     return eps, cells
 
@@ -245,66 +261,16 @@ def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float
 # pairs
 
 
-def box_pair(
-    pair: SemiDistancePair,
-    lam: float,
-    mode: str = "exact",
-    *,
-    max_cells: int = 64,
-) -> BoxResult:
-    """Box value of a semimetric pair.
-
-    Exact mode uses the branch-and-bound clique search over the defect graph;
-    heuristic mode peels the worst cell greedily and returns an upper bound.
-    """
+def box_pair(pair: SemiDistancePair, lam: float, *, max_cells: int = 64) -> BoxResult:
+    """Exact box value of a semimetric pair, by the branch-and-bound clique
+    search over the defect graph."""
     check_lambda(lam)
     check_max_cells(max_cells)
-    delta = np.abs(pair.d1 - pair.d2)
-    m = pair.total_mass
-    if mode == "exact":
-        if len(pair.support) > max_cells:
-            raise SizeLimitError(
-                f"exact box_pair refuses {len(pair.support)} cells (limit {max_cells}); "
-                "use heuristic mode"
-            )
-        eps, cells = smallest_eps_for_defects(delta, pair.weights, lam)
-        retained = float(pair.weights[list(cells)].sum()) if cells else 0.0
-        return BoxResult(eps, "exact", cells, retained, eps)
-    if mode != "heuristic":
-        raise ValueError(f"unknown mode {mode!r}")
-    return _greedy_peel(delta, pair.weights, lam, m)
-
-
-def _greedy_peel(delta: np.ndarray, weights: np.ndarray, lam: float, m: float) -> BoxResult:
-    """Upper bound by repeatedly dropping a cell of the worst defect pair."""
-    current = [int(i) for i in np.flatnonzero(np.asarray(weights) > 0.0)]
-    w = np.asarray(weights, dtype=float)
-    best_eps = np.inf if current else 0.0  # no support: nothing to peel
-    best_cells: tuple = ()
-    while current:
-        sub = delta[np.ix_(current, current)]
-        worst = float(sub.max(initial=0.0)) if len(current) > 1 else 0.0
-        dropped = m - float(w[current].sum())
-        if lam > 0.0:
-            eps = max(worst, dropped / lam)
-        elif dropped <= 1e-15:
-            eps = worst
-        else:
-            eps = np.inf  # cannot certify at lambda = 0 after dropping mass
-        if eps < best_eps:
-            best_eps, best_cells = eps, tuple(current)
-        if len(current) == 1:
-            break
-        i, j = np.unravel_index(int(sub.argmax()), sub.shape)
-        # drop the endpoint of the worst pair that frees the most defect mass,
-        # breaking ties toward the smaller atom, then the larger index
-        cand = sorted(
-            (current[i], current[j]),
-            key=lambda v: (-float(delta[v, current].max()), float(w[v]), -v),
-        )
-        current.remove(cand[0])
-    retained = float(w[list(best_cells)].sum()) if best_cells else 0.0
-    return BoxResult(float(best_eps), "heuristic-upper-bound", best_cells, retained, float(best_eps))
+    if len(pair.support) > max_cells:
+        raise SizeLimitError(f"exact box_pair refuses {len(pair.support)} cells (limit {max_cells})")
+    eps, cells = smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
+    retained = float(pair.weights[list(cells)].sum()) if cells else 0.0
+    return BoxResult(eps, "exact", cells, retained, eps)
 
 
 # ---------------------------------------------------------------------------

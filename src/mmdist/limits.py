@@ -128,13 +128,18 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     A map whose Prokhorov gap alone is at least the best objective so far
     skips the clique search: its objective, a maximum that includes that
     gap, cannot fall below the best, and both branches accept only a map
-    that is strictly better.  So the prune returns the same map, subset and
-    tolerance as scoring every map.  Among tied maps the enumeration keeps
-    the lexicographically first.
+    that is strictly better.  Any other map passes the best objective as the
+    ``cap`` of its clique search, so one threshold probe turns away a map
+    whose subset tolerance is above it (see
+    :func:`mmdist.transport._threshold_solve`).  So the prunes return the
+    same map, subset and tolerance as scoring every map.  Among tied maps
+    the enumeration keeps the lexicographically first.
     """
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
         raise ValueError("witness_search requires equal total masses")
     sn, sx = Xn.support, X.support
+    if len(sx) == 0:
+        raise ValueError("witness_search requires positive total mass")
     w = Xn.weights[sn]
     m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
@@ -146,7 +151,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         if prok >= best_obj:
             return prok, ()
         delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
-        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0)
+        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj)
         return max(eps_pair, prok), cells
 
     best_obj = np.inf

@@ -120,6 +120,8 @@ def project_to_lip1(f, dist, anchor) -> np.ndarray:
     and fixes any function that is already 1-Lipschitz (full anchor).
     """
     f = np.asarray(f, dtype=float)
+    if f.ndim != 1:
+        raise ValueError(f"f must be a vector, got shape {f.shape}")
     d = np.asarray(dist, dtype=float)
     v = _semimetric_violations(d, f.size, "dist")
     if v:
@@ -245,14 +247,21 @@ class Lip1Set:
 # Hausdorff distances between Lipschitz sets
 
 
-def lip_point_distance(f, target: Lip1Set, lam: float) -> float:
-    """Exact me-distance from a function to a 1-Lipschitz set.
+def lip_point_distance(f, target: Lip1Set, lam: float, *, floor: float = 0.0) -> float:
+    """Exact me-distance from a function to a 1-Lipschitz set, or ``floor``
+    if that is larger: the result is ``max(floor, distance)``.
 
     A member of ``target`` within ``eps`` of ``f`` on a set ``S`` exists iff
     ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D`` the set's closure;
     so the distance is the defect-clique optimum for the halved excess matrix.
+    A running maximum passes itself as ``floor``: one threshold probe then
+    settles a distance that cannot raise it (see
+    :func:`mmdist.transport._threshold_solve`).
     """
     check_lambda(lam)
+    floor = float(floor)
+    if np.isnan(floor):
+        raise ValueError("floor must not be NaN")
     f = np.asarray(f, dtype=float)
     if f.shape != target.weights.shape:
         raise ValueError("f length does not match the set")
@@ -262,7 +271,7 @@ def lip_point_distance(f, target: Lip1Set, lam: float) -> float:
     f, w = f[s], target.weights[s]
     delta = np.clip((np.abs(f[:, None] - f[None, :]) - target.closure) / 2.0, 0.0, None)
     np.fill_diagonal(delta, 0.0)
-    return _clique_solve(delta, w, float(w.sum()), lam)[0]
+    return _clique_solve(delta, w, float(w.sum()), lam, floor=floor)[0]
 
 
 @dataclass(frozen=True)
@@ -303,7 +312,9 @@ def hli_lambda(
     ``lam``): certified lower bound from the distance cones and ``samples``
     (nonnegative) random members of each set, each measured exactly against
     the other polytope.  ``mode=None`` picks ``exact0`` at ``lam = 0``, else
-    ``sampled``.
+    ``sampled``.  The sampled bound is the running maximum over the probes;
+    each probe passes it as the ``floor`` of :func:`lip_point_distance`, so
+    a probe that cannot raise it costs one threshold probe, not a search.
     """
     check_lambda(lam)
     mode = mode or ("exact0" if lam == 0.0 else "sampled")
@@ -324,7 +335,7 @@ def hli_lambda(
         probes = [source._extend(cone) for cone in source.closure.T]
         probes += [source.sample(rng) for _ in range(samples)]
         for f in probes:
-            value = max(value, lip_point_distance(f, target, lam))
+            value = lip_point_distance(f, target, lam, floor=value)
     return HliResult(value, "lower-bound", lam, mode)
 
 

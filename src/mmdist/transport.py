@@ -15,7 +15,12 @@ one only in the last bit.
 There is one threshold search, ``_threshold_solve``, shared by the box
 solvers, the Prokhorov distance and ``lipschitz.me_lambda``: each asks for
 the smallest tolerance ``t`` at which the mass retainable with defects up to
-``t`` reaches ``m - lam * t``.
+``t`` reaches ``m - lam * t``.  Loops that keep only a running extremum of
+such answers gate the search with one probe: a running minimum passes it as
+``cap`` (an answer above it comes back as ``inf``), a running maximum as
+``floor`` (an answer below it comes back as ``floor``).  Either way the
+probe decides most candidates, and the value is that of the ungated search
+whenever it can move the extremum.
 """
 
 from __future__ import annotations
@@ -154,7 +159,9 @@ def max_flow_value(row_caps, col_caps, cells) -> float:
     return max_flow(row_caps, col_caps, cells)[0]
 
 
-def _threshold_solve(values, m: float, lam: float, retained_max, cap: float = np.inf) -> float:
+def _threshold_solve(
+    values, m: float, lam: float, retained_max, cap: float = np.inf, floor: float = 0.0
+) -> float:
     """Smallest feasible tolerance over a monotone threshold structure.
 
     The thresholds are zero and the distinct entries of the array ``values``.
@@ -163,13 +170,25 @@ def _threshold_solve(values, m: float, lam: float, retained_max, cap: float = np
     it is nondecreasing and piecewise constant between thresholds, so the
     optimum sits at a threshold or at a mass breakpoint inside one interval.
 
-    A finite ``cap`` is probed first.  Feasibility is monotone in ``t``, so
-    if ``cap`` is infeasible the answer is above it: every threshold up to
-    ``cap`` is infeasible, and a breakpoint ``(m - W) / lam`` over a lower
-    threshold below ``cap`` has ``W`` at most the mass at ``cap``.  Then
-    ``inf`` is returned.  Otherwise the first threshold at or above ``cap``
-    is feasible, the search runs up to it only and ends at the same pair of
-    thresholds, so it returns the uncapped answer.
+    Two gates serve loops that keep only a running extremum of answers.
+    Each adds one probe, which settles most candidates; feasibility is
+    monotone in ``t``, so a candidate that can move the extremum gets the
+    ungated answer.  A gate probe that succeeds also stands in for the
+    sanity probe at the largest threshold, which monotonicity makes feasible.
+
+    ``cap`` (a running minimum) is probed first if it is at most the largest
+    threshold.  If it is infeasible, the answer is above it: every threshold
+    up to ``cap`` is infeasible, and a breakpoint ``(m - W) / lam`` over a
+    lower threshold below ``cap`` has ``W`` at most the mass at ``cap``.
+    Then ``inf`` is returned.  Otherwise the first threshold at or above
+    ``cap`` is feasible, the search runs up to it only and ends at the same
+    pair of thresholds, so it returns the uncapped answer.
+
+    ``floor`` (a running maximum) makes the result ``max(floor, answer)``.
+    A positive ``floor`` probes the last threshold at or below it.  If that
+    threshold is feasible, the answer is at most it, and ``floor`` is
+    returned.  Otherwise the answer is above that threshold, and the search
+    starts from it and ends at the same pair of thresholds.
     """
 
     def feasible(t: float) -> bool:
@@ -179,16 +198,19 @@ def _threshold_solve(values, m: float, lam: float, retained_max, cap: float = np
         return retained_max(t, need) >= need
 
     thresholds = np.unique(np.concatenate(([0.0], np.ravel(values))))
-    if cap < np.inf and not feasible(cap):
+    top = len(thresholds) - 1
+    hi = int(np.searchsorted(thresholds, cap))  # first threshold at or above cap
+    if hi <= top and not feasible(cap):
         return np.inf
-    hi = int(np.searchsorted(thresholds, cap))  # feasible, as cap is
-    if hi == len(thresholds):
-        hi -= 1
+    lo = max(int(np.searchsorted(thresholds, floor, side="right")) - 1, 0)  # last at or below floor
+    if lo > 0 and feasible(float(thresholds[lo])):
+        return floor
+    if hi > top:  # no gate probe has shown the largest threshold feasible
+        hi = top
         if not feasible(float(thresholds[hi])):
             raise InternalInvariantError("threshold search infeasible at the largest defect")
-    if hi == 0 or feasible(float(thresholds[0])):
-        return float(thresholds[0])
-    lo = 0
+    if lo == 0 and (hi == 0 or feasible(float(thresholds[0]))):
+        return max(float(thresholds[0]), floor)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(float(thresholds[mid])):
@@ -199,7 +221,7 @@ def _threshold_solve(values, m: float, lam: float, retained_max, cap: float = np
         return float(thresholds[hi])
     w_prev = retained_max(float(thresholds[lo]), None)
     cand = (m - w_prev) / lam
-    return float(min(thresholds[hi], max(thresholds[lo], cand)))
+    return max(float(min(thresholds[hi], max(thresholds[lo], cand))), floor)
 
 
 def prokhorov_distance(dist, mu, nu) -> float:
@@ -212,7 +234,9 @@ def prokhorov_distance(dist, mu, nu) -> float:
     ``m - F`` of the flow value ``F``, both of which the search visits.
 
     Returns ``eps`` only; an optimal coupling is ``completion`` of the
-    ``max_flow`` plan on the pairs ``dist <= eps``.
+    ``max_flow`` plan on the pairs ``dist <= eps``.  The flow ignores its
+    target, so each threshold's value is kept: the search's final breakpoint
+    asks again for the threshold it probed last below the answer.
     """
     d = np.asarray(dist, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -224,8 +248,12 @@ def prokhorov_distance(dist, mu, nu) -> float:
     cols = np.flatnonzero(nu > 0.0)
     sub = d[np.ix_(rows, cols)]
 
+    flows: dict[float, float] = {}  # the search asks again at its last infeasible threshold
+
     def flow_at(t: float, target) -> float:
-        return max_flow_value(mu[rows], nu[cols], np.nonzero(sub <= t + 1e-12))
+        if t not in flows:
+            flows[t] = max_flow_value(mu[rows], nu[cols], np.nonzero(sub <= t + 1e-12))
+        return flows[t]
 
     # moving mass costs one unit of tolerance per unit: lambda = 1
     return _threshold_solve(sub, m, 1.0, flow_at)

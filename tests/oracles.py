@@ -8,9 +8,10 @@ with the solver's own Prokhorov and defect-clique routines,
 :func:`reference_best_flow_at` runs the exact box solver's clique sweep with
 no branch-and-bound cut, :func:`reference_isomorphisms` and
 :func:`reference_domination_search` are the two hand-written backtracking
-loops that the one point-map search of ``mmdist.matrixdist`` replaced, and
+loops that the one point-map search of ``mmdist.matrixdist`` replaced,
 :func:`reference_box_heuristic` is the heuristic box local search scoring
-every coupling with a full pair solve.
+every coupling with a full pair solve, and :func:`reference_hli_sampled` is
+the sampled Hausdorff loop measuring every probe with a full search.
 """
 
 from itertools import combinations, permutations, product
@@ -600,3 +601,24 @@ def reference_box_heuristic(X, Y, lam, seed):
     return BoxResult(
         best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=best_pi
     )
+
+
+def reference_hli_sampled(pair, lam, samples=48, seed=0):
+    """The sampled loop of ``mmdist.lipschitz.hli_lambda`` with every probe
+    measured by a full threshold search, no floor at the running maximum;
+    returns the value ``hli_lambda(pair, lam, "sampled", ...)`` must return.
+
+    ``lip_point_distance`` is looked up on its module at each call, so a
+    tracer that replaces it there counts these calls too.
+    """
+    from mmdist import lipschitz
+
+    rng = np.random.default_rng(seed)
+    sets = (lipschitz.Lip1Set(pair.d1, pair.weights), lipschitz.Lip1Set(pair.d2, pair.weights))
+    value = 0.0
+    for source, target in (sets, sets[::-1]):
+        probes = [source._extend(cone) for cone in source.closure.T]
+        probes += [source.sample(rng) for _ in range(samples)]
+        for f in probes:
+            value = max(value, lipschitz.lip_point_distance(f, target, lam))
+    return value

@@ -71,11 +71,9 @@ class TestBoxPair:
         assert res.cells == (0, 1)
         assert res.retained_mass == 1.0
 
-    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
-    def test_no_positive_weight_gives_zero(self, mode):
-        # heuristic mode returned inf
+    def test_no_positive_weight_gives_zero(self):
         pair = semidist_pair([0.0, 0.0], [[0, 1], [1, 0]], [[0, 2], [2, 0]])
-        assert box_pair(pair, 1.0, mode).value == 0.0
+        assert box_pair(pair, 1.0).value == 0.0
 
     def test_cross_defect_lambda_zero(self):
         # frozen from the subset-enumeration oracle
@@ -216,24 +214,10 @@ class TestBoxPair:
         with pytest.raises(SizeLimitError):
             box_pair(pair, 1.0, max_cells=1)
 
-    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
-    def test_max_cells_below_one_rejected(self, mode):
+    def test_max_cells_below_one_rejected(self):
         pair = cross_pair([0.5, 0.5], 1.0, 2.0)
         with pytest.raises(ValueError, match="max_cells"):
-            box_pair(pair, 1.0, mode, max_cells=0)
-
-    def test_heuristic_never_below_exact(self):
-        rng = np.random.default_rng(31)
-        for _ in range(60):
-            n = int(rng.integers(1, 6))
-            w = rng.integers(1, 9, size=n).astype(float) * 0.1
-            a = np.triu(rng.random((n, n)), 1)
-            b = np.triu(rng.random((n, n)), 1)
-            pair = SemiDistancePair(w, a + a.T, b + b.T)
-            lam = float(rng.choice([0.0, 1.0]))
-            exact = box_pair(pair, lam).value
-            heur = box_pair(pair, lam, "heuristic").value
-            assert heur >= exact - 1e-12
+            box_pair(pair, 1.0, max_cells=0)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -331,10 +331,10 @@ class TestSemidistPair:
             SemiDistancePair(weights, d1, d2)
 
     def test_directly_built_pair_is_checked(self):
-        # box_pair(heuristic) answered 0.0, and hli_lambda exact0 answered
-        # inf tagged exact, for these pairs built without semidist_pair
+        # box_pair answered 0.0, and hli_lambda exact0 answered inf tagged
+        # exact, for these pairs built without semidist_pair
         with pytest.raises(ValueError, match="negative weight at index 1"):
-            box_pair(SemiDistancePair([0.5, -0.5], self.D, self.D), 1.0, "heuristic")
+            box_pair(SemiDistancePair([0.5, -0.5], self.D, self.D), 1.0)
         inf = [[0.0, np.inf], [np.inf, 0.0]]
         with pytest.raises(ValueError, match="d1 contains non-finite entries"):
             hli_lambda(SemiDistancePair([1.0, 1.0], inf, self.D), 0.0)

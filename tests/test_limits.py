@@ -167,6 +167,12 @@ class TestWitnessSearch:
         with pytest.raises(ValueError):
             witness_search(two_point(), two_point((1.0, 1.0)))
 
+    def test_zero_mass_rejected(self):
+        # raised IndexError from the empty support of the target
+        Z = FiniteMMSpace(("a", "b"), [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="positive total mass"):
+            witness_search(Z, Z)
+
     @staticmethod
     def assert_matches_oracle(Xn, X):
         w = witness_search(Xn, X)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,12 @@ from mmdist.instances import (
     random_space_total,
 )
 
-from oracles import lip_vertices_active_sets, me_infimum_grid, sup_distance_to_lip_lp
+from oracles import (
+    lip_vertices_active_sets,
+    me_infimum_grid,
+    reference_hli_sampled,
+    sup_distance_to_lip_lp,
+)
 
 
 class TestMeLambda:
@@ -143,6 +150,12 @@ class TestProjection:
     def test_empty_anchor_rejected(self):
         with pytest.raises(ValueError):
             project_to_lip1([0.0], np.zeros((1, 1)), [])
+
+    @pytest.mark.parametrize("f", [0.5, [[0.5]]])
+    def test_non_vector_function_rejected(self, f):
+        # the scalar raised TypeError ("len() of unsized object")
+        with pytest.raises(ValueError, match="f must be a vector"):
+            project_to_lip1(f, [[0.0]], [0])
 
     def test_output_always_lipschitz_for_metrics(self):
         rng = np.random.default_rng(3)
@@ -297,6 +310,35 @@ class TestPointDistance:
         with pytest.raises(ValueError, match=match):
             lip_point_distance([0.0, 5.0], Lip1Set(dist, weights), 1.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from([0.0, 0.25, 1.0, 2.0]), st.integers(0, 10_000))
+    def test_floor_is_a_max_hypothesis(self, n, lam, key):
+        # floors on each threshold (a halved excess), on each mass breakpoint
+        # (m - W) / lam of a subset of mass W, on the distance itself and a
+        # bit either side of it, and between consecutive candidates
+        rng = np.random.default_rng(key)
+        w = rng.integers(0, 5, size=n).astype(float) * 0.25
+        w[int(rng.integers(n))] += 0.25
+        target = Lip1Set(random_pair_matrices(rng, n), w)
+        f = np.round(rng.uniform(-3.0, 3.0, size=n), 2)
+        dist = lip_point_distance(f, target, lam)
+        fs, C = f[target.support], target.closure
+        excess = np.clip((np.abs(fs[:, None] - fs[None, :]) - C) / 2.0, 0.0, None)
+        floors = [0.0, dist, np.nextafter(dist, -np.inf), np.nextafter(dist, np.inf)]
+        floors += excess.ravel().tolist()
+        if lam > 0.0:
+            ws, m = w[target.support], float(w.sum())
+            floors += [(m - float(ws[list(sub)].sum())) / lam
+                       for k in range(len(ws) + 1) for sub in itertools.combinations(range(len(ws)), k)]
+        floors = np.unique([x for x in floors if x >= 0.0])
+        floors = np.concatenate((floors, (floors[1:] + floors[:-1]) / 2.0, [floors[-1] + 1.0]))
+        for x in floors.tolist():
+            assert lip_point_distance(f, target, lam, floor=x) == max(x, dist)
+
+    def test_nan_floor_rejected(self):
+        with pytest.raises(ValueError, match="floor"):
+            lip_point_distance([0.0, 5.0], Lip1Set([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), 1.0, floor=np.nan)
+
 
 class TestHliPair:
     def test_identical_semimetrics(self):
@@ -419,6 +461,19 @@ class TestHliPair:
             res = hli_lambda(pair, lam, "sampled", samples=16, seed=k)
             assert res.tag == "lower-bound"
             assert res.value <= box_pair(pair, lam).value + 1e-9
+
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 2.0])
+    def test_sampled_matches_unfloored_reference(self, lam):
+        # each probe takes the running maximum as its floor; the value must
+        # be the loop's that measures every probe in full, bit for bit
+        rng = np.random.default_rng(113)
+        for k in range(8):
+            n = int(rng.integers(1, 7))
+            w = rng.integers(0, 4, size=n).astype(float) * 0.25
+            w[int(rng.integers(n))] += 0.25  # zero weights stay, off the support
+            pair = SemiDistancePair(w, random_pair_matrices(rng, n), random_pair_matrices(rng, n))
+            got = hli_lambda(pair, lam, "sampled", samples=10, seed=k).value
+            assert repr(got) == repr(reference_hli_sampled(pair, lam, samples=10, seed=k))
 
     def test_sampled_lower_bound_below_exact_at_lambda_zero(self):
         rng = np.random.default_rng(97)

@@ -183,3 +183,40 @@ def test_exact_box_flows_are_the_probes_and_one_certificate():
     counts = tracer.layer_counts()
     assert counts["box.best_flow_at.flow_ratio"] > 0
     assert counts["transport.max_flow.calls"] == counts["transport.max_flow_value.calls"] + 1
+
+
+def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
+    # a sampled hli probe passes the running max as its floor and a witness
+    # map the best objective as its cap, so most of them cost one clique
+    # search.  The reference loops (hli: every probe measured in full;
+    # witness: no cap) pay for full searches.  The witness search runs one
+    # flow per map: the Prokhorov search keeps the flow of each threshold
+    from mmdist import box as box_module
+    from mmdist import limits
+    from mmdist.instances import random_pair_matrices, random_space
+    from oracles import reference_hli_sampled
+
+    def traced(run):
+        tracer = _layers().Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.remove()
+        counts = tracer.layer_counts()
+        return counts["box.max_weight_clique.calls"], counts["transport.max_flow.calls"]
+
+    rng = np.random.default_rng(21)
+    w = rng.integers(1, 5, size=5).astype(float) * 0.25
+    pair = mmdist.semidist_pair(w, random_pair_matrices(rng, 5), random_pair_matrices(rng, 5))
+    assert traced(lambda: mmdist.hli_lambda(pair, 1.0, "sampled", samples=24)) == (86, 0)
+    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (295, 0)
+
+    rng = np.random.default_rng(0)
+    X = mmdist.normalized(random_space(rng, min_points=4, max_points=4))
+    bump = np.triu(rng.uniform(0.0, 0.3, size=(4, 4)), 1)
+    Xn = mmdist.mm_space(X.weights, X.dist + bump + bump.T)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (93, 256)
+    uncapped = box_module._clique_solve
+    monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap: uncapped(d, w, m, lam))
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (253, 256)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from mmdist.box import EDGE_TOL, _max_weight_clique, _neighbour_sets
+from mmdist.errors import InternalInvariantError
 from mmdist.transport import (
+    _threshold_solve,
     completion,
     max_flow,
     max_flow_value,
@@ -161,3 +164,60 @@ class TestProkhorov:
     def test_unequal_totals_rejected(self):
         with pytest.raises(ValueError):
             prokhorov_distance(np.zeros((1, 1)), [1.0], [2.0])
+
+
+class TestThresholdFloor:
+    """``_threshold_solve(..., floor=x)`` is ``max(x, answer)`` bit for bit, for
+    each kind of retained mass the solvers plug in."""
+
+    @staticmethod
+    def assert_floor_is_max(values, m, lam, retained_max):
+        answer = _threshold_solve(values, m, lam, retained_max)
+        th = np.unique(np.concatenate(([0.0], np.ravel(values))))
+        floors = np.unique(np.concatenate((th, [answer, np.nextafter(answer, np.inf)])))
+        floors = np.concatenate((floors, (floors[1:] + floors[:-1]) / 2.0, [floors[-1] + 1.0]))
+        for x in floors.tolist():
+            got = _threshold_solve(values, m, lam, retained_max, floor=x)
+            assert repr(got) == repr(max(x, answer)), (x, answer)
+
+    def test_clique_mass(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            w = rng.integers(1, 9, size=n).astype(float) * 0.1
+            delta = np.triu(np.round(rng.random((n, n)), 2), 1)
+            delta = delta + delta.T
+            lam = float(rng.choice([0.5, 1.0, 2.0]))
+
+            def clique(t, target):
+                return _max_weight_clique(_neighbour_sets(delta <= t + EDGE_TOL), w, target=target)[0]
+
+            self.assert_floor_is_max(delta[np.triu_indices(n, k=1)], float(w.sum()), lam, clique)
+
+    def test_flow_value(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            d = np.triu(rng.integers(100, 201, size=(n, n)).astype(float) / 100.0, 1)
+            d = d + d.T
+            mu, nu = rng.integers(1, 10, size=n).astype(float), rng.integers(1, 10, size=n).astype(float)
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+
+            def flow(t, target):
+                return max_flow_value(mu, nu, np.nonzero(d <= t + 1e-12))
+
+            self.assert_floor_is_max(d, float(mu.sum()), 1.0, flow)
+
+    def test_me_lambda_sum(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            w = rng.integers(1, 9, size=n).astype(float) * 0.1
+            v = np.round(rng.uniform(0.0, 2.0, size=n), 2)
+            lam = float(rng.choice([0.25, 1.0, 3.0]))
+            self.assert_floor_is_max(v, float(w.sum()), lam, lambda t, _: float(w[v <= t].sum()))
+
+    def test_floor_on_infeasible_largest_threshold_raises(self):
+        # nothing is ever retained, so even the largest threshold is infeasible
+        with pytest.raises(InternalInvariantError):
+            _threshold_solve(np.array([0.5, 1.0]), 10.0, 1.0, lambda t, _: 0.0, floor=2.0)
