@@ -49,9 +49,9 @@ from .core import (
     _as_indices,
     _weight_violations,
     check_lambda,
-    check_max_cells,
     lighter_first,
     pullback_pair,
+    whole_number,
 )
 from .errors import InternalInvariantError, SizeLimitError
 from .transport import _threshold_solve, completion, max_flow, max_flow_value, northwest_plan, prokhorov_distance
@@ -265,7 +265,7 @@ def box_pair(pair: SemiDistancePair, lam: float, *, max_cells: int = 64) -> BoxR
     """Exact box value of a semimetric pair, by the branch-and-bound clique
     search over the defect graph."""
     check_lambda(lam)
-    check_max_cells(max_cells)
+    max_cells = whole_number(max_cells, "max_cells", 1)
     if len(pair.support) > max_cells:
         raise SizeLimitError(f"exact box_pair refuses {len(pair.support)} cells (limit {max_cells})")
     eps, cells = smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
@@ -437,7 +437,7 @@ def box_distance(
     upper bound (never below the exact value).
     """
     check_lambda(lam)
-    check_max_cells(max_cells)
+    max_cells = whole_number(max_cells, "max_cells", 1)
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     A, B, gap, swapped = lighter_first(X, Y)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .box import box_distance, box_upper_from_witness
-from .core import _json_doc, _json_floats, _parse_space, validate
+from .core import FiniteMMSpace, _json_doc, _json_floats, _parse_space, validate, whole_number
 from .errors import InternalInvariantError, InvalidSpaceError, SizeLimitError, SpaceFormatError
 from .limits import (
     _is_transitive,
@@ -55,11 +55,7 @@ def _parse_vector(data: bytes, path: str, what: str) -> np.ndarray:
 
 def _count(samples: float | None, default):
     """``--samples`` as a whole count; ``default`` only when the flag is absent."""
-    if samples is None:
-        return default
-    if not samples.is_integer() or samples < 0:
-        raise ValueError(f"--samples must be a whole number, got {samples!r}")
-    return int(samples)
+    return default if samples is None else whole_number(samples, "--samples", 0)
 
 
 def _size_limit(text: str) -> int:
@@ -162,7 +158,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         inputs[name] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
         return parse(data, path)
 
-    parse = partial(_parse_space, check=cmd != "validate")
+    # ``validate`` reports on the raw (labels, weights, dist); the others build a space
+    parse = _parse_space if cmd == "validate" else lambda data, path: FiniteMMSpace(*_parse_space(data, path))
     spaces = [load(name, parse) for name in _COMMANDS[cmd][1]]
     X = spaces[0] if spaces else None
 
@@ -170,7 +167,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         return [load(name, partial(_parse_vector, what=name)) for name in names]
 
     if cmd == "validate":
-        report = validate(X)
+        report = validate(*X)
         return {"ok": report.ok, "violations": list(report.violations)}, inputs, 0
 
     if cmd == "box":

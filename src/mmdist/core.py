@@ -8,10 +8,12 @@ parametrizations of the two spaces over a common mass interval, recorded
 through the masses of their cell intersections.  Pulling the two semimetrics
 back onto the support cells of a coupling yields a :class:`SemiDistancePair`,
 which is what every solver in this package actually works on.  Each object
-is checked in one place: :func:`coupling_from_matrix` checks the shape, the
-signs and the marginals of a coupling (:func:`pullback_pair` calls it), and
-the :class:`SemiDistancePair` constructor checks a pair.  Each weight vector
-or matrix input meets :func:`_weight_violations` or :func:`_semimetric_violations`.
+is checked in one place: the :class:`FiniteMMSpace` constructor checks a
+space by the rules of :func:`validate`, :func:`coupling_from_matrix` the
+shape, signs and marginals of a coupling (:func:`pullback_pair` calls it), and
+the :class:`SemiDistancePair` constructor a pair.  Each weight vector, matrix
+or whole-number input meets :func:`_weight_violations`,
+:func:`_semimetric_violations` or :func:`whole_number`.
 
 Zero-weight points are kept in storage but excluded from supports; all
 comparisons between spaces are meant up to relabeling of the support.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,8 +70,10 @@ class FiniteMMSpace:
     """A finite weighted point set with a semimetric matrix.
 
     ``weights[i]`` is the mass of the atom at point ``labels[i]`` and
-    ``dist[i, j]`` the distance between points ``i`` and ``j``.  Instances are
-    immutable; use :func:`mm_space` to construct a validated space.
+    ``dist[i, j]`` the distance between points ``i`` and ``j``.  The
+    constructor is the one check of a space: it raises :class:`InvalidSpaceError`
+    naming every violation :func:`validate` reports, and the stored arrays are
+    read-only, so every space is valid.
     """
 
     labels: tuple[str, ...]
@@ -79,6 +84,9 @@ class FiniteMMSpace:
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "dist", _readonly(self.dist))
+        report = validate(self.labels, self.weights, self.dist)
+        if not report.ok:
+            raise InvalidSpaceError("; ".join(report.violations))
 
     @property
     def n(self) -> int:
@@ -143,49 +151,46 @@ def _semimetric_violations(d: np.ndarray, n: int, name: str) -> list[str]:
     return v
 
 
-def validate(space: FiniteMMSpace) -> ValidationReport:
-    """Check every structural invariant of a finite mm-space.
+def validate(labels, weights, dist) -> ValidationReport:
+    """Check the labels, weights and distances of a would-be finite mm-space.
 
-    All violations are reported, none raised; loaders and factories turn a
-    non-empty report into :class:`InvalidSpaceError`.
+    All violations are reported, none raised; the :class:`FiniteMMSpace`
+    constructor turns a non-empty report into :class:`InvalidSpaceError`.
+    Labels are compared as strings, as a space stores them.
     """
     v: list[str] = []
-    n = space.n
+    n = len(labels)
+    w, d = np.asarray(weights, dtype=float), np.asarray(dist, dtype=float)
     if n < 1:
         v.append("space must contain at least one point")
         return ValidationReport(tuple(v))
-    if len(set(space.labels)) != n:
+    if len({str(x) for x in labels}) != n:
         v.append("labels are not unique")
-    weight_v = _weight_violations(space.weights, n, "weight")
-    if space.weights.shape != (n,):
+    weight_v = _weight_violations(w, n, "weight")
+    if w.shape != (n,):
         return ValidationReport(tuple(v + weight_v))
-    dist_v = _semimetric_violations(space.dist, n, "dist")
-    if space.dist.shape != (n, n):
+    dist_v = _semimetric_violations(d, n, "dist")
+    if d.shape != (n, n):
         return ValidationReport(tuple(v + dist_v))
     v += weight_v + dist_v
-    if not np.all(np.isfinite(space.dist)):
+    if not np.all(np.isfinite(d)):
         return ValidationReport(tuple(v))
     # triangle inequality over all ordered triples, one pivot k at a time so
     # that memory stays O(n^2): excess d_ij - (d_ik + d_kj)
-    d = space.dist
     worst = max(float((d - (d[:, k : k + 1] + d[k : k + 1, :])).max()) for k in range(n))
     if worst > METRIC_TOL:
         v.append(f"triangle inequality violated by {worst:.3g}")
-    if np.all(space.weights <= 0.0) or float(space.weights.sum()) <= 0.0:
+    if np.all(w <= 0.0) or float(w.sum()) <= 0.0:
         v.append("total mass must be positive")
     return ValidationReport(tuple(v))
 
 
 def mm_space(weights, dist, labels=None) -> FiniteMMSpace:
-    """Build and validate a finite mm-space; raise on any invariant violation."""
-    w = np.asarray(weights, dtype=float)
+    """A :class:`FiniteMMSpace` (checked as it is built), labelled ``p0, p1, ...``
+    unless ``labels`` are given."""
     if labels is None:
-        labels = tuple(f"p{i}" for i in range(len(w)))
-    space = FiniteMMSpace(tuple(labels), w, np.asarray(dist, dtype=float))
-    report = validate(space)
-    if not report.ok:
-        raise InvalidSpaceError("; ".join(report.violations))
-    return space
+        labels = tuple(f"p{i}" for i in range(len(weights)))
+    return FiniteMMSpace(labels, weights, dist)
 
 
 def spaces_equal(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:
@@ -234,10 +239,14 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
 
 
-def check_max_cells(max_cells: int) -> None:
-    """Reject a cell limit below one, which no instance could meet."""
-    if not max_cells >= 1:
-        raise ValueError(f"max_cells must be at least 1, got {max_cells}")
+def whole_number(value, name: str, least: int) -> int:
+    """``value`` as an ``int``, or a ValueError naming ``name`` unless it is a whole
+    number of at least ``least`` (0 or 1): the rule of every count, order and size."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if not (whole and value >= least):
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound} and a whole number, got {value}")
+    return int(value)
 
 
 def metric_closure(d: np.ndarray) -> np.ndarray:
@@ -462,9 +471,6 @@ def _fmt(x: float) -> str:
 
 def write_space(path, space: FiniteMMSpace) -> None:
     """Write a space as JSON with full-precision numbers."""
-    report = validate(space)
-    if not report.ok:
-        raise InvalidSpaceError("refusing to write an invalid space: " + "; ".join(report.violations))
     labels = json.dumps(list(space.labels))
     weights = "[" + ", ".join(_fmt(x) for x in space.weights) + "]"
     rows = ",\n    ".join(
@@ -486,7 +492,7 @@ def read_space(path) -> FiniteMMSpace:
     Invariant violations raise :class:`InvalidSpaceError`; structural
     problems raise :class:`SpaceFormatError`.
     """
-    return _parse_space(Path(path).read_bytes(), path, check=True)
+    return FiniteMMSpace(*_parse_space(Path(path).read_bytes(), path))
 
 
 def _json_doc(data: bytes, path):
@@ -511,7 +517,8 @@ def _json_floats(entries: list, path) -> np.ndarray:
         raise SpaceFormatError(f"{path}: non-numeric entry ({exc})") from exc
 
 
-def _parse_space(data: bytes, path, *, check: bool) -> FiniteMMSpace:
+def _parse_space(data: bytes, path) -> tuple[list, np.ndarray, np.ndarray]:
+    """The ``(labels, weights, dist)`` of a space file, unchecked beyond its structure."""
     doc = _json_doc(data, path)
     if not isinstance(doc, dict):
         raise SpaceFormatError(f"{path}: expected a JSON object")
@@ -530,6 +537,4 @@ def _parse_space(data: bytes, path, *, check: bool) -> FiniteMMSpace:
         raise SpaceFormatError(f"{path}: dist must be a {n}x{n} matrix")
     w = _json_floats(weights, path)
     d = _json_floats([x for row in dist for x in row], path).reshape(n, n)
-    if not check:
-        return FiniteMMSpace(tuple(str(x) for x in labels), w, d)
-    return mm_space(w, d, labels)
+    return labels, w, d

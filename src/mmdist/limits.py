@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .box import _clique_solve, _max_weight_clique, _neighbour_sets, box_distance, box_upper_from_witness
-from .core import FiniteMMSpace, Witness, _as_indices, _weight_violations, check_lambda, check_max_cells
+from .core import FiniteMMSpace, Witness, _as_indices, _weight_violations, check_lambda, whole_number
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms, _point_maps
@@ -138,8 +138,6 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
         raise ValueError("witness_search requires equal total masses")
     sn, sx = Xn.support, X.support
-    if len(sx) == 0:
-        raise ValueError("witness_search requires positive total mass")
     w = Xn.weights[sn]
     m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
@@ -227,17 +225,16 @@ def empirical_convergence_experiment(
     grid fits, otherwise the witness-based upper bound through the natural
     sample-to-point map.
     """
-    check_max_cells(max_cells)
+    max_cells = whole_number(max_cells, "max_cells", 1)
     if abs(X.total_mass - 1.0) > 1e-9:
         raise ValueError("empirical experiments require a normalized space")
     rows = []
     s = X.support
     probs = X.weights[s]
     for N in sizes:
-        if int(N) < 1:
-            raise ValueError(f"sample sizes must be positive, got {N}")
-        rng = np.random.default_rng([seed, int(N)])
-        counts_s = rng.multinomial(int(N), probs / probs.sum())
+        N = whole_number(N, "sample size", 1)
+        rng = np.random.default_rng([seed, N])
+        counts_s = rng.multinomial(N, probs / probs.sum())
         counts = np.zeros(X.n)
         counts[s] = counts_s
         emp = empirical_space(X, counts)
@@ -249,7 +246,7 @@ def empirical_convergence_experiment(
             w = Witness(np.arange(X.n), emp.support, 0.0)
             value = box_upper_from_witness(emp, X, w)
             mode = "witness-upper-bound"
-        rows.append((int(N), float(value), mode))
+        rows.append((N, float(value), mode))
     decreased = bool(rows) and rows[-1][1] < rows[0][1]
     spans = bool(rows) and max(n for n, _, _ in rows) >= 100 * min(n for n, _, _ in rows)
     return ConvergenceReport(tuple(rows), decreased, spans)

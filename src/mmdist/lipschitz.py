@@ -44,12 +44,12 @@ from .core import (
     _semimetric_violations,
     _weight_violations,
     check_lambda,
-    check_max_cells,
     lighter_first,
     metric_closure,
     northwest_coupling,
     product_coupling,
     pullback_pair,
+    whole_number,
 )
 from .errors import SizeLimitError
 from .transport import _threshold_solve
@@ -326,8 +326,7 @@ def hli_lambda(
         return HliResult(float(np.max(gap, initial=0.0)) / 2.0, "exact", lam, mode)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    samples = whole_number(samples, "samples", 0)
     rng = np.random.default_rng(seed)
     value = 0.0
     for source, target in (sets, sets[::-1]):
@@ -361,7 +360,7 @@ def observable_distance(
     ``mode=None`` picks ``exact0`` at ``lam = 0``, else ``sampled``.
     """
     check_lambda(lam)
-    check_max_cells(max_cells)
+    max_cells = whole_number(max_cells, "max_cells", 1)
     mode = mode or ("exact0" if lam == 0.0 else "sampled")
     X, Y, gap, swapped = lighter_first(X, Y)
     if mode == "exact0":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMMSpace, _as_indices, _weight_violations, normalized
+from .core import FiniteMMSpace, _as_indices, _weight_violations, normalized, whole_number
 from .errors import SizeLimitError
 
 _ROUND_DECIMALS = 12
@@ -120,8 +120,7 @@ def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
     value does, so a chunk is grouped by comparing code bytes.  Memory holds
     one chunk plus the distinct matrices of each chunk so far.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    r = whole_number(r, "r", 1)
     s = space.support
     k = len(s)
     total = k**r
@@ -136,8 +135,7 @@ def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
     code = rank.reshape(k, k).astype(np.min_scalar_type(len(values) - 1))
 
     def chunks():
-        # an empty support still gives one (empty) chunk
-        for start in range(0, max(total, 1), _CHUNK):
+        for start in range(0, total, _CHUNK):
             rest = np.arange(start, min(start + _CHUNK, total))
             idx = np.empty((len(rest), r), dtype=np.intp)
             for j in range(r - 1, -1, -1):
@@ -157,10 +155,8 @@ def sample_mu_r(space: FiniteMMSpace, r: int, count: int, seed: int = 0) -> Matr
     Masses sum to one, matching the exact distribution of the mass-normalized
     space in the large-count limit.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    r = whole_number(r, "r", 1)
+    count = whole_number(count, "count", 0)
     if count == 0:
         return MatrixDistribution(r, np.zeros((0, r * r)), np.zeros(0))
     rng = np.random.default_rng(seed)
@@ -294,10 +290,7 @@ def reconstruction_check(
     ``agreement``.
     """
     Xn, Yn = normalized(X), normalized(Y)
-    if R is None:
-        R = max(len(X.support), len(Y.support))
-    if R < 1:
-        raise ValueError("R must be at least 1")
+    R = whole_number(max(len(X.support), len(Y.support)) if R is None else R, "R", 1)
     distinguishing = None
     for r in range(1, R + 1):
         if not distributions_equal(exact_mu_r(Xn, r), exact_mu_r(Yn, r)):
@@ -328,6 +321,8 @@ def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses) -> bo
     v = _weight_violations(cm, cp.size, "cell weight")
     if v:
         raise ValueError("; ".join(v))
+    if not cm.sum() > 0.0:  # massless cells carry none of the distributions of X
+        return False
     cell_space = FiniteMMSpace(
         tuple(f"c{i}" for i in range(len(cp))), cm, X.dist[np.ix_(cp, cp)]
     )

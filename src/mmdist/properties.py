@@ -19,7 +19,6 @@ import numpy as np
 from . import instances as gen
 from .box import box_distance, box_pair, box_upper_from_witness
 from .core import (
-    FiniteMMSpace,
     diagonal_coupling,
     metric_closure,
     mm_space,
@@ -116,7 +115,7 @@ def prop_validation_detects_asymmetry(rng: np.random.Generator, seed: int, trial
         X = gen.random_space(rng, min_points=2, max_points=4)
         d = np.array(X.dist)
         d[0, 1] += 0.5  # break symmetry only one way
-        report = validate(FiniteMMSpace(X.labels, X.weights, d))
+        report = validate(X.labels, X.weights, d)
         ok = ok and any("asymmetric" in v for v in report.violations)
     return _result(ok)
 

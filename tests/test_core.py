@@ -51,25 +51,24 @@ def assert_couples(c, X, Y):
 
 class TestValidate:
     def test_single_point_valid(self):
-        assert validate(mm_space([1.0], [[0.0]])).ok
+        assert validate(("p0",), [1.0], [[0.0]]).ok
 
     def test_two_point_valid(self):
-        assert validate(two_point()).ok
+        X = two_point()
+        assert validate(X.labels, X.weights, X.dist).ok
 
     def test_asymmetry_reported(self):
-        bad = FiniteMMSpace(("a", "b"), [0.5, 0.5], [[0, 1], [2, 0]])
-        report = validate(bad)
+        report = validate(("a", "b"), [0.5, 0.5], [[0, 1], [2, 0]])
         assert not report.ok
         assert any("asymmetric" in v for v in report.violations)
 
     def test_negative_weight_reported(self):
-        bad = FiniteMMSpace(("a", "b"), [-0.5, 0.5], [[0, 1], [1, 0]])
-        assert any("negative weight" in v for v in validate(bad).violations)
+        report = validate(("a", "b"), [-0.5, 0.5], [[0, 1], [1, 0]])
+        assert any("negative weight" in v for v in report.violations)
 
     def test_triangle_violation_reported(self):
         d = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
-        bad = FiniteMMSpace(("a", "b", "c"), [1, 1, 1], d)
-        assert any("triangle" in v for v in validate(bad).violations)
+        assert any("triangle" in v for v in validate(("a", "b", "c"), [1, 1, 1], d).violations)
 
     def test_triangle_excess_matches_triple_loop(self):
         rng = np.random.default_rng(21)
@@ -80,7 +79,7 @@ class TestValidate:
             worst = max(
                 d[i, j] - (d[i, k] + d[k, j]) for i in range(n) for j in range(n) for k in range(n)
             )
-            report = validate(FiniteMMSpace(tuple(map(str, range(n))), np.ones(n), d))
+            report = validate(tuple(map(str, range(n))), np.ones(n), d)
             tri = [v for v in report.violations if "triangle" in v]
             if worst > 1e-12:  # METRIC_TOL
                 assert tri == [f"triangle inequality violated by {worst:.3g}"]
@@ -92,26 +91,25 @@ class TestValidate:
         rng = np.random.default_rng(22)
         n = 300
         d = np.triu(rng.uniform(1.0, 2.0, size=(n, n)), k=1)
-        X = FiniteMMSpace(tuple(map(str, range(n))), np.ones(n), d + d.T)
+        labels, weights, d = tuple(map(str, range(n))), np.ones(n), d + d.T
         tracemalloc.start()
         try:
-            assert validate(X).ok
+            assert validate(labels, weights, d).ok
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
 
     def test_duplicate_labels_reported(self):
-        bad = FiniteMMSpace(("a", "a"), [1, 1], [[0, 1], [1, 0]])
-        assert any("unique" in v for v in validate(bad).violations)
+        assert any("unique" in v for v in validate(("a", "a"), [1, 1], [[0, 1], [1, 0]]).violations)
 
     def test_zero_total_mass_reported(self):
-        bad = FiniteMMSpace(("a",), [0.0], [[0.0]])
-        assert any("mass" in v for v in validate(bad).violations)
+        assert any("mass" in v for v in validate(("a",), [0.0], [[0.0]]).violations)
 
     def test_zero_offdiagonal_distance_is_allowed(self):
         # semimetrics may glue distinct points
-        assert validate(mm_space([0.5, 0.5], [[0, 0], [0, 0]])).ok
+        X = mm_space([0.5, 0.5], [[0, 0], [0, 0]])
+        assert validate(X.labels, X.weights, X.dist).ok
 
     @pytest.mark.parametrize(
         "labels, weights, dist, message",
@@ -123,11 +121,25 @@ class TestValidate:
             (("a", "b"), [0.5, 0.5], [[0, np.inf], [np.inf, 0]], "dist contains non-finite"),
             (("a", "b"), [0.5, 0.5], [[0, -1], [-1, 0]], "dist contains negative entries"),
             (("a", "b"), [0.5, 0.5], [[0.5, 1], [1, 0]], "diagonal is not zero"),
+            # a raw FiniteMMSpace held each of these unchecked: box_distance
+            # answered 0.0 against the asymmetric one and 0.5 with the negative
+            # weight, witness_search raised IndexError on the NaN one and
+            # reconstruction_check ZeroDivisionError at zero mass
+            (("a", "b"), [0.5, 0.5], [[0, 1], [2, 0]], "dist is asymmetric at (0, 1)"),
+            (("a", "b"), [0.5, 0.5], [[0, np.nan], [np.nan, 0]], "dist contains non-finite"),
+            (("a", "b"), [-0.5, 0.5], [[0, 1], [1, 0]], "negative weight at index 0"),
+            (("a", "b"), [0.0, 0.0], [[0, 1], [1, 0]], "total mass must be positive"),
+            (("a", "b"), [1.0], [[0, 1], [1, 0]], "weights has shape (1,), expected (2,)"),
         ],
     )
     def test_malformed_space_reported(self, labels, weights, dist, message):
-        report = validate(FiniteMMSpace(labels, weights, dist))
+        report = validate(labels, weights, dist)
         assert any(message in v for v in report.violations), report.violations
+        # the constructor is the one check of a space, with mm_space's message
+        for build in (FiniteMMSpace, lambda labels, w, d: mm_space(w, d, labels)):
+            with pytest.raises(InvalidSpaceError) as exc:
+                build(labels, weights, dist)
+            assert str(exc.value) == "; ".join(report.violations)
 
 
 class TestScaleMeasure:

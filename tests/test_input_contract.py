@@ -4,14 +4,17 @@ Every public callable of the ``mmdist`` namespace that takes a weight vector
 (``weights``, ``mu``, ``nu``, ``cell_masses``) or a matrix (``dist``, ``d1``,
 ``d2``, ``delta``) is a row of ``CONTRACT``, and a completeness check keeps it
 so.  Each bad input of each row raises ``ValueError`` whose message names that
-input.  The frozen corpus under ``data/validate_corpus`` pins the report of
-``mmdist validate`` on malformed space files.
+input.  Whole-number parameters meet one rule too.  The frozen corpus under
+``data/validate_corpus`` pins the report of ``mmdist validate`` on malformed
+space files.
 """
 
 import contextlib
 import inspect
 import io
 import json
+import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +25,20 @@ from mmdist import (
     FiniteMMSpace,
     Lip1Set,
     SemiDistancePair,
+    box_distance,
+    empirical_convergence_experiment,
+    exact_mu_r,
+    hli_lambda,
     me1_subsequence_diagnostic,
     me_lambda,
     me_lambda_maps,
     mm_space,
+    observable_distance,
     parameter_invariance_check,
     project_to_lip1,
     prokhorov,
+    reconstruction_check,
+    sample_mu_r,
     semidist_pair,
     smallest_eps_for_defects,
     validate,
@@ -42,9 +52,9 @@ W = [0.5, 0.25, 0.25]
 X = mm_space(W, D)
 
 
-def _validated(weights, dist):
-    """A raw ``FiniteMMSpace`` is checked by ``validate``; its report as a ValueError."""
-    report = validate(FiniteMMSpace(("a", "b", "c"), weights, dist))
+def _reported(weights, dist):
+    """``validate`` reports rather than raises; its report as a ValueError."""
+    report = validate(("a", "b", "c"), weights, dist)
     if not report.ok:
         raise ValueError("; ".join(report.violations))
 
@@ -53,7 +63,8 @@ def _validated(weights, dist):
 # input is called in messages, the name a too-short weight vector gets: the
 # matrix whose shape the weights set, or the weights themselves)
 CONTRACT = {
-    FiniteMMSpace: (_validated, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "weight"),
+    FiniteMMSpace: (partial(FiniteMMSpace, ("a", "b", "c")), {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "weight"),
+    validate: (_reported, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "weight"),
     mm_space: (mm_space, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "dist"),
     SemiDistancePair: (
         SemiDistancePair, {"weights": W, "d1": D, "d2": D}, {"weights": "weight", "d1": "d1", "d2": "d2"}, "d1",
@@ -197,6 +208,48 @@ def test_lip1set_bad_input_rejected(dist, weights, message):
 
 
 # ---------------------------------------------------------------------------
+# the whole-number rule
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the first five raised TypeError
+        pytest.param(lambda: exact_mu_r(X, 2.5), "r must be at least 1 and a whole number, got 2.5", id="exact_mu_r-r"),
+        pytest.param(
+            lambda: sample_mu_r(X, 2, 1.5), "count must be nonnegative and a whole number, got 1.5",
+            id="sample_mu_r-count",
+        ),
+        pytest.param(
+            lambda: reconstruction_check(X, X, 2.5), "R must be at least 1 and a whole number, got 2.5",
+            id="reconstruction_check-R",
+        ),
+        pytest.param(
+            lambda: hli_lambda(semidist_pair(W, D, D), 1.0, "sampled", samples=2.5),
+            "samples must be nonnegative and a whole number, got 2.5", id="hli_lambda-samples",
+        ),
+        pytest.param(
+            lambda: observable_distance(X, X, 1.0, "sampled", samples=2.5),
+            "samples must be nonnegative and a whole number, got 2.5", id="observable_distance-samples",
+        ),
+        # sampled 10 points
+        pytest.param(
+            lambda: empirical_convergence_experiment(X, [10.5]),
+            "sample size must be at least 1 and a whole number, got 10.5", id="empirical_convergence_experiment-N",
+        ),
+        # refused above 2 cells
+        pytest.param(
+            lambda: box_distance(X, X, 1.0, max_cells=2.5), "max_cells must be at least 1 and a whole number, got 2.5",
+            id="box_distance-max_cells",
+        ),
+    ],
+)
+def test_non_whole_parameter_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+# ---------------------------------------------------------------------------
 # the frozen validate corpus
 
 CORPUS = Path(__file__).parent / "data" / "validate_corpus"
@@ -219,8 +272,8 @@ def test_validate_report_is_frozen(name):
     assert err.getvalue().replace(str(path), "<path>") == want["stderr"]
     doc = json.loads(path.read_text())
     try:
-        space = FiniteMMSpace(doc["labels"], np.array(doc["weights"], float), np.array(doc["dist"], float))
+        weights, dist = np.array(doc["weights"], float), np.array(doc["dist"], float)
     except ValueError:  # ragged or non-numeric: only the file reader sees it
         assert want["validate"] is None
         return
-    assert list(validate(space).violations) == want["validate"]
+    assert list(validate(doc["labels"], weights, dist).violations) == want["validate"]

@@ -6,6 +6,7 @@ import pytest
 from mmdist import (
     DominationCertificate,
     FiniteMMSpace,
+    InvalidSpaceError,
     SizeLimitError,
     box_distance,
     box_upper_from_witness,
@@ -168,10 +169,10 @@ class TestWitnessSearch:
             witness_search(two_point(), two_point((1.0, 1.0)))
 
     def test_zero_mass_rejected(self):
-        # raised IndexError from the empty support of the target
-        Z = FiniteMMSpace(("a", "b"), [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="positive total mass"):
-            witness_search(Z, Z)
+        # witness_search raised IndexError from the empty support of the
+        # target; such a space is now refused when it is built
+        with pytest.raises(InvalidSpaceError, match="total mass must be positive"):
+            FiniteMMSpace(("a", "b"), [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
 
     @staticmethod
     def assert_matches_oracle(Xn, X):
