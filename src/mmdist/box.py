@@ -136,36 +136,40 @@ def _max_weight_clique(
     Returns ``(mass, vertices)`` maximizing mass, then taking the
     lexicographically smallest vertex tuple among (near-)ties.  With
     ``target`` set the search stops as soon as any clique reaches it, in
-    which case the result is only a witness of feasibility.  The weights are
-    read as a Python list, which indexes faster than numpy one scalar at a
-    time and adds the same floats.
+    which case the result is only a witness of feasibility; it also skips
+    every subtree that cannot reach ``target`` less the tie tolerance, so a
+    search that misses ``target`` returns a clique below it, maybe lighter
+    than the heaviest.  The weights are read as a Python list, which indexes
+    faster than numpy one scalar at a time and adds the same floats.
     """
     weights = np.asarray(weights, dtype=float).tolist()
     n = len(weights)
     order = sorted(range(n), key=lambda v: -weights[v])
+    goal = -np.inf if target is None else float(target)
     best_mass = 0.0
     best_set: tuple = ()
     done = False
 
     def consider(r: list, mass: float):
         nonlocal best_mass, best_set, done
+        if mass < best_mass - _TIE_TOL:
+            return
         tup = tuple(sorted(r))
         if mass > best_mass + _TIE_TOL:
             best_mass, best_set = mass, tup
-        elif mass >= best_mass - _TIE_TOL and (not best_set or tup < best_set):
+        elif not best_set or tup < best_set:
             best_mass, best_set = max(best_mass, mass), tup
         if target is not None and best_mass >= target:
             done = True
 
     def expand(r: list, mass: float, cand: list):
-        nonlocal best_mass
         consider(r, mass)
         if done:
             return
         remaining = sum(map(weights.__getitem__, cand))
         for idx, v in enumerate(cand):
-            if mass + remaining < best_mass - _TIE_TOL:
-                return  # even taking every remaining candidate cannot win
+            if mass + remaining < max(best_mass, goal) - _TIE_TOL:
+                return  # even taking every remaining candidate cannot win or reach the target
             expand(r + [v], mass + weights[v], [u for u in cand[idx + 1 :] if u in neigh[v]])
             if done:
                 return
@@ -185,7 +189,8 @@ def _defect_solve(
     ``best_at(neigh, target)`` returns ``(mass, cells)``: with ``target``
     None, a heaviest clique of those sets; with a ``target``, a clique whose
     mass reaches ``target`` if one does, and otherwise one below it, maybe
-    below the heaviest, since a probe compares the mass with ``target`` only.
+    below the heaviest, since a probe compares the mass with ``target`` only
+    (:func:`_max_weight_clique` then stops once nothing can reach it).
     The candidates are zero and the off-diagonal defects.  Returns ``(eps,
     best_at(adj_at(eps), None))``; with a ``cap`` whose probe fails, ``(inf,
     (0.0, ()))``, and with a positive ``floor`` that ``eps`` does not exceed,
@@ -375,6 +380,7 @@ def _box_equal_mass_heuristic(
     that of uncapped scoring.  The first score has no bound (``inf``).
     """
     rng = np.random.default_rng(seed)
+    nx, ny = X.n, Y.n
     best_eps = np.inf
     best_cells: tuple = ()
     best_pi: np.ndarray | None = None
@@ -391,13 +397,13 @@ def _box_equal_mass_heuristic(
         if attempt == 0:  # natural order: the diagonal plan for aligned spaces
             pi = northwest_plan(X.weights, Y.weights)
         else:
-            pi = northwest_plan(X.weights, Y.weights, rng.permutation(X.n), rng.permutation(Y.n))
+            pi = northwest_plan(X.weights, Y.weights, rng.permutation(nx), rng.permutation(ny))
         eps, cells = score(pi)
         if eps < best_eps:
             best_eps, best_cells, best_pi = eps, cells, pi
         for _ in range(HEURISTIC_STEPS):
-            i1, i2 = rng.integers(0, X.n, size=2)
-            j1, j2 = rng.integers(0, Y.n, size=2)
+            # scalar draws: the stream of two size=2 draws, without numpy's size handling
+            i1, i2, j1, j2 = rng.integers(nx), rng.integers(nx), rng.integers(ny), rng.integers(ny)
             if i1 == i2 or j1 == j2:
                 continue
             room = min(pi[i1, j2], pi[i2, j1])

@@ -58,12 +58,13 @@ def _count(samples: float | None, default):
     return default if samples is None else whole_number(samples, "--samples", 0)
 
 
-def _size_limit(text: str) -> int:
-    """``--max-cells`` as a whole number of at least one."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"size limit must be at least 1, got {value}")
-    return value
+def _whole(text, flag: str) -> int:
+    """A flag's count of at least one: ``text`` read as a number, then :func:`whole_number`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be a number, got {text!r}") from None
+    return whole_number(int(value) if value.is_integer() else value, flag, 1)
 
 
 # flag name -> add_argument keywords of ``--<name>``
@@ -81,7 +82,7 @@ _FLAGS = {
     "lambda": {"dest": "lam", "type": float, "default": 1.0, "help": "mass-tradeoff parameter"},
     "mode": {"default": None},
     "seed": {"type": int, "default": 0},
-    "max-cells": {"type": _size_limit, "default": 64},
+    "max-cells": {"default": 64},
     "max-r": {"type": int, "default": None},
     "samples": {"type": float, "default": None},
     "out": {"default": None, "help": "write the report here"},
@@ -150,6 +151,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
     """Returns (result, inputs, exit_code); result may be CSV text."""
     cmd = args.command
     inputs: dict[str, dict] = {}
+    if "max_cells" in args:  # checked before any file is read; the report echoes the int
+        args.max_cells = _whole(args.max_cells, "--max-cells")
 
     def load(name: str, parse):
         """``parse`` the file named by argument ``name``, read once; record its path and digest."""
@@ -212,7 +215,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
         return result, inputs, 0
 
     if cmd == "converge-report":
-        sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
+        sizes = [_whole(s, "--sizes") for s in str(args.sizes).split(",") if s.strip()]
         rep = empirical_convergence_experiment(X, sizes, seed=args.seed, max_cells=args.max_cells)
         lines = ["N,value,mode"] + [f"{n},{v!r},{mode}" for n, v, mode in rep.rows]
         return "\n".join(lines) + "\n", inputs, 0

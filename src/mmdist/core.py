@@ -406,7 +406,7 @@ def pullback_pair(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> SemiDistancePair:
         pi[ii, jj],
         X.dist[np.ix_(ii, ii)],
         Y.dist[np.ix_(jj, jj)],
-        cells=tuple((int(i), int(j)) for i, j in zip(ii, jj)),
+        cells=tuple(zip(ii.tolist(), jj.tolist())),
     )
 
 

@@ -20,7 +20,8 @@ such answers gate the search with one probe: a running minimum passes it as
 ``cap`` (an answer above it comes back as ``inf``), a running maximum as
 ``floor`` (an answer below it comes back as ``floor``).  Either way the
 probe decides most candidates, and the value is that of the ungated search
-whenever it can move the extremum.
+whenever it can move the extremum.  A ``cap`` above the largest value is
+not probed, and an infinite one costs nothing.
 """
 
 from __future__ import annotations
@@ -176,13 +177,14 @@ def _threshold_solve(
     ungated answer.  A gate probe that succeeds also stands in for the
     sanity probe at the largest threshold, which monotonicity makes feasible.
 
-    ``cap`` (a running minimum) is probed first if it is at most the largest
-    threshold.  If it is infeasible, the answer is above it: every threshold
-    up to ``cap`` is infeasible, and a breakpoint ``(m - W) / lam`` over a
-    lower threshold below ``cap`` has ``W`` at most the mass at ``cap``.
-    Then ``inf`` is returned.  Otherwise the first threshold at or above
-    ``cap`` is feasible, the search runs up to it only and ends at the same
-    pair of thresholds, so it returns the uncapped answer.
+    ``cap`` (a running minimum) is probed first, before the thresholds are
+    built, if it is at most the largest threshold.  If it is infeasible, the
+    answer is above it: every threshold up to ``cap`` is infeasible, and a
+    breakpoint ``(m - W) / lam`` over a lower threshold below ``cap`` has
+    ``W`` at most the mass at ``cap``.  Then ``inf`` is returned.  Otherwise
+    the first threshold at or above ``cap`` is feasible, the search runs up
+    to it only and ends at the same pair of thresholds, so it returns the
+    uncapped answer.
 
     ``floor`` (a running maximum) makes the result ``max(floor, answer)``.
     A positive ``floor`` probes the last threshold at or below it.  If that
@@ -197,11 +199,11 @@ def _threshold_solve(
             return True
         return retained_max(t, need) >= need
 
+    if cap < np.inf and cap <= np.max(values, initial=0.0) and not feasible(cap):
+        return np.inf
     thresholds = np.unique(np.concatenate(([0.0], np.ravel(values))))
     top = len(thresholds) - 1
     hi = int(np.searchsorted(thresholds, cap))  # first threshold at or above cap
-    if hi <= top and not feasible(cap):
-        return np.inf
     lo = max(int(np.searchsorted(thresholds, floor, side="right")) - 1, 0)  # last at or below floor
     if lo > 0 and feasible(float(thresholds[lo])):
         return floor

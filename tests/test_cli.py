@@ -73,6 +73,22 @@ class TestBoxCommand:
         assert exit_code([command, x, y, "--max-cells", limit]) == 1
         assert "--max-cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["box", "hlip", "converge-report"])
+    def test_fractional_max_cells_names_the_flag(self, capsys, spaces, command):
+        # the flag's own argparse type named itself ("invalid _size_limit value")
+        x, y = spaces
+        files = [x] if command == "converge-report" else [x, y]
+        assert exit_code([command, *files, "--max-cells", "2.5"]) == 1
+        err = capsys.readouterr().err
+        assert "--max-cells must be at least 1 and a whole number, got 2.5" in err
+        assert "_size_limit" not in err
+
+    def test_whole_max_cells_is_echoed_as_an_int(self, capsys, spaces):
+        x, y = spaces
+        code, rep = run_json(capsys, ["box", x, y, "--max-cells", "1e2"])
+        assert code == 0 and rep["config"]["max_cells"] == 100
+        assert json.dumps(rep["config"]["max_cells"]) == "100"
+
     def test_invalid_space_exits_one(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"labels": ["a"], "weights": [-1.0], "dist": [[0.0]]}))
@@ -386,6 +402,21 @@ class TestOtherCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "N,value,mode"
         assert lines[1].startswith("10,") and lines[2].startswith("100,")
+
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            ("5,2.5", "--sizes must be at least 1 and a whole number, got 2.5"),
+            ("5,0", "--sizes must be at least 1 and a whole number, got 0"),
+            ("5,ten", "--sizes must be a number, got 'ten'"),
+        ],
+    )
+    def test_converge_report_bad_sizes_name_the_flag(self, capsys, spaces, sizes, message):
+        # a fractional or non-numeric size met int() ("invalid literal for int() with base 10")
+        x, _ = spaces
+        assert main(["converge-report", str(x), "--sizes", sizes]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 class TestSuiteCommand:
