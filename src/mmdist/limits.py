@@ -128,9 +128,13 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     A map whose Prokhorov gap alone is at least the best objective so far
     skips the clique search: its objective, a maximum that includes that
     gap, cannot fall below the best, and both branches accept only a map
-    that is strictly better.  Any other map passes the best objective as the
-    ``cap`` of its clique search, so one threshold probe turns away a map
-    whose subset tolerance is above it (see
+    that is strictly better.  Most such maps skip the Prokhorov search too:
+    if the single-point flow bound :func:`_flow_bounds` through the cells
+    within the best objective ``b`` is short of ``m - b``, no threshold or
+    breakpoint up to ``b`` is feasible, so the gap is above ``b``; the
+    enumeration bounds the maps left each time ``b`` falls.  Any other map
+    passes ``b`` as the ``cap`` of its clique search, so one threshold probe
+    turns away a map whose subset tolerance is above it (see
     :func:`mmdist.transport._threshold_solve`).  So the prunes return the
     same map, subset and tolerance as scoring every map.  Among tied maps
     the enumeration keeps the lexicographically first.
@@ -141,10 +145,8 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     w = Xn.weights[sn]
     m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
-    def evaluate(p_support: tuple) -> tuple[float, tuple]:
+    def evaluate(p_support: tuple, nu: np.ndarray) -> tuple[float, tuple]:
         p = np.array(p_support, dtype=int)
-        nu = np.zeros(X.n)
-        np.add.at(nu, p, Xn.weights[sn])
         prok = prokhorov_distance(X.dist, nu, X.weights)
         if prok >= best_obj:
             return prok, ()
@@ -152,26 +154,37 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj)
         return max(eps_pair, prok), cells
 
-    best_obj = np.inf
-    best_p: tuple = ()
-    best_cells: tuple = ()
+    def ruled_out(nus: np.ndarray) -> np.ndarray:  # rows whose gap is above best_obj, past rounding
+        need = m_support - best_obj - 1e-12 - 1e-9 * max(m_support, 1.0)
+        return _flow_bounds(nus, X.dist <= best_obj + 1e-12, X.weights) < need
+
+    def climb(cand: tuple) -> tuple[float, tuple]:
+        nu = _pushforwards(np.array([cand]), w, X.n)
+        return (np.inf, ()) if ruled_out(nu)[0] else evaluate(cand, nu[0])
+
+    best_obj, best_p, best_cells = np.inf, (), ()
     if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
-        for cand in product(sx.tolist(), repeat=len(sn)):
-            obj, cells = evaluate(cand)
-            if obj < best_obj - 1e-15:
-                best_obj, best_p, best_cells = obj, cand, cells
+        maps = list(product(sx.tolist(), repeat=len(sn)))
+        nus, alive = _pushforwards(np.array(maps), w, X.n), np.ones(len(maps), dtype=bool)
+        for k, cand in enumerate(maps):
+            if alive[k]:
+                obj, cells = evaluate(cand, nus[k])
+                if obj < best_obj - 1e-15:
+                    best_obj, best_p, best_cells = obj, cand, cells
+                    rest = k + 1 + np.flatnonzero(alive[k + 1 :])
+                    alive[rest] = ~ruled_out(nus[rest])
     else:
         rng = np.random.default_rng(seed)
         for _ in range(ANNEAL_RESTARTS):
             cand = tuple(rng.choice(sx, size=len(sn)).tolist())
-            obj, cells = evaluate(cand)
+            obj, cells = climb(cand)
             if obj < best_obj:
                 best_obj, best_p, best_cells = obj, cand, cells
             for _ in range(ANNEAL_STEPS):
                 trial = list(best_p)
                 trial[int(rng.integers(len(sn)))] = int(rng.choice(sx))
                 trial = tuple(trial)
-                obj, cells = evaluate(trial)
+                obj, cells = climb(trial)
                 if obj < best_obj:
                     best_obj, best_p, best_cells = obj, trial, cells
     p_full = np.full(Xn.n, int(sx[0]), dtype=int)
@@ -179,6 +192,22 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         p_full[i] = best_p[k]
     subset = tuple(int(sn[c]) for c in best_cells)
     return Witness(p_full, np.array(subset, dtype=int), float(best_obj))
+
+
+def _pushforwards(maps: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Row ``k`` pushes ``w`` forward by the map ``maps[k]``, summed as ``np.add.at`` sums."""
+    nus = np.zeros((len(maps), n))
+    np.add.at(nus, (np.arange(len(maps))[:, None], maps), w)
+    return nus
+
+
+def _flow_bounds(nus: np.ndarray, admissible: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Flow bound from each row ``nu`` of ``nus`` to ``w`` through ``admissible``: the smaller sum of
+    ``min(nu_i, (A w)_i)`` or ``min(w_j, (nu A)_j)``, summed alike for a row alone or in a batch."""
+    reach = np.where(admissible[:, :, None], nus.T[:, None, :], 0.0).sum(axis=0)  # (nu A)_j, column k
+    rows = np.minimum(nus, admissible @ w).sum(axis=1)
+    cols = np.minimum(np.ascontiguousarray(reach.T), w).sum(axis=1)
+    return np.minimum(rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdist import (
     DominationCertificate,
@@ -28,6 +30,7 @@ from mmdist.instances import random_space, shuffled_copy
 from mmdist.limits import EXACT_CLIQUE_SUPPORT
 from mmdist.matrixdist import _isomorphisms
 from mmdist.matrixdist import _point_maps as point_maps
+from mmdist.transport import max_flow_value
 
 from oracles import (
     brute_domination,
@@ -201,6 +204,87 @@ class TestWitnessSearch:
         rng = np.random.default_rng(43)
         for a, b in [(7, 7), (8, 7), (7, 8)]:
             self.assert_matches_oracle(self.space(rng, a), self.space(rng, b))
+
+    def test_flow_gate_corpus_matches_unpruned_oracle(self, monkeypatch):
+        # the cases where the flow bound on pushforwards decides at an edge:
+        # many tied maps, an incumbent of 0 (a relabelled copy), distinct
+        # points at distance 0, zero weights on both sides, one-point and
+        # unequal supports; the last two pairs take the hill-climb
+        monkeypatch.setattr(limits, "ANNEAL_RESTARTS", 2)
+        monkeypatch.setattr(limits, "ANNEAL_STEPS", 30)
+        rng = np.random.default_rng(53)
+
+        def full(n):
+            return normalized(random_space(rng, min_points=n, max_points=n))
+
+        def uniform(n):
+            return mm_space(np.full(n, 1.0 / n), random_space(rng, min_points=n, max_points=n).dist)
+
+        def zero_weights(n, zeros):
+            w = random_space(rng, min_points=n, max_points=n)
+            weights = w.weights.copy()
+            weights[list(zeros)] = 0.0
+            return normalized(mm_space(weights, w.dist))
+
+        Z = mm_space([0.25, 0.25, 0.5], [[0, 0, 1], [0, 0, 1], [1, 1, 0]])  # two points at distance 0
+        X4 = full(4)
+        X7 = full(7)
+        cases = [
+            (uniform(3), uniform(4)),
+            (uniform(4), uniform(3)),
+            (X4, shuffled_copy(rng, X4)[0]),
+            (Z, two_point()),
+            (two_point(), Z),
+            (Z, shuffled_copy(rng, Z)[0]),
+            (zero_weights(4, [1]), zero_weights(4, [0, 3])),
+            (zero_weights(5, [4]), zero_weights(3, [2])),
+            (mm_space([1.0], [[0.0]]), self.space(rng, 4)),
+            (self.space(rng, 4), mm_space([1.0], [[0.0]])),
+            (mm_space([1.0], [[0.0]]), mm_space([1.0], [[0.0]])),
+            (full(2), self.space(rng, 6)),
+            (full(5), full(2)),
+            (X7, shuffled_copy(rng, X7)[0]),
+            (zero_weights(9, [2, 5]), zero_weights(7, [0])),
+        ]
+        for Xn, X in cases:
+            self.assert_matches_oracle(Xn, X)
+
+    def test_most_maps_skip_the_prokhorov_search(self, monkeypatch):
+        # a seeded 6 -> 5 enumeration of 5**6 maps: the flow bound at the
+        # incumbent turns most of them away before any Prokhorov search, and
+        # the witness is the one scoring every map gave
+        rng = np.random.default_rng(17)
+        Xn = normalized(random_space(rng, min_points=6, max_points=6))
+        X = normalized(random_space(rng, min_points=5, max_points=5))
+        searched = []
+        search = limits.prokhorov_distance
+        monkeypatch.setattr(limits, "prokhorov_distance", lambda *a: searched.append(1) or search(*a))
+        w = witness_search(Xn, X)
+        assert (w.p.tolist(), w.subset.tolist(), w.eps) == ([0, 0, 4, 2, 2, 1], [0, 2, 4, 5], 0.1499999999999999)
+        assert len(searched) < 0.2 * 5**6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_flow_bound_is_above_the_max_flow_hypothesis(self, data):
+        # every row's bound is at least the max flow through the same cells,
+        # and the same whether the row is bounded alone or in a batch; the
+        # rows are pushforwards, summed as np.add.at sums a single one
+        n = data.draw(st.integers(1, 10))  # 8 and more: numpy sums long rows pairwise
+        mass = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.25, 1 / 3]), st.floats(1e-3, 1.0))
+        w = np.array(data.draw(st.lists(mass, min_size=n, max_size=n)))
+        source = np.array(data.draw(st.lists(mass, min_size=1, max_size=7)))
+        k = data.draw(st.integers(1, 6))
+        maps = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=len(source), max_size=len(source)), min_size=k, max_size=k)))
+        admissible = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+        nus = limits._pushforwards(maps, source, n)
+        bounds = limits._flow_bounds(nus, admissible, w)
+        for row in range(k):
+            alone = np.zeros(n)
+            np.add.at(alone, maps[row], source)
+            assert np.array_equal(nus[row], alone)
+            assert bounds[row] >= max_flow_value(alone, w, np.nonzero(admissible)) - 1e-12
+            assert bounds[row] == limits._flow_bounds(nus[row : row + 1], admissible, w)[0]
 
     def test_returned_eps_feeds_valid_upper_bound(self):
         rng = np.random.default_rng(23)

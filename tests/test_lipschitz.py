@@ -430,6 +430,26 @@ class TestHliPair:
                     want = max(want, lip_point_distance(v, Lip1Set(db_s, w[s]), 0.0))
             assert hli_lambda(pair, 0.0, "exact0").value == pytest.approx(want, abs=1e-12)
 
+    def test_exact0_matches_vertex_oracle_at_near_equal_masses(self):
+        # weights that differ by about 1e-13, and sometimes one weight of
+        # 1e-13 next to a zero: the support, and so the value, must come out
+        # the same for the closed form and for the vertices
+        rng = np.random.default_rng(109)
+        for _ in range(12):
+            n = int(rng.integers(2, 7))
+            w = 0.25 + rng.integers(-2, 3, size=n) * 1e-13
+            if rng.random() < 0.5:
+                tiny, zero = rng.choice(n, size=2, replace=False)
+                w[tiny], w[zero] = 1e-13, 0.0
+            pair = SemiDistancePair(w, random_pair_matrices(rng, n), random_pair_matrices(rng, n))
+            s = pair.support
+            want = 0.0
+            for da, db in ((pair.d1, pair.d2), (pair.d2, pair.d1)):
+                da_s, db_s = da[np.ix_(s, s)], db[np.ix_(s, s)]
+                for v in Lip1Set(da_s, w[s]).vertices():
+                    want = max(want, lip_point_distance(v, Lip1Set(db_s, w[s]), 0.0))
+            assert hli_lambda(pair, 0.0, "exact0").value == pytest.approx(want, abs=1e-12)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     def test_invalid_lambda_rejected(self, lam):
         pair = semidist_pair([0.5, 0.5], [[0, 1], [1, 0]], [[0, 2], [2, 0]])

@@ -216,7 +216,7 @@ def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
     X = mmdist.normalized(random_space(rng, min_points=4, max_points=4))
     bump = np.triu(rng.uniform(0.0, 0.3, size=(4, 4)), 1)
     Xn = mmdist.mm_space(X.weights, X.dist + bump + bump.T)
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (93, 256)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (93, 53)
     uncapped = box_module._clique_solve
     monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap: uncapped(d, w, m, lam))
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (253, 256)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (253, 53)
