@@ -47,9 +47,11 @@ from .core import (
     SemiDistancePair,
     Witness,
     _as_indices,
+    _function_violations,
+    _refuse,
     _weight_violations,
-    check_lambda,
     lighter_first,
+    nonnegative,
     pullback_pair,
     whole_number,
 )
@@ -225,15 +227,14 @@ def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float)
     square over the weights, free of NaN, symmetric within ``2 * METRIC_TOL``
     (as ``|d1 - d2|`` of a valid pair is); ``inf`` never fits, below 0 reads 0.
     """
-    check_lambda(lam)
+    nonnegative(lam, "lambda")
     w_all = np.asarray(weights, dtype=float)
     d_all = np.asarray(delta, dtype=float)
     n = w_all.size
     v = _weight_violations(w_all, n, "weight")
     if not (d_all.shape == (n, n) and np.allclose(d_all, d_all.T, rtol=0.0, atol=2 * METRIC_TOL)):  # NaN fails
         v.append("defects must be a symmetric square matrix over the weights, free of NaN")
-    if v:
-        raise ValueError("; ".join(v))
+    _refuse(v)
     support = np.flatnonzero(w_all > 0.0)
     if len(support) == 0:
         return 0.0, ()
@@ -269,7 +270,7 @@ def _clique_solve(
 def box_pair(pair: SemiDistancePair, lam: float, *, max_cells: int = 64) -> BoxResult:
     """Exact box value of a semimetric pair, by the branch-and-bound clique
     search over the defect graph."""
-    check_lambda(lam)
+    nonnegative(lam, "lambda")
     max_cells = whole_number(max_cells, "max_cells", 1)
     if len(pair.support) > max_cells:
         raise SizeLimitError(f"exact box_pair refuses {len(pair.support)} cells (limit {max_cells})")
@@ -442,7 +443,7 @@ def box_distance(
     mass gap.  Exact mode certifies the optimum; heuristic mode returns an
     upper bound (never below the exact value).
     """
-    check_lambda(lam)
+    nonnegative(lam, "lambda")
     max_cells = whole_number(max_cells, "max_cells", 1)
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -468,8 +469,7 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
     mass gap is added (:func:`mmdist.core.lighter_first`).
     """
     p = _as_indices(w.p, "witness map", X.n)
-    if len(p) != Xn.n:
-        raise ValueError("witness map length does not match the space")
+    _refuse(_function_violations(p, Xn.n, "witness map"))
     A, B, gap, swapped = lighter_first(Xn, X)
     Xn, X = (B, A) if swapped else (A, B)
     nu = np.zeros(X.n)

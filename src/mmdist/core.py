@@ -11,9 +11,10 @@ which is what every solver in this package actually works on.  Each object
 is checked in one place: the :class:`FiniteMMSpace` constructor checks a
 space by the rules of :func:`validate`, :func:`coupling_from_matrix` the
 shape, signs and marginals of a coupling (:func:`pullback_pair` calls it), and
-the :class:`SemiDistancePair` constructor a pair.  Each weight vector, matrix
-or whole-number input meets :func:`_weight_violations`,
-:func:`_semimetric_violations` or :func:`whole_number`.
+the :class:`SemiDistancePair` constructor a pair.  Each weight vector,
+matrix, function vector, whole number and nonnegative scalar meets one rule:
+:func:`_weight_violations`, :func:`_semimetric_violations`,
+:func:`_function_violations`, :func:`whole_number` or :func:`nonnegative`.
 
 Zero-weight points are kept in storage but excluded from supports; all
 comparisons between spaces are meant up to relabeling of the support.
@@ -131,6 +132,21 @@ def _weight_violations(w: np.ndarray, n: int, name: str) -> list[str]:
     return []
 
 
+def _function_violations(f: np.ndarray, n: int, name: str) -> list[str]:
+    """The function rule: shape ``(n,)`` and finite entries."""
+    if f.shape != (n,):
+        return [f"{name} has shape {f.shape}, expected ({n},)"]
+    if not np.isfinite(f).all():
+        return [f"{name} contains non-finite entries"]
+    return []
+
+
+def _refuse(violations: list[str]) -> None:
+    """Raise the violations of one input check, if any, as one ValueError."""
+    if violations:
+        raise ValueError("; ".join(violations))
+
+
 def _semimetric_violations(d: np.ndarray, n: int, name: str) -> list[str]:
     """The matrix rule: ``n x n``, finite, and nonnegative, symmetric and zero on
     the diagonal within :data:`METRIC_TOL`; a bad shape or a non-finite entry is reported alone."""
@@ -233,10 +249,12 @@ def normalized(space: FiniteMMSpace) -> FiniteMMSpace:
     return scale_measure(space, 1.0 / space.total_mass)
 
 
-def check_lambda(lam: float) -> None:
-    """Reject a mass-tradeoff parameter that is negative, infinite or NaN."""
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+def nonnegative(value, name: str) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is finite and
+    at least 0 (NaN is not): the rule of every trade-off, tolerance and scale."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return float(value)
 
 
 def whole_number(value, name: str, least: int) -> int:
@@ -314,8 +332,7 @@ def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping) -> np.ndarray
     """
     _require_equal_mass(X, Y)
     p = _as_indices(mapping, "map", Y.n)
-    if p.shape != (X.n,):
-        raise ValueError("map length does not match the first space")
+    _refuse(_function_violations(p, X.n, "map"))
     pi = np.zeros((X.n, Y.n))
     pi[np.arange(X.n), p] = X.weights
     return coupling_from_matrix(X, Y, pi)
@@ -371,9 +388,7 @@ class SemiDistancePair:
         object.__setattr__(self, "d2", _readonly(self.d2))
         n = self.weights.size
         v = _weight_violations(self.weights, n, "weight")
-        v += _semimetric_violations(self.d1, n, "d1") + _semimetric_violations(self.d2, n, "d2")
-        if v:
-            raise ValueError("; ".join(v))
+        _refuse(v + _semimetric_violations(self.d1, n, "d1") + _semimetric_violations(self.d2, n, "d2"))
 
     @property
     def n(self) -> int:
@@ -420,8 +435,8 @@ class Witness:
 
     ``p[i]`` maps point ``i`` of the first space to a point index of the
     second, ``subset`` lists the retained first-space points, and ``eps``
-    bounds both the discarded mass and the pairwise distance distortion of
-    ``p`` on the retained set.
+    (finite and nonnegative) bounds both the discarded mass and the pairwise
+    distance distortion of ``p`` on the retained set.
     """
 
     p: np.ndarray
@@ -431,7 +446,7 @@ class Witness:
     def __post_init__(self):
         object.__setattr__(self, "p", _as_indices(self.p, "witness map"))
         object.__setattr__(self, "subset", np.sort(_as_indices(self.subset, "witness subset")))
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "eps", nonnegative(self.eps, "eps"))
 
     def violations(self, Xn: FiniteMMSpace, X: FiniteMMSpace) -> list[str]:
         """Ways the witness fails for ``Xn`` to ``X``, each beyond 1e-9."""

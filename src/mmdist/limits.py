@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 
 from .box import _clique_solve, _max_weight_clique, _neighbour_sets, box_distance, box_upper_from_witness
-from .core import FiniteMMSpace, Witness, _as_indices, _weight_violations, check_lambda, whole_number
+from .core import (FiniteMMSpace, Witness, _as_indices, _function_violations, _refuse, _weight_violations,
+                   nonnegative, whole_number)
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms, _point_maps
@@ -58,9 +59,7 @@ def prokhorov(space: FiniteMMSpace, mu, nu) -> float:
     transportation feasibility over the ``eps``-near pairs.
     """
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-    v = _weight_violations(mu, space.n, "mu weight") + _weight_violations(nu, space.n, "nu weight")
-    if v:
-        raise ValueError("; ".join(v))
+    _refuse(_weight_violations(mu, space.n, "mu weight") + _weight_violations(nu, space.n, "nu weight"))
     return prokhorov_distance(space.dist, mu, nu)
 
 
@@ -81,12 +80,10 @@ def lipschitz_up_to_check(
     that the greedy set's complement is too heavy, not that every admissible
     set's complement is.
     """
-    check_lambda(lam)
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    nonnegative(lam, "lambda")
+    nonnegative(eps, "eps")
     fmap = _as_indices(fmap, "map", Y.n)
-    if fmap.shape != (X.n,):
-        raise ValueError("map length does not match the first space")
+    _refuse(_function_violations(fmap, X.n, "map"))
     s = X.support
     dY = Y.dist[np.ix_(fmap[s], fmap[s])]
     dX = X.dist[np.ix_(s, s)]
@@ -232,8 +229,7 @@ def empirical_space(X: FiniteMMSpace, counts: np.ndarray) -> FiniteMMSpace:
     """The empirical mm-space of sampled multiplicities (atoms merge): one
     nonnegative whole count per point, with a positive total."""
     counts = np.asarray(counts, dtype=float)
-    whole = counts.shape == (X.n,) and (counts >= 0.0).all() and (counts == np.round(counts)).all()
-    if not (whole and 0.0 < counts.sum() < np.inf):
+    if _weight_violations(counts, X.n, "count") or not ((counts == np.round(counts)).all() and counts.sum() > 0.0):
         raise ValueError("counts must be one nonnegative whole number per point, with a positive total")
     total = int(counts.sum())
     weights = counts / total * X.total_mass
@@ -288,14 +284,14 @@ def empirical_convergence_experiment(
 @dataclass(frozen=True, eq=False)
 class DominationCertificate:
     """A 1-Lipschitz map of supports pushing the first measure to ``c`` times
-    the second, ``c >= 1``."""
+    the second, ``c >= 1``; a ``c`` that is not finite and nonnegative is refused."""
 
     p: np.ndarray
     c: float
 
     def __post_init__(self):
         object.__setattr__(self, "p", _as_indices(self.p, "domination map"))
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", nonnegative(self.c, "c"))
 
     def violations(self, X: FiniteMMSpace, Y: FiniteMMSpace) -> list[str]:
         """Ways the certificate fails for ``X`` onto ``Y``; mass is checked to 1e-9."""

@@ -40,12 +40,14 @@ from .core import (
     FiniteMMSpace,
     SemiDistancePair,
     _as_indices,
+    _function_violations,
     _readonly,
+    _refuse,
     _semimetric_violations,
     _weight_violations,
-    check_lambda,
     lighter_first,
     metric_closure,
+    nonnegative,
     northwest_coupling,
     product_coupling,
     pullback_pair,
@@ -73,15 +75,10 @@ def me_lambda(f, g, weights, lam: float) -> float:
     tolerance ``t`` is ``mass(|f - g| <= t)``, a step function of ``t``, so
     the optimum is a defect value or a breakpoint ``tail_mass / lam``.
     """
-    check_lambda(lam)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    v = _weight_violations(w, w.size, "weight")
-    if not (f.shape == g.shape == w.shape and np.isfinite(f).all() and np.isfinite(g).all()):
-        v.append("f and g must be finite vectors over the index set of the weights")
-    if v:
-        raise ValueError("; ".join(v))
+    nonnegative(lam, "lambda")
+    f, g, w = (np.asarray(a, dtype=float) for a in (f, g, weights))
+    _refuse(_weight_violations(w, w.size, "weight") + _function_violations(f, w.size, "f")
+            + _function_violations(g, w.size, "g"))
     keep = w > 0.0
     v = np.abs(f - g)[keep]
     w = w[keep]
@@ -102,8 +99,8 @@ def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
     dY = np.asarray(dY, dtype=float)
     fmap = _as_indices(fmap, "fmap", len(dY))
     gmap = _as_indices(gmap, "gmap", len(dY))
-    if fmap.shape != gmap.shape:
-        raise ValueError("fmap and gmap differ in length")
+    n = np.asarray(weights).size
+    _refuse(_function_violations(fmap, n, "fmap") + _function_violations(gmap, n, "gmap"))
     gaps = dY[fmap, gmap]
     return me_lambda(gaps, np.zeros_like(gaps), weights, lam)
 
@@ -120,13 +117,9 @@ def project_to_lip1(f, dist, anchor) -> np.ndarray:
     and fixes any function that is already 1-Lipschitz (full anchor).
     """
     f = np.asarray(f, dtype=float)
-    if f.ndim != 1:
-        raise ValueError(f"f must be a vector, got shape {f.shape}")
     d = np.asarray(dist, dtype=float)
-    v = _semimetric_violations(d, f.size, "dist")
-    if v:
-        raise ValueError("; ".join(v))
-    anchor = _as_indices(anchor, "anchor", len(f))
+    _refuse(_function_violations(f, f.size, "f") + _semimetric_violations(d, f.size, "dist"))
+    anchor = _as_indices(anchor, "anchor", f.size)
     if anchor.size == 0:
         raise ValueError("anchor must be nonempty")
     return np.min(f[anchor][None, :] + d[:, anchor], axis=1)
@@ -151,9 +144,7 @@ class Lip1Set:
         object.__setattr__(self, "dist", _readonly(self.dist))
         object.__setattr__(self, "weights", _readonly(self.weights))
         n = self.weights.size
-        v = _weight_violations(self.weights, n, "weight") + _semimetric_violations(self.dist, n, "dist")
-        if v:
-            raise ValueError("; ".join(v))
+        _refuse(_weight_violations(self.weights, n, "weight") + _semimetric_violations(self.dist, n, "dist"))
 
     @property
     def support(self) -> np.ndarray:
@@ -166,8 +157,10 @@ class Lip1Set:
         return metric_closure(self.dist[np.ix_(s, s)])
 
     def contains(self, f) -> bool:
-        """Whether ``f`` is 1-Lipschitz on the support, within :data:`LIP_TOL`."""
-        f = np.asarray(f, dtype=float)[self.support]
+        """Whether ``f`` (finite, over the weights) is 1-Lipschitz on the support, within :data:`LIP_TOL`."""
+        f = np.asarray(f, dtype=float)
+        _refuse(_function_violations(f, self.weights.size, "f"))
+        f = f[self.support]
         excess = np.abs(f[:, None] - f[None, :]) - self.closure
         return float(np.max(excess, initial=0.0)) <= LIP_TOL
 
@@ -258,15 +251,10 @@ def lip_point_distance(f, target: Lip1Set, lam: float, *, floor: float = 0.0) ->
     settles a distance that cannot raise it (see
     :func:`mmdist.transport._threshold_solve`).
     """
-    check_lambda(lam)
-    floor = float(floor)
-    if np.isnan(floor):
-        raise ValueError("floor must not be NaN")
+    nonnegative(lam, "lambda")
+    floor = nonnegative(floor, "floor")
     f = np.asarray(f, dtype=float)
-    if f.shape != target.weights.shape:
-        raise ValueError("f length does not match the set")
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
+    _refuse(_function_violations(f, target.weights.size, "f"))
     s = target.support
     f, w = f[s], target.weights[s]
     delta = np.clip((np.abs(f[:, None] - f[None, :]) - target.closure) / 2.0, 0.0, None)
@@ -293,6 +281,17 @@ class HliResult:
         return {"value": self.value, "tag": self.tag, "lambda": self.lam, "mode": self.mode}
 
 
+def _mode(lam: float, mode: str | None) -> str:
+    """The mode of :func:`hli_lambda` and :func:`observable_distance`, once ``lam`` is checked."""
+    nonnegative(lam, "lambda")
+    mode = mode or ("exact0" if lam == 0.0 else "sampled")
+    if mode not in ("exact0", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact0" and lam != 0.0:
+        raise ValueError("exact0 mode requires lambda = 0")
+    return mode
+
+
 def hli_lambda(
     pair: SemiDistancePair,
     lam: float,
@@ -316,16 +315,11 @@ def hli_lambda(
     each probe passes it as the ``floor`` of :func:`lip_point_distance`, so
     a probe that cannot raise it costs one threshold probe, not a search.
     """
-    check_lambda(lam)
-    mode = mode or ("exact0" if lam == 0.0 else "sampled")
+    mode = _mode(lam, mode)
     sets = (Lip1Set(pair.d1, pair.weights), Lip1Set(pair.d2, pair.weights))
     if mode == "exact0":
-        if lam != 0.0:
-            raise ValueError("exact0 mode requires lambda = 0")
         gap = np.abs(sets[0].closure - sets[1].closure)
         return HliResult(float(np.max(gap, initial=0.0)) / 2.0, "exact", lam, mode)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
     samples = whole_number(samples, "samples", 0)
     rng = np.random.default_rng(seed)
     value = 0.0
@@ -359,16 +353,13 @@ def observable_distance(
     rule as the box distance (:func:`mmdist.core.lighter_first`).
     ``mode=None`` picks ``exact0`` at ``lam = 0``, else ``sampled``.
     """
-    check_lambda(lam)
+    mode = _mode(lam, mode)
     max_cells = whole_number(max_cells, "max_cells", 1)
-    mode = mode or ("exact0" if lam == 0.0 else "sampled")
     X, Y, gap, swapped = lighter_first(X, Y)
     if mode == "exact0":
-        if lam != 0.0:
-            raise ValueError("exact0 mode requires lambda = 0")
         box = box_distance(X, Y, 0.0, "exact", max_cells=max_cells)
         value, tag, pi = box.value / 2.0, "exact", box.coupling
-    elif mode == "sampled":
+    else:
         rng = np.random.default_rng(seed)
         candidates = [product_coupling(X, Y)]
         for _ in range(COUPLING_CANDIDATES):
@@ -383,8 +374,6 @@ def observable_distance(
             ).value
             if est < value:
                 value, pi = est, c
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if swapped:
         pi = pi.T.copy()
     return HliResult(value + gap, tag, lam, mode, pi)

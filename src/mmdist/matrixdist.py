@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMMSpace, _as_indices, _weight_violations, normalized, whole_number
+from .core import FiniteMMSpace, _as_indices, _refuse, _weight_violations, normalized, whole_number
 from .errors import SizeLimitError
 
 _ROUND_DECIMALS = 12
@@ -169,7 +169,9 @@ def sample_mu_r(space: FiniteMMSpace, r: int, count: int, seed: int = 0) -> Matr
 
 
 def total_variation(a: MatrixDistribution, b: MatrixDistribution) -> float:
-    """Total variation between two (normalized) matrix distributions."""
+    """Total variation between two (normalized) matrix distributions of one order ``r``."""
+    if a.r != b.r:
+        raise ValueError(f"total variation needs one order r, got r = {a.r} and r = {b.r}")
     da = dict(a.entries)
     db = dict(b.entries)
     keys = set(da) | set(db)
@@ -318,9 +320,7 @@ def parameter_invariance_check(X: FiniteMMSpace, cell_points, cell_masses) -> bo
     """
     cp = _as_indices(cell_points, "cell_points", X.n)
     cm = np.asarray(cell_masses, dtype=float)
-    v = _weight_violations(cm, cp.size, "cell weight")
-    if v:
-        raise ValueError("; ".join(v))
+    _refuse(_weight_violations(cm, cp.size, "cell weight"))
     if not cm.sum() > 0.0:  # massless cells carry none of the distributions of X
         return False
     cell_space = FiniteMMSpace(

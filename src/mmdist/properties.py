@@ -22,6 +22,7 @@ from .core import (
     diagonal_coupling,
     metric_closure,
     mm_space,
+    nonnegative,
     normalized,
     pullback_pair,
     random_coupling,
@@ -546,8 +547,7 @@ def run_suite(seed: int = 0, samples: float = 1.0, names=None) -> dict:
     unknown = [n for n in names if n not in PROPERTIES]
     if unknown:
         raise ValueError(f"unknown properties: {unknown}")
-    if not 0.0 <= samples < np.inf:
-        raise ValueError(f"samples scale must be finite and nonnegative, got {samples}")
+    nonnegative(samples, "samples scale")
     results = []
     for name in sorted(names):
         fn, base_trials = PROPERTIES[name]

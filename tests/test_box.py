@@ -379,7 +379,7 @@ class TestWitnessBound:
     def test_map_length_mismatch_rejected(self):
         X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
         w = Witness(np.array([0, 1, 0]), np.arange(2), 0.0)
-        with pytest.raises(ValueError, match="length does not match"):
+        with pytest.raises(ValueError, match=r"witness map has shape \(3,\), expected \(2,\)"):
             box_upper_from_witness(X, X, w)
 
     def test_bound_dominates_exact_on_random_pairs(self):

@@ -1,12 +1,13 @@
-"""The input contract: one weight rule and one matrix rule at every entry point.
+"""The input contract: one rule per kind of input at every entry point.
 
 Every public callable of the ``mmdist`` namespace that takes a weight vector
-(``weights``, ``mu``, ``nu``, ``cell_masses``) or a matrix (``dist``, ``d1``,
-``d2``, ``delta``) is a row of ``CONTRACT``, and a completeness check keeps it
-so.  Each bad input of each row raises ``ValueError`` whose message names that
-input.  Whole-number parameters meet one rule too.  The frozen corpus under
-``data/validate_corpus`` pins the report of ``mmdist validate`` on malformed
-space files.
+(``weights``, ``mu``, ``nu``, ``cell_masses``), a matrix (``dist``, ``d1``,
+``d2``, ``delta``), a function vector (``f``, ``g``) or a nonnegative scalar
+(``lam``, ``eps``, ``floor``, ``c``) is a row of ``CONTRACT``, and a
+completeness check keeps it so.  Each bad input of each row raises
+``ValueError`` whose message names that input.  Whole-number parameters meet
+one rule too.  The frozen corpus under ``data/validate_corpus`` pins the
+report of ``mmdist validate`` on malformed space files.
 """
 
 import contextlib
@@ -22,13 +23,19 @@ import pytest
 
 import mmdist
 from mmdist import (
+    DominationCertificate,
     FiniteMMSpace,
+    HliResult,
     Lip1Set,
     SemiDistancePair,
+    Witness,
     box_distance,
+    box_pair,
     empirical_convergence_experiment,
     exact_mu_r,
     hli_lambda,
+    lip_point_distance,
+    lipschitz_up_to_check,
     me1_subsequence_diagnostic,
     me_lambda,
     me_lambda_maps,
@@ -45,11 +52,17 @@ from mmdist import (
 )
 from mmdist.cli import main
 
-INPUT_NAMES = {"weights", "mu", "nu", "cell_masses", "dist", "d1", "d2", "delta"}
+WEIGHT_NAMES = {"weights", "mu", "nu", "cell_masses"}
+FUNCTION_NAMES = {"f", "g"}
+SCALAR_NAMES = {"lam", "eps", "floor", "c"}
+INPUT_NAMES = WEIGHT_NAMES | FUNCTION_NAMES | SCALAR_NAMES | {"dist", "d1", "d2", "delta"}
+#: records a solver returns, echoing a lambda that solver checked; not entry points
+RECORDS = {HliResult}
 
 D = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
 W = [0.5, 0.25, 0.25]
 X = mm_space(W, D)
+P = semidist_pair(W, D, D)
 
 
 def _reported(weights, dist):
@@ -60,46 +73,65 @@ def _reported(weights, dist):
 
 
 # entry point -> (call taking the inputs by name, valid inputs, what each
-# input is called in messages, the name a too-short weight vector gets: the
-# matrix whose shape the weights set, or the weights themselves)
+# input is called in messages, and where a too-short vector is not reported
+# under its own name, the matrix or function whose shape it sets)
 CONTRACT = {
-    FiniteMMSpace: (partial(FiniteMMSpace, ("a", "b", "c")), {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "weight"),
-    validate: (_reported, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "weight"),
-    mm_space: (mm_space, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, "dist"),
+    FiniteMMSpace: (partial(FiniteMMSpace, ("a", "b", "c")), {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, {}),
+    validate: (_reported, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, {}),
+    mm_space: (mm_space, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, {"weights": "dist"}),
     SemiDistancePair: (
-        SemiDistancePair, {"weights": W, "d1": D, "d2": D}, {"weights": "weight", "d1": "d1", "d2": "d2"}, "d1",
+        SemiDistancePair, {"weights": W, "d1": D, "d2": D}, {"weights": "weight", "d1": "d1", "d2": "d2"},
+        {"weights": "d1"},
     ),
     semidist_pair: (
-        semidist_pair, {"weights": W, "d1": D, "d2": D}, {"weights": "weight", "d1": "d1", "d2": "d2"}, "d1",
+        semidist_pair, {"weights": W, "d1": D, "d2": D}, {"weights": "weight", "d1": "d1", "d2": "d2"},
+        {"weights": "d1"},
     ),
-    Lip1Set: (Lip1Set, {"dist": D, "weights": W}, {"dist": "dist", "weights": "weight"}, "dist"),
+    Lip1Set: (Lip1Set, {"dist": D, "weights": W}, {"dist": "dist", "weights": "weight"}, {"weights": "dist"}),
+    Lip1Set.contains: (lambda f: Lip1Set(D, W).contains(f), {"f": [0.0, 1.0, 2.0]}, {"f": "f"}, {}),
+    # a NaN entry of f made every entry NaN
     project_to_lip1: (
-        lambda dist: project_to_lip1([0.0, 0.0, 0.0], dist, [0, 1, 2]), {"dist": D}, {"dist": "dist"}, None,
+        lambda f, dist: project_to_lip1(f, dist, [0, 1, 2]), {"f": [0.0, 1.0, 3.0], "dist": D},
+        {"f": "f", "dist": "dist"}, {"f": "dist"},
     ),
     me_lambda: (
-        lambda weights: me_lambda([0.0, 1.0, 3.0], [0.0, 0.0, 0.0], weights, 1.0),
-        {"weights": W}, {"weights": "weight"}, "weight",
+        me_lambda, {"f": [0.0, 1.0, 3.0], "g": [0.0, 0.0, 0.0], "weights": W, "lam": 1.0},
+        {"f": "f", "g": "g", "weights": "weight", "lam": "lambda"}, {"weights": "f has shape"},
     ),
     me_lambda_maps: (
-        lambda weights: me_lambda_maps([0, 1, 2], [2, 1, 0], weights, D, 1.0),
-        {"weights": W}, {"weights": "weight"}, "weight",
+        lambda weights, lam: me_lambda_maps([0, 1, 2], [2, 1, 0], weights, D, lam),
+        {"weights": W, "lam": 1.0}, {"weights": "weight", "lam": "lambda"}, {"weights": "fmap has shape"},
     ),
     me1_subsequence_diagnostic: (
         lambda weights: me1_subsequence_diagnostic([[0, 1, 2], [2, 1, 0]], weights, D),
-        {"weights": W}, {"weights": "weight"}, "weight",
+        {"weights": W}, {"weights": "weight"}, {"weights": "fmap has shape"},
     ),
     prokhorov: (
-        lambda mu, nu: prokhorov(X, mu, nu), {"mu": W, "nu": W[::-1]}, {"mu": "mu weight", "nu": "nu weight"},
-        "weight",
+        lambda mu, nu: prokhorov(X, mu, nu), {"mu": W, "nu": W[::-1]}, {"mu": "mu weight", "nu": "nu weight"}, {},
     ),
     parameter_invariance_check: (
         lambda cell_masses: parameter_invariance_check(X, [0, 1, 2], cell_masses),
-        {"cell_masses": W}, {"cell_masses": "cell weight"}, "weight",
+        {"cell_masses": W}, {"cell_masses": "cell weight"}, {},
     ),
     smallest_eps_for_defects: (
-        lambda delta, weights: smallest_eps_for_defects(delta, weights, 1.0),
-        {"delta": D, "weights": W}, {"delta": "defects", "weights": "weight"}, "weight",
+        smallest_eps_for_defects, {"delta": D, "weights": W, "lam": 1.0},
+        {"delta": "defects", "weights": "weight", "lam": "lambda"}, {},
     ),
+    box_pair: (partial(box_pair, P), {"lam": 1.0}, {"lam": "lambda"}, {}),
+    box_distance: (partial(box_distance, X, X), {"lam": 1.0}, {"lam": "lambda"}, {}),
+    hli_lambda: (partial(hli_lambda, P, samples=2), {"lam": 1.0}, {"lam": "lambda"}, {}),
+    observable_distance: (partial(observable_distance, X, X, samples=2), {"lam": 1.0}, {"lam": "lambda"}, {}),
+    lip_point_distance: (
+        lambda f, lam, floor: lip_point_distance(f, Lip1Set(D, W), lam, floor=floor),
+        {"f": [0.0, 1.0, 3.0], "lam": 1.0, "floor": 0.0}, {"f": "f", "lam": "lambda", "floor": "floor"}, {},
+    ),
+    lipschitz_up_to_check: (
+        lambda lam, eps: lipschitz_up_to_check(X, X, [0, 1, 2], lam, eps),
+        {"lam": 1.0, "eps": 0.1}, {"lam": "lambda", "eps": "eps"}, {},
+    ),
+    # a NaN eps or c passed the certificate's own check (violations returned [])
+    Witness: (partial(Witness, [0, 1, 2], [0, 1, 2]), {"eps": 0.0}, {"eps": "eps"}, {}),
+    DominationCertificate: (partial(DominationCertificate, [0, 1, 2]), {"c": 1.0}, {"c": "c"}, {}),
 }
 
 BAD_WEIGHTS = {
@@ -116,19 +148,31 @@ BAD_MATRICES = {
     "wrong shape": [[0.0, 1.0], [1.0, 0.0]],
     "asymmetric": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]],
 }
+BAD_SCALARS = {"nan": np.nan, "inf": np.inf, "negative": -1.0}
 #: a defect matrix may hold inf ("never compatible") and negative entries (read as 0)
 DEFECT_ALLOWED = {"negative", "inf"}
 
 
+def _bad_inputs(param, valid, name, short_name):
+    """``(kind, bad value, regex its message must match)`` for one input."""
+    if param in SCALAR_NAMES:
+        for kind, bad in BAD_SCALARS.items():
+            yield kind, bad, "^" + re.escape(f"{name} must be finite and nonnegative, got {bad}") + "$"
+    elif param in FUNCTION_NAMES:
+        yield "short", valid[:-1], f"{short_name} has shape"
+        yield "not a vector", [valid], f"{name} has shape"
+        yield "nan", [valid[0], np.nan, *valid[2:]], f"{name} contains non-finite entries"
+    else:
+        for kind, bad in (BAD_WEIGHTS if param in WEIGHT_NAMES else BAD_MATRICES).items():
+            if not (param == "delta" and kind in DEFECT_ALLOWED):
+                yield kind, bad, short_name if kind == "short" else name
+
+
 def _cases():
-    for entry, (_, inputs, names, short_name) in CONTRACT.items():
-        for param in inputs:
-            weight_like = param in ("weights", "mu", "nu", "cell_masses")
-            for kind, bad in (BAD_WEIGHTS if weight_like else BAD_MATRICES).items():
-                if param == "delta" and kind in DEFECT_ALLOWED:
-                    continue
-                named = short_name if kind == "short" else names[param]
-                yield pytest.param(entry, param, bad, named, id=f"{entry.__name__}-{param}-{kind}")
+    for entry, (_, inputs, names, short) in CONTRACT.items():
+        for param, valid in inputs.items():
+            for kind, bad, named in _bad_inputs(param, valid, names[param], short.get(param, names[param])):
+                yield pytest.param(entry, param, bad, named, id=f"{entry.__qualname__}-{param}-{kind}")
 
 
 @pytest.mark.parametrize("entry, param, bad, named", list(_cases()))
@@ -138,7 +182,7 @@ def test_bad_input_raises_value_error_naming_it(entry, param, bad, named):
         call(**{**inputs, param: bad})
 
 
-@pytest.mark.parametrize("entry", list(CONTRACT), ids=lambda e: e.__name__)
+@pytest.mark.parametrize("entry", list(CONTRACT), ids=lambda e: e.__qualname__)
 def test_valid_inputs_pass(entry):
     call, inputs, _, _ = CONTRACT[entry]
     call(**inputs)
@@ -147,7 +191,7 @@ def test_valid_inputs_pass(entry):
 def test_every_entry_point_taking_weights_or_a_matrix_is_in_the_table():
     missing = {}
     for name, obj in vars(mmdist).items():
-        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj) or obj in RECORDS:
             continue
         try:
             params = INPUT_NAMES & set(inspect.signature(obj).parameters)
@@ -190,6 +234,13 @@ def test_parameter_invariance_bad_cell_mass_rejected(bad, message):
     Y = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
     with pytest.raises(ValueError, match=message):
         parameter_invariance_check(Y, [0, 1, 1], [0.5, 0.75, bad])
+
+
+@pytest.mark.parametrize("f", [[0.0], [0.0, 1.0, 2.0, 3.0]])
+def test_lip1set_contains_checks_the_length(f):
+    # the short vector raised IndexError, the long one was called 1-Lipschitz
+    with pytest.raises(ValueError, match=r"f has shape \(\d,\), expected \(3,\)"):
+        Lip1Set(D, [1.0, 1.0, 1.0]).contains(f)
 
 
 @pytest.mark.parametrize(

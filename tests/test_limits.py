@@ -126,7 +126,7 @@ class TestLipschitzUpTo:
     def test_short_map_rejected(self):
         # raised IndexError
         X = two_point()
-        with pytest.raises(ValueError, match="map length"):
+        with pytest.raises(ValueError, match=r"map has shape \(1,\), expected \(2,\)"):
             lipschitz_up_to_check(X, X, [0], 1.0, 0.0)
 
     def test_greedy_peel_above_exact_support(self):

@@ -127,8 +127,14 @@ class TestMeLambda:
     def test_maps_of_different_lengths_rejected(self):
         # the one-entry map was broadcast against the other and gave 0.5
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=r"gmap has shape \(1,\), expected \(2,\)"):
             me_lambda_maps([0, 1], [1], [0.5, 0.5], d, 1.0)
+
+    def test_maps_shorter_than_the_weights_rejected_by_name(self):
+        # the message spoke of f and g, which the caller never passed
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^fmap has shape \(2,\), expected \(3,\); gmap has shape"):
+            me_lambda_maps([0, 1], [1, 0], [1.0, 1.0, 1.0], d, 1.0)
 
 
 class TestProjection:
@@ -154,7 +160,7 @@ class TestProjection:
     @pytest.mark.parametrize("f", [0.5, [[0.5]]])
     def test_non_vector_function_rejected(self, f):
         # the scalar raised TypeError ("len() of unsized object")
-        with pytest.raises(ValueError, match="f must be a vector"):
+        with pytest.raises(ValueError, match="f has shape"):
             project_to_lip1(f, [[0.0]], [0])
 
     def test_output_always_lipschitz_for_metrics(self):
@@ -277,8 +283,8 @@ class TestPointDistance:
     @pytest.mark.parametrize(
         "f,match",
         [
-            ([0.0, 1.0], "length"),  # raised IndexError
-            ([0.0, 1.0, 2.0, 3.0], "length"),
+            pytest.param([0.0, 1.0], r"f has shape \(2,\), expected \(3,\)", id="f0-length"),  # raised IndexError
+            pytest.param([0.0, 1.0, 2.0, 3.0], r"f has shape \(4,\), expected \(3,\)", id="f1-length"),
             ([0.0, np.nan, 1.0], "finite"),  # raised InternalInvariantError
             ([0.0, np.inf, 1.0], "finite"),
         ],

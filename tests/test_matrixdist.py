@@ -259,3 +259,9 @@ class TestDistributionHelpers:
         a = exact_mu_r(two_point(), 2).normalized()
         b = exact_mu_r(mm_space([1.0], [[0.0]]), 2)
         assert 0.0 < total_variation(a, b) <= 1.0
+
+    def test_tv_of_different_orders_rejected(self):
+        # returned 1.0: no matrix of order 2 is a matrix of order 3
+        X = two_point()
+        with pytest.raises(ValueError, match="r = 2 and r = 3"):
+            total_variation(exact_mu_r(X, 2), exact_mu_r(X, 3))
