@@ -24,7 +24,6 @@ from .core import (
     Witness,
     coupling_from_matrix,
     diagonal_coupling,
-    matching_coupling,
     metric_closure,
     mm_space,
     normalized,
@@ -35,7 +34,6 @@ from .core import (
     read_space,
     scale_measure,
     semidist_pair,
-    spaces_equal,
     validate,
     write_space,
 )
@@ -77,7 +75,6 @@ from .matrixdist import (
     distributions_equal,
     exact_mu_r,
     isomorphism_search,
-    k_r,
     parameter_invariance_check,
     reconstruction_check,
     sample_mu_r,

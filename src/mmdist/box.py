@@ -47,7 +47,6 @@ from .core import (
     SemiDistancePair,
     Witness,
     _as_indices,
-    _function_violations,
     _refuse,
     _weight_violations,
     lighter_first,
@@ -468,8 +467,7 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
     unequal totals the heavier space, on its own side, is scaled down and the
     mass gap is added (:func:`mmdist.core.lighter_first`).
     """
-    p = _as_indices(w.p, "witness map", X.n)
-    _refuse(_function_violations(p, Xn.n, "witness map"))
+    p = _as_indices(w.p, "witness map", X.n, Xn.n)
     A, B, gap, swapped = lighter_first(Xn, X)
     Xn, X = (B, A) if swapped else (A, B)
     nu = np.zeros(X.n)

@@ -73,7 +73,7 @@ _FLAGS = {
     "g": {"required": True, "help": "JSON array of values"},
     "mu": {"required": True, "help": "JSON array of masses"},
     "nu": {"required": True, "help": "JSON array of masses"},
-    "r": {"type": int, "default": 2},
+    "r": {"default": 2},
     "sizes": {"default": "10,100,1000", "help": "comma-separated sample sizes"},
     "properties": {
         "default": None,
@@ -83,7 +83,7 @@ _FLAGS = {
     "mode": {"default": None},
     "seed": {"type": int, "default": 0},
     "max-cells": {"default": 64},
-    "max-r": {"type": int, "default": None},
+    "max-r": {"default": None},
     "samples": {"type": float, "default": None},
     "out": {"default": None, "help": "write the report here"},
 }
@@ -151,8 +151,9 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
     """Returns (result, inputs, exit_code); result may be CSV text."""
     cmd = args.command
     inputs: dict[str, dict] = {}
-    if "max_cells" in args:  # checked before any file is read; the report echoes the int
-        args.max_cells = _whole(args.max_cells, "--max-cells")
+    for flag in ("max_cells", "r", "max_r"):  # checked before any file is read; the report echoes the int
+        if getattr(args, flag, None) is not None:
+            setattr(args, flag, _whole(getattr(args, flag), "--" + flag.replace("_", "-")))
 
     def load(name: str, parse):
         """``parse`` the file named by argument ``name``, read once; record its path and digest."""

@@ -12,9 +12,10 @@ is checked in one place: the :class:`FiniteMMSpace` constructor checks a
 space by the rules of :func:`validate`, :func:`coupling_from_matrix` the
 shape, signs and marginals of a coupling (:func:`pullback_pair` calls it), and
 the :class:`SemiDistancePair` constructor a pair.  Each weight vector,
-matrix, function vector, whole number and nonnegative scalar meets one rule:
-:func:`_weight_violations`, :func:`_semimetric_violations`,
-:func:`_function_violations`, :func:`whole_number` or :func:`nonnegative`.
+matrix, function vector, point map or index list, whole number and
+nonnegative scalar meets one rule: :func:`_weight_violations`,
+:func:`_semimetric_violations`, :func:`_function_violations`,
+:func:`_index_violations`, :func:`whole_number` or :func:`nonnegative`.
 
 Zero-weight points are kept in storage but excluded from supports; all
 comparisons between spaces are meant up to relabeling of the support.
@@ -42,27 +43,6 @@ METRIC_TOL = 1e-12
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
-    return a
-
-
-def _as_indices(values, what: str, n: int | None = None) -> np.ndarray:
-    """Caller-supplied point indices as an integer array.
-
-    Integer arrays pass and finite whole-valued floats are converted; any
-    other entry is a ValueError rather than a silent truncation.  Given the
-    size ``n`` of the indexed space, an entry outside ``0..n-1`` is a
-    ValueError too, so a negative index cannot wrap to the end.  Empty inputs
-    pass: emptiness checks stay with the caller.
-    """
-    a = np.asarray(values)
-    if a.size and not (
-        a.dtype.kind in "iu"
-        or (a.dtype.kind == "f" and np.all(np.isfinite(a)) and np.all(a == np.round(a)))
-    ):
-        raise ValueError(f"{what} must hold integer point indices")
-    a = a.astype(int)
-    if n is not None and a.size and (a.min() < 0 or a.max() >= n):
-        raise ValueError(f"{what} has out-of-range targets")
     return a
 
 
@@ -141,6 +121,27 @@ def _function_violations(f: np.ndarray, n: int, name: str) -> list[str]:
     return []
 
 
+def _index_violations(a: np.ndarray, name: str, n: int | None = None, length: int | None = None) -> list[str]:
+    """The index rule: integer entries (finite whole floats count), one vector, of
+    ``length`` entries when given, each in ``0..n-1`` when ``n`` is given."""
+    whole = a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.isfinite(a).all() and (a == np.round(a)).all())
+    want = a.size if length is None else length
+    if a.size and not whole:
+        return [f"{name} must hold integer point indices"]
+    if a.shape != (want,):
+        return [f"{name} has shape {a.shape}, expected ({want},)"]
+    if n is not None and a.size and (a.min() < 0 or a.max() >= n):
+        return [f"{name} has indices outside 0..{n - 1}"]
+    return []
+
+
+def _as_indices(values, name: str, n: int | None = None, length: int | None = None) -> np.ndarray:
+    """Caller-supplied point indices as an integer vector, or the ValueError of :func:`_index_violations`."""
+    a = np.asarray(values)
+    _refuse(_index_violations(a, name, n, length))
+    return a.astype(int)
+
+
 def _refuse(violations: list[str]) -> None:
     """Raise the violations of one input check, if any, as one ValueError."""
     if violations:
@@ -207,17 +208,6 @@ def mm_space(weights, dist, labels=None) -> FiniteMMSpace:
     if labels is None:
         labels = tuple(f"p{i}" for i in range(len(weights)))
     return FiniteMMSpace(labels, weights, dist)
-
-
-def spaces_equal(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:
-    """Entrywise equality of labels, weights and distances within :data:`MASS_TOL`."""
-    return (
-        a.labels == b.labels
-        and a.weights.shape == b.weights.shape
-        and a.dist.shape == b.dist.shape
-        and float(np.max(np.abs(a.weights - b.weights), initial=0.0)) <= MASS_TOL
-        and float(np.max(np.abs(a.dist - b.dist), initial=0.0)) <= MASS_TOL
-    )
 
 
 def scale_measure(space: FiniteMMSpace, alpha: float) -> FiniteMMSpace:
@@ -322,20 +312,6 @@ def product_coupling(X: FiniteMMSpace, Y: FiniteMMSpace) -> np.ndarray:
     """Independent coupling ``w_X w_Y^T / m`` of two equal-mass spaces."""
     _require_equal_mass(X, Y)
     return np.outer(X.weights, Y.weights) / X.total_mass
-
-
-def matching_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, mapping) -> np.ndarray:
-    """Coupling concentrated on the graph of a weight-preserving point map.
-
-    ``mapping[i]`` is the index in ``Y`` receiving all mass of point ``i``;
-    the map must preserve atom weights for the result to be a coupling.
-    """
-    _require_equal_mass(X, Y)
-    p = _as_indices(mapping, "map", Y.n)
-    _refuse(_function_violations(p, X.n, "map"))
-    pi = np.zeros((X.n, Y.n))
-    pi[np.arange(X.n), p] = X.weights
-    return coupling_from_matrix(X, Y, pi)
 
 
 def northwest_coupling(X: FiniteMMSpace, Y: FiniteMMSpace, row_order, col_order) -> np.ndarray:
@@ -450,15 +426,9 @@ class Witness:
 
     def violations(self, Xn: FiniteMMSpace, X: FiniteMMSpace) -> list[str]:
         """Ways the witness fails for ``Xn`` to ``X``, each beyond 1e-9."""
-        v = []
-        if len(self.p) != Xn.n:
-            v.append("map length does not match the first space")
-            return v
-        if np.any(self.p < 0) or np.any(self.p >= X.n):
-            v.append("map has out-of-range targets")
-            return v
-        if np.any(self.subset < 0) or np.any(self.subset >= Xn.n):
-            v.append("subset has out-of-range indices")
+        v = _index_violations(self.p, "witness map", X.n, Xn.n)
+        v += _index_violations(self.subset, "witness subset", Xn.n)
+        if v:
             return v
         keep = np.zeros(Xn.n, dtype=bool)
         keep[self.subset] = True

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .box import _clique_solve, _max_weight_clique, _neighbour_sets, box_distance, box_upper_from_witness
-from .core import (FiniteMMSpace, Witness, _as_indices, _function_violations, _refuse, _weight_violations,
+from .core import (FiniteMMSpace, Witness, _as_indices, _index_violations, _refuse, _weight_violations,
                    nonnegative, whole_number)
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
@@ -82,8 +82,7 @@ def lipschitz_up_to_check(
     """
     nonnegative(lam, "lambda")
     nonnegative(eps, "eps")
-    fmap = _as_indices(fmap, "map", Y.n)
-    _refuse(_function_violations(fmap, X.n, "map"))
+    fmap = _as_indices(fmap, "fmap", Y.n, X.n)
     s = X.support
     dY = Y.dist[np.ix_(fmap[s], fmap[s])]
     dX = X.dist[np.ix_(s, s)]
@@ -283,8 +282,8 @@ def empirical_convergence_experiment(
 
 @dataclass(frozen=True, eq=False)
 class DominationCertificate:
-    """A 1-Lipschitz map of supports pushing the first measure to ``c`` times
-    the second, ``c >= 1``; a ``c`` that is not finite and nonnegative is refused."""
+    """A 1-Lipschitz map of supports (``-1`` off the support) pushing the first measure
+    to ``c`` times the second, ``c >= 1``; a ``c`` that is not finite and nonnegative is refused."""
 
     p: np.ndarray
     c: float
@@ -295,13 +294,10 @@ class DominationCertificate:
 
     def violations(self, X: FiniteMMSpace, Y: FiniteMMSpace) -> list[str]:
         """Ways the certificate fails for ``X`` onto ``Y``; mass is checked to 1e-9."""
-        v = []
-        sx = X.support
-        p = self.p
-        if len(p) != X.n:
-            return ["map length does not match the first space"]
-        if np.any(p[sx] < 0) or np.any(p[sx] >= Y.n):
-            return ["map undefined on part of the support"]
+        sx, p = X.support, self.p
+        v = _index_violations(p, "domination map", length=X.n) or _index_violations(p[sx], "domination map", Y.n)
+        if v:
+            return v
         if self.c < 1.0 - 1e-12:
             v.append(f"mass ratio c = {self.c:.6g} is below 1")
         dY = Y.dist[np.ix_(p[sx], p[sx])]
@@ -360,8 +356,7 @@ def compose_domination(
     """Compose X > Y and Y > Z certificates into an X > Z certificate."""
     p = np.full(len(first.p), -1, dtype=int)
     defined = first.p >= 0
-    if np.any(first.p[defined] >= len(second.p)):
-        raise ValueError("domination maps do not compose: the first map leaves the second's domain")
+    _refuse(_index_violations(first.p[defined], "first domination map", len(second.p)))
     p[defined] = second.p[first.p[defined]]
     return DominationCertificate(p, first.c * second.c)
 
@@ -434,7 +429,9 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     chain covering the whole sequence means the sequence is uniformly
     clustered at that scale.
     """
-    maps = [_as_indices(f, "map", len(dY)) for f in maps]
+    w = np.asarray(weights, dtype=float)
+    _refuse(_weight_violations(w, w.size, "weight"))
+    maps = [_as_indices(f, f"maps[{i}]", len(dY), w.size) for i, f in enumerate(maps)]
     k = len(maps)
     if k == 0:
         return Me1Diagnostic(np.zeros((0, 0)), ())

@@ -41,6 +41,7 @@ from .core import (
     SemiDistancePair,
     _as_indices,
     _function_violations,
+    _index_violations,
     _readonly,
     _refuse,
     _semimetric_violations,
@@ -97,11 +98,9 @@ def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
     pointwise target distances against zero.
     """
     dY = np.asarray(dY, dtype=float)
-    fmap = _as_indices(fmap, "fmap", len(dY))
-    gmap = _as_indices(gmap, "gmap", len(dY))
-    n = np.asarray(weights).size
-    _refuse(_function_violations(fmap, n, "fmap") + _function_violations(gmap, n, "gmap"))
-    gaps = dY[fmap, gmap]
+    fmap, gmap, n = np.asarray(fmap), np.asarray(gmap), np.asarray(weights).size
+    _refuse(_index_violations(fmap, "fmap", len(dY), n) + _index_violations(gmap, "gmap", len(dY), n))
+    gaps = dY[fmap.astype(int), gmap.astype(int)]
     return me_lambda(gaps, np.zeros_like(gaps), weights, lam)
 
 

@@ -103,12 +103,6 @@ def _aggregate(r: int, items) -> tuple[np.ndarray, np.ndarray]:
     return _group(np.concatenate(codes), np.concatenate(masses))
 
 
-def k_r(space: FiniteMMSpace, indices) -> np.ndarray:
-    """Distance matrix of an ordered tuple of points."""
-    idx = _as_indices(indices, "indices", space.n)
-    return space.dist[np.ix_(idx, idx)]
-
-
 def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
     """Exact matrix distribution by enumerating all ``r``-tuples of support points.
 
@@ -169,9 +163,12 @@ def sample_mu_r(space: FiniteMMSpace, r: int, count: int, seed: int = 0) -> Matr
 
 
 def total_variation(a: MatrixDistribution, b: MatrixDistribution) -> float:
-    """Total variation between two (normalized) matrix distributions of one order ``r``."""
+    """Total variation between two matrix distributions of one order ``r``, each of mass 1 to 1e-9."""
     if a.r != b.r:
         raise ValueError(f"total variation needs one order r, got r = {a.r} and r = {b.r}")
+    for name, m in (("a", a.total_mass), ("b", b.total_mass)):
+        if not abs(m - 1.0) <= 1e-9:
+            raise ValueError(f"total variation needs normalized distributions, {name} has mass {m:.12g}")
     da = dict(a.entries)
     db = dict(b.entries)
     keys = set(da) | set(db)

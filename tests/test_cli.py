@@ -234,7 +234,7 @@ class TestOtherCommands:
     def test_isotest_nonpositive_max_r_exits_one(self, capsys, spaces, max_r):
         x, y = spaces
         assert exit_code(["isotest", x, y, "--max-r", max_r]) == 1
-        assert "R must be at least 1" in capsys.readouterr().err
+        assert "--max-r must be at least 1" in capsys.readouterr().err
 
     def test_me_command(self, tmp_path, capsys, spaces):
         x, _ = spaces
@@ -304,6 +304,24 @@ class TestOtherCommands:
         x, _ = spaces
         assert exit_code(["matdist", x, "--r", r] + samples) == 1
         assert "r must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("matdist", "--r"), ("isotest", "--max-r")])
+    def test_fractional_count_flag_names_itself(self, capsys, spaces, command, flag):
+        # --r 2.5 met argparse's "invalid int value: '2.5'"
+        x, y = spaces
+        files = [x] if command == "matdist" else [x, y]
+        assert exit_code([command, *files, flag, "2.5"]) == 1
+        assert f"{flag} must be at least 1 and a whole number, got 2.5" in capsys.readouterr().err
+        assert exit_code([command, *files, flag, "two"]) == 1
+        assert f"{flag} must be a number, got 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, key", [("matdist", "--r", "r"), ("isotest", "--max-r", "max_r")])
+    def test_whole_count_flag_is_echoed_as_an_int(self, capsys, spaces, command, flag, key):
+        x, y = spaces
+        files = [x] if command == "matdist" else [x, y]
+        code, rep = run_json(capsys, [command, *files, flag, "2.0"])
+        assert code == 0 and json.dumps(rep["config"][key]) == "2"
+        assert rep == {**run_json(capsys, [command, *files, flag, "2"])[1], "wall_time_s": rep["wall_time_s"]}
 
     def test_hlip_zero_samples_draws_none(self, tmp_path, capsys):
         X = mm_space([0.8, 0.3, 0.3], [[0, 1.65, 1.34], [1.65, 0, 1.88], [1.34, 1.88, 0]])

@@ -17,9 +17,7 @@ from mmdist import (
     coupling_from_matrix,
     diagonal_coupling,
     hli_lambda,
-    k_r,
     lipschitz_up_to_check,
-    matching_coupling,
     me1_subsequence_diagnostic,
     me_lambda_maps,
     metric_closure,
@@ -32,7 +30,6 @@ from mmdist import (
     read_space,
     scale_measure,
     semidist_pair,
-    spaces_equal,
     validate,
     write_space,
 )
@@ -149,7 +146,8 @@ class TestScaleMeasure:
 
     def test_identity_scale(self):
         X = two_point()
-        assert spaces_equal(scale_measure(X, 1.0), X)
+        Y = scale_measure(X, 1.0)
+        assert Y.labels == X.labels and np.array_equal(Y.weights, X.weights) and np.array_equal(Y.dist, X.dist)
 
     def test_doubling_uniform_pair(self):
         X = two_point()
@@ -180,14 +178,6 @@ class TestCouplings:
         c = product_coupling(X, Y)
         assert np.allclose(c, 0.25)
 
-    def test_matching_requires_weight_match(self):
-        X = two_point((0.3, 0.7))
-        Y = two_point((0.7, 0.3))
-        c = matching_coupling(X, Y, [1, 0])
-        assert_couples(c, X, Y)
-        with pytest.raises(ValueError):
-            matching_coupling(X, Y, [0, 1])
-
     def test_random_coupling_marginals(self):
         rng = np.random.default_rng(7)
         X = mm_space([0.2, 0.3, 0.5], np.array([[0, 1, 1.5], [1, 0, 1.2], [1.5, 1.2, 0]]))
@@ -199,15 +189,6 @@ class TestCouplings:
     def test_unequal_mass_rejected(self):
         with pytest.raises(ValueError):
             product_coupling(two_point(), two_point((1.0, 1.0)))
-
-    @pytest.mark.parametrize("mapping", [[-1, 0], [1, 2], [1], [1, 0, 0]])
-    def test_matching_rejects_bad_maps(self, mapping):
-        # [-1, 0] wrapped to point 1 and looked like a valid coupling;
-        # [1, 2] raised IndexError
-        X = two_point((0.3, 0.7))
-        Y = two_point((0.7, 0.3))
-        with pytest.raises(ValueError, match="map"):
-            matching_coupling(X, Y, mapping)
 
     @pytest.mark.parametrize("check", [pullback_pair, coupling_from_matrix])
     def test_negative_entries_rejected(self, check):
@@ -237,17 +218,15 @@ class TestCouplings:
 
 
 class TestIndexMaps:
-    """Caller-supplied maps and index lists must hold integers in range.
+    """Caller-supplied maps and index lists must be integer vectors in range.
 
     Each call used to truncate a non-integer entry without a word:
-    ``matching_coupling(X, X, [1.7, 0.2])`` returned the swap coupling and
     ``box_upper_from_witness(X, X, Witness([0.99, 0.0], [0, 1], 0.0))`` read
     the map as ``[0, 0]`` and returned 0.5.
     """
 
     X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])
     CALLS = {
-        "matching_coupling": lambda X, m: matching_coupling(X, X, m),
         "witness map": lambda X, m: box_upper_from_witness(X, X, Witness(m, [0, 1], 0.0)),
         "witness subset": lambda X, m: Witness([0, 1], m, 0.0).subset,
         "domination map": lambda X, m: DominationCertificate(m, 1.0).p,
@@ -257,7 +236,6 @@ class TestIndexMaps:
         ).matrix,
         "me_lambda_maps": lambda X, m: me_lambda_maps([0, 1], m, X.weights, X.dist, 1.0),
         "project_to_lip1": lambda X, m: project_to_lip1([0.0, 0.0], X.dist, m),
-        "k_r": lambda X, m: k_r(X, m),
         "parameter_invariance_check": lambda X, m: parameter_invariance_check(X, m, [0.5, 0.5]),
     }
 
@@ -272,14 +250,40 @@ class TestIndexMaps:
     def test_out_of_range_entries_rejected(self, call, bad):
         # -1 wrapped to the last point in all but the two coupling calls,
         # and 2 raised IndexError there
-        with pytest.raises(ValueError, match="out-of-range targets"):
+        with pytest.raises(ValueError, match=r"indices outside 0\.\.1"):
             self.CALLS[call](self.X, bad)
 
     @pytest.mark.parametrize("subset", [[0, 7], [-1, 0]])
     def test_witness_reports_out_of_range_subset(self, subset):
         # 7 raised IndexError and -1 wrapped to the last point
         w = Witness([0, 1], subset, 0.0)
-        assert w.violations(self.X, self.X) == ["subset has out-of-range indices"]
+        assert w.violations(self.X, self.X) == ["witness subset has indices outside 0..1"]
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_not_a_vector_rejected(self, call):
+        # project_to_lip1 returned a 2x2 matrix, both certificates were built,
+        # and parameter_invariance_check failed inside numpy's np.ix_
+        with pytest.raises(ValueError, match=r"has shape \(1, 2\), expected \(2,\)"):
+            self.CALLS[call](self.X, [[0, 1]])
+
+    # a retained subset and an anchor take any number of points; the length
+    # of a domination map is a violation of the certificate
+    ANY_LENGTH = {"witness subset", "domination map", "project_to_lip1"}
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("m", [[1], [1, 0, 0]])
+    def test_wrong_length_rejected(self, call, m):
+        if call in self.ANY_LENGTH:
+            self.CALLS[call](self.X, m)
+        else:
+            with pytest.raises(ValueError, match="has shape"):
+                self.CALLS[call](self.X, m)
+
+    @pytest.mark.parametrize("m", [[1], [1, 0, 0]])
+    def test_certificates_report_wrong_length(self, m):
+        want = f"map has shape ({len(m)},), expected (2,)"
+        assert Witness(m, [0, 1], 0.0).violations(self.X, self.X) == ["witness " + want]
+        assert DominationCertificate(m, 1.0).violations(self.X, self.X) == ["domination " + want]
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_whole_floats_read_as_integers(self, call):
@@ -304,7 +308,7 @@ class TestPullback:
 
     def test_zero_cells_absent(self):
         X, Y = two_point(), two_point(d=2.0)
-        pair = pullback_pair(X, Y, matching_coupling(X, Y, [0, 1]))
+        pair = pullback_pair(X, Y, np.diag([0.5, 0.5]))
         assert pair.n == 2
         assert pair.cells == ((0, 0), (1, 1))
 

@@ -2,9 +2,10 @@
 
 Every public callable of the ``mmdist`` namespace that takes a weight vector
 (``weights``, ``mu``, ``nu``, ``cell_masses``), a matrix (``dist``, ``d1``,
-``d2``, ``delta``), a function vector (``f``, ``g``) or a nonnegative scalar
-(``lam``, ``eps``, ``floor``, ``c``) is a row of ``CONTRACT``, and a
-completeness check keeps it so.  Each bad input of each row raises
+``d2``, ``delta``), a function vector (``f``, ``g``), a point map or index
+list (``p``, ``subset``, ``fmap``, ``gmap``, ``maps``, ``anchor``,
+``cell_points``) or a nonnegative scalar (``lam``, ``eps``, ``floor``, ``c``)
+is a row of ``CONTRACT``, and a completeness check keeps it so.  Each bad input of each row raises
 ``ValueError`` whose message names that input.  Whole-number parameters meet
 one rule too.  The frozen corpus under ``data/validate_corpus`` pins the
 report of ``mmdist validate`` on malformed space files.
@@ -55,7 +56,8 @@ from mmdist.cli import main
 WEIGHT_NAMES = {"weights", "mu", "nu", "cell_masses"}
 FUNCTION_NAMES = {"f", "g"}
 SCALAR_NAMES = {"lam", "eps", "floor", "c"}
-INPUT_NAMES = WEIGHT_NAMES | FUNCTION_NAMES | SCALAR_NAMES | {"dist", "d1", "d2", "delta"}
+INDEX_NAMES = {"p", "subset", "fmap", "gmap", "maps", "anchor", "cell_points"}
+INPUT_NAMES = WEIGHT_NAMES | FUNCTION_NAMES | SCALAR_NAMES | INDEX_NAMES | {"dist", "d1", "d2", "delta"}
 #: records a solver returns, echoing a lambda that solver checked; not entry points
 RECORDS = {HliResult}
 
@@ -72,9 +74,17 @@ def _reported(weights, dist):
         raise ValueError("; ".join(report.violations))
 
 
+def _certified(cert, *spaces):
+    """A certificate reports rather than raises; its violations for ``spaces`` as a ValueError."""
+    v = cert.violations(*spaces)
+    if v:
+        raise ValueError("; ".join(v))
+
+
 # entry point -> (call taking the inputs by name, valid inputs, what each
 # input is called in messages, and where a too-short vector is not reported
-# under its own name, the matrix or function whose shape it sets)
+# under its own name, the matrix, function or map whose shape it sets, or
+# None for an index list of any length)
 CONTRACT = {
     FiniteMMSpace: (partial(FiniteMMSpace, ("a", "b", "c")), {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, {}),
     validate: (_reported, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, {}),
@@ -91,27 +101,31 @@ CONTRACT = {
     Lip1Set.contains: (lambda f: Lip1Set(D, W).contains(f), {"f": [0.0, 1.0, 2.0]}, {"f": "f"}, {}),
     # a NaN entry of f made every entry NaN
     project_to_lip1: (
-        lambda f, dist: project_to_lip1(f, dist, [0, 1, 2]), {"f": [0.0, 1.0, 3.0], "dist": D},
-        {"f": "f", "dist": "dist"}, {"f": "dist"},
+        project_to_lip1, {"f": [0.0, 1.0, 3.0], "dist": D, "anchor": [0, 1, 2]},
+        {"f": "f", "dist": "dist", "anchor": "anchor"}, {"f": "dist", "anchor": None},
     ),
     me_lambda: (
         me_lambda, {"f": [0.0, 1.0, 3.0], "g": [0.0, 0.0, 0.0], "weights": W, "lam": 1.0},
         {"f": "f", "g": "g", "weights": "weight", "lam": "lambda"}, {"weights": "f has shape"},
     ),
     me_lambda_maps: (
-        lambda weights, lam: me_lambda_maps([0, 1, 2], [2, 1, 0], weights, D, lam),
-        {"weights": W, "lam": 1.0}, {"weights": "weight", "lam": "lambda"}, {"weights": "fmap has shape"},
+        lambda fmap, gmap, weights, lam: me_lambda_maps(fmap, gmap, weights, D, lam),
+        {"fmap": [0, 1, 2], "gmap": [2, 1, 0], "weights": W, "lam": 1.0},
+        {"fmap": "fmap", "gmap": "gmap", "weights": "weight", "lam": "lambda"}, {"weights": "fmap has shape"},
     ),
+    # a map over three points with no weights gave a 1x1 zero matrix
     me1_subsequence_diagnostic: (
-        lambda weights: me1_subsequence_diagnostic([[0, 1, 2], [2, 1, 0]], weights, D),
-        {"weights": W}, {"weights": "weight"}, {"weights": "fmap has shape"},
+        lambda maps, weights: me1_subsequence_diagnostic(maps, weights, D),
+        {"maps": [[0, 1, 2], [2, 1, 0]], "weights": W}, {"maps": "maps[0]", "weights": "weight"},
+        {"weights": r"maps\[0\] has shape"},
     ),
     prokhorov: (
         lambda mu, nu: prokhorov(X, mu, nu), {"mu": W, "nu": W[::-1]}, {"mu": "mu weight", "nu": "nu weight"}, {},
     ),
+    # a 2-D cell_points failed inside np.ix_ ("Cross index must be 1 dimensional")
     parameter_invariance_check: (
-        lambda cell_masses: parameter_invariance_check(X, [0, 1, 2], cell_masses),
-        {"cell_masses": W}, {"cell_masses": "cell weight"}, {},
+        partial(parameter_invariance_check, X), {"cell_points": [0, 1, 2], "cell_masses": W},
+        {"cell_points": "cell_points", "cell_masses": "cell weight"}, {"cell_points": "cell weights"},
     ),
     smallest_eps_for_defects: (
         smallest_eps_for_defects, {"delta": D, "weights": W, "lam": 1.0},
@@ -126,12 +140,20 @@ CONTRACT = {
         {"f": [0.0, 1.0, 3.0], "lam": 1.0, "floor": 0.0}, {"f": "f", "lam": "lambda", "floor": "floor"}, {},
     ),
     lipschitz_up_to_check: (
-        lambda lam, eps: lipschitz_up_to_check(X, X, [0, 1, 2], lam, eps),
-        {"lam": 1.0, "eps": 0.1}, {"lam": "lambda", "eps": "eps"}, {},
+        partial(lipschitz_up_to_check, X, X), {"fmap": [0, 1, 2], "lam": 1.0, "eps": 0.1},
+        {"fmap": "fmap", "lam": "lambda", "eps": "eps"}, {},
     ),
-    # a NaN eps or c passed the certificate's own check (violations returned [])
-    Witness: (partial(Witness, [0, 1, 2], [0, 1, 2]), {"eps": 0.0}, {"eps": "eps"}, {}),
-    DominationCertificate: (partial(DominationCertificate, [0, 1, 2]), {"c": 1.0}, {"c": "c"}, {}),
+    # a NaN eps or c passed the certificate's own check (violations returned []),
+    # and a 2-D map was built, its violations saying "map length does not match"
+    Witness: (
+        lambda p, subset, eps: _certified(Witness(p, subset, eps), X, X),
+        {"p": [0, 1, 2], "subset": [0, 1, 2], "eps": 0.0},
+        {"p": "witness map", "subset": "witness subset", "eps": "eps"}, {"subset": None},
+    ),
+    DominationCertificate: (
+        lambda p, c: _certified(DominationCertificate(p, c), X, X), {"p": [0, 1, 2], "c": 1.0},
+        {"p": "domination map", "c": "c"}, {},
+    ),
 }
 
 BAD_WEIGHTS = {
@@ -158,6 +180,15 @@ def _bad_inputs(param, valid, name, short_name):
     if param in SCALAR_NAMES:
         for kind, bad in BAD_SCALARS.items():
             yield kind, bad, "^" + re.escape(f"{name} must be finite and nonnegative, got {bad}") + "$"
+    elif param == "maps":  # a list of index vectors: each bad map in first place
+        for kind, bad, named in _bad_inputs("p", valid[0], name, short_name):
+            yield kind, [bad, *valid[1:]], named
+    elif param in INDEX_NAMES:
+        yield "non-integer", [valid[0] + 0.5, *valid[1:]], re.escape(f"{name} must hold integer point indices")
+        yield "not a vector", [valid], re.escape(f"{name} has shape")
+        yield "out of range", [-1, *valid[1:]], re.escape(f"{name} has indices outside 0..2")
+        if short_name is not None:
+            yield "short", valid[:-1], re.escape(f"{short_name} has shape")
     elif param in FUNCTION_NAMES:
         yield "short", valid[:-1], f"{short_name} has shape"
         yield "not a vector", [valid], f"{name} has shape"

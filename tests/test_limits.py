@@ -413,14 +413,14 @@ class TestDomination:
         # Witness.violations does, not an IndexError or a pass
         X = mm_space([1.0, 1.0, 1.0], np.ones((3, 3)) - np.eye(3))
         assert DominationCertificate(p, 1.0).violations(X, X) == [
-            "map length does not match the first space"
+            f"domination map has shape ({len(p)},), expected (3,)"
         ]
 
     def test_maps_that_do_not_compose_are_rejected(self):
         # the first map sends a point to index 3 of a 2-point middle space
         first = DominationCertificate([0, 3], 1.0)
         second = DominationCertificate([0, 1], 1.0)
-        with pytest.raises(ValueError, match="do not compose"):
+        with pytest.raises(ValueError, match=r"first domination map has indices outside 0\.\.1"):
             compose_domination(first, second)
 
 
@@ -621,6 +621,15 @@ class TestMe1Diagnostic:
         rep = me1_subsequence_diagnostic([], [0.5, 0.5], np.zeros((2, 2)))
         assert rep.empty
         assert rep.chains == ()
+
+    def test_one_map_is_checked_against_the_weights(self):
+        # a map over three points with no weights gave a 1x1 zero matrix:
+        # with fewer than two maps nothing was checked
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"maps\[0\] has shape \(3,\), expected \(0,\)"):
+            me1_subsequence_diagnostic([[0, 1, 2]], [], d)
+        with pytest.raises(ValueError, match="negative weight at index 1"):
+            me1_subsequence_diagnostic([[0, 1, 2]], [0.5, -0.5, 1.0], d)
 
     def test_constant_sequence_is_one_cluster(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])

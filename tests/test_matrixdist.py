@@ -6,7 +6,6 @@ from mmdist import (
     distributions_equal,
     exact_mu_r,
     isomorphism_search,
-    k_r,
     mm_space,
     normalized,
     parameter_invariance_check,
@@ -23,17 +22,6 @@ from oracles import brute_mu_r
 
 def two_point(w=(0.5, 0.5), d=1.0):
     return mm_space(list(w), [[0.0, d], [d, 0.0]])
-
-
-class TestKr:
-    def test_order_one(self):
-        assert np.array_equal(k_r(two_point(), [0]), [[0.0]])
-
-    def test_ordered_pair(self):
-        assert np.array_equal(k_r(two_point(), [0, 1]), [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_repeated_point(self):
-        assert np.array_equal(k_r(two_point(), [0, 0]), np.zeros((2, 2)))
 
 
 class TestExactMuR:
@@ -259,6 +247,17 @@ class TestDistributionHelpers:
         a = exact_mu_r(two_point(), 2).normalized()
         b = exact_mu_r(mm_space([1.0], [[0.0]]), 2)
         assert 0.0 < total_variation(a, b) <= 1.0
+
+    def test_tv_of_unnormalized_distributions_rejected(self):
+        # returned 49.5 for the scaled space and 0.5 for the empty sample
+        X = mm_space([0.25, 0.25, 0.25, 0.25], np.ones((4, 4)) - np.eye(4))
+        exact = exact_mu_r(X, 2)
+        with pytest.raises(ValueError, match="needs normalized distributions, a has mass 100$"):
+            total_variation(exact_mu_r(scale_measure(X, 10.0), 2), exact)
+        with pytest.raises(ValueError, match="needs normalized distributions, a has mass 0$"):
+            total_variation(sample_mu_r(X, 2, 0), exact)
+        with pytest.raises(ValueError, match="b has mass 0.81$"):
+            total_variation(exact, exact_mu_r(scale_measure(X, 0.9), 2))
 
     def test_tv_of_different_orders_rejected(self):
         # returned 1.0: no matrix of order 2 is a matrix of order 3
