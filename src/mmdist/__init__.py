@@ -15,7 +15,6 @@ from .box import (
     box_distance,
     box_pair,
     box_upper_from_witness,
-    smallest_eps_for_defects,
 )
 from .core import (
     FiniteMMSpace,

@@ -42,13 +42,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    METRIC_TOL,
     FiniteMMSpace,
     SemiDistancePair,
     Witness,
     _as_indices,
-    _refuse,
-    _weight_violations,
     lighter_first,
     nonnegative,
     pullback_pair,
@@ -217,41 +214,17 @@ def _neighbour_sets(mask: np.ndarray) -> list[set]:
     return [set(cols[ends[a] : ends[a + 1]]) - {a} for a in range(len(mask))]
 
 
-def smallest_eps_for_defects(delta: np.ndarray, weights: np.ndarray, lam: float) -> tuple[float, tuple]:
-    """Exact box value for a symmetric defect matrix over weighted indices.
-
-    Returns ``(eps, cells)`` where ``cells`` is the retained index set with
-    maximum mass (lexicographically smallest among ties).  This is the common
-    core of :func:`box_pair` and :func:`box_upper_from_witness`.  Defects are
-    square over the weights, free of NaN, symmetric within ``2 * METRIC_TOL``
-    (as ``|d1 - d2|`` of a valid pair is); ``inf`` never fits, below 0 reads 0.
-    """
-    nonnegative(lam, "lambda")
-    w_all = np.asarray(weights, dtype=float)
-    d_all = np.asarray(delta, dtype=float)
-    n = w_all.size
-    v = _weight_violations(w_all, n, "weight")
-    if not (d_all.shape == (n, n) and np.allclose(d_all, d_all.T, rtol=0.0, atol=2 * METRIC_TOL)):  # NaN fails
-        v.append("defects must be a symmetric square matrix over the weights, free of NaN")
-    _refuse(v)
-    support = np.flatnonzero(w_all > 0.0)
-    if len(support) == 0:
-        return 0.0, ()
-    d = np.maximum(d_all, 0.0)[np.ix_(support, support)]
-    eps, cells = _clique_solve(d, w_all[support], float(w_all.sum()), lam)
-    return eps, tuple(int(support[i]) for i in cells)
-
-
 def _clique_solve(
     d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0
 ):
-    """:func:`smallest_eps_for_defects` on positive weights ``w`` of total ``m``.
+    """Exact box value ``(eps, cells)`` of defects ``d`` over positive weights ``w`` of total ``m``.
 
-    With a finite ``cap`` at ``lam > 0``, ``(inf, ())`` when the answer is
-    above ``cap``, decided by one probe.  With a ``floor``, the value is
-    ``max(floor, answer)``, and ``(floor, ())`` when one probe shows that
-    the answer does not exceed a positive ``floor``.  ``lam = 0`` takes the
-    closed form, ignores ``cap`` and keeps every cell.
+    ``cells`` is the retained index set of maximum mass, lexicographically
+    smallest among ties.  With a finite ``cap`` at ``lam > 0``, ``(inf, ())``
+    when the answer is above ``cap``, decided by one probe.  With a
+    ``floor``, the value is ``max(floor, answer)``, and ``(floor, ())`` when
+    one probe shows that the answer does not exceed a positive ``floor``.
+    ``lam = 0`` takes the closed form, ignores ``cap`` and keeps every cell.
     """
     if lam == 0.0:
         eps = float(d[np.triu_indices(len(w), k=1)].max(initial=0.0))
@@ -268,12 +241,14 @@ def _clique_solve(
 
 def box_pair(pair: SemiDistancePair, lam: float, *, max_cells: int = 64) -> BoxResult:
     """Exact box value of a semimetric pair, by the branch-and-bound clique
-    search over the defect graph."""
+    search over the defect graph of its support; the pair was checked when built."""
     nonnegative(lam, "lambda")
     max_cells = whole_number(max_cells, "max_cells", 1)
-    if len(pair.support) > max_cells:
-        raise SizeLimitError(f"exact box_pair refuses {len(pair.support)} cells (limit {max_cells})")
-    eps, cells = smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
+    s = pair.support
+    if len(s) > max_cells:
+        raise SizeLimitError(f"exact box_pair refuses {len(s)} cells (limit {max_cells})")
+    eps, kept = _clique_solve(np.abs(pair.d1 - pair.d2)[np.ix_(s, s)], pair.weights[s], pair.total_mass, lam)
+    cells = tuple(int(s[i]) for i in kept)
     retained = float(pair.weights[list(cells)].sum()) if cells else 0.0
     return BoxResult(eps, "exact", cells, retained, eps)
 
@@ -479,5 +454,5 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
         if Xn.weights[z] > 0.0:
             u = p[z]
             pi[z] = Xn.weights[z] * kappa[u] / nu[u]
-    pair = pullback_pair(Xn, X, pi)
-    return smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, 1.0)[0] + gap
+    pair = pullback_pair(Xn, X, pi)  # its cells all have positive mass
+    return _clique_solve(np.abs(pair.d1 - pair.d2), pair.weights, pair.total_mass, 1.0)[0] + gap

@@ -17,8 +17,8 @@ from itertools import product
 import numpy as np
 
 from .box import _clique_solve, _max_weight_clique, _neighbour_sets, box_distance, box_upper_from_witness
-from .core import (FiniteMMSpace, Witness, _as_indices, _index_violations, _refuse, _weight_violations,
-                   nonnegative, whole_number)
+from .core import (FiniteMMSpace, Witness, _as_indices, _index_violations, _refuse, _semimetric_violations,
+                   _weight_violations, nonnegative, whole_number)
 from .errors import SizeLimitError
 from .lipschitz import me_lambda_maps
 from .matrixdist import _isomorphisms, _point_maps
@@ -429,8 +429,8 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     chain covering the whole sequence means the sequence is uniformly
     clustered at that scale.
     """
-    w = np.asarray(weights, dtype=float)
-    _refuse(_weight_violations(w, w.size, "weight"))
+    w, dY = np.asarray(weights, dtype=float), np.asarray(dY, dtype=float)
+    _refuse(_weight_violations(w, w.size, "weight") + _semimetric_violations(dY, len(np.atleast_1d(dY)), "dY"))
     maps = [_as_indices(f, f"maps[{i}]", len(dY), w.size) for i, f in enumerate(maps)]
     k = len(maps)
     if k == 0:

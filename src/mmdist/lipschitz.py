@@ -98,6 +98,7 @@ def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
     pointwise target distances against zero.
     """
     dY = np.asarray(dY, dtype=float)
+    _refuse(_semimetric_violations(dY, len(np.atleast_1d(dY)), "dY"))
     fmap, gmap, n = np.asarray(fmap), np.asarray(gmap), np.asarray(weights).size
     _refuse(_index_violations(fmap, "fmap", len(dY), n) + _index_violations(gmap, "gmap", len(dY), n))
     gaps = dY[fmap.astype(int), gmap.astype(int)]

@@ -389,7 +389,8 @@ def brute_witness(Xn, X, seed=0):
     search for any map.  Returns ``(p, subset, eps)`` with ``p`` and
     ``subset`` as lists.
     """
-    from mmdist.box import smallest_eps_for_defects
+    from mmdist.box import box_pair
+    from mmdist.core import SemiDistancePair
     from mmdist.limits import ANNEAL_RESTARTS, ANNEAL_STEPS, WITNESS_ENUM_SUPPORT
     from mmdist.transport import prokhorov_distance
 
@@ -400,9 +401,9 @@ def brute_witness(Xn, X, seed=0):
         nu = np.zeros(X.n)
         np.add.at(nu, p, Xn.weights[sn])
         prok = prokhorov_distance(X.dist, nu, X.weights)
-        delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
-        eps_pair, cells = smallest_eps_for_defects(delta, Xn.weights[sn], 1.0)
-        return max(eps_pair, prok), cells
+        pair = SemiDistancePair(Xn.weights[sn], Xn.dist[np.ix_(sn, sn)], X.dist[np.ix_(p, p)])
+        res = box_pair(pair, 1.0, max_cells=len(sn))
+        return max(res.value, prok), res.cells
 
     best_obj, best_p, best_cells = np.inf, (), ()
     if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
@@ -555,7 +556,7 @@ def reference_box_heuristic(X, Y, lam, seed):
     """The local search of ``mmdist.box._box_equal_mass_heuristic`` with every
     coupling scored by a full threshold search, no probe at the incumbent
     first; it takes the solver's arguments and must return what it returns."""
-    from mmdist.box import HEURISTIC_RESTARTS, HEURISTIC_STEPS, BoxResult, smallest_eps_for_defects
+    from mmdist.box import HEURISTIC_RESTARTS, HEURISTIC_STEPS, BoxResult, box_pair
     from mmdist.core import pullback_pair
     from mmdist.transport import northwest_plan
 
@@ -567,8 +568,8 @@ def reference_box_heuristic(X, Y, lam, seed):
     def score(pi):
         """Pair value of the pullback along ``pi`` and its kept coupling cells."""
         pair = pullback_pair(X, Y, pi)
-        eps, kept = smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
-        return eps, tuple(pair.cells[k] for k in kept)
+        res = box_pair(pair, lam, max_cells=pair.n)
+        return res.value, tuple(pair.cells[k] for k in res.cells)
 
     for attempt in range(HEURISTIC_RESTARTS):
         if attempt == 0:  # natural order: the diagonal plan for aligned spaces

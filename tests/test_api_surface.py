@@ -17,9 +17,9 @@ from pathlib import Path
 import mmdist
 
 MAX_DEFAULTED = 32
-MAX_NAMESPACE = 58
+MAX_NAMESPACE = 57
 #: newline characters in ``src/mmdist/*.py``, as ``wc -l`` counts them
-MAX_SOURCE_LINES = 3441
+MAX_SOURCE_LINES = 3416
 
 
 def _defaulted(fn) -> list[str]:

@@ -17,7 +17,6 @@ from mmdist import (
     random_coupling,
     scale_measure,
     semidist_pair,
-    smallest_eps_for_defects,
 )
 from mmdist import box as box_module
 from mmdist.box import (
@@ -176,8 +175,6 @@ class TestBoxPair:
         pair = cross_pair([0.5, 0.5], 1.0, 2.0)
         with pytest.raises(ValueError):
             box_pair(pair, lam)
-        with pytest.raises(ValueError):
-            smallest_eps_for_defects(np.abs(pair.d1 - pair.d2), pair.weights, lam)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
     def test_one_positive_weight_keeps_that_index(self, lam):
@@ -186,28 +183,8 @@ class TestBoxPair:
         for i in range(3):
             w = np.zeros(3)
             w[i] = 0.75
-            assert smallest_eps_for_defects(delta, w, lam) == (0.0, (i,))
-
-    @pytest.mark.parametrize(
-        "delta,weights,match",
-        [
-            # a NaN defect raised InternalInvariantError
-            ([[0.0, np.nan], [np.nan, 0.0]], [0.5, 0.5], "defects"),
-            # weights of another length raised IndexError
-            ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.25, 0.25], "weights"),
-            ([[0.0, 1.0], [1.0, 0.0]], [0.5], "weights"),
-            ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], [0.5, 0.5], "weights"),
-            # a negative weight cancelled the total and returned (0.0, (0,))
-            ([[0.0, 1.0], [1.0, 0.0]], [0.5, -0.5], "weights"),
-            ([[0.0, 1.0], [1.0, 0.0]], [0.5, np.nan], "weights"),
-            ([[0.0, 1.0], [1.0, 0.0]], [0.5, np.inf], "weights"),
-        ],
-    )
-    def test_bad_defect_input_rejected(self, delta, weights, match):
-        match = {"weights": "weight"}.get(match, match)  # "negative weight at index 1" is singular
-        for lam in (0.0, 1.0):
-            with pytest.raises(ValueError, match=match):
-                smallest_eps_for_defects(np.array(delta), np.array(weights), lam)
+            res = box_pair(SemiDistancePair(w, delta, np.zeros_like(delta)), lam)
+            assert (res.value, res.cells, res.retained_mass) == (0.0, (i,), 0.75)
 
     def test_size_limit_refusal(self):
         pair = cross_pair([0.5, 0.5], 1.0, 2.0)

@@ -2,7 +2,7 @@
 
 Every public callable of the ``mmdist`` namespace that takes a weight vector
 (``weights``, ``mu``, ``nu``, ``cell_masses``), a matrix (``dist``, ``d1``,
-``d2``, ``delta``), a function vector (``f``, ``g``), a point map or index
+``d2``, ``dY``), a function vector (``f``, ``g``), a point map or index
 list (``p``, ``subset``, ``fmap``, ``gmap``, ``maps``, ``anchor``,
 ``cell_points``) or a nonnegative scalar (``lam``, ``eps``, ``floor``, ``c``)
 is a row of ``CONTRACT``, and a completeness check keeps it so.  Each bad input of each row raises
@@ -48,7 +48,6 @@ from mmdist import (
     reconstruction_check,
     sample_mu_r,
     semidist_pair,
-    smallest_eps_for_defects,
     validate,
 )
 from mmdist.cli import main
@@ -57,7 +56,8 @@ WEIGHT_NAMES = {"weights", "mu", "nu", "cell_masses"}
 FUNCTION_NAMES = {"f", "g"}
 SCALAR_NAMES = {"lam", "eps", "floor", "c"}
 INDEX_NAMES = {"p", "subset", "fmap", "gmap", "maps", "anchor", "cell_points"}
-INPUT_NAMES = WEIGHT_NAMES | FUNCTION_NAMES | SCALAR_NAMES | INDEX_NAMES | {"dist", "d1", "d2", "delta"}
+MATRIX_NAMES = {"dist", "d1", "d2", "dY"}
+INPUT_NAMES = WEIGHT_NAMES | FUNCTION_NAMES | SCALAR_NAMES | INDEX_NAMES | MATRIX_NAMES
 #: records a solver returns, echoing a lambda that solver checked; not entry points
 RECORDS = {HliResult}
 
@@ -84,7 +84,8 @@ def _certified(cert, *spaces):
 # entry point -> (call taking the inputs by name, valid inputs, what each
 # input is called in messages, and where a too-short vector is not reported
 # under its own name, the matrix, function or map whose shape it sets, or
-# None for an index list of any length)
+# None for an index list of any length; for a target matrix, which maps
+# index, the map a square matrix too small for them is reported under)
 CONTRACT = {
     FiniteMMSpace: (partial(FiniteMMSpace, ("a", "b", "c")), {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, {}),
     validate: (_reported, {"weights": W, "dist": D}, {"weights": "weight", "dist": "dist"}, {}),
@@ -108,16 +109,19 @@ CONTRACT = {
         me_lambda, {"f": [0.0, 1.0, 3.0], "g": [0.0, 0.0, 0.0], "weights": W, "lam": 1.0},
         {"f": "f", "g": "g", "weights": "weight", "lam": "lambda"}, {"weights": "f has shape"},
     ),
+    # dY was never checked: an asymmetric one was read, a non-square one was
+    # read where the maps' indices fell, a NaN in it was called a NaN in f,
+    # and a scalar raised TypeError
     me_lambda_maps: (
-        lambda fmap, gmap, weights, lam: me_lambda_maps(fmap, gmap, weights, D, lam),
-        {"fmap": [0, 1, 2], "gmap": [2, 1, 0], "weights": W, "lam": 1.0},
-        {"fmap": "fmap", "gmap": "gmap", "weights": "weight", "lam": "lambda"}, {"weights": "fmap has shape"},
+        me_lambda_maps, {"fmap": [0, 1, 2], "gmap": [2, 1, 0], "weights": W, "dY": D, "lam": 1.0},
+        {"fmap": "fmap", "gmap": "gmap", "weights": "weight", "dY": "dY", "lam": "lambda"},
+        {"weights": "fmap has shape", "dY": re.escape("fmap has indices outside 0..1")},
     ),
     # a map over three points with no weights gave a 1x1 zero matrix
     me1_subsequence_diagnostic: (
-        lambda maps, weights: me1_subsequence_diagnostic(maps, weights, D),
-        {"maps": [[0, 1, 2], [2, 1, 0]], "weights": W}, {"maps": "maps[0]", "weights": "weight"},
-        {"weights": r"maps\[0\] has shape"},
+        me1_subsequence_diagnostic, {"maps": [[0, 1, 2], [2, 1, 0]], "weights": W, "dY": D},
+        {"maps": "maps[0]", "weights": "weight", "dY": "dY"},
+        {"weights": r"maps\[0\] has shape", "dY": re.escape("maps[0] has indices outside 0..1")},
     ),
     prokhorov: (
         lambda mu, nu: prokhorov(X, mu, nu), {"mu": W, "nu": W[::-1]}, {"mu": "mu weight", "nu": "nu weight"}, {},
@@ -126,10 +130,6 @@ CONTRACT = {
     parameter_invariance_check: (
         partial(parameter_invariance_check, X), {"cell_points": [0, 1, 2], "cell_masses": W},
         {"cell_points": "cell_points", "cell_masses": "cell weight"}, {"cell_points": "cell weights"},
-    ),
-    smallest_eps_for_defects: (
-        smallest_eps_for_defects, {"delta": D, "weights": W, "lam": 1.0},
-        {"delta": "defects", "weights": "weight", "lam": "lambda"}, {},
     ),
     box_pair: (partial(box_pair, P), {"lam": 1.0}, {"lam": "lambda"}, {}),
     box_distance: (partial(box_distance, X, X), {"lam": 1.0}, {"lam": "lambda"}, {}),
@@ -168,11 +168,11 @@ BAD_MATRICES = {
     "nan": [[0.0, np.nan, 2.0], [np.nan, 0.0, 1.0], [2.0, 1.0, 0.0]],
     "inf": [[0.0, np.inf, 2.0], [np.inf, 0.0, 1.0], [2.0, 1.0, 0.0]],
     "wrong shape": [[0.0, 1.0], [1.0, 0.0]],
+    "not square": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]],
+    "scalar": 0.0,
     "asymmetric": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]],
 }
 BAD_SCALARS = {"nan": np.nan, "inf": np.inf, "negative": -1.0}
-#: a defect matrix may hold inf ("never compatible") and negative entries (read as 0)
-DEFECT_ALLOWED = {"negative", "inf"}
 
 
 def _bad_inputs(param, valid, name, short_name):
@@ -195,8 +195,7 @@ def _bad_inputs(param, valid, name, short_name):
         yield "nan", [valid[0], np.nan, *valid[2:]], f"{name} contains non-finite entries"
     else:
         for kind, bad in (BAD_WEIGHTS if param in WEIGHT_NAMES else BAD_MATRICES).items():
-            if not (param == "delta" and kind in DEFECT_ALLOWED):
-                yield kind, bad, short_name if kind == "short" else name
+            yield kind, bad, short_name if kind in ("short", "wrong shape") else name
 
 
 def _cases():
@@ -233,24 +232,14 @@ def test_every_entry_point_taking_weights_or_a_matrix_is_in_the_table():
     assert not missing, f"add these entry points and inputs to CONTRACT: {missing}"
 
 
-def test_defect_matrix_allows_inf_and_negative_entries():
-    delta = [[0.0, np.inf, -1.0], [np.inf, 0.0, 0.5], [-1.0, 0.5, 0.0]]
-    assert smallest_eps_for_defects(delta, W, 0.0) == (np.inf, (0, 1, 2))
-    # asymmetry within 2 * METRIC_TOL is what |d1 - d2| of a valid pair can carry
-    tiny = np.array(D) + np.array([[0.0, 2e-12, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert smallest_eps_for_defects(tiny, W, 0.0)[0] == 2.0
-
-
 # ---------------------------------------------------------------------------
 # inputs that were accepted without a word
 
 
-def test_asymmetric_defect_matrix_rejected():
-    # returned 5.0, and 0.1 for the transpose (lambda = 0)
-    delta = np.array([[0.0, 5.0, 0.1], [0.1, 0.0, 0.1], [0.1, 0.1, 0.0]])
-    for d in (delta, delta.T):
-        with pytest.raises(ValueError, match="defects must be a symmetric square matrix"):
-            smallest_eps_for_defects(d, [1.0, 1.0, 1.0], 0.0)
+def test_me1_checks_target_matrix_without_maps():
+    # returned an empty diagnostic (the table's rows pass two maps)
+    with pytest.raises(ValueError, match=re.escape("dY has shape (), expected (1, 1)")):
+        me1_subsequence_diagnostic([], [], 2.0)
 
 
 def test_me_lambda_negative_weight_rejected():
