@@ -127,23 +127,24 @@ def _maximal_cliques(neigh: list[set], keep):
 
 
 def _max_weight_clique(
-    neigh: list[set], weights: np.ndarray, *, target: float | None = None
+    neigh: list[set], weights: np.ndarray, *, target: float | None = None, least: float = -np.inf
 ) -> tuple[float, tuple]:
     """Branch-and-bound maximum-weight clique of a graph given as neighbour sets.
 
     Returns ``(mass, vertices)`` maximizing mass, then taking the
     lexicographically smallest vertex tuple among (near-)ties.  With
     ``target`` set the search stops as soon as any clique reaches it, in
-    which case the result is only a witness of feasibility; it also skips
-    every subtree that cannot reach ``target`` less the tie tolerance, so a
-    search that misses ``target`` returns a clique below it, maybe lighter
-    than the heaviest.  The weights are read as a Python list, which indexes
+    which case the result is only a witness of feasibility.  The search
+    skips every subtree that cannot reach ``target`` or ``least`` less the
+    tie tolerance, and goes on past a clique that reaches ``least``; so a
+    search that misses either returns a clique below it, maybe lighter than
+    the heaviest.  The weights are read as a Python list, which indexes
     faster than numpy one scalar at a time and adds the same floats.
     """
     weights = np.asarray(weights, dtype=float).tolist()
     n = len(weights)
     order = sorted(range(n), key=lambda v: -weights[v])
-    goal = -np.inf if target is None else float(target)
+    goal = max(least, -np.inf if target is None else float(target))
     best_mass = 0.0
     best_set: tuple = ()
     done = False

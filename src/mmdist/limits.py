@@ -20,27 +20,10 @@ from .box import _clique_solve, _max_weight_clique, _neighbour_sets, box_distanc
 from .core import (FiniteMMSpace, Witness, _as_indices, _index_violations, _refuse, _semimetric_violations,
                    _weight_violations, nonnegative, whole_number)
 from .errors import SizeLimitError
-from .lipschitz import me_lambda_maps
+from .lipschitz import me_lambda
 from .matrixdist import _isomorphisms, _point_maps
 from .transport import prokhorov_distance
 
-__all__ = [
-    "prokhorov",
-    "lipschitz_up_to_check",
-    "witness_search",
-    "empirical_convergence_experiment",
-    "ConvergenceReport",
-    "DominationCertificate",
-    "domination_search",
-    "compose_domination",
-    "isometry_group",
-    "is_homogeneous",
-    "me1_subsequence_diagnostic",
-    "Me1Diagnostic",
-]
-
-#: :func:`lipschitz_up_to_check` solves the clique exactly up to this support
-EXACT_CLIQUE_SUPPORT = 20
 #: :func:`witness_search` enumerates all maps when both supports fit here
 WITNESS_ENUM_SUPPORT = 6
 #: hill-climbing schedule of :func:`witness_search` beyond that size
@@ -73,12 +56,9 @@ def lipschitz_up_to_check(
     """Certify that a map expands distances by at most ``lam`` plus ``eps``
     off an exceptional set of mass at most ``eps``.
 
-    Returns the maximal-mass subset on which the inequality holds pairwise
-    (an exact clique search at desk scale, greedy peeling beyond
-    :data:`EXACT_CLIQUE_SUPPORT`), or ``None`` when its complement is too heavy.
-    A greedy set is still certified admissible, but a greedy ``None`` says only
-    that the greedy set's complement is too heavy, not that every admissible
-    set's complement is.
+    Returns the maximal-mass subset on which the inequality holds pairwise,
+    or ``None`` when every such subset leaves out more than ``eps`` of mass.
+    One exact clique search finds it, skipping every subset too light to pass.
     """
     nonnegative(lam, "lambda")
     nonnegative(eps, "eps")
@@ -88,18 +68,7 @@ def lipschitz_up_to_check(
     dX = X.dist[np.ix_(s, s)]
     ok = dY <= lam * dX + eps + 1e-12
     # maximum-mass subset that is pairwise admissible = max-weight clique
-    if len(s) <= EXACT_CLIQUE_SUPPORT:
-        _, clique = _max_weight_clique(_neighbour_sets(ok), X.weights[s])
-    else:  # greedy peel: drop the endpoint with most violations
-        np.fill_diagonal(ok, False)
-        alive = list(range(len(s)))
-        while True:
-            viol = (~ok[np.ix_(alive, alive)]).sum(axis=1) - 1  # self always bad
-            if not (viol > 0).any():
-                break
-            drop = alive[int(np.argmax(viol))]
-            alive.remove(drop)
-        clique = tuple(alive)
+    _, clique = _max_weight_clique(_neighbour_sets(ok), X.weights[s], least=X.total_mass - eps - 1e-9)
     kept = s[list(clique)]
     dropped = X.total_mass - float(X.weights[kept].sum())
     if dropped > eps + 1e-9:
@@ -319,7 +288,8 @@ def domination_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> DominationCertifica
     The mass ratio is forced to ``c = m_X / m_Y``.  :func:`_point_maps`
     places the support of ``X`` in order, keeping placements that fit the
     budget ``c * w_Y`` and expand no distance to a placed point; the first
-    map that fills the budget is returned, ``None`` after exhaustion.
+    map whose certificate has no violations is returned, ``None`` after
+    exhaustion.
     """
     sx, sy = X.support, Y.support
     if len(sx) > DOMINATION_MAX_SUPPORT or len(sy) > DOMINATION_MAX_SUPPORT:
@@ -330,9 +300,8 @@ def domination_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> DominationCertifica
     c = X.total_mass / Y.total_mass
     if c < 1.0 - 1e-12:
         return None
-    budget = c * Y.weights
     wX, dX, dY = X.weights.tolist(), X.dist.tolist(), Y.dist.tolist()
-    room = (budget + 1e-9).tolist()
+    room = (c * Y.weights + 1e-9).tolist()
 
     def fits(p, placed, i, j):
         load = 0.0
@@ -344,9 +313,9 @@ def domination_search(X: FiniteMMSpace, Y: FiniteMMSpace) -> DominationCertifica
         return load + wX[i] <= room[j]
 
     for p in _point_maps(X.n, sx.tolist(), sy.tolist(), fits):
-        pushed = np.bincount(p[sx], weights=X.weights[sx], minlength=Y.n)
-        if np.max(np.abs(pushed - budget)) <= 1e-9:
-            return DominationCertificate(p, c)
+        cert = DominationCertificate(p, c)
+        if not cert.violations(X, Y):
+            return cert
     return None
 
 
@@ -438,7 +407,7 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     M = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            M[i, j] = M[j, i] = me_lambda_maps(maps[i], maps[j], weights, dY, 1.0)
+            M[i, j] = M[j, i] = me_lambda(dY[maps[i], maps[j]], np.zeros(w.size), w, 1.0)
     eps_grid = np.unique(M[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
     chains = []
     for eps in eps_grid:

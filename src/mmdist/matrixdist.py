@@ -103,6 +103,16 @@ def _aggregate(r: int, items) -> tuple[np.ndarray, np.ndarray]:
     return _group(np.concatenate(codes), np.concatenate(masses))
 
 
+def _code_table(space: FiniteMMSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted rounded support distances ``values``, and ``code[a, b]``, the
+    rank of the rounded distance of support points ``a`` and ``b`` among them."""
+    s = space.support
+    # + 0.0 turns the -0.0 that rounding makes of tiny negative distances into 0.0
+    values, rank = np.unique(np.round(space.dist[np.ix_(s, s)], _ROUND_DECIMALS) + 0.0,
+                             return_inverse=True)
+    return values, rank.reshape(len(s), len(s)).astype(np.min_scalar_type(len(values) - 1))
+
+
 def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
     """Exact matrix distribution by enumerating all ``r``-tuples of support points.
 
@@ -123,10 +133,7 @@ def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
             f"exact_mu_r would enumerate {total} tuples (limit {EXACT_MU_R_LIMIT})"
         )
     w = space.weights[s]
-    # + 0.0 turns the -0.0 that rounding makes of tiny negative distances into 0.0
-    values, rank = np.unique(np.round(space.dist[np.ix_(s, s)], _ROUND_DECIMALS) + 0.0,
-                             return_inverse=True)
-    code = rank.reshape(k, k).astype(np.min_scalar_type(len(values) - 1))
+    values, code = _code_table(space)
 
     def chunks():
         for start in range(0, total, _CHUNK):
@@ -147,19 +154,19 @@ def sample_mu_r(space: FiniteMMSpace, r: int, count: int, seed: int = 0) -> Matr
     """Empirical matrix distribution from ``count`` i.i.d. tuples by weight.
 
     Masses sum to one, matching the exact distribution of the mass-normalized
-    space in the large-count limit.
+    space in the large-count limit.  The matrices are coded and grouped as
+    :func:`exact_mu_r` groups them, so the keys of both read alike.
     """
     r = whole_number(r, "r", 1)
     count = whole_number(count, "count", 0)
     if count == 0:
         return MatrixDistribution(r, np.zeros((0, r * r)), np.zeros(0))
     rng = np.random.default_rng(seed)
-    s = space.support
-    p = space.weights[s] / space.weights[s].sum()
-    draws = rng.choice(s, size=(count, r), p=p)
-    mats = space.dist[draws[:, :, None], draws[:, None, :]].reshape(count, r * r)
-    keys, counts = np.unique(np.round(mats, _ROUND_DECIMALS), axis=0, return_counts=True)
-    return MatrixDistribution(r, keys, counts / count)
+    w = space.weights[space.support]
+    draws = rng.choice(len(w), size=(count, r), p=w / w.sum())
+    values, code = _code_table(space)
+    codes, counts = _group(code[draws[:, :, None], draws[:, None, :]].reshape(count, r * r), np.ones(count))
+    return MatrixDistribution(r, values[codes], counts / count)
 
 
 def total_variation(a: MatrixDistribution, b: MatrixDistribution) -> float:

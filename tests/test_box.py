@@ -448,6 +448,20 @@ class TestMaxWeightClique:
                 assert all(b in neigh[a] for a in cells for b in cells if a != b)
                 assert mass == pytest.approx(float(weights[list(cells)].sum()), abs=1e-12)
 
+    def test_least_keeps_the_heaviest_it_reaches(self):
+        # a search with a lower bound it can reach goes on to the heaviest
+        # clique and its tie-break; one it cannot reach returns a lighter clique
+        rng = np.random.default_rng(46)
+        for neigh, weights in self.instances():
+            full = _max_weight_clique(neigh, weights)
+            grid = float(rng.integers(0, 33)) / 16.0
+            for least in (grid, full[0], full[0] - _TIE_TOL / 2, full[0] + 2 * _TIE_TOL):
+                mass, cells = _max_weight_clique(neigh, weights, least=least)
+                if least <= full[0]:
+                    assert (mass, cells) == full, (least, full)
+                else:
+                    assert mass < least and all(b in neigh[a] for a in cells for b in cells if a != b)
+
 
 class TestBestFlowAt:
     """The clique sweep of the exact space solver against clique enumeration."""

@@ -25,9 +25,9 @@ from mmdist import (
     prokhorov,
     witness_search,
 )
-from mmdist import limits, matrixdist
+from mmdist import limits, lipschitz, matrixdist
+from mmdist.box import _max_weight_clique, _neighbour_sets
 from mmdist.instances import random_space, shuffled_copy
-from mmdist.limits import EXACT_CLIQUE_SUPPORT
 from mmdist.matrixdist import _isomorphisms
 from mmdist.matrixdist import _point_maps as point_maps
 from mmdist.transport import max_flow_value
@@ -129,10 +129,10 @@ class TestLipschitzUpTo:
         with pytest.raises(ValueError, match=r"map has shape \(1,\), expected \(2,\)"):
             lipschitz_up_to_check(X, X, [0], 1.0, 0.0)
 
-    def test_greedy_peel_above_exact_support(self):
-        # 21 support points is past EXACT_CLIQUE_SUPPORT, so the greedy peel runs
+    def test_heaviest_subset_above_twenty_points(self):
+        # past 20 support points a greedy peel ran in place of the clique search
         X = normalized(random_space(np.random.default_rng(0), min_points=21, max_points=21))
-        assert len(X.support) > EXACT_CLIQUE_SUPPORT
+        assert len(X.support) > 20
         fmap = np.arange(21)
         fmap[[3, 11]] = 7  # two points land on a third
         lam, eps = 1.0, 0.2
@@ -142,6 +142,21 @@ class TestLipschitzUpTo:
         assert np.all(dY <= lam * X.dist[np.ix_(kept, kept)] + eps + 1e-12)
         assert X.total_mass - float(X.weights[kept].sum()) <= eps + 1e-9
         assert lipschitz_up_to_check(X, X, fmap, lam, 0.1) is None
+        ok = X.dist[np.ix_(fmap, fmap)] <= lam * X.dist + eps + 1e-12
+        assert kept.tolist() == list(_max_weight_clique(_neighbour_sets(ok), X.weights)[1])
+
+    def test_light_exceptional_set_found_above_twenty_points(self):
+        # the greedy peel dropped the heavy point 0, which breaks three
+        # pairs, and answered None; dropping points 1-3 (mass 0.03) passes
+        n = 21
+        dX = np.ones((n, n))
+        np.fill_diagonal(dX, 0.0)
+        dY = dX.copy()
+        dY[0, 1:4] = dY[1:4, 0] = 2.0
+        w = np.full(n, 0.47 / 17)
+        w[0], w[1:4] = 0.5, 0.01
+        kept = lipschitz_up_to_check(mm_space(w, dX), mm_space(w, dY), np.arange(n), 1.0, 0.1)
+        assert kept is not None and kept.tolist() == [0, *range(4, n)]
 
 
 class TestWitnessSearch:
@@ -630,6 +645,19 @@ class TestMe1Diagnostic:
             me1_subsequence_diagnostic([[0, 1, 2]], [], d)
         with pytest.raises(ValueError, match="negative weight at index 1"):
             me1_subsequence_diagnostic([[0, 1, 2]], [0.5, -0.5, 1.0], d)
+
+    def test_target_matrix_is_checked_once(self, monkeypatch):
+        # every pair of maps re-checked dY through me_lambda_maps
+        calls = []
+        for module in (limits, lipschitz):
+            def counted(*args, rule=module._semimetric_violations):
+                calls.append(args[-1])
+                return rule(*args)
+
+            monkeypatch.setattr(module, "_semimetric_violations", counted)
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        me1_subsequence_diagnostic([[0, 1], [1, 2], [2, 0], [0, 0]], [0.5, 0.5], d)
+        assert calls == ["dY"]
 
     def test_constant_sequence_is_one_cluster(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])

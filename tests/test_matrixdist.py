@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,14 @@ class TestSampleMuR:
     def test_masses_sum_to_one(self):
         mu = sample_mu_r(two_point((0.2, 0.8)), 2, 1000, seed=3)
         assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_keys_read_as_exact_keys_at_tiny_negative_distance(self):
+        # the matrix rule accepts -1e-13, which rounding turned into -0.0
+        # in the sampled keys but not in the exact ones
+        X = mm_space([0.5, 0.5], [[0.0, -1e-13], [-1e-13, 0.0]])
+        sampled = sample_mu_r(X, 2, 10)
+        assert "-0.0" not in json.dumps(sampled.to_jsonable())
+        assert np.array_equal(sampled.keys, exact_mu_r(X, 2).keys)
 
     def test_converges_to_exact_split(self):
         X = two_point()
