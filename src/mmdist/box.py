@@ -15,7 +15,7 @@ must be pairwise compatible (a clique in the defect graph) and the retainable
 mass is a transportation max-flow, both of which change only at finitely many
 thresholds: the pairwise defect values and the mass breakpoints
 ``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this
-candidate set: a binary search whose probes build the defect graph once each,
+candidate set: a threshold search whose probes build each defect graph once,
 as neighbour sets, then a certificate (retained cells, and for space-level
 solves an optimal coupling).  The pair solver plugs in a maximum-weight clique,
 the space solver a flow over maximal cliques; it numbers the coupling cells
@@ -28,7 +28,8 @@ The heuristic space solver scores trial couplings with the pair solve and
 keeps a trial only if its value is at most the incumbent's.  Feasibility is
 monotone in the tolerance, so the solve takes the incumbent as a ``cap``:
 one probe there rejects a trial whose value is above it, and a trial that
-passes gets the full search, whose answer the cap does not change.  The
+passes is searched down from it, to the answer the cap does not change; one
+not strictly ``below`` the incumbent gets no certificate search.  The
 witness search of :mod:`mmdist.limits` gates its maps the same way.  Its
 mirror image is the ``floor`` of a running maximum (the sampled Hausdorff
 bound of :mod:`mmdist.lipschitz`): one probe at the floor settles a value
@@ -179,32 +180,47 @@ def _max_weight_clique(
 
 
 def _defect_solve(
-    delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf, floor: float = 0.0
+    delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf, floor: float = 0.0, below: float = np.inf
 ):
     """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
 
     Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
-    EDGE_TOL``; ``adj_at(t)`` gives each cell's set of compatible cells, and
-    ``best_at(neigh, target)`` returns ``(mass, cells)``: with ``target``
-    None, a heaviest clique of those sets; with a ``target``, a clique whose
-    mass reaches ``target`` if one does, and otherwise one below it, maybe
-    below the heaviest, since a probe compares the mass with ``target`` only
+    EDGE_TOL``, and ``best_at(neigh, target)`` takes each cell's set of
+    compatible cells and returns ``(mass, cells)``: with ``target`` None, a
+    heaviest clique of those sets; with a ``target``, a clique whose mass
+    reaches ``target`` if one does, and otherwise one below it, maybe below
+    the heaviest, since a probe compares the mass with ``target`` only
     (:func:`_max_weight_clique` then stops once nothing can reach it).
-    The candidates are zero and the off-diagonal defects.  Returns ``(eps,
-    best_at(adj_at(eps), None))``; with a ``cap`` whose probe fails, ``(inf,
-    (0.0, ()))``, and with a positive ``floor`` that ``eps`` does not exceed,
-    ``(floor, (0.0, ()))``: no certificate is built for a value the gate
-    decided (see :func:`mmdist.transport._threshold_solve`).
+    The candidates are zero and the defects above the diagonal (the lower
+    half may differ within the metric tolerance).  Returns ``eps`` and the
+    heaviest clique there, or ``(eps, (0.0, ()))`` with no certificate
+    search for an ``eps`` that a gate decided (``inf`` past a failed ``cap``
+    probe, a positive ``floor`` it does not exceed; see
+    :func:`mmdist.transport._threshold_solve`) or that is not strictly
+    ``below``: a running minimum keeps no certificate it does not improve.
+    Compatible pairs only join as ``t`` grows, so their count names the
+    graph: each is built once per solve and its heaviest clique searched
+    once, and a breakpoint answer's certificate is most often the search
+    the breakpoint made at the threshold below it, on the same graph.
     """
+    graphs: dict = {}  # count of compatible pairs -> neighbour sets
+    heaviest: dict = {}  # count of compatible pairs -> best_at(neighbour sets, None)
 
-    def adj_at(t: float) -> list[set]:
-        return _neighbour_sets(delta <= t + EDGE_TOL)
+    def best_at_t(t: float, target):
+        mask = delta <= t + EDGE_TOL
+        key = int(np.count_nonzero(mask))
+        if key not in graphs:
+            graphs[key] = _neighbour_sets(mask)
+        if target is not None:
+            return best_at(graphs[key], target)
+        if key not in heaviest:
+            heaviest[key] = best_at(graphs[key], None)
+        return heaviest[key]
 
-    off = delta[np.triu_indices(len(delta), k=1)]
-    eps = _threshold_solve(off, m, lam, lambda t, target: best_at(adj_at(t), target)[0], cap, floor)
-    if eps == np.inf or (floor > 0.0 and eps == floor):
+    eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: best_at_t(t, target)[0], cap, floor)
+    if eps >= below or (floor > 0.0 and eps == floor):  # an infinite eps is never below
         return eps, (0.0, ())
-    return eps, best_at(adj_at(eps), None)
+    return eps, best_at_t(eps, None)
 
 
 def _neighbour_sets(mask: np.ndarray) -> list[set]:
@@ -216,7 +232,7 @@ def _neighbour_sets(mask: np.ndarray) -> list[set]:
 
 
 def _clique_solve(
-    d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0
+    d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0, below: float = np.inf
 ):
     """Exact box value ``(eps, cells)`` of defects ``d`` over positive weights ``w`` of total ``m``.
 
@@ -224,14 +240,14 @@ def _clique_solve(
     smallest among ties.  With a finite ``cap`` at ``lam > 0``, ``(inf, ())``
     when the answer is above ``cap``, decided by one probe.  With a
     ``floor``, the value is ``max(floor, answer)``, and ``(floor, ())`` when
-    one probe shows that the answer does not exceed a positive ``floor``.
-    ``lam = 0`` takes the closed form, ignores ``cap`` and keeps every cell.
+    one probe shows that the answer does not exceed a positive ``floor``, and
+    ``(eps, ())`` when it is not strictly ``below``.  ``lam = 0`` takes the
+    closed form, ignores ``cap`` and ``below`` and keeps every cell.
     """
     if lam == 0.0:
-        eps = float(d[np.triu_indices(len(w), k=1)].max(initial=0.0))
-        return max(eps, floor), tuple(range(len(w)))
+        return max(float(np.triu(d, 1).max(initial=0.0)), floor), tuple(range(len(w)))
     eps, (_, cells) = _defect_solve(
-        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target), cap, floor
+        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target), cap, floor, below
     )
     return eps, cells
 
@@ -352,8 +368,10 @@ def _box_equal_mass_heuristic(
     A coupling valued above ``best_eps + 1e-15`` changes nothing, so each
     score passes that bound to the pair solve as its ``cap``: one probe there
     turns such a coupling away (``inf``), and any other gets its uncapped
-    value (see :func:`mmdist.transport._threshold_solve`); every decision is
-    that of uncapped scoring.  The first score has no bound (``inf``).
+    value, searched down from the cap (see
+    :func:`mmdist.transport._threshold_solve`); every decision is that of
+    uncapped scoring.  Only a value below ``best_eps``, its ``below``, keeps
+    cells, so a tie gets none.  The first score has no bound (``inf``).
     """
     rng = np.random.default_rng(seed)
     nx, ny = X.n, Y.n
@@ -362,11 +380,12 @@ def _box_equal_mass_heuristic(
     best_pi: np.ndarray | None = None
 
     def score(pi: np.ndarray) -> tuple[float, tuple]:
-        """Pair value of the pullback along ``pi`` and its kept coupling cells,
-        or ``(inf, ())`` if the value is above ``best_eps + 1e-15``."""
+        """Pair value of the pullback along ``pi`` and its kept coupling cells, or
+        ``(inf, ())`` above ``best_eps + 1e-15``; no cells at ``best_eps`` or above."""
         pair = pullback_pair(X, Y, pi)  # its cells all have positive mass
-        w = pair.weights
-        eps, kept = _clique_solve(np.abs(pair.d1 - pair.d2), w, float(w.sum()), lam, best_eps + 1e-15)
+        eps, kept = _clique_solve(
+            np.abs(pair.d1 - pair.d2), pair.weights, pair.total_mass, lam, best_eps + 1e-15, below=best_eps
+        )
         return eps, tuple(pair.cells[k] for k in kept)
 
     for attempt in range(HEURISTIC_RESTARTS):

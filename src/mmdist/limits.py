@@ -99,10 +99,13 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     breakpoint up to ``b`` is feasible, so the gap is above ``b``; the
     enumeration bounds the maps left each time ``b`` falls.  Any other map
     passes ``b`` as the ``cap`` of its clique search, so one threshold probe
-    turns away a map whose subset tolerance is above it (see
-    :func:`mmdist.transport._threshold_solve`).  So the prunes return the
-    same map, subset and tolerance as scoring every map.  Among tied maps
-    the enumeration keeps the lexicographically first.
+    turns away a map whose subset tolerance is above it, and any other is
+    searched down from ``b`` (see :func:`mmdist.transport._threshold_solve`);
+    its branch's acceptance bound (``b - 1e-15`` enumerating, ``b`` climbing)
+    is its ``below``, so a tolerance that cannot be accepted gets no subset
+    search.  So the prunes return the same map, subset and tolerance as
+    scoring every map.  Among tied maps the enumeration keeps the
+    lexicographically first.
     """
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
         raise ValueError("witness_search requires equal total masses")
@@ -110,13 +113,13 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     w = Xn.weights[sn]
     m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
-    def evaluate(p_support: tuple, nu: np.ndarray) -> tuple[float, tuple]:
+    def evaluate(p_support: tuple, nu: np.ndarray, below: float) -> tuple[float, tuple]:
         p = np.array(p_support, dtype=int)
         prok = prokhorov_distance(X.dist, nu, X.weights)
         if prok >= best_obj:
             return prok, ()
         delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
-        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj)
+        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj, below=below)
         return max(eps_pair, prok), cells
 
     def ruled_out(nus: np.ndarray) -> np.ndarray:  # rows whose gap is above best_obj, past rounding
@@ -125,7 +128,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
 
     def climb(cand: tuple) -> tuple[float, tuple]:
         nu = _pushforwards(np.array([cand]), w, X.n)
-        return (np.inf, ()) if ruled_out(nu)[0] else evaluate(cand, nu[0])
+        return (np.inf, ()) if ruled_out(nu)[0] else evaluate(cand, nu[0], best_obj)
 
     best_obj, best_p, best_cells = np.inf, (), ()
     if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
@@ -133,7 +136,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         nus, alive = _pushforwards(np.array(maps), w, X.n), np.ones(len(maps), dtype=bool)
         for k, cand in enumerate(maps):
             if alive[k]:
-                obj, cells = evaluate(cand, nus[k])
+                obj, cells = evaluate(cand, nus[k], best_obj - 1e-15)
                 if obj < best_obj - 1e-15:
                     best_obj, best_p, best_cells = obj, cand, cells
                     rest = k + 1 + np.flatnonzero(alive[k + 1 :])
@@ -396,7 +399,9 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     stays pairwise within the tolerance is a maximum clique of the graph
     ``M <= eps + 1e-12``, found exactly by the unit-weight clique search; a
     chain covering the whole sequence means the sequence is uniformly
-    clustered at that scale.
+    clustered at that scale.  A graph keeps the edges of the last, so each
+    search takes the last chain's length as ``least``: a subtree it skips
+    holds no longest chain, so ties among those are settled as before.
     """
     w, dY = np.asarray(weights, dtype=float), np.asarray(dY, dtype=float)
     _refuse(_weight_violations(w, w.size, "weight") + _semimetric_violations(dY, len(np.atleast_1d(dY)), "dY"))
@@ -409,7 +414,8 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
         for j in range(i + 1, k):
             M[i, j] = M[j, i] = me_lambda(dY[maps[i], maps[j]], np.zeros(w.size), w, 1.0)
     eps_grid = np.unique(M[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
-    chains = []
+    chains = [(0.0, ())]  # each search needs to reach the length of the last chain
     for eps in eps_grid:
-        chains.append((float(eps), _max_weight_clique(_neighbour_sets(M <= eps + 1e-12), np.ones(k))[1]))
-    return Me1Diagnostic(M, tuple(chains))
+        neigh = _neighbour_sets(M <= eps + 1e-12)
+        chains.append((float(eps), _max_weight_clique(neigh, np.ones(k), least=len(chains[-1][1]))[1]))
+    return Me1Diagnostic(M, tuple(chains[1:]))

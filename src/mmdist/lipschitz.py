@@ -140,13 +140,13 @@ class Lip1Set:
     weights: np.ndarray
 
     def __post_init__(self):
-        # read-only copies: the cached closure must keep describing ``dist``
+        # read-only copies: the cached support and closure must keep describing them
         object.__setattr__(self, "dist", _readonly(self.dist))
         object.__setattr__(self, "weights", _readonly(self.weights))
         n = self.weights.size
         _refuse(_weight_violations(self.weights, n, "weight") + _semimetric_violations(self.dist, n, "dist"))
 
-    @property
+    @cached_property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0.0)
 

@@ -21,7 +21,8 @@ such answers gate the search with one probe: a running minimum passes it as
 ``floor`` (an answer below it comes back as ``floor``).  Either way the
 probe decides most candidates, and the value is that of the ungated search
 whenever it can move the extremum.  A ``cap`` above the largest value is
-not probed, and an infinite one costs nothing.
+not probed, and an infinite one costs nothing; past a finite one the search
+steps down from it, so a candidate that ties the minimum costs two probes.
 """
 
 from __future__ import annotations
@@ -182,9 +183,11 @@ def _threshold_solve(
     answer is above it: every threshold up to ``cap`` is infeasible, and a
     breakpoint ``(m - W) / lam`` over a lower threshold below ``cap`` has
     ``W`` at most the mass at ``cap``.  Then ``inf`` is returned.  Otherwise
-    the first threshold at or above ``cap`` is feasible, the search runs up
-    to it only and ends at the same pair of thresholds, so it returns the
-    uncapped answer.
+    the first threshold at or above ``cap`` (or the largest) is feasible,
+    and the search probes the thresholds 1, 2, 4, ... places below it until
+    one fails, then bisects the last gap: a tie with the cap costs two
+    probes.  Monotonicity fixes the adjacent pair of thresholds where
+    feasibility starts, so every search order ends there, at the same bits.
 
     ``floor`` (a running maximum) makes the result ``max(floor, answer)``.
     A positive ``floor`` probes the last threshold at or below it.  If that
@@ -211,6 +214,11 @@ def _threshold_solve(
         hi = top
         if not feasible(float(thresholds[hi])):
             raise InternalInvariantError("threshold search infeasible at the largest defect")
+    if cap < np.inf:  # step down from the cap, doubling the step, until a probe fails
+        start, step = hi, 1
+        while start - step > lo and feasible(float(thresholds[start - step])):
+            hi, step = start - step, 2 * step
+        lo = max(lo, start - step)
     if lo == 0 and (hi == 0 or feasible(float(thresholds[0]))):
         return max(float(thresholds[0]), floor)
     while hi - lo > 1:

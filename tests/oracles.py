@@ -10,8 +10,11 @@ no branch-and-bound cut, :func:`reference_isomorphisms` and
 :func:`reference_domination_search` are the two hand-written backtracking
 loops that the one point-map search of ``mmdist.matrixdist`` replaced,
 :func:`reference_box_heuristic` is the heuristic box local search scoring
-every coupling with a full pair solve, and :func:`reference_hli_sampled` is
-the sampled Hausdorff loop measuring every probe with a full search.
+every coupling with a full pair solve, :func:`reference_hli_sampled` is
+the sampled Hausdorff loop measuring every probe with a full search, and
+:func:`reference_threshold_solve` is the threshold search that bisects from
+zero after a passed cap instead of stepping down from it, and
+:func:`reference_me1_chains` runs one unbounded clique search per tolerance.
 """
 
 from itertools import combinations, permutations, product
@@ -623,3 +626,55 @@ def reference_hli_sampled(pair, lam, samples=48, seed=0):
         for f in probes:
             value = max(value, lipschitz.lip_point_distance(f, target, lam))
     return value
+
+
+def reference_threshold_solve(values, m, lam, retained_max, cap=np.inf, floor=0.0):
+    """``mmdist.transport._threshold_solve`` as it bisected between zero (or the
+    floor's threshold) and the first threshold at or above a passed ``cap``;
+    the search that steps down from the cap must return the same bits."""
+    from mmdist.errors import InternalInvariantError
+
+    def feasible(t: float) -> bool:
+        need = m - lam * t - 1e-12
+        if need <= 0.0:
+            return True
+        return retained_max(t, need) >= need
+
+    if cap < np.inf and cap <= np.max(values, initial=0.0) and not feasible(cap):
+        return np.inf
+    thresholds = np.unique(np.concatenate(([0.0], np.ravel(values))))
+    top = len(thresholds) - 1
+    hi = int(np.searchsorted(thresholds, cap))  # first threshold at or above cap
+    lo = max(int(np.searchsorted(thresholds, floor, side="right")) - 1, 0)  # last at or below floor
+    if lo > 0 and feasible(float(thresholds[lo])):
+        return floor
+    if hi > top:  # no gate probe has shown the largest threshold feasible
+        hi = top
+        if not feasible(float(thresholds[hi])):
+            raise InternalInvariantError("threshold search infeasible at the largest defect")
+    if lo == 0 and (hi == 0 or feasible(float(thresholds[0]))):
+        return max(float(thresholds[0]), floor)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(float(thresholds[mid])):
+            hi = mid
+        else:
+            lo = mid
+    if lam == 0.0:
+        return float(thresholds[hi])
+    w_prev = retained_max(float(thresholds[lo]), None)
+    cand = (m - w_prev) / lam
+    return max(float(min(thresholds[hi], max(thresholds[lo], cand))), floor)
+
+
+def reference_me1_chains(matrix):
+    """The chains of ``mmdist.limits.me1_subsequence_diagnostic`` from its matrix,
+    one clique search per distinct pairwise value with no lower bound taken
+    from the chain before."""
+    from mmdist.box import _max_weight_clique, _neighbour_sets
+
+    k = len(matrix)
+    grid = np.unique(matrix[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
+    return tuple(
+        (float(eps), _max_weight_clique(_neighbour_sets(matrix <= eps + 1e-12), np.ones(k))[1]) for eps in grid
+    )

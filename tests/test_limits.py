@@ -39,6 +39,7 @@ from oracles import (
     prokhorov_subsets,
     reference_domination_search,
     reference_isomorphisms,
+    reference_me1_chains,
 )
 
 
@@ -697,3 +698,14 @@ class TestMe1Diagnostic:
             rep = me1_subsequence_diagnostic(maps, rng.integers(1, 5, size=3) / 4.0, d + d.T)
             for eps, chain in rep.chains:
                 assert chain == longest(rep.matrix, eps)
+
+    def test_chains_match_one_search_per_value(self):
+        # each search takes the last chain's length as its lower bound; the
+        # chains, ties between equally long ones included, are those of one
+        # unbounded search per value
+        rng = np.random.default_rng(47)
+        for _ in range(12):
+            d = np.triu(rng.integers(1, 4, size=(4, 4)), 1) * 0.5
+            maps = rng.integers(0, 4, size=(int(rng.integers(2, 16)), 5))
+            rep = me1_subsequence_diagnostic(maps, rng.integers(1, 3, size=5) / 4.0, d + d.T)
+            assert rep.chains == reference_me1_chains(rep.matrix)

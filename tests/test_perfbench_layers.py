@@ -115,8 +115,10 @@ def test_heuristic_box_layers_fire():
 
 def test_heuristic_box_rejects_by_one_probe(monkeypatch):
     # a trial coupling whose probe at the incumbent fails costs one clique
-    # search; here 70 of the 105 scored couplings do.  Scoring every coupling
-    # with a full threshold search (the reference loop) costs 1,055
+    # search; here 70 of the 105 scored couplings do.  One that passes is
+    # searched down from the incumbent, and only a strictly better one gets
+    # a certificate search.  Scoring every coupling with a full threshold
+    # search (the reference loop) costs 966
     from mmdist import box as box_module
     from mmdist.instances import random_space
     from oracles import reference_box_heuristic
@@ -134,9 +136,47 @@ def test_heuristic_box_rejects_by_one_probe(monkeypatch):
         counts = tracer.layer_counts()
         return counts["box.threshold_solve.calls"], counts["box.max_weight_clique.calls"]
 
-    assert traced() == (105, 416)
+    assert traced() == (105, 196)
     monkeypatch.setattr(box_module, "_box_equal_mass_heuristic", reference_box_heuristic)
-    assert traced() == (105, 1055)
+    assert traced() == (105, 966)
+
+
+def test_tied_heuristic_trial_runs_no_certificate_search(monkeypatch):
+    # a trial whose value is not strictly below the incumbent keeps no cells,
+    # so its pair solve runs no clique search after its threshold search
+    from mmdist import box as box_module
+    from mmdist.instances import random_space
+
+    rng = np.random.default_rng(18)
+    X, Y = (random_space(rng, min_points=6, max_points=6) for _ in range(2))
+    solve, search = box_module._clique_solve, box_module._max_weight_clique
+    threshold_solve = box_module._threshold_solve
+    scores = []  # [value, below, clique searches after the threshold search] per scored coupling
+
+    def counted_search(*args, **kwargs):
+        scores[-1][2] += 1
+        return search(*args, **kwargs)
+
+    def marked_threshold_solve(*args):
+        eps = threshold_solve(*args)
+        scores[-1][2] = 0  # count only the certificate search from here on
+        return eps
+
+    def recorded_solve(d, w, m, lam, cap=np.inf, floor=0.0, below=np.inf):
+        scores.append([None, below, 0])
+        eps, cells = solve(d, w, m, lam, cap, floor, below)
+        scores[-1][0] = eps
+        return eps, cells
+
+    monkeypatch.setattr(box_module, "_max_weight_clique", counted_search)
+    monkeypatch.setattr(box_module, "_threshold_solve", marked_threshold_solve)
+    monkeypatch.setattr(box_module, "_clique_solve", recorded_solve)
+    mmdist.box_distance(X, Y, 1.0, "heuristic", seed=0)
+    ties = [n for eps, below, n in scores if below <= eps < np.inf]
+    better = [n for eps, below, n in scores if eps < below]
+    assert (len(scores), len(ties), len(better)) == (105, 19, 16)
+    # a better trial's certificate may reuse the search of its breakpoint
+    assert set(ties) == {0} and set(better) == {0, 1}
 
 
 def test_lipschitz_check_clique_layer_fires():
@@ -210,13 +250,13 @@ def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
     w = rng.integers(1, 5, size=5).astype(float) * 0.25
     pair = mmdist.semidist_pair(w, random_pair_matrices(rng, 5), random_pair_matrices(rng, 5))
     assert traced(lambda: mmdist.hli_lambda(pair, 1.0, "sampled", samples=24)) == (86, 0)
-    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (295, 0)
+    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (292, 0)
 
     rng = np.random.default_rng(0)
     X = mmdist.normalized(random_space(rng, min_points=4, max_points=4))
     bump = np.triu(rng.uniform(0.0, 0.3, size=(4, 4)), 1)
     Xn = mmdist.mm_space(X.weights, X.dist + bump + bump.T)
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (93, 53)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (64, 53)
     uncapped = box_module._clique_solve
-    monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap: uncapped(d, w, m, lam))
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (253, 53)
+    monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap, below: uncapped(d, w, m, lam))
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (226, 53)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdist.box import EDGE_TOL, _max_weight_clique, _neighbour_sets
 from mmdist.errors import InternalInvariantError
@@ -12,7 +14,7 @@ from mmdist.transport import (
     prokhorov_distance,
 )
 
-from oracles import min_cut_value, numpy_max_flow, prokhorov_subsets
+from oracles import min_cut_value, numpy_max_flow, prokhorov_subsets, reference_threshold_solve
 
 
 def random_instance(rng, nr=None, nc=None):
@@ -221,3 +223,43 @@ class TestThresholdFloor:
         # nothing is ever retained, so even the largest threshold is infeasible
         with pytest.raises(InternalInvariantError):
             _threshold_solve(np.array([0.5, 1.0]), 10.0, 1.0, lambda t, _: 0.0, floor=2.0)
+
+
+class TestThresholdSearchOrder:
+    """Past a passed cap the search steps down from it; it must end where the
+    bisection from zero ends, and return the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_step_down_matches_the_bisection_hypothesis(self, data):
+        # a monotone step function over repeated thresholds; a targeted probe
+        # that misses its target reports half the mass, as a pruned search may
+        values = np.array(data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=9)), dtype=float) / 8.0
+        thresholds = np.unique(np.concatenate(([0.0], values)))
+        steps = data.draw(st.lists(st.integers(0, 8), min_size=len(thresholds), max_size=len(thresholds)))
+        m = 1.0
+        masses = np.minimum(np.cumsum(steps) / 8.0, m)
+        masses[-1] = m  # every cell retained at the largest threshold
+        lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        calls = []
+
+        def retained_max(t, target):
+            calls.append(t)
+            mass = float(masses[np.searchsorted(thresholds, t + EDGE_TOL, side="right") - 1])
+            return mass / 2.0 if target is not None and mass < target else mass
+
+        answer = reference_threshold_solve(values, m, lam, retained_max)
+        nudges = (0.0, 1e-15, -1e-15, EDGE_TOL, -EDGE_TOL, 1e-3, -1e-3)
+        spots = np.concatenate(([0.0, answer], thresholds))
+        gates = sorted({max(float(x + e), 0.0) for x in spots for e in nudges})
+        floor = data.draw(st.sampled_from([0.0] + gates))
+        for cap in gates + [np.inf]:
+            want = reference_threshold_solve(values, m, lam, retained_max, cap, floor)
+            got = _threshold_solve(values, m, lam, retained_max, cap, floor)
+            assert repr(got) == repr(want), (cap, floor)
+        for cap in (answer, answer + 1e-15) if answer in thresholds else ():
+            # a tie at a threshold: the cap (or largest threshold) probe, two
+            # probes below it, and the breakpoint's mass
+            calls.clear()
+            assert repr(_threshold_solve(values, m, lam, retained_max, cap)) == repr(answer)
+            assert len(calls) <= 4, (cap, calls)
