@@ -21,8 +21,12 @@ solves an optimal coupling).  The pair solver plugs in a maximum-weight clique,
 the space solver a flow over maximal cliques; it numbers the coupling cells
 once, row-major, and the defect matrix, the sweep, the flows (on a clique's row
 and column index lists) and the certificate all read that one numbering.  The
-flow sweep prunes subtrees of the clique search by a flow bound
-(:func:`_flow_bound`) against the best flow so far or the probe's target.
+flow sweep is a Bron-Kerbosch recursion on integer bitsets
+(:func:`_maximal_cliques`) that yields its cliques in the order of the same
+recursion on sorted sets.  It prunes subtrees by a per-row/per-column flow
+bound against the best flow so far or the probe's target, read from
+subset-sum tables on the row-major bitset of a node and on its column-major
+twin, which the recursion carries alongside (:func:`_best_flow_at`).
 
 The heuristic space solver scores trial couplings with the pair solve and
 keeps a trial only if its value is at most the incumbent's.  Feasibility is
@@ -39,6 +43,7 @@ that cannot raise it, and such a value gets no certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,28 +108,49 @@ class BoxResult:
 # clique machinery
 
 
-def _maximal_cliques(neigh: list[set], keep):
+def _maximal_cliques(neigh: list[set], keep, twin):
     """Yield maximal cliques of a graph given as neighbour sets (Bron-Kerbosch).
 
-    Pivoting keeps the recursion small; iteration order is deterministic.
-    ``keep(cells)`` is asked at every node of the recursion with the set
-    ``r | p``, which contains every clique below that node; a false answer
-    skips the node's subtree, and the other cliques come in the same order.
+    The recursion runs on integer bitsets (bit ``v`` for vertex ``v``): the
+    clique ``r``, the candidates ``p``, the excluded ``x`` and each neighbour
+    set.  The pivot is the lowest vertex of ``p | x`` with the most
+    neighbours in ``p``, candidates go lowest first, and cliques come as
+    ascending tuples: the pivots, branches and output of the same recursion
+    on sorted sets, so the cliques come in the same order.  ``r`` and ``p``
+    are also carried as bitsets in the numbering ``twin[v]``, one more AND
+    per child.  ``keep(r, p, r_twin, p_twin)`` is asked at every node that
+    may hold a maximal clique (not one with no candidates and some excluded
+    vertex); every clique below the node lies in ``r | p``, and a false
+    answer skips the subtree, the other cliques coming in the same order.
     """
+    nb = [sum(map((1).__lshift__, s)) for s in neigh]
+    tb = [1 << t for t in twin]
+    nb_twin = [sum(map(tb.__getitem__, s)) for s in neigh]
 
-    def bk(r: set, p: set, x: set):
-        if not keep(r | p):
+    def below(r: int, p: int, x: int, rt: int, pt: int):
+        if not p:
+            if not x:
+                yield tuple(v for v in range(len(nb)) if r >> v & 1)
             return
-        if not p and not x:
-            yield tuple(sorted(r))
-            return
-        pivot = max(sorted(p | x), key=lambda v: len(p & neigh[v]))
-        for v in sorted(p - neigh[pivot]):
-            yield from bk(r | {v}, p & neigh[v], x & neigh[v])
-            p = p - {v}
-            x = x | {v}
+        rest, most = p | x, -1
+        while rest:
+            low = rest & -rest
+            degree = (p & nb[low.bit_length() - 1]).bit_count()
+            if degree > most:
+                pivot, most = low.bit_length() - 1, degree
+            rest ^= low
+        cand = p & ~nb[pivot]
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            child_p, child_x, child_pt = p & nb[v], x & nb[v], pt & nb_twin[v]
+            if (child_p or not child_x) and keep(r | low, child_p, rt | tb[v], child_pt):
+                yield from below(r | low, child_p, child_x, rt | tb[v], child_pt)
+            p, pt, x, cand = p ^ low, pt ^ tb[v], x | low, cand ^ low
 
-    yield from bk(set(), set(range(len(neigh))), set())
+    p, pt = (1 << len(neigh)) - 1, sum(tb)
+    if keep(0, p, 0, pt):
+        yield from below(0, p, 0, 0, pt)
 
 
 def _max_weight_clique(
@@ -201,10 +227,15 @@ def _defect_solve(
     Compatible pairs only join as ``t`` grows, so their count names the
     graph: each is built once per solve and its heaviest clique searched
     once, and a breakpoint answer's certificate is most often the search
-    the breakpoint made at the threshold below it, on the same graph.
+    the breakpoint made at the threshold below it, on the same graph.  A
+    targeted probe on a graph probed before returns an earlier outcome that
+    decides it: a clique that reaches the new target, or one that missed a
+    target no larger, below the new one too.  The threshold search reads
+    only the mass against its target, so no bit moves.
     """
     graphs: dict = {}  # count of compatible pairs -> neighbour sets
     heaviest: dict = {}  # count of compatible pairs -> best_at(neighbour sets, None)
+    probed: dict = {}  # count of compatible pairs -> [(target, best_at(neighbour sets, target)), ...]
 
     def best_at_t(t: float, target):
         mask = delta <= t + EDGE_TOL
@@ -212,7 +243,11 @@ def _defect_solve(
         if key not in graphs:
             graphs[key] = _neighbour_sets(mask)
         if target is not None:
-            return best_at(graphs[key], target)
+            for earlier, (mass, cells) in probed.setdefault(key, []):
+                if mass >= target or mass < earlier <= target:
+                    return mass, cells
+            probed[key].append((target, best_at(graphs[key], target)))
+            return probed[key][-1][1]
         if key not in heaviest:
             heaviest[key] = best_at(graphs[key], None)
         return heaviest[key]
@@ -274,19 +309,38 @@ def box_pair(pair: SemiDistancePair, lam: float, *, max_cells: int = 64) -> BoxR
 # spaces
 
 
-def _flow_bound(cells, rows: list, cols: list, r_cap: list, c_cap: list) -> float:
-    """Upper bound on the flow through ``cells``, nondecreasing as cells are added.
+@lru_cache(maxsize=4)
+def _line_parts(caps: tuple, cross: tuple) -> list[tuple]:
+    """Subset-sum tables of a flow bound on bitsets of ``len(caps)`` lines of
+    ``len(cross)`` cells, built once per solve (its probes share the capacities).
 
-    Row ``i`` routes at most ``min(r_i, sum of c_j over the columns the cells
-    admit in row i)``, and column ``j`` likewise; the bound is the smaller of
-    the row sum and the column sum of these.
+    Line ``i`` has one part ``(cap, shift, table)`` per 8 cells: ``table``
+    maps the byte at bit ``shift`` to the sum of ``cross`` over its cells
+    (bits past the line add nothing), and ``cap`` is ``caps[i]`` on the
+    line's last part and None before it.
     """
-    row_reach = [0.0] * len(r_cap)
-    col_reach = [0.0] * len(c_cap)
-    for c in cells:
-        row_reach[rows[c]] += c_cap[cols[c]]
-        col_reach[cols[c]] += r_cap[rows[c]]
-    return min(sum(map(min, r_cap, row_reach)), sum(map(min, c_cap, col_reach)))
+    width = len(cross)
+    tables = []
+    for k in range(0, width, 8):
+        table = [0.0]
+        for c in cross[k : k + 8] + (0.0,) * (k + 8 - width):
+            table += [t + c for t in table]
+        tables.append((k, table))
+    return [
+        (cap if k + 8 >= width else None, i * width + k, table) for i, cap in enumerate(caps) for k, table in tables
+    ]
+
+
+def _reach_bound(cells: int, parts: list) -> float:
+    """Sum over the lines of the bitset ``cells`` of ``min(cap, the cross
+    capacity that the line admits)``, read from its :func:`_line_parts`."""
+    total = reach = 0.0
+    for cap, shift, table in parts:
+        reach += table[cells >> shift & 255]
+        if cap is not None:
+            total += cap if cap < reach else reach
+            reach = 0.0
+    return total
 
 
 def _best_flow_at(
@@ -300,31 +354,41 @@ def _best_flow_at(
 ):
     """Max over the maximal cliques of the cell graph ``neigh`` of the flow.
 
-    ``neigh`` holds neighbour sets; cell ``c`` is ``(rows_of[c], cols_of[c])``
-    and a clique goes to the transportation flow as those index lists.
-    Returns ``(mass, cells)``; ties go to the lexicographically smallest cells.
+    ``neigh`` holds neighbour sets over the whole grid's cells, numbered
+    row-major: cell ``c = i * ny + j`` is ``(rows_of[c], cols_of[c])``, and a
+    clique goes to the transportation flow as those index lists.  Returns
+    ``(mass, cells)``; ties go to the lexicographically smallest cells.
 
-    A subtree of the clique search, or a clique, whose :func:`_flow_bound` is
-    below ``max(best mass, target)`` less the tie tolerance is skipped: no
-    clique in it can become the best or reach the target.  So without
-    ``target`` the result is the full sweep's, and with it the sweep stops at
-    the full sweep's first witness; if no clique reaches ``target``, ``mass``
-    is the flow of ``cells`` and may be below the full sweep's mass.
+    Row ``i`` routes at most ``min(r_i, sum of c_j over the columns the cells
+    admit in row i)``, and column ``j`` likewise; the smaller of the row sum
+    and the column sum bounds the flow of a cell set and only grows as cells
+    are added.  The sweep reads it on each node's ``r | p``: the row sum on
+    the row-major bitset, the column sum, only if the row sum passes, on its
+    column-major twin (cell ``(i, j)`` is bit ``j * nx + i``), each line a
+    byte at a time from :func:`_line_parts`.  A subtree, or a clique, whose
+    bound is below ``max(best mass, target)`` less the tie tolerance is
+    skipped: no clique in it can become the best or reach the target.  So
+    without ``target`` the result is the full sweep's, and with it the sweep
+    stops at the full sweep's first witness; if no clique reaches
+    ``target``, ``mass`` is the flow of ``cells`` and may be below the full
+    sweep's mass.
     """
     rows, cols = rows_of.tolist(), cols_of.tolist()
-    r_cap, c_cap = row_caps.tolist(), col_caps.tolist()
-    best = (0.0, ())
+    r_cap, c_cap = tuple(row_caps.tolist()), tuple(col_caps.tolist())
+    by_row, by_col = _line_parts(r_cap, c_cap), _line_parts(c_cap, r_cap)
+    goal = -np.inf if target is None else target
+    best, floor = (0.0, ()), max(0.0, goal) - _TIE_TOL  # floor: max(best mass, goal) less the tolerance
 
-    def keep(cells: set) -> bool:
-        floor = best[0] if target is None else max(best[0], target)
-        return _flow_bound(cells, rows, cols, r_cap, c_cap) >= floor - _TIE_TOL
+    def keep(r: int, p: int, r_twin: int, p_twin: int) -> bool:
+        return _reach_bound(r | p, by_row) >= floor and _reach_bound(r_twin | p_twin, by_col) >= floor
 
-    for clique in _maximal_cliques(neigh, keep):
+    for clique in _maximal_cliques(neigh, keep, [j * len(r_cap) + i for i, j in zip(rows, cols)]):
         value = max_flow_value(r_cap, c_cap, ([rows[c] for c in clique], [cols[c] for c in clique]))
         if value > best[0] + _TIE_TOL or (
             value >= best[0] - _TIE_TOL and (best[1] == () or clique < best[1])
         ):
             best = (max(best[0], value), clique)
+            floor = max(best[0], goal) - _TIE_TOL
         if target is not None and best[0] >= target:
             break
     return best

@@ -143,6 +143,22 @@ def brute_best_flow(adj, rows_of, cols_of, row_caps, col_caps):
     return best, min(c for c in maximal if flow(c) >= best - 1e-12)
 
 
+def reference_flow_bound(cells, rows, cols, r_cap, c_cap):
+    """Upper bound on the flow through ``cells``, summed cell by cell.
+
+    Row ``i`` routes at most ``min(r_i, sum of c_j over the columns the cells
+    admit in row i)``, and column ``j`` likewise; the bound is the smaller of
+    the row sum and the column sum of these.  The reference for the bound
+    that ``mmdist.box._best_flow_at`` reads from subset-sum tables.
+    """
+    row_reach = [0.0] * len(r_cap)
+    col_reach = [0.0] * len(c_cap)
+    for c in cells:
+        row_reach[rows[c]] += c_cap[cols[c]]
+        col_reach[cols[c]] += r_cap[rows[c]]
+    return min(sum(map(min, r_cap, row_reach)), sum(map(min, c_cap, col_reach)))
+
+
 def reference_best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, *, target=None):
     """The clique sweep of ``mmdist.box._best_flow_at`` without its subtree cut.
 
@@ -155,7 +171,7 @@ def reference_best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, *, targe
     from mmdist.transport import max_flow_value
 
     best = (0.0, ())
-    for clique in _maximal_cliques(neigh, lambda cells: True):
+    for clique in _maximal_cliques(neigh, lambda r, p, r_twin, p_twin: True, range(len(neigh))):
         rows = sorted({int(rows_of[c]) for c in clique})
         cols = sorted({int(cols_of[c]) for c in clique})
         ub = min(float(row_caps[rows].sum()), float(col_caps[cols].sum()))

@@ -24,9 +24,10 @@ from mmdist.box import (
     EDGE_TOL,
     _best_flow_at,
     _defect_solve,
-    _flow_bound,
+    _line_parts,
     _max_weight_clique,
     _neighbour_sets,
+    _reach_bound,
 )
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
@@ -38,6 +39,7 @@ from oracles import (
     min_cut_value,
     reference_best_flow_at,
     reference_box_heuristic,
+    reference_flow_bound,
 )
 
 
@@ -165,6 +167,35 @@ class TestBoxPair:
                     assert (got_eps, got_mass, got_cells) == (eps, mass, cells)
                 if eps > cap + 4e-12:  # beyond the slack at lam >= 0.25
                     assert got_eps == np.inf
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_no_targeted_probe_repeats_a_decided_one_hypothesis(self, data):
+        # a targeted probe on a graph that its solve probed before searches
+        # only when no earlier outcome there decides it: a clique at or above
+        # the new target, or a miss at a target no larger
+        n = data.draw(st.integers(1, 6))
+        k = n * (n - 1) // 2
+        w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=n, max_size=n)))
+        delta = np.zeros((n, n))
+        levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        delta[np.triu_indices(n, 1)] = data.draw(st.lists(levels, min_size=k, max_size=k))
+        delta = delta + delta.T
+        lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        searches = []
+
+        def best_at(neigh, target):
+            found = _max_weight_clique(neigh, w, target=target)
+            if target is not None:
+                searches.append((neigh, target, found[0]))
+            return found
+
+        for cap in (np.inf, *(t + nudge for t in set(delta.ravel().tolist()) for nudge in (0.0, 1e-15))):
+            searches.clear()
+            _defect_solve(delta, float(w.sum()), lam, best_at, cap)
+            for k, (neigh, target, _) in enumerate(searches):
+                for same, earlier, mass in searches[:k]:
+                    assert same != neigh or not (mass >= target or mass < earlier <= target)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -511,18 +542,32 @@ class TestBestFlowAt:
             assert mass == pytest.approx(min_cut_value(row_caps, col_caps, mask), abs=1e-12)
 
     def test_flow_bound_is_monotone_and_above_the_flow(self):
+        # the sweep's bound read from subset-sum tables, on the row-major
+        # bitset and its column-major twin, against the per-cell reference;
+        # the first 300 cell sets, on grids up to 4x4, have one table a side,
+        # the 60 after them have a side above 8 cells (up to 1x64 and 2x32)
         rng = np.random.default_rng(43)
-        for _ in range(300):
-            nr, nc = (int(k) for k in rng.integers(1, 5, size=2))
+        wide = [(1, 64), (2, 32), (9, 1), (1, 9), (3, 10), (10, 3), (2, 12), (9, 7)]
+        for k in range(360):
+            nr, nc = (int(v) for v in rng.integers(1, 5, size=2)) if k < 300 else wide[k % len(wide)]
             rows, cols = (a.tolist() for a in np.divmod(np.arange(nr * nc), nc))
             r_cap = (rng.integers(0, 5, size=nr) / 4.0).tolist()  # zeros included
             c_cap = (rng.integers(0, 5, size=nc) / 4.0).tolist()
+            by_row, by_col = _line_parts(tuple(r_cap), tuple(c_cap)), _line_parts(tuple(c_cap), tuple(r_cap))
+
+            def bound(cells):
+                bits = sum(1 << c for c in cells)
+                twin = sum(1 << (cols[c] * nr + rows[c]) for c in cells)
+                return min(_reach_bound(bits, by_row), _reach_bound(twin, by_col))
+
             cells = [c for c in range(nr * nc) if rng.random() < 0.5]
             mask = np.zeros((nr, nc), dtype=bool)
             mask[[rows[c] for c in cells], [cols[c] for c in cells]] = True
-            bound = _flow_bound(cells, rows, cols, r_cap, c_cap)
-            assert bound >= min_cut_value(r_cap, c_cap, mask) - 1e-12
-            assert _flow_bound(cells[1:], rows, cols, r_cap, c_cap) <= bound
+            got = bound(cells)
+            assert got == pytest.approx(reference_flow_bound(cells, rows, cols, r_cap, c_cap), abs=1e-12)
+            flow = min_cut_value(r_cap, c_cap, mask) if nr <= nc else min_cut_value(c_cap, r_cap, mask.T)
+            assert got >= flow - 1e-12
+            assert bound(cells[1:]) <= got
 
 
 def exact_corpus():
@@ -556,8 +601,42 @@ def exact_corpus():
             yield X, shuffled_copy(rng, X)[0], lam
 
 
+def odd_shape_corpus():
+    """17 seeded exact-box pairs: 1x9, 9x1, 2x12 and 3x10 at lam = 0 and 1,
+    and 2x32 at lam = 1.
+
+    The first four shapes have, at each lam, a pair with equal totals and one
+    with unequal totals and a zero-weight point on each side.  A line of more
+    than 8 cells runs the sweep's flow bound on more than one byte of it.
+    Weights and distances lie on the grids of :func:`exact_corpus`.
+    """
+    rng = np.random.default_rng(2030)
+
+    def space(weights):
+        n = len(weights)
+        d = np.triu(rng.integers(4, 9, size=(n, n)) / 4.0, 1)
+        return mm_space(weights, d + d.T)
+
+    def with_zero(n):
+        w = rng.integers(1, 17, size=n + 1) / 16.0
+        w[rng.integers(n + 1)] = 0.0
+        return space(w)
+
+    for nx, ny in ((1, 9), (9, 1), (2, 12), (3, 10)):
+        for lam in (0.0, 1.0):
+            units = rng.integers(1, 17, size=max(nx, ny))
+            cuts = np.sort(rng.choice(np.arange(1, units.sum()), size=min(nx, ny) - 1, replace=False))
+            narrow = space(np.diff(np.concatenate(([0], cuts, [units.sum()]))) / 16.0)
+            wide = space(units / 16.0)
+            yield (narrow, wide, lam) if nx < ny else (wide, narrow, lam)
+            yield with_zero(nx), with_zero(ny), lam
+    # 64 cells, the default limit: rows of 32 cells, four bytes each; the
+    # lighter space gives the rows
+    yield space(rng.integers(1, 3, size=2) / 16.0), space(rng.integers(1, 17, size=32) / 16.0), 1.0
+
+
 def test_exact_reports_match_the_unpruned_sweep(monkeypatch):
-    cases = list(exact_corpus())
+    cases = list(exact_corpus()) + list(odd_shape_corpus())
     got = [json.dumps(box_distance(X, Y, lam).to_jsonable()) for X, Y, lam in cases]
     monkeypatch.setattr(box_module, "_best_flow_at", reference_best_flow_at)
     want = [json.dumps(box_distance(X, Y, lam).to_jsonable()) for X, Y, lam in cases]

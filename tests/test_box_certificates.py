@@ -5,8 +5,9 @@ was reorganised; any change to the clique sweep, the flow plan or the
 heuristic scoring that alters a certificate shows here, even when the value
 stays the same.  The unequal-mass cases, with either space heavier, freeze
 the scale-and-gap rule of ``box_distance``, ``observable_distance`` and
-``box_upper_from_witness`` in the same way.  The two seeded pairs at scale
-were frozen before the clique sweep pruned by its flow bound; their tests also
+``box_upper_from_witness`` in the same way.  Two of the seeded pairs at
+scale were frozen before the clique sweep pruned by its flow bound, and the
+8x8 pair at lam = 0 before the sweep ran on integer bitsets; their tests also
 count the maximal cliques the sweeps yield.
 """
 
@@ -195,6 +196,32 @@ SCALE_CASES = {
             },
         },
     ),
+    "8x8 lam=0": (
+        8, 0.0,
+        {
+            "value": 1.780000000000001,
+            "mode": "exact",
+            "certificate": {
+                "cells": [
+                    [3, 0], [1, 1], [6, 1], [3, 2], [4, 2], [0, 3], [2, 3], [5, 4], [1, 5], [2, 5],
+                    [7, 5], [5, 6], [7, 6], [4, 7],
+                ],
+                "retained_mass": 3.0,
+                "pair_value": 1.28,
+                "mass_gap": 0.5000000000000009,
+                "coupling": [
+                    [0.0, 0.0, 0.0, 0.042857142857142844, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.32857142857142874, 0.0, 0.0, 0.0, 0.14285714285714257, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.15714285714285717, 0.0, 0.14285714285714277, 0.0, 0.0],
+                    [0.35000000000000003, 0.0, 0.03571428571428559, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.014285714285714415, 0.0, 0.0, 0.0, 0.0, 0.7999999999999996],
+                    [0.0, 0.0, 0.0, 0.0, 0.2, 0.0, 0.014285714285714207, 0.0],
+                    [0.0, 0.4714285714285713, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.0, 0.0, 0.11428571428571466, 0.18571428571428528, 0.0],
+                ],
+            },
+        },
+    ),
     "8x8 lam=1": (
         8, 1.0,
         {
@@ -237,7 +264,8 @@ def test_certificate_at_scale_is_frozen(name, monkeypatch):
     X = random_space(rng, min_points=n, max_points=n)
     Y = random_space(rng, min_points=n, max_points=n)
     assert box_distance(X, Y, lam).to_jsonable() == expected
-    # without the flow-bound cut the sweeps yield 270,266 (7x7) and 65,445 (8x8) cliques
+    # without the flow-bound cut the sweeps yield 270,266 (7x7), 2,133,486 (8x8 at
+    # lam=0) and 65,445 (8x8 at lam=1) cliques
     assert len(swept) < 10_000
 
 
