@@ -32,12 +32,12 @@ The heuristic space solver scores trial couplings with the pair solve and
 keeps a trial only if its value is at most the incumbent's.  Feasibility is
 monotone in the tolerance, so the solve takes the incumbent as a ``cap``:
 one probe there rejects a trial whose value is above it, and a trial that
-passes is searched down from it, to the answer the cap does not change; one
-not strictly ``below`` the incumbent gets no certificate search.  The
+passes is searched down from it, to the answer the cap does not change.  The
 witness search of :mod:`mmdist.limits` gates its maps the same way.  Its
 mirror image is the ``floor`` of a running maximum (the sampled Hausdorff
 bound of :mod:`mmdist.lipschitz`): one probe at the floor settles a value
-that cannot raise it, and such a value gets no certificate.
+that cannot raise it.  A solve hands back its certificate as a function,
+which a caller calls only for a value it keeps.
 """
 
 from __future__ import annotations
@@ -205,9 +205,7 @@ def _max_weight_clique(
     return best_mass, best_set
 
 
-def _defect_solve(
-    delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf, floor: float = 0.0, below: float = np.inf
-):
+def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf, floor: float = 0.0):
     """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
 
     Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
@@ -218,20 +216,19 @@ def _defect_solve(
     the heaviest, since a probe compares the mass with ``target`` only
     (:func:`_max_weight_clique` then stops once nothing can reach it).
     The candidates are zero and the defects above the diagonal (the lower
-    half may differ within the metric tolerance).  Returns ``eps`` and the
-    heaviest clique there, or ``(eps, (0.0, ()))`` with no certificate
-    search for an ``eps`` that a gate decided (``inf`` past a failed ``cap``
+    half may differ within the metric tolerance).  Returns ``(eps,
+    certify)``, and ``certify()`` gives the heaviest clique at ``eps``; it
+    certifies no ``eps`` that a gate decided (``inf`` past a failed ``cap``
     probe, a positive ``floor`` it does not exceed; see
-    :func:`mmdist.transport._threshold_solve`) or that is not strictly
-    ``below``: a running minimum keeps no certificate it does not improve.
-    Compatible pairs only join as ``t`` grows, so their count names the
-    graph: each is built once per solve and its heaviest clique searched
-    once, and a breakpoint answer's certificate is most often the search
-    the breakpoint made at the threshold below it, on the same graph.  A
-    targeted probe on a graph probed before returns an earlier outcome that
-    decides it: a clique that reaches the new target, or one that missed a
-    target no larger, below the new one too.  The threshold search reads
-    only the mass against its target, so no bit moves.
+    :func:`mmdist.transport._threshold_solve`).  Compatible pairs only join
+    as ``t`` grows, so their count names the graph: each is built once per
+    solve and its heaviest clique searched once, and a breakpoint answer's
+    certificate is most often the search the breakpoint made at the
+    threshold below it, on the same graph.  A targeted probe on a graph
+    probed before returns an earlier outcome that decides it: a clique that
+    reaches the new target, or one that missed a target no larger, below the
+    new one too.  The threshold search reads only the mass against its
+    target, so no bit moves.
     """
     graphs: dict = {}  # count of compatible pairs -> neighbour sets
     heaviest: dict = {}  # count of compatible pairs -> best_at(neighbour sets, None)
@@ -253,9 +250,7 @@ def _defect_solve(
         return heaviest[key]
 
     eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: best_at_t(t, target)[0], cap, floor)
-    if eps >= below or (floor > 0.0 and eps == floor):  # an infinite eps is never below
-        return eps, (0.0, ())
-    return eps, best_at_t(eps, None)
+    return eps, lambda: best_at_t(eps, None)
 
 
 def _neighbour_sets(mask: np.ndarray) -> list[set]:
@@ -266,25 +261,19 @@ def _neighbour_sets(mask: np.ndarray) -> list[set]:
     return [set(cols[ends[a] : ends[a + 1]]) - {a} for a in range(len(mask))]
 
 
-def _clique_solve(
-    d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0, below: float = np.inf
-):
+def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0):
     """Exact box value ``(eps, cells)`` of defects ``d`` over positive weights ``w`` of total ``m``.
 
-    ``cells`` is the retained index set of maximum mass, lexicographically
-    smallest among ties.  With a finite ``cap`` at ``lam > 0``, ``(inf, ())``
-    when the answer is above ``cap``, decided by one probe.  With a
-    ``floor``, the value is ``max(floor, answer)``, and ``(floor, ())`` when
-    one probe shows that the answer does not exceed a positive ``floor``, and
-    ``(eps, ())`` when it is not strictly ``below``.  ``lam = 0`` takes the
-    closed form, ignores ``cap`` and ``below`` and keeps every cell.
+    ``cells()`` gives the retained index set of maximum mass, lexicographically
+    smallest among ties.  ``cap`` and ``floor`` gate ``eps`` as in
+    :func:`_defect_solve`.  ``lam = 0`` takes the closed form, ignores ``cap``
+    and keeps every cell.
     """
     if lam == 0.0:
-        return max(float(np.triu(d, 1).max(initial=0.0)), floor), tuple(range(len(w)))
-    eps, (_, cells) = _defect_solve(
-        d, m, lam, lambda neigh, target: _max_weight_clique(neigh, w, target=target), cap, floor, below
-    )
-    return eps, cells
+        return max(float(np.triu(d, 1).max(initial=0.0)), floor), lambda: tuple(range(len(w)))
+    best_at = lambda neigh, target: _max_weight_clique(neigh, w, target=target)  # noqa: E731
+    eps, certify = _defect_solve(d, m, lam, best_at, cap, floor)
+    return eps, lambda: certify()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +289,7 @@ def box_pair(pair: SemiDistancePair, lam: float, *, max_cells: int = 64) -> BoxR
     if len(s) > max_cells:
         raise SizeLimitError(f"exact box_pair refuses {len(s)} cells (limit {max_cells})")
     eps, kept = _clique_solve(np.abs(pair.d1 - pair.d2)[np.ix_(s, s)], pair.weights[s], pair.total_mass, lam)
-    cells = tuple(int(s[i]) for i in kept)
+    cells = tuple(int(s[i]) for i in kept())
     retained = float(pair.weights[list(cells)].sum()) if cells else 0.0
     return BoxResult(eps, "exact", cells, retained, eps)
 
@@ -407,10 +396,11 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     # cell c, row-major: support row rows_of[c] and column cols_of[c], points xs[c] and ys[c]
     rows_of, cols_of = np.divmod(np.arange(n_cells), len(sy))
     xs, ys = sx[rows_of], sy[cols_of]
-    eps, (mass, cells) = _defect_solve(
+    eps, certify = _defect_solve(
         np.abs(X.dist[np.ix_(xs, xs)] - Y.dist[np.ix_(ys, ys)]), m, lam,
         lambda neigh, target: _best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, target=target),
     )
+    mass, cells = certify()
     if mass + lam * eps < m - 1e-9:
         raise InternalInvariantError("box certificate lost feasibility")
     _, sub_plan = max_flow(row_caps, col_caps, (rows_of[list(cells)], cols_of[list(cells)]))
@@ -434,8 +424,9 @@ def _box_equal_mass_heuristic(
     turns such a coupling away (``inf``), and any other gets its uncapped
     value, searched down from the cap (see
     :func:`mmdist.transport._threshold_solve`); every decision is that of
-    uncapped scoring.  Only a value below ``best_eps``, its ``below``, keeps
-    cells, so a tie gets none.  The first score has no bound (``inf``).
+    uncapped scoring.  Only a value below ``best_eps`` asks for its cells,
+    so a tie gets no certificate search.  The first score has no bound
+    (``inf``).
     """
     rng = np.random.default_rng(seed)
     nx, ny = X.n, Y.n
@@ -443,23 +434,22 @@ def _box_equal_mass_heuristic(
     best_cells: tuple = ()
     best_pi: np.ndarray | None = None
 
-    def score(pi: np.ndarray) -> tuple[float, tuple]:
-        """Pair value of the pullback along ``pi`` and its kept coupling cells, or
-        ``(inf, ())`` above ``best_eps + 1e-15``; no cells at ``best_eps`` or above."""
+    def score(pi: np.ndarray) -> float:
+        """Pair value of the pullback along ``pi``, or ``inf`` above ``best_eps +
+        1e-15``; one below ``best_eps`` becomes the incumbent, with its kept cells."""
+        nonlocal best_eps, best_cells, best_pi
         pair = pullback_pair(X, Y, pi)  # its cells all have positive mass
-        eps, kept = _clique_solve(
-            np.abs(pair.d1 - pair.d2), pair.weights, pair.total_mass, lam, best_eps + 1e-15, below=best_eps
-        )
-        return eps, tuple(pair.cells[k] for k in kept)
+        eps, kept = _clique_solve(np.abs(pair.d1 - pair.d2), pair.weights, pair.total_mass, lam, best_eps + 1e-15)
+        if eps < best_eps:
+            best_eps, best_cells, best_pi = eps, tuple(pair.cells[k] for k in kept()), pi
+        return eps
 
     for attempt in range(HEURISTIC_RESTARTS):
         if attempt == 0:  # natural order: the diagonal plan for aligned spaces
             pi = northwest_plan(X.weights, Y.weights)
         else:
             pi = northwest_plan(X.weights, Y.weights, rng.permutation(nx), rng.permutation(ny))
-        eps, cells = score(pi)
-        if eps < best_eps:
-            best_eps, best_cells, best_pi = eps, cells, pi
+        score(pi)
         for _ in range(HEURISTIC_STEPS):
             # scalar draws: the stream of two size=2 draws, without numpy's size handling
             i1, i2, j1, j2 = rng.integers(nx), rng.integers(nx), rng.integers(ny), rng.integers(ny)
@@ -474,11 +464,8 @@ def _box_equal_mass_heuristic(
             trial[i2, j2] += shift
             trial[i1, j2] -= shift
             trial[i2, j1] -= shift
-            eps, cells = score(trial)
-            if eps <= best_eps + 1e-15:
+            if score(trial) <= best_eps + 1e-15:
                 pi = trial
-                if eps < best_eps:
-                    best_eps, best_cells, best_pi = eps, cells, trial
     retained = float(sum(best_pi[i, j] for i, j in best_cells))
     return BoxResult(
         best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=best_pi
@@ -503,6 +490,7 @@ def box_distance(
     """
     nonnegative(lam, "lambda")
     max_cells = whole_number(max_cells, "max_cells", 1)
+    seed = whole_number(seed, "seed", 0)
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     A, B, gap, swapped = lighter_first(X, Y)

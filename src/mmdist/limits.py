@@ -100,35 +100,35 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     enumeration bounds the maps left each time ``b`` falls.  Any other map
     passes ``b`` as the ``cap`` of its clique search, so one threshold probe
     turns away a map whose subset tolerance is above it, and any other is
-    searched down from ``b`` (see :func:`mmdist.transport._threshold_solve`);
-    its branch's acceptance bound (``b - 1e-15`` enumerating, ``b`` climbing)
-    is its ``below``, so a tolerance that cannot be accepted gets no subset
-    search.  So the prunes return the same map, subset and tolerance as
-    scoring every map.  Among tied maps the enumeration keeps the
-    lexicographically first.
+    searched down from ``b`` (see :func:`mmdist.transport._threshold_solve`).
+    Only a map that its branch accepts (below ``b - 1e-15`` enumerating,
+    below ``b`` climbing) asks for its subset.  So the prunes return the
+    same map, subset and tolerance as scoring every map.  Among tied maps
+    the enumeration keeps the lexicographically first.
     """
+    seed = whole_number(seed, "seed", 0)
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
         raise ValueError("witness_search requires equal total masses")
     sn, sx = Xn.support, X.support
     w = Xn.weights[sn]
     m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
-    def evaluate(p_support: tuple, nu: np.ndarray, below: float) -> tuple[float, tuple]:
+    def evaluate(p_support: tuple, nu: np.ndarray):  # the objective, and the subset as a function
         p = np.array(p_support, dtype=int)
         prok = prokhorov_distance(X.dist, nu, X.weights)
         if prok >= best_obj:
-            return prok, ()
+            return prok, None  # never accepted
         delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
-        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj, below=below)
+        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj)
         return max(eps_pair, prok), cells
 
     def ruled_out(nus: np.ndarray) -> np.ndarray:  # rows whose gap is above best_obj, past rounding
         need = m_support - best_obj - 1e-12 - 1e-9 * max(m_support, 1.0)
         return _flow_bounds(nus, X.dist <= best_obj + 1e-12, X.weights) < need
 
-    def climb(cand: tuple) -> tuple[float, tuple]:
+    def climb(cand: tuple):
         nu = _pushforwards(np.array([cand]), w, X.n)
-        return (np.inf, ()) if ruled_out(nu)[0] else evaluate(cand, nu[0], best_obj)
+        return (np.inf, None) if ruled_out(nu)[0] else evaluate(cand, nu[0])
 
     best_obj, best_p, best_cells = np.inf, (), ()
     if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
@@ -136,9 +136,9 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         nus, alive = _pushforwards(np.array(maps), w, X.n), np.ones(len(maps), dtype=bool)
         for k, cand in enumerate(maps):
             if alive[k]:
-                obj, cells = evaluate(cand, nus[k], best_obj - 1e-15)
+                obj, cells = evaluate(cand, nus[k])
                 if obj < best_obj - 1e-15:
-                    best_obj, best_p, best_cells = obj, cand, cells
+                    best_obj, best_p, best_cells = obj, cand, cells()
                     rest = k + 1 + np.flatnonzero(alive[k + 1 :])
                     alive[rest] = ~ruled_out(nus[rest])
     else:
@@ -147,14 +147,14 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
             cand = tuple(rng.choice(sx, size=len(sn)).tolist())
             obj, cells = climb(cand)
             if obj < best_obj:
-                best_obj, best_p, best_cells = obj, cand, cells
+                best_obj, best_p, best_cells = obj, cand, cells()
             for _ in range(ANNEAL_STEPS):
                 trial = list(best_p)
                 trial[int(rng.integers(len(sn)))] = int(rng.choice(sx))
                 trial = tuple(trial)
                 obj, cells = climb(trial)
                 if obj < best_obj:
-                    best_obj, best_p, best_cells = obj, trial, cells
+                    best_obj, best_p, best_cells = obj, trial, cells()
     p_full = np.full(Xn.n, int(sx[0]), dtype=int)
     for k, i in enumerate(sn):
         p_full[i] = best_p[k]
@@ -222,6 +222,7 @@ def empirical_convergence_experiment(
     sample-to-point map.
     """
     max_cells = whole_number(max_cells, "max_cells", 1)
+    seed = whole_number(seed, "seed", 0)
     if abs(X.total_mass - 1.0) > 1e-9:
         raise ValueError("empirical experiments require a normalized space")
     rows = []

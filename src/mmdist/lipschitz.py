@@ -316,6 +316,7 @@ def hli_lambda(
     a probe that cannot raise it costs one threshold probe, not a search.
     """
     mode = _mode(lam, mode)
+    seed = whole_number(seed, "seed", 0)
     sets = (Lip1Set(pair.d1, pair.weights), Lip1Set(pair.d2, pair.weights))
     if mode == "exact0":
         gap = np.abs(sets[0].closure - sets[1].closure)
@@ -355,6 +356,7 @@ def observable_distance(
     """
     mode = _mode(lam, mode)
     max_cells = whole_number(max_cells, "max_cells", 1)
+    seed = whole_number(seed, "seed", 0)
     X, Y, gap, swapped = lighter_first(X, Y)
     if mode == "exact0":
         box = box_distance(X, Y, 0.0, "exact", max_cells=max_cells)

@@ -159,6 +159,7 @@ def sample_mu_r(space: FiniteMMSpace, r: int, count: int, seed: int = 0) -> Matr
     """
     r = whole_number(r, "r", 1)
     count = whole_number(count, "count", 0)
+    seed = whole_number(seed, "seed", 0)
     if count == 0:
         return MatrixDistribution(r, np.zeros((0, r * r)), np.zeros(0))
     rng = np.random.default_rng(seed)

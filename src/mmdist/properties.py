@@ -28,6 +28,7 @@ from .core import (
     random_coupling,
     scale_measure,
     validate,
+    whole_number,
 )
 from .limits import (
     compose_domination,
@@ -540,10 +541,13 @@ def run_suite(seed: int = 0, samples: float = 1.0, names=None) -> dict:
     """Run the property battery; returns a deterministic JSON-ready report.
 
     ``samples`` scales every property's trial count and must be finite and
-    nonnegative; each property runs at least one trial.
+    nonnegative; each property runs at least one trial.  ``names`` selects
+    the properties (all by default) and must name at least one.
     """
-    if names is None:
-        names = sorted(PROPERTIES)
+    seed = whole_number(seed, "seed", 0)
+    names = list(PROPERTIES if names is None else names)  # a one-pass iterable is read once
+    if not names:
+        raise ValueError("the property selection names no property")
     unknown = [n for n in names if n not in PROPERTIES]
     if unknown:
         raise ValueError(f"unknown properties: {unknown}")

@@ -59,6 +59,12 @@ class TestBoxCommand:
     def test_missing_input_exits_one(self, capsys, tmp_path):
         assert main(["box", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")]) == 1
 
+    def test_negative_seed_exits_one_naming_it(self, capsys, spaces):
+        # printed numpy's message, which does not name the seed
+        x, y = spaces
+        assert exit_code(["box", x, y, "--mode", "heuristic", "--seed", "-1"]) == 1
+        assert "seed must be nonnegative and a whole number, got -1" in capsys.readouterr().err
+
     def test_size_limit_exits_two(self, tmp_path, capsys):
         n = 9
         p = tmp_path / "big.json"
@@ -460,6 +466,12 @@ class TestSuiteCommand:
 
     def test_unknown_property_rejected(self, capsys):
         assert main(["suite", "--properties", "not-a-property"]) == 1
+
+    def test_empty_property_selection_rejected(self, capsys):
+        # ran no property and reported a pass, with exit 0
+        assert main(["suite", "--properties", ","]) == 1
+        captured = capsys.readouterr()
+        assert "property selection" in captured.err and captured.out == ""
 
     def test_lip_factorization_seed_three_finishes(self):
         # the pulled-back pairs of this seed reach supports 7 to 9, where an

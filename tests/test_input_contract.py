@@ -49,8 +49,10 @@ from mmdist import (
     sample_mu_r,
     semidist_pair,
     validate,
+    witness_search,
 )
 from mmdist.cli import main
+from mmdist.properties import run_suite
 
 WEIGHT_NAMES = {"weights", "mu", "nu", "cell_masses"}
 FUNCTION_NAMES = {"f", "g"}
@@ -313,11 +315,40 @@ def test_lip1set_bad_input_rejected(dist, weights, message):
             lambda: box_distance(X, X, 1.0, max_cells=2.5), "max_cells must be at least 1 and a whole number, got 2.5",
             id="box_distance-max_cells",
         ),
+        # every seed, whatever the mode: 1.5 raised TypeError, -1 numpy's
+        # message without the name, in the modes that draw from the seed
+        *(
+            pytest.param(partial(call, seed), f"seed must be nonnegative and a whole number, got {seed}",
+                         id=f"{name}-seed-{seed}")
+            for name, call in {
+                "box_distance-heuristic": lambda seed: box_distance(X, X, 1.0, "heuristic", seed=seed),
+                "box_distance-exact": lambda seed: box_distance(X, X, 1.0, seed=seed),
+                "hli_lambda": lambda seed: hli_lambda(semidist_pair(W, D, D), 0.0, seed=seed),
+                "observable_distance": lambda seed: observable_distance(X, X, 1.0, samples=2, seed=seed),
+                "sample_mu_r": lambda seed: sample_mu_r(X, 2, 4, seed=seed),
+                "witness_search": lambda seed: witness_search(X, X, seed=seed),
+                "empirical_convergence_experiment": lambda seed: empirical_convergence_experiment(X, [2], seed=seed),
+                "run_suite": lambda seed: run_suite(seed=seed, names=["scale-roundtrip"]),
+            }.items()
+            for seed in (1.5, -1)
+        ),
     ],
 )
 def test_non_whole_parameter_raises_value_error_naming_it(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_empty_property_selection_rejected():
+    # ran no property and reported a pass
+    with pytest.raises(ValueError, match="property selection"):
+        run_suite(names=[])
+
+
+def test_one_pass_property_selection_runs_its_properties():
+    # the unknown-name check used up an iterator, so no property ran and the report passed
+    report = run_suite(names=iter(["scale-roundtrip"]), samples=0)
+    assert [p["name"] for p in report["properties"]] == ["scale-roundtrip"]
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,8 @@ def test_heuristic_box_rejects_by_one_probe(monkeypatch):
 
 
 def test_tied_heuristic_trial_runs_no_certificate_search(monkeypatch):
-    # a trial whose value is not strictly below the incumbent keeps no cells,
-    # so its pair solve runs no clique search after its threshold search
+    # only a trial strictly below the incumbent asks for its cells, so a tied
+    # one runs no clique search after its threshold search
     from mmdist import box as box_module
     from mmdist.instances import random_space
 
@@ -152,7 +152,7 @@ def test_tied_heuristic_trial_runs_no_certificate_search(monkeypatch):
     X, Y = (random_space(rng, min_points=6, max_points=6) for _ in range(2))
     solve, search = box_module._clique_solve, box_module._max_weight_clique
     threshold_solve = box_module._threshold_solve
-    scores = []  # [value, below, clique searches after the threshold search] per scored coupling
+    scores = []  # [value, incumbent, clique searches after the threshold search] per scored coupling
 
     def counted_search(*args, **kwargs):
         scores[-1][2] += 1
@@ -163,9 +163,11 @@ def test_tied_heuristic_trial_runs_no_certificate_search(monkeypatch):
         scores[-1][2] = 0  # count only the certificate search from here on
         return eps
 
-    def recorded_solve(d, w, m, lam, cap=np.inf, floor=0.0, below=np.inf):
-        scores.append([None, below, 0])
-        eps, cells = solve(d, w, m, lam, cap, floor, below)
+    def recorded_solve(d, w, m, lam, cap=np.inf, floor=0.0):
+        # the incumbent is the least value scored so far; the searches of the
+        # returned cells() count toward this score, which asks before the next
+        scores.append([None, min((eps for eps, _, _ in scores), default=np.inf), 0])
+        eps, cells = solve(d, w, m, lam, cap, floor)
         scores[-1][0] = eps
         return eps, cells
 
@@ -173,11 +175,48 @@ def test_tied_heuristic_trial_runs_no_certificate_search(monkeypatch):
     monkeypatch.setattr(box_module, "_threshold_solve", marked_threshold_solve)
     monkeypatch.setattr(box_module, "_clique_solve", recorded_solve)
     mmdist.box_distance(X, Y, 1.0, "heuristic", seed=0)
-    ties = [n for eps, below, n in scores if below <= eps < np.inf]
-    better = [n for eps, below, n in scores if eps < below]
+    ties = [n for eps, incumbent, n in scores if incumbent <= eps < np.inf]
+    better = [n for eps, incumbent, n in scores if eps < incumbent]
     assert (len(scores), len(ties), len(better)) == (105, 19, 16)
     # a better trial's certificate may reuse the search of its breakpoint
     assert set(ties) == {0} and set(better) == {0, 1}
+
+
+def test_value_only_solves_run_no_certificate_search(monkeypatch):
+    # lip_point_distance and box_upper_from_witness keep only the value, so at
+    # a floor of 0 their pair solve runs no clique search after its threshold
+    # search.  Both answers here are thresholds, whose certificate would be a
+    # search of its own (a breakpoint's reuses the one below it)
+    from mmdist import box as box_module
+    from mmdist.instances import random_pair_matrices, random_space
+    from mmdist.lipschitz import Lip1Set, lip_point_distance
+
+    search, threshold_solve = box_module._max_weight_clique, box_module._threshold_solve
+    solves = []  # [answer is a threshold, clique searches after the threshold search] per pair solve
+
+    def counted_search(*args, **kwargs):
+        solves[-1][1] += 1
+        return search(*args, **kwargs)
+
+    def marked_threshold_solve(values, *args):
+        solves.append([None, 0])
+        eps = threshold_solve(values, *args)
+        solves[-1] = [bool(eps > 0.0 and np.isin(eps, values)), 0]  # count only from here on
+        return eps
+
+    rng = np.random.default_rng(21)
+    w = rng.integers(1, 5, size=5).astype(float) * 0.25
+    source, target = Lip1Set(random_pair_matrices(rng, 5), w), Lip1Set(random_pair_matrices(rng, 5), w)
+    rng = np.random.default_rng(0)
+    X = mmdist.normalized(random_space(rng, min_points=4, max_points=4))
+    bump = np.triu(rng.uniform(0.0, 0.3, size=(4, 4)), 1)
+    Xn = mmdist.mm_space(X.weights, X.dist + bump + bump.T)
+    witness = mmdist.witness_search(Xn, X)
+    monkeypatch.setattr(box_module, "_max_weight_clique", counted_search)
+    monkeypatch.setattr(box_module, "_threshold_solve", marked_threshold_solve)
+    assert lip_point_distance(source._extend(source.closure[:, 0]), target, 1.0) == 0.44
+    assert mmdist.box_upper_from_witness(Xn, X, witness) > 0.0
+    assert solves == [[True, 0], [True, 0]]
 
 
 def test_lipschitz_check_clique_layer_fires():
@@ -250,8 +289,8 @@ def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
     rng = np.random.default_rng(21)
     w = rng.integers(1, 5, size=5).astype(float) * 0.25
     pair = mmdist.semidist_pair(w, random_pair_matrices(rng, 5), random_pair_matrices(rng, 5))
-    assert traced(lambda: mmdist.hli_lambda(pair, 1.0, "sampled", samples=24)) == (86, 0)
-    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (291, 0)
+    assert traced(lambda: mmdist.hli_lambda(pair, 1.0, "sampled", samples=24)) == (82, 0)
+    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (236, 0)
 
     rng = np.random.default_rng(0)
     X = mmdist.normalized(random_space(rng, min_points=4, max_points=4))
@@ -259,5 +298,5 @@ def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
     Xn = mmdist.mm_space(X.weights, X.dist + bump + bump.T)
     assert traced(lambda: mmdist.witness_search(Xn, X)) == (63, 53)
     uncapped = box_module._clique_solve
-    monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap, below: uncapped(d, w, m, lam))
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (226, 53)
+    monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap: uncapped(d, w, m, lam))
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (211, 53)
