@@ -14,9 +14,9 @@ search is combinatorial.  Second, for a fixed tolerance the retained cells
 must be pairwise compatible (a clique in the defect graph) and the retainable
 mass is a transportation max-flow, both of which change only at finitely many
 thresholds: the pairwise defect values and the mass breakpoints
-``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this
-candidate set: a threshold search whose probes build each defect graph once,
-as neighbour sets, then a certificate (retained cells, and for space-level
+``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this candidate
+set: a threshold search whose probes each hand a search their defect graph as
+one boolean matrix, then a certificate (retained cells, and for space-level
 solves an optimal coupling).  The pair solver plugs in a maximum-weight clique,
 the space solver a flow over maximal cliques; it numbers the coupling cells
 once, row-major, and the defect matrix, the sweep, the flows (on a clique's row
@@ -24,9 +24,9 @@ and column index lists) and the certificate all read that one numbering.  The
 flow sweep is a Bron-Kerbosch recursion on integer bitsets
 (:func:`_maximal_cliques`) that yields its cliques in the order of the same
 recursion on sorted sets.  It prunes subtrees by a per-row/per-column flow
-bound against the best flow so far or the probe's target, read from
-subset-sum tables on the row-major bitset of a node and on its column-major
-twin, which the recursion carries alongside (:func:`_best_flow_at`).
+bound against the best flow so far or the probe's target, read from subset-sum
+tables on the row-major bitset of a node and on its column-major twin, which
+the recursion carries alongside (:func:`_best_flow_at`).
 
 The heuristic space solver scores trial couplings with the pair solve and
 keeps a trial only if its value is at most the incumbent's.  Feasibility is
@@ -108,24 +108,27 @@ class BoxResult:
 # clique machinery
 
 
-def _maximal_cliques(neigh: list[set], keep, twin):
-    """Yield maximal cliques of a graph given as neighbour sets (Bron-Kerbosch).
+def _maximal_cliques(adj: np.ndarray, keep, twin):
+    """Yield maximal cliques of the graph of a boolean matrix (Bron-Kerbosch).
 
-    The recursion runs on integer bitsets (bit ``v`` for vertex ``v``): the
-    clique ``r``, the candidates ``p``, the excluded ``x`` and each neighbour
-    set.  The pivot is the lowest vertex of ``p | x`` with the most
-    neighbours in ``p``, candidates go lowest first, and cliques come as
-    ascending tuples: the pivots, branches and output of the same recursion
-    on sorted sets, so the cliques come in the same order.  ``r`` and ``p``
-    are also carried as bitsets in the numbering ``twin[v]``, one more AND
-    per child.  ``keep(r, p, r_twin, p_twin)`` is asked at every node that
-    may hold a maximal clique (not one with no candidates and some excluded
-    vertex); every clique below the node lies in ``r | p``, and a false
-    answer skips the subtree, the other cliques coming in the same order.
+    ``adj[a, b]`` joins ``a`` and ``b``; its diagonal is ignored.  The
+    recursion runs on integer bitsets (bit ``v`` for vertex ``v``): the
+    clique ``r``, the candidates ``p``, the excluded ``x`` and the rows of
+    ``adj``, packed at once.  The pivot is the lowest vertex of ``p | x``
+    with the most neighbours in ``p``, candidates go lowest first, and
+    cliques come as ascending tuples: the pivots, branches and output of the
+    same recursion on sorted sets, so the cliques come in the same order.
+    ``r`` and ``p`` are also carried, and the rows packed, as bitsets in the
+    numbering ``twin[v]`` (a permutation), one more AND per child.
+    ``keep(r, p, r_twin, p_twin)`` is asked at every node that may hold a
+    maximal clique (not one with no candidates and some excluded vertex);
+    every clique below the node lies in ``r | p``, and a false answer skips
+    the subtree, the other cliques coming in the same order.
     """
-    nb = [sum(map((1).__lshift__, s)) for s in neigh]
+    adj = np.asarray(adj, dtype=bool) & ~np.eye(len(adj), dtype=bool)
+    nb, nb_twin = ([int.from_bytes(row.tobytes(), "little") for row in np.packbits(a, axis=1, bitorder="little")]
+                   for a in (adj, adj[:, np.argsort(twin)]))
     tb = [1 << t for t in twin]
-    nb_twin = [sum(map(tb.__getitem__, s)) for s in neigh]
 
     def below(r: int, p: int, x: int, rt: int, pt: int):
         if not p:
@@ -148,16 +151,17 @@ def _maximal_cliques(neigh: list[set], keep, twin):
                 yield from below(r | low, child_p, child_x, rt | tb[v], child_pt)
             p, pt, x, cand = p ^ low, pt ^ tb[v], x | low, cand ^ low
 
-    p, pt = (1 << len(neigh)) - 1, sum(tb)
+    p, pt = (1 << len(nb)) - 1, sum(tb)
     if keep(0, p, 0, pt):
         yield from below(0, p, 0, 0, pt)
 
 
 def _max_weight_clique(
-    neigh: list[set], weights: np.ndarray, *, target: float | None = None, least: float = -np.inf
+    adj: np.ndarray, weights: np.ndarray, *, target: float | None = None, least: float = -np.inf
 ) -> tuple[float, tuple]:
-    """Branch-and-bound maximum-weight clique of a graph given as neighbour sets.
+    """Branch-and-bound maximum-weight clique of the graph of a boolean matrix.
 
+    ``adj[a, b]`` joins ``a`` and ``b``; the diagonal is never read.
     Returns ``(mass, vertices)`` maximizing mass, then taking the
     lexicographically smallest vertex tuple among (near-)ties.  With
     ``target`` set the search stops as soon as any clique reaches it, in
@@ -165,10 +169,10 @@ def _max_weight_clique(
     skips every subtree that cannot reach ``target`` or ``least`` less the
     tie tolerance, and goes on past a clique that reaches ``least``; so a
     search that misses either returns a clique below it, maybe lighter than
-    the heaviest.  The weights are read as a Python list, which indexes
-    faster than numpy one scalar at a time and adds the same floats.
+    the heaviest.  The weights and rows are read as Python lists, which
+    index faster than numpy one scalar at a time and add the same floats.
     """
-    weights = np.asarray(weights, dtype=float).tolist()
+    weights, rows = np.asarray(weights, dtype=float).tolist(), adj.tolist()
     n = len(weights)
     order = sorted(range(n), key=lambda v: -weights[v])
     goal = max(least, -np.inf if target is None else float(target))
@@ -196,7 +200,8 @@ def _max_weight_clique(
         for idx, v in enumerate(cand):
             if mass + remaining < max(best_mass, goal) - _TIE_TOL:
                 return  # even taking every remaining candidate cannot win or reach the target
-            expand(r + [v], mass + weights[v], [u for u in cand[idx + 1 :] if u in neigh[v]])
+            row = rows[v]
+            expand(r + [v], mass + weights[v], [u for u in cand[idx + 1 :] if row[u]])
             if done:
                 return
             remaining -= weights[v]
@@ -209,11 +214,11 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
     """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
 
     Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
-    EDGE_TOL``, and ``best_at(neigh, target)`` takes each cell's set of
-    compatible cells and returns ``(mass, cells)``: with ``target`` None, a
-    heaviest clique of those sets; with a ``target``, a clique whose mass
-    reaches ``target`` if one does, and otherwise one below it, maybe below
-    the heaviest, since a probe compares the mass with ``target`` only
+    EDGE_TOL``, and ``best_at(mask, target)`` takes that boolean matrix (its
+    diagonal is not read) and returns ``(mass, cells)``: with ``target``
+    None, a heaviest clique of its graph; with a ``target``, a clique whose
+    mass reaches ``target`` if one does, and otherwise one below it, maybe
+    below the heaviest, since a probe compares the mass with ``target`` only
     (:func:`_max_weight_clique` then stops once nothing can reach it).
     The candidates are zero and the defects above the diagonal (the lower
     half may differ within the metric tolerance).  Returns ``(eps,
@@ -221,44 +226,32 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
     certifies no ``eps`` that a gate decided (``inf`` past a failed ``cap``
     probe, a positive ``floor`` it does not exceed; see
     :func:`mmdist.transport._threshold_solve`).  Compatible pairs only join
-    as ``t`` grows, so their count names the graph: each is built once per
-    solve and its heaviest clique searched once, and a breakpoint answer's
-    certificate is most often the search the breakpoint made at the
-    threshold below it, on the same graph.  A targeted probe on a graph
-    probed before returns an earlier outcome that decides it: a clique that
-    reaches the new target, or one that missed a target no larger, below the
-    new one too.  The threshold search reads only the mass against its
+    as ``t`` grows, so their count names the graph: its heaviest clique is
+    searched once per solve, and a breakpoint answer's certificate is most
+    often the search the breakpoint made at the threshold below it, on the
+    same graph.  A targeted probe on a graph probed before returns an
+    earlier outcome that decides it: a clique that reaches the new target,
+    or one that missed a target no larger, below the new one too.  The threshold search reads only the mass against its
     target, so no bit moves.
     """
-    graphs: dict = {}  # count of compatible pairs -> neighbour sets
-    heaviest: dict = {}  # count of compatible pairs -> best_at(neighbour sets, None)
-    probed: dict = {}  # count of compatible pairs -> [(target, best_at(neighbour sets, target)), ...]
+    heaviest: dict = {}  # count of compatible pairs -> best_at(mask, None)
+    probed: dict = {}  # count of compatible pairs -> [(target, best_at(mask, target)), ...]
 
     def best_at_t(t: float, target):
         mask = delta <= t + EDGE_TOL
         key = int(np.count_nonzero(mask))
-        if key not in graphs:
-            graphs[key] = _neighbour_sets(mask)
         if target is not None:
             for earlier, (mass, cells) in probed.setdefault(key, []):
                 if mass >= target or mass < earlier <= target:
                     return mass, cells
-            probed[key].append((target, best_at(graphs[key], target)))
+            probed[key].append((target, best_at(mask, target)))
             return probed[key][-1][1]
         if key not in heaviest:
-            heaviest[key] = best_at(graphs[key], None)
+            heaviest[key] = best_at(mask, None)
         return heaviest[key]
 
     eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: best_at_t(t, target)[0], cap, floor)
     return eps, lambda: best_at_t(eps, None)
-
-
-def _neighbour_sets(mask: np.ndarray) -> list[set]:
-    """Each row's true columns but its own: the graph form the clique searches take."""
-    rows, cols = np.nonzero(mask)
-    ends = np.searchsorted(rows, np.arange(len(mask) + 1)).tolist()  # row a: ends[a]:ends[a + 1]
-    cols = cols.tolist()
-    return [set(cols[ends[a] : ends[a + 1]]) - {a} for a in range(len(mask))]
 
 
 def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0):
@@ -271,7 +264,7 @@ def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float
     """
     if lam == 0.0:
         return max(float(np.triu(d, 1).max(initial=0.0)), floor), lambda: tuple(range(len(w)))
-    best_at = lambda neigh, target: _max_weight_clique(neigh, w, target=target)  # noqa: E731
+    best_at = lambda mask, target: _max_weight_clique(mask, w, target=target)  # noqa: E731
     eps, certify = _defect_solve(d, m, lam, best_at, cap, floor)
     return eps, lambda: certify()[1]
 
@@ -333,7 +326,7 @@ def _reach_bound(cells: int, parts: list) -> float:
 
 
 def _best_flow_at(
-    neigh: list[set],
+    adj: np.ndarray,
     rows_of: np.ndarray,
     cols_of: np.ndarray,
     row_caps: np.ndarray,
@@ -341,12 +334,13 @@ def _best_flow_at(
     *,
     target: float | None = None,
 ):
-    """Max over the maximal cliques of the cell graph ``neigh`` of the flow.
+    """Max over the maximal cliques of the cell graph ``adj`` of the flow.
 
-    ``neigh`` holds neighbour sets over the whole grid's cells, numbered
-    row-major: cell ``c = i * ny + j`` is ``(rows_of[c], cols_of[c])``, and a
-    clique goes to the transportation flow as those index lists.  Returns
-    ``(mass, cells)``; ties go to the lexicographically smallest cells.
+    ``adj`` is a boolean matrix over the whole grid's cells (its diagonal is
+    ignored), numbered row-major: cell ``c = i * ny + j`` is ``(rows_of[c],
+    cols_of[c])``, and a clique goes to the transportation flow as those
+    index lists.  Returns ``(mass, cells)``; ties go to the
+    lexicographically smallest cells.
 
     Row ``i`` routes at most ``min(r_i, sum of c_j over the columns the cells
     admit in row i)``, and column ``j`` likewise; the smaller of the row sum
@@ -371,7 +365,7 @@ def _best_flow_at(
     def keep(r: int, p: int, r_twin: int, p_twin: int) -> bool:
         return _reach_bound(r | p, by_row) >= floor and _reach_bound(r_twin | p_twin, by_col) >= floor
 
-    for clique in _maximal_cliques(neigh, keep, [j * len(r_cap) + i for i, j in zip(rows, cols)]):
+    for clique in _maximal_cliques(adj, keep, [j * len(r_cap) + i for i, j in zip(rows, cols)]):
         value = max_flow_value(r_cap, c_cap, ([rows[c] for c in clique], [cols[c] for c in clique]))
         if value > best[0] + _TIE_TOL or (
             value >= best[0] - _TIE_TOL and (best[1] == () or clique < best[1])
@@ -398,7 +392,7 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     xs, ys = sx[rows_of], sy[cols_of]
     eps, certify = _defect_solve(
         np.abs(X.dist[np.ix_(xs, xs)] - Y.dist[np.ix_(ys, ys)]), m, lam,
-        lambda neigh, target: _best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, target=target),
+        lambda mask, target: _best_flow_at(mask, rows_of, cols_of, row_caps, col_caps, target=target),
     )
     mass, cells = certify()
     if mass + lam * eps < m - 1e-9:

@@ -233,7 +233,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | str, dict, int]:
 
     if cmd == "suite":
         names = None
-        if args.properties:
+        if args.properties is not None:
             names = [s.strip() for s in str(args.properties).split(",") if s.strip()]
         scale = 1.0 if args.samples is None else args.samples
         rep = run_suite(seed=args.seed, samples=scale, names=names)

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .box import _clique_solve, _max_weight_clique, _neighbour_sets, box_distance, box_upper_from_witness
+from .box import _clique_solve, _max_weight_clique, box_distance, box_upper_from_witness
 from .core import (FiniteMMSpace, Witness, _as_indices, _index_violations, _refuse, _semimetric_violations,
                    _weight_violations, nonnegative, whole_number)
 from .errors import SizeLimitError
@@ -68,7 +68,7 @@ def lipschitz_up_to_check(
     dX = X.dist[np.ix_(s, s)]
     ok = dY <= lam * dX + eps + 1e-12
     # maximum-mass subset that is pairwise admissible = max-weight clique
-    _, clique = _max_weight_clique(_neighbour_sets(ok), X.weights[s], least=X.total_mass - eps - 1e-9)
+    _, clique = _max_weight_clique(ok, X.weights[s], least=X.total_mass - eps - 1e-9)
     kept = s[list(clique)]
     dropped = X.total_mass - float(X.weights[kept].sum())
     if dropped > eps + 1e-9:
@@ -400,9 +400,7 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
     stays pairwise within the tolerance is a maximum clique of the graph
     ``M <= eps + 1e-12``, found exactly by the unit-weight clique search; a
     chain covering the whole sequence means the sequence is uniformly
-    clustered at that scale.  A graph keeps the edges of the last, so each
-    search takes the last chain's length as ``least``: a subtree it skips
-    holds no longest chain, so ties among those are settled as before.
+    clustered at that scale.
     """
     w, dY = np.asarray(weights, dtype=float), np.asarray(dY, dtype=float)
     _refuse(_weight_violations(w, w.size, "weight") + _semimetric_violations(dY, len(np.atleast_1d(dY)), "dY"))
@@ -415,8 +413,5 @@ def me1_subsequence_diagnostic(maps, weights, dY) -> Me1Diagnostic:
         for j in range(i + 1, k):
             M[i, j] = M[j, i] = me_lambda(dY[maps[i], maps[j]], np.zeros(w.size), w, 1.0)
     eps_grid = np.unique(M[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
-    chains = [(0.0, ())]  # each search needs to reach the length of the last chain
-    for eps in eps_grid:
-        neigh = _neighbour_sets(M <= eps + 1e-12)
-        chains.append((float(eps), _max_weight_clique(neigh, np.ones(k), least=len(chains[-1][1]))[1]))
-    return Me1Diagnostic(M, tuple(chains[1:]))
+    chains = tuple((float(eps), _max_weight_clique(M <= eps + 1e-12, np.ones(k))[1]) for eps in eps_grid)
+    return Me1Diagnostic(M, chains)

@@ -159,7 +159,7 @@ def reference_flow_bound(cells, rows, cols, r_cap, c_cap):
     return min(sum(map(min, r_cap, row_reach)), sum(map(min, c_cap, col_reach)))
 
 
-def reference_best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, *, target=None):
+def reference_best_flow_at(adj, rows_of, cols_of, row_caps, col_caps, *, target=None):
     """The clique sweep of ``mmdist.box._best_flow_at`` without its subtree cut.
 
     Every maximal clique is enumerated; a clique is skipped only when its
@@ -171,7 +171,7 @@ def reference_best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, *, targe
     from mmdist.transport import max_flow_value
 
     best = (0.0, ())
-    for clique in _maximal_cliques(neigh, lambda r, p, r_twin, p_twin: True, range(len(neigh))):
+    for clique in _maximal_cliques(adj, lambda r, p, r_twin, p_twin: True, range(len(adj))):
         rows = sorted({int(rows_of[c]) for c in clique})
         cols = sorted({int(cols_of[c]) for c in clique})
         ub = min(float(row_caps[rows].sum()), float(col_caps[cols].sum()))
@@ -187,19 +187,19 @@ def reference_best_flow_at(neigh, rows_of, cols_of, row_caps, col_caps, *, targe
     return best
 
 
-def brute_max_weight_clique(neigh, weights, tie_tol=1e-12):
-    """Heaviest clique of a graph given as neighbour sets, by enumeration.
+def brute_max_weight_clique(adj, weights, tie_tol=1e-12):
+    """Heaviest clique of the graph of a boolean matrix, by enumeration.
 
     Returns ``(mass, cells)``: the largest clique mass, and among the
     nonempty cliques whose mass is within ``tie_tol`` of it the
     lexicographically smallest vertex tuple.
     """
-    n = len(neigh)
+    n = len(adj)
     cliques = [
         c
         for k in range(1, n + 1)
         for c in combinations(range(n), k)
-        if all(b in neigh[a] for a, b in combinations(c, 2))
+        if all(adj[a][b] for a, b in combinations(c, 2))
     ]
     mass = {c: float(sum(weights[v] for v in c)) for c in cliques}
     best = max(mass.values())
@@ -685,12 +685,11 @@ def reference_threshold_solve(values, m, lam, retained_max, cap=np.inf, floor=0.
 
 def reference_me1_chains(matrix):
     """The chains of ``mmdist.limits.me1_subsequence_diagnostic`` from its matrix,
-    one clique search per distinct pairwise value with no lower bound taken
-    from the chain before."""
-    from mmdist.box import _max_weight_clique, _neighbour_sets
+    one plain clique search per distinct pairwise value."""
+    from mmdist.box import _max_weight_clique
 
     k = len(matrix)
     grid = np.unique(matrix[np.triu_indices(k, k=1)]) if k > 1 else np.array([0.0])
     return tuple(
-        (float(eps), _max_weight_clique(_neighbour_sets(matrix <= eps + 1e-12), np.ones(k))[1]) for eps in grid
+        (float(eps), _max_weight_clique(matrix <= eps + 1e-12, np.ones(k))[1]) for eps in grid
     )

@@ -26,7 +26,7 @@ from mmdist.box import (
     _defect_solve,
     _line_parts,
     _max_weight_clique,
-    _neighbour_sets,
+    _maximal_cliques,
     _reach_bound,
 )
 from mmdist.instances import random_space, random_space_total, shuffled_copy
@@ -43,20 +43,22 @@ from oracles import (
 )
 
 
-def neighbour_sets(adj):
-    """Neighbour sets, the form the clique searches take, of a symmetric
-    boolean matrix with a false diagonal."""
-    return [set(np.flatnonzero(row).tolist()) for row in adj]
-
-
-def test_neighbour_sets_drop_the_diagonal():
+def test_clique_searches_ignore_the_diagonal():
+    # a probe's mask has a true diagonal (each cell's zero self-defect) and a
+    # test graph a false one; both searches read the same graph from either
     rng = np.random.default_rng(4)
-    for n in range(6):
-        mask = rng.random((n, n)) < 0.5
-        mask = mask | mask.T
-        off = mask.copy()
-        np.fill_diagonal(off, False)
-        assert _neighbour_sets(mask) == neighbour_sets(off)
+    for n in range(1, 9):
+        for _ in range(4):
+            mask = rng.random((n, n)) < 0.5
+            mask = mask | mask.T
+            on, off = mask.copy(), mask.copy()
+            np.fill_diagonal(on, True)
+            np.fill_diagonal(off, False)
+            w = rng.integers(0, 17, size=n) / 16.0
+            assert _max_weight_clique(on, w) == _max_weight_clique(off, w)
+            twin = rng.permutation(n).tolist()
+            sweeps = [list(_maximal_cliques(a, lambda r, p, rt, pt: True, twin)) for a in (on, off)]
+            assert sweeps[0] == sweeps[1] and sweeps[0]
 
 
 def cross_pair(w, a, b):
@@ -153,7 +155,7 @@ class TestBoxPair:
         m = float(w.sum())
 
         def solve(cap):
-            best_at = lambda neigh, target: _max_weight_clique(neigh, w, target=target)  # noqa: E731
+            best_at = lambda mask, target: _max_weight_clique(mask, w, target=target)  # noqa: E731
             return _defect_solve(delta, m, lam, best_at, cap)
 
         eps, certify = solve(np.inf)
@@ -184,18 +186,18 @@ class TestBoxPair:
         lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
         searches = []
 
-        def best_at(neigh, target):
-            found = _max_weight_clique(neigh, w, target=target)
+        def best_at(mask, target):
+            found = _max_weight_clique(mask, w, target=target)
             if target is not None:
-                searches.append((neigh, target, found[0]))
+                searches.append((mask, target, found[0]))
             return found
 
         for cap in (np.inf, *(t + nudge for t in set(delta.ravel().tolist()) for nudge in (0.0, 1e-15))):
             searches.clear()
             _defect_solve(delta, float(w.sum()), lam, best_at, cap)
-            for k, (neigh, target, _) in enumerate(searches):
+            for k, (mask, target, _) in enumerate(searches):
                 for same, earlier, mass in searches[:k]:
-                    assert same != neigh or not (mass >= target or mass < earlier <= target)
+                    assert not np.array_equal(same, mask) or not (mass >= target or mass < earlier <= target)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -455,13 +457,12 @@ class TestMaxWeightClique:
             for density in (0.2, 0.5, 0.8):
                 for _ in range(6):
                     adj = np.triu(rng.random((n, n)) < density, k=1)
-                    neigh = neighbour_sets(adj | adj.T)
-                    yield neigh, rng.integers(0, 17, size=n) / 16.0
+                    yield adj | adj.T, rng.integers(0, 17, size=n) / 16.0
 
     def test_matches_clique_enumeration(self):
-        for neigh, weights in self.instances():
-            mass, cells = _max_weight_clique(neigh, weights)
-            want_mass, want_cells = brute_max_weight_clique(neigh, weights, _TIE_TOL)
+        for adj, weights in self.instances():
+            mass, cells = _max_weight_clique(adj, weights)
+            want_mass, want_cells = brute_max_weight_clique(adj, weights, _TIE_TOL)
             assert mass == pytest.approx(want_mass, abs=1e-12)
             assert cells == want_cells
 
@@ -470,28 +471,28 @@ class TestMaxWeightClique:
         # does; either way it returns a clique and its mass, which below the
         # target may be lighter than the heaviest (pruned against the target)
         rng = np.random.default_rng(45)
-        for neigh, weights in self.instances():
-            full = _max_weight_clique(neigh, weights)
+        for adj, weights in self.instances():
+            full = _max_weight_clique(adj, weights)
             grid = float(rng.integers(1, 33)) / 16.0
             for target in (grid, full[0], full[0] - _TIE_TOL / 2, full[0] + _TIE_TOL / 2):
-                mass, cells = _max_weight_clique(neigh, weights, target=target)
+                mass, cells = _max_weight_clique(adj, weights, target=target)
                 assert (mass >= target) == (full[0] >= target), (target, full)
-                assert all(b in neigh[a] for a in cells for b in cells if a != b)
+                assert all(adj[a][b] for a in cells for b in cells if a != b)
                 assert mass == pytest.approx(float(weights[list(cells)].sum()), abs=1e-12)
 
     def test_least_keeps_the_heaviest_it_reaches(self):
         # a search with a lower bound it can reach goes on to the heaviest
         # clique and its tie-break; one it cannot reach returns a lighter clique
         rng = np.random.default_rng(46)
-        for neigh, weights in self.instances():
-            full = _max_weight_clique(neigh, weights)
+        for adj, weights in self.instances():
+            full = _max_weight_clique(adj, weights)
             grid = float(rng.integers(0, 33)) / 16.0
             for least in (grid, full[0], full[0] - _TIE_TOL / 2, full[0] + 2 * _TIE_TOL):
-                mass, cells = _max_weight_clique(neigh, weights, least=least)
+                mass, cells = _max_weight_clique(adj, weights, least=least)
                 if least <= full[0]:
                     assert (mass, cells) == full, (least, full)
                 else:
-                    assert mass < least and all(b in neigh[a] for a in cells for b in cells if a != b)
+                    assert mass < least and all(adj[a][b] for a in cells for b in cells if a != b)
 
 
 class TestBestFlowAt:
@@ -515,7 +516,7 @@ class TestBestFlowAt:
 
     def test_matches_clique_enumeration(self):
         for adj, rows_of, cols_of, row_caps, col_caps in self.instances():
-            mass, cells = _best_flow_at(neighbour_sets(adj), rows_of, cols_of, row_caps, col_caps)
+            mass, cells = _best_flow_at(adj, rows_of, cols_of, row_caps, col_caps)
             want_mass, want_cells = brute_best_flow(adj, rows_of, cols_of, row_caps, col_caps)
             assert mass == pytest.approx(want_mass, abs=1e-12)
             assert cells == want_cells
@@ -526,8 +527,7 @@ class TestBestFlowAt:
         # unreached one a clique and its flow, maybe below the full mass
         rng = np.random.default_rng(42)
         for adj, rows_of, cols_of, row_caps, col_caps in self.instances():
-            neigh = neighbour_sets(adj)
-            args = (neigh, rows_of, cols_of, row_caps, col_caps)
+            args = (adj, rows_of, cols_of, row_caps, col_caps)
             full = reference_best_flow_at(*args)
             target = float(rng.integers(1, 17)) / 16.0
             mass, cells = _best_flow_at(*args, target=target)
@@ -536,7 +536,7 @@ class TestBestFlowAt:
                 assert (mass, cells) == reference_best_flow_at(*args, target=target)
                 continue
             assert mass <= full[0]
-            assert all(b in neigh[a] for a in cells for b in cells if a != b)
+            assert all(adj[a][b] for a in cells for b in cells if a != b)
             mask = np.zeros((len(row_caps), len(col_caps)), dtype=bool)
             mask[rows_of[list(cells)], cols_of[list(cells)]] = True
             assert mass == pytest.approx(min_cut_value(row_caps, col_caps, mask), abs=1e-12)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmdist import mm_space, observable_distance, read_space, write_space
+from mmdist import mm_space, observable_distance, read_space, sample_mu_r, write_space
 from mmdist.cli import _COMMANDS, build_parser, main
 from mmdist.matrixdist import _isomorphisms
 
@@ -304,6 +304,12 @@ class TestOtherCommands:
         assert code == 0
         assert len(rep["result"]["entries"]) == 2
 
+    def test_matdist_samples_draw_from_the_seed(self, capsys, spaces):
+        x, _ = spaces
+        code, rep = run_json(capsys, ["matdist", x, "--r", "2", "--samples", "5", "--seed", "7"])
+        want = sample_mu_r(read_space(x), 2, 5, seed=7).to_jsonable()
+        assert code == 0 and rep["result"] == json.loads(json.dumps(want))
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     @pytest.mark.parametrize("samples", [[], ["--samples", "5"]])
     def test_matdist_r_below_one_exits_one(self, capsys, spaces, r, samples):
@@ -390,6 +396,32 @@ class TestOtherCommands:
         code, rep = run_json(capsys, ["dominate", y, x])
         assert code == 0 and rep["result"]["dominates"]
 
+    def test_dominate_without_a_certificate(self, capsys, spaces):
+        # the narrower space cannot dominate the wider one
+        x, y = spaces
+        code, rep = run_json(capsys, ["dominate", x, y])
+        assert code == 0 and rep["result"] == {"dominates": False, "p": None, "c": None}
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [('[0.3, 0.0]', 0.3), ('{"values": [0.3, 0.0]}', 0.3), ('{"vals": [0.3, 0.0]}', None), ("0.3", None)],
+        ids=["array", "values-object", "other-object", "number"],
+    )
+    def test_vector_file_forms(self, tmp_path, capsys, spaces, text, value):
+        # an array, or an object holding one under "values"; anything else is a user error
+        x, _ = spaces
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        f.write_text(text)
+        g.write_text("[0.0, 0.0]")
+        argv = ["me", x, "--f", f, "--g", g, "--lambda", "1"]
+        if value is None:
+            assert exit_code(argv) == 1
+            captured = capsys.readouterr()
+            assert f"{f}: expected a JSON array of numbers for f" in captured.err and captured.out == ""
+        else:
+            code, rep = run_json(capsys, argv)
+            assert code == 0 and rep["result"]["value"] == value
+
     def test_homogeneous_command(self, capsys, spaces):
         x, _ = spaces
         code, rep = run_json(capsys, ["homogeneous", x])
@@ -470,6 +502,12 @@ class TestSuiteCommand:
     def test_empty_property_selection_rejected(self, capsys):
         # ran no property and reported a pass, with exit 0
         assert main(["suite", "--properties", ","]) == 1
+        captured = capsys.readouterr()
+        assert "property selection" in captured.err and captured.out == ""
+
+    def test_empty_properties_value_rejected(self, capsys):
+        # an empty value read as no flag: all 27 properties ran, exit 0
+        assert main(["suite", "--properties", "", "--samples", "0"]) == 1
         captured = capsys.readouterr()
         assert "property selection" in captured.err and captured.out == ""
 

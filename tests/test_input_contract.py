@@ -339,6 +339,19 @@ def test_non_whole_parameter_raises_value_error_naming_it(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: box_distance(X, X, 1.0, "exakt"), id="box_distance"),
+        pytest.param(lambda: hli_lambda(P, 1.0, "exakt"), id="hli_lambda"),
+        pytest.param(lambda: observable_distance(X, X, 1.0, "exakt"), id="observable_distance"),
+    ],
+)
+def test_unknown_mode_refused(call):
+    with pytest.raises(ValueError, match="^" + re.escape("unknown mode 'exakt'") + "$"):
+        call()
+
+
 def test_empty_property_selection_rejected():
     # ran no property and reported a pass
     with pytest.raises(ValueError, match="property selection"):

@@ -10,6 +10,7 @@ from mmdist import (
     FiniteMMSpace,
     InvalidSpaceError,
     SizeLimitError,
+    Witness,
     box_distance,
     box_upper_from_witness,
     compose_domination,
@@ -23,10 +24,11 @@ from mmdist import (
     mm_space,
     normalized,
     prokhorov,
+    scale_measure,
     witness_search,
 )
 from mmdist import limits, lipschitz, matrixdist
-from mmdist.box import _max_weight_clique, _neighbour_sets
+from mmdist.box import _max_weight_clique
 from mmdist.instances import random_space, shuffled_copy
 from mmdist.matrixdist import _isomorphisms
 from mmdist.matrixdist import _point_maps as point_maps
@@ -144,7 +146,7 @@ class TestLipschitzUpTo:
         assert X.total_mass - float(X.weights[kept].sum()) <= eps + 1e-9
         assert lipschitz_up_to_check(X, X, fmap, lam, 0.1) is None
         ok = X.dist[np.ix_(fmap, fmap)] <= lam * X.dist + eps + 1e-12
-        assert kept.tolist() == list(_max_weight_clique(_neighbour_sets(ok), X.weights)[1])
+        assert kept.tolist() == list(_max_weight_clique(ok, X.weights)[1])
 
     def test_light_exceptional_set_found_above_twenty_points(self):
         # the greedy peel dropped the heavy point 0, which breaks three
@@ -158,6 +160,35 @@ class TestLipschitzUpTo:
         w[0], w[1:4] = 0.5, 0.01
         kept = lipschitz_up_to_check(mm_space(w, dX), mm_space(w, dY), np.arange(n), 1.0, 0.1)
         assert kept is not None and kept.tolist() == [0, *range(4, n)]
+
+
+class TestCertificateViolations:
+    """A valid certificate, corrupted one way at a time, reports exactly that way."""
+
+    @pytest.mark.parametrize(
+        "subset, eps, want",
+        [
+            ([0, 1], 0.25, []),
+            ([0], 0.25, ["dropped mass 0.5 exceeds eps 0.25"]),
+            ([0, 1], 0.125, ["distortion 0.25 exceeds eps 0.125"]),
+        ],
+    )
+    def test_witness(self, subset, eps, want):
+        assert Witness([0, 1], subset, eps).violations(two_point(d=1.25), two_point()) == want
+
+    @pytest.mark.parametrize(
+        "p, c, scale, want",
+        [
+            ([0, 1, 2], 1.0, 1.0, []),
+            ([0, 1, 2], 0.5, 2.0, ["mass ratio c = 0.5 is below 1"]),  # onto twice the weights
+            ([0, 2, 1], 1.0, 1.0, ["map expands some distance by 1"]),
+            ([0, 0, 2], 1.0, 1.0, ["pushforward misses c * weights by 1"]),
+        ],
+    )
+    def test_domination(self, p, c, scale, want):
+        # the identity with c = 1 certifies this space onto itself
+        X = mm_space([1.0, 1.0, 1.0], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        assert DominationCertificate(p, c).violations(X, scale_measure(X, scale)) == want
 
 
 class TestWitnessSearch:
@@ -700,9 +731,9 @@ class TestMe1Diagnostic:
                 assert chain == longest(rep.matrix, eps)
 
     def test_chains_match_one_search_per_value(self):
-        # each search takes the last chain's length as its lower bound; the
-        # chains, ties between equally long ones included, are those of one
-        # unbounded search per value
+        # each chain is one clique search with no lower bound at its value,
+        # on up to 15 maps; the chains, ties between equally long ones
+        # included, are those of the matrix read on its own
         rng = np.random.default_rng(47)
         for _ in range(12):
             d = np.triu(rng.integers(1, 4, size=(4, 4)), 1) * 0.5

@@ -54,6 +54,10 @@ class TestMeLambda:
         assert me_lambda([5.0, 1.0], [0.0, 1.0], [0.0, 0.7], 0.0) == 0.0 + 0.0
         assert me_lambda([5.0, 1.0], [0.0, 0.4], [0.0, 0.7], 0.0) == 0.6
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_no_positive_weight_gives_zero(self, lam):
+        assert me_lambda([5.0, 1.0], [0.0, 0.0], [0.0, 0.0], lam) == 0.0
+
     def test_matches_grid_infimum(self):
         rng = np.random.default_rng(61)
         cases = []

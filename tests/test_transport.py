@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmdist.box import EDGE_TOL, _max_weight_clique, _neighbour_sets
+from mmdist.box import EDGE_TOL, _max_weight_clique
 from mmdist.errors import InternalInvariantError
 from mmdist.transport import (
     _threshold_solve,
@@ -192,7 +192,7 @@ class TestThresholdFloor:
             lam = float(rng.choice([0.5, 1.0, 2.0]))
 
             def clique(t, target):
-                return _max_weight_clique(_neighbour_sets(delta <= t + EDGE_TOL), w, target=target)[0]
+                return _max_weight_clique(delta <= t + EDGE_TOL, w, target=target)[0]
 
             self.assert_floor_is_max(delta[np.triu_indices(n, k=1)], float(w.sum()), lam, clique)
 
