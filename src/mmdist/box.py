@@ -29,15 +29,16 @@ tables on the row-major bitset of a node and on its column-major twin, which
 the recursion carries alongside (:func:`_best_flow_at`).
 
 The heuristic space solver scores trial couplings with the pair solve and
-keeps a trial only if its value is at most the incumbent's.  Feasibility is
-monotone in the tolerance, so the solve takes the incumbent as a ``cap``:
-one probe there rejects a trial whose value is above it, and a trial that
-passes is searched down from it, to the answer the cap does not change.  The
-witness search of :mod:`mmdist.limits` gates its maps the same way.  Its
-mirror image is the ``floor`` of a running maximum (the sampled Hausdorff
-bound of :mod:`mmdist.lipschitz`): one probe at the floor settles a value
-that cannot raise it.  A solve hands back its certificate as a function,
-which a caller calls only for a value it keeps.
+keeps a trial only if its value is at most the incumbent's; it draws pivots a
+block at a time (:func:`_next_pivot`) and pulls trials back with no pair
+check.  Feasibility is monotone in the tolerance, so the solve takes the
+incumbent as a ``cap``: one probe there rejects a trial whose value is above
+it, and a trial that passes is searched down from it, to the answer the cap
+does not change.  The witness search of :mod:`mmdist.limits` gates its maps
+the same way.  Its mirror image is the ``floor`` of a running maximum (the
+sampled Hausdorff bound of :mod:`mmdist.lipschitz`): one probe at the floor
+settles a value that cannot raise it.  A solve hands back its certificate as
+a function, which a caller calls only for a value it keeps.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .core import (
     SemiDistancePair,
     Witness,
     _as_indices,
+    coupling_from_matrix,
     lighter_first,
     nonnegative,
     pullback_pair,
@@ -178,27 +180,22 @@ def _max_weight_clique(
     goal = max(least, -np.inf if target is None else float(target))
     best_mass = 0.0
     best_set: tuple = ()
+    bar = max(best_mass, goal) - _TIE_TOL  # the prune bar; it moves only with best_mass
     done = False
 
-    def consider(r: list, mass: float):
-        nonlocal best_mass, best_set, done
-        if mass < best_mass - _TIE_TOL:
-            return
-        tup = tuple(sorted(r))
-        if mass > best_mass + _TIE_TOL:
-            best_mass, best_set = mass, tup
-        elif not best_set or tup < best_set:
-            best_mass, best_set = max(best_mass, mass), tup
-        if target is not None and best_mass >= target:
-            done = True
-
     def expand(r: list, mass: float, cand: list):
-        consider(r, mass)
-        if done:
-            return
+        nonlocal best_mass, best_set, bar, done
+        if mass >= best_mass - _TIE_TOL:
+            tup = tuple(sorted(r))
+            if mass > best_mass + _TIE_TOL or not best_set or tup < best_set:
+                best_mass, best_set = max(best_mass, mass), tup
+                bar = max(best_mass, goal) - _TIE_TOL
+                if target is not None and best_mass >= target:
+                    done = True
+                    return
         remaining = sum(map(weights.__getitem__, cand))
         for idx, v in enumerate(cand):
-            if mass + remaining < max(best_mass, goal) - _TIE_TOL:
+            if mass + remaining < bar:
                 return  # even taking every remaining candidate cannot win or reach the target
             row = rows[v]
             expand(r + [v], mass + weights[v], [u for u in cand[idx + 1 :] if row[u]])
@@ -231,8 +228,9 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
     often the search the breakpoint made at the threshold below it, on the
     same graph.  A targeted probe on a graph probed before returns an
     earlier outcome that decides it: a clique that reaches the new target,
-    or one that missed a target no larger, below the new one too.  The threshold search reads only the mass against its
-    target, so no bit moves.
+    or one that missed a target no larger, below the new one too.  The
+    threshold search reads only the mass against its target, so no bit
+    moves.
     """
     heaviest: dict = {}  # count of compatible pairs -> best_at(mask, None)
     probed: dict = {}  # count of compatible pairs -> [(target, best_at(mask, target)), ...]
@@ -405,6 +403,31 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     return BoxResult(eps, "exact", cell_pairs, retained, eps, coupling=pi)
 
 
+def _next_pivot(rng: np.random.Generator, pi: np.ndarray, left: int):
+    """The first of the next ``left`` proposed 2x2 pivots of ``pi`` with room.
+
+    Returns ``None`` once all ``left`` are drawn, or ``(k, i1, i2, j1, j2,
+    shift)``: proposal ``k`` has ``i1 != i2``, ``j1 != j2`` and room
+    ``min(pi[i1, j2], pi[i2, j1]) > 0``, and ``shift`` is its random share of
+    that room.  ``pi`` does not move before a hit, so one array draw looks at
+    all ``left``; the generator is then rewound and draws ``k + 1`` rows again
+    before ``shift``.  numpy fills an integer array with per-column highs from
+    the stream of scalar draws of those highs, so the generator ends where four
+    scalar draws a proposal leave it, and every later draw is the same.
+    """
+    state = rng.bit_generator.state
+    highs = [len(pi), len(pi), pi.shape[1], pi.shape[1]]
+    i1, i2, j1, j2 = rng.integers(highs, size=(left, 4)).T
+    hits = np.flatnonzero((i1 != i2) & (j1 != j2) & (np.minimum(pi[i1, j2], pi[i2, j1]) > 0.0))
+    if not len(hits):
+        return None
+    k = int(hits[0])
+    rng.bit_generator.state = state
+    rng.integers(highs, size=(k + 1, 4))
+    room = min(pi[i1[k], j2[k]], pi[i2[k], j1[k]])
+    return k, i1[k], i2[k], j1[k], j2[k], room if rng.random() < 0.5 else room * rng.random()
+
+
 def _box_equal_mass_heuristic(
     X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, seed: int
 ) -> BoxResult:
@@ -412,6 +435,9 @@ def _box_equal_mass_heuristic(
 
     Moves are 2x2 pivots on the transportation polytope, which preserve the
     marginals; the returned value is an upper bound on the exact distance.
+    Pivots come a block at a time (:func:`_next_pivot`).  Only the start plans
+    and the answer meet :func:`mmdist.core.coupling_from_matrix`: a trial is
+    pulled back from the spaces' checked matrices, which the pair rules hold on.
 
     A coupling valued above ``best_eps + 1e-15`` changes nothing, so each
     score passes that bound to the pair solve as its ``cap``: one probe there
@@ -423,7 +449,6 @@ def _box_equal_mass_heuristic(
     (``inf``).
     """
     rng = np.random.default_rng(seed)
-    nx, ny = X.n, Y.n
     best_eps = np.inf
     best_cells: tuple = ()
     best_pi: np.ndarray | None = None
@@ -432,27 +457,23 @@ def _box_equal_mass_heuristic(
         """Pair value of the pullback along ``pi``, or ``inf`` above ``best_eps +
         1e-15``; one below ``best_eps`` becomes the incumbent, with its kept cells."""
         nonlocal best_eps, best_cells, best_pi
-        pair = pullback_pair(X, Y, pi)  # its cells all have positive mass
-        eps, kept = _clique_solve(np.abs(pair.d1 - pair.d2), pair.weights, pair.total_mass, lam, best_eps + 1e-15)
+        ii, jj = np.nonzero(pi > 0.0)
+        w = pi[ii, jj]
+        delta = np.abs(X.dist[np.ix_(ii, ii)] - Y.dist[np.ix_(jj, jj)])
+        eps, kept = _clique_solve(delta, w, float(w.sum()), lam, best_eps + 1e-15)
         if eps < best_eps:
-            best_eps, best_cells, best_pi = eps, tuple(pair.cells[k] for k in kept()), pi
+            best_eps, best_cells, best_pi = eps, tuple((int(ii[k]), int(jj[k])) for k in kept()), pi
         return eps
 
     for attempt in range(HEURISTIC_RESTARTS):
-        if attempt == 0:  # natural order: the diagonal plan for aligned spaces
-            pi = northwest_plan(X.weights, Y.weights)
-        else:
-            pi = northwest_plan(X.weights, Y.weights, rng.permutation(nx), rng.permutation(ny))
+        # natural order first: the diagonal plan for aligned spaces
+        orders = (rng.permutation(X.n), rng.permutation(Y.n)) if attempt else ()
+        pi = coupling_from_matrix(X, Y, northwest_plan(X.weights, Y.weights, *orders))
         score(pi)
-        for _ in range(HEURISTIC_STEPS):
-            # scalar draws: the stream of two size=2 draws, without numpy's size handling
-            i1, i2, j1, j2 = rng.integers(nx), rng.integers(nx), rng.integers(ny), rng.integers(ny)
-            if i1 == i2 or j1 == j2:
-                continue
-            room = min(pi[i1, j2], pi[i2, j1])
-            if room <= 0.0:
-                continue
-            shift = room if rng.random() < 0.5 else room * rng.random()
+        left = HEURISTIC_STEPS
+        while (pivot := _next_pivot(rng, pi, left)) is not None:
+            k, i1, i2, j1, j2, shift = pivot
+            left -= k + 1
             trial = pi.copy()
             trial[i1, j1] += shift
             trial[i2, j2] += shift
@@ -462,7 +483,7 @@ def _box_equal_mass_heuristic(
                 pi = trial
     retained = float(sum(best_pi[i, j] for i, j in best_cells))
     return BoxResult(
-        best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=best_pi
+        best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=coupling_from_matrix(X, Y, best_pi)
     )
 
 

@@ -12,6 +12,7 @@ one depth-first search over point maps, :func:`mmdist.matrixdist._point_maps`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -97,14 +98,16 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     if the single-point flow bound :func:`_flow_bounds` through the cells
     within the best objective ``b`` is short of ``m - b``, no threshold or
     breakpoint up to ``b`` is feasible, so the gap is above ``b``; the
-    enumeration bounds the maps left each time ``b`` falls.  Any other map
-    passes ``b`` as the ``cap`` of its clique search, so one threshold probe
-    turns away a map whose subset tolerance is above it, and any other is
-    searched down from ``b`` (see :func:`mmdist.transport._threshold_solve`).
-    Only a map that its branch accepts (below ``b - 1e-15`` enumerating,
-    below ``b`` climbing) asks for its subset.  So the prunes return the
-    same map, subset and tolerance as scoring every map.  Among tied maps
-    the enumeration keeps the lexicographically first.
+    enumeration bounds the maps left each time ``b`` falls, and both branches
+    build those cells and their row reach once per value of ``b``.  Any
+    other map passes ``b`` as the ``cap`` of its clique search, so one
+    threshold probe turns away a map whose subset tolerance is above it, and
+    any other is searched down from ``b`` (see
+    :func:`mmdist.transport._threshold_solve`).  Only a map that its branch
+    accepts (below ``b - 1e-15`` enumerating, below ``b`` climbing) asks for
+    its subset.  So the prunes return the same map, subset and tolerance as
+    scoring every map.  Among tied maps the enumeration keeps the
+    lexicographically first.
     """
     seed = whole_number(seed, "seed", 0)
     if abs(Xn.total_mass - X.total_mass) > 1e-9:
@@ -122,9 +125,14 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj)
         return max(eps_pair, prok), cells
 
+    @lru_cache(maxsize=1)
+    def gate(b: float):  # the cells within b, their row reach and the flow needed, once per value of b
+        admissible = X.dist <= b + 1e-12
+        return admissible, admissible @ X.weights, m_support - b - 1e-12 - 1e-9 * max(m_support, 1.0)
+
     def ruled_out(nus: np.ndarray) -> np.ndarray:  # rows whose gap is above best_obj, past rounding
-        need = m_support - best_obj - 1e-12 - 1e-9 * max(m_support, 1.0)
-        return _flow_bounds(nus, X.dist <= best_obj + 1e-12, X.weights) < need
+        admissible, row_reach, need = gate(best_obj)
+        return _flow_bounds(nus, admissible, X.weights, row_reach) < need
 
     def climb(cand: tuple):
         nu = _pushforwards(np.array([cand]), w, X.n)
@@ -169,11 +177,11 @@ def _pushforwards(maps: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return nus
 
 
-def _flow_bounds(nus: np.ndarray, admissible: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Flow bound from each row ``nu`` of ``nus`` to ``w`` through ``admissible``: the smaller sum of
-    ``min(nu_i, (A w)_i)`` or ``min(w_j, (nu A)_j)``, summed alike for a row alone or in a batch."""
+def _flow_bounds(nus: np.ndarray, admissible: np.ndarray, w: np.ndarray, row_reach: np.ndarray) -> np.ndarray:
+    """Flow bound from each row ``nu`` of ``nus`` to ``w`` through ``A = admissible``: the smaller sum of
+    ``min(nu_i, row_reach_i = (A w)_i)`` or ``min(w_j, (nu A)_j)``, summed alike for a row alone or in a batch."""
     reach = np.where(admissible[:, :, None], nus.T[:, None, :], 0.0).sum(axis=0)  # (nu A)_j, column k
-    rows = np.minimum(nus, admissible @ w).sum(axis=1)
+    rows = np.minimum(nus, row_reach).sum(axis=1)
     cols = np.minimum(np.ascontiguousarray(reach.T), w).sum(axis=1)
     return np.minimum(rows, cols)
 

@@ -27,8 +27,10 @@ from mmdist.box import (
     _line_parts,
     _max_weight_clique,
     _maximal_cliques,
+    _next_pivot,
     _reach_bound,
 )
+from mmdist.core import coupling_from_matrix, lighter_first
 from mmdist.instances import random_space, random_space_total, shuffled_copy
 
 from oracles import (
@@ -681,15 +683,112 @@ def heuristic_corpus():
 
 
 def test_scalar_draws_continue_the_pair_draw_stream():
-    # the heuristic draws a pivot's corners as four scalars, the full-scoring
-    # reference as two pairs; the reports match only while numpy gives the
-    # same stream both ways, with other draws in between
+    # the full-scoring reference draws a pivot's corners as two pairs, and
+    # the heuristic's block draws give the stream of four scalars (next
+    # test); the reports match only while numpy gives the same stream both
+    # ways, with other draws in between
     for n in range(2, 31):
         pairs, scalars = np.random.default_rng(n), np.random.default_rng(n)
         for _ in range(40):
             want = [*pairs.integers(0, n, size=2), *pairs.integers(0, n + 1, size=2), pairs.random()]
             got = [scalars.integers(n), scalars.integers(n), scalars.integers(n + 1), scalars.integers(n + 1)]
             assert got + [scalars.random()] == want, n
+
+
+def test_block_pivot_draws_continue_the_scalar_stream():
+    # _next_pivot draws all remaining proposals at once, then rewinds and
+    # redraws up to its hit; proposing one pivot at a time from four scalar
+    # draws must give the same pivots and shifts, and leave the generator
+    # where it leaves it.  Each hit moves the plan, and a double is drawn
+    # after it, as the next restart's permutations draw after a pass
+    def move(pi, i1, i2, j1, j2, shift):
+        pi[i1, j1] += shift
+        pi[i2, j2] += shift
+        pi[i1, j2] -= shift
+        pi[i2, j1] -= shift
+
+    for nx, ny in ((1, 1), (1, 5), (5, 1), (2, 2), (3, 8), (8, 3), (12, 12), (24, 24)):
+        plan_rng = np.random.default_rng(100 * nx + ny)
+        # few positive cells: a matching, as a northwest plan of equal weights gives, and some more
+        start = np.where(plan_rng.random((nx, ny)) < 0.1, plan_rng.random((nx, ny)), 0.0)
+        m = min(nx, ny)
+        start[plan_rng.permutation(nx)[:m], plan_rng.permutation(ny)[:m]] = 0.1 + plan_rng.random(m)
+        hits = 0
+        for seed in range(3):
+            blocks, scalars = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, pi, left = [], start.copy(), 200
+            while (pivot := _next_pivot(blocks, pi, left)) is not None:
+                k, *corners, shift = pivot
+                got.append((200 - left + k, *corners, shift, blocks.random()))
+                left -= k + 1
+                move(pi, *corners, shift)
+            want, pi = [], start.copy()
+            for step in range(200):
+                corners = scalars.integers(nx), scalars.integers(nx), scalars.integers(ny), scalars.integers(ny)
+                i1, i2, j1, j2 = corners
+                room = min(pi[i1, j2], pi[i2, j1])
+                if i1 == i2 or j1 == j2 or room <= 0.0:
+                    continue
+                shift = room if scalars.random() < 0.5 else room * scalars.random()
+                want.append((step, *corners, shift, scalars.random()))
+                move(pi, *corners, shift)
+            assert got == want, (nx, ny, seed)
+            assert blocks.bit_generator.state == scalars.bit_generator.state, (nx, ny, seed)
+            hits += len(want)
+        assert hits > 0 or min(nx, ny) == 1, (nx, ny)  # a pivot needs two rows and two columns
+
+
+def non_square_heuristic_corpus():
+    """Heuristic-box pairs of unequal sizes, 1x4 to 3x9, at lam = 0, 1 and 3.
+
+    Totals differ and each pair has a zero-weight point, so the scaled
+    space, the swapped report and the pivots' two highs all come in.
+    """
+    rng = np.random.default_rng(2019)
+
+    def space(n):
+        w = rng.integers(1, 17, size=n) / 16.0
+        if n > 1:
+            w[rng.integers(n)] = 0.0
+        d = np.triu(rng.integers(4, 9, size=(n, n)) / 4.0, 1)
+        return mm_space(w, d + d.T)
+
+    for k, (nx, ny) in enumerate(((1, 4), (4, 1), (2, 7), (7, 2), (3, 9))):
+        for lam in (0.0, 1.0, 3.0):
+            yield space(nx), space(ny), lam, 3 * k + int(lam)
+
+
+def test_non_square_heuristic_reports_match_full_scoring(monkeypatch):
+    # the two corner highs of a pivot differ here, so a block draw with one
+    # high for all four corners would draw other pivots; the returned
+    # coupling couples the spaces the solve ran on
+    monkeypatch.setattr(box_module, "HEURISTIC_RESTARTS", 3)
+    monkeypatch.setattr(box_module, "HEURISTIC_STEPS", 40)
+    cases = list(non_square_heuristic_corpus())
+    results = [box_distance(X, Y, lam, "heuristic", seed=seed) for X, Y, lam, seed in cases]
+    for (X, Y, _, _), res in zip(cases, results):
+        A, B, gap, swapped = lighter_first(X, Y)
+        assert gap > 0.0
+        coupling_from_matrix(*((B, A) if swapped else (A, B)), res.coupling)
+    monkeypatch.setattr(box_module, "_box_equal_mass_heuristic", reference_box_heuristic)
+    want = [box_distance(X, Y, lam, "heuristic", seed=seed) for X, Y, lam, seed in cases]
+    assert [json.dumps(r.to_jsonable()) for r in results] == [json.dumps(r.to_jsonable()) for r in want]
+
+
+def test_heuristic_refuses_a_start_plan_off_its_marginals(monkeypatch):
+    # trials are pulled back unchecked, so the start plans are checked: one
+    # off by 1e-6 raises the coupling rule's error, as a checked pullback did
+    plan = box_module.northwest_plan
+
+    def off_plan(*args):
+        pi = plan(*args)
+        pi[0, 0] += 1e-6
+        return pi
+
+    monkeypatch.setattr(box_module, "northwest_plan", off_plan)
+    X = mm_space([0.25, 0.25, 0.5], [[0, 1, 1.5], [1, 0, 1.25], [1.5, 1.25, 0]])
+    with pytest.raises(ValueError, match="coupling marginals do not match"):
+        box_distance(X, X, 1.0, "heuristic")
 
 
 def test_heuristic_reports_match_full_scoring(monkeypatch):

@@ -252,6 +252,41 @@ class TestWitnessSearch:
         for a, b in [(7, 7), (8, 7), (7, 8)]:
             self.assert_matches_oracle(self.space(rng, a), self.space(rng, b))
 
+    def test_hill_climb_builds_one_gate_per_incumbent(self, monkeypatch):
+        # a trial's pushforward is bounded through the cells within the best
+        # objective, which changes only when a map is accepted: each value of
+        # the objective builds one admissible matrix, and the witness is the
+        # unpruned oracle's
+        monkeypatch.setattr(limits, "ANNEAL_RESTARTS", 2)
+        monkeypatch.setattr(limits, "ANNEAL_STEPS", 40)
+        rng = np.random.default_rng(47)
+        Xn, X = self.space(rng, 7), self.space(rng, 7)
+        assert len(Xn.support) > limits.WITNESS_ENUM_SUPPORT  # the hill-climb
+        bounds, solve = limits._flow_bounds, limits._clique_solve
+        events = []  # the matrix of every bound, held so ids stay apart, and "accepted" at each acceptance
+
+        def traced_bounds(nus, admissible, *args):
+            events.append(admissible)
+            return bounds(nus, admissible, *args)
+
+        def traced_solve(*args):
+            eps, cells = solve(*args)
+            return eps, lambda: events.append("accepted") or cells()
+
+        monkeypatch.setattr(limits, "_flow_bounds", traced_bounds)
+        monkeypatch.setattr(limits, "_clique_solve", traced_solve)
+        self.assert_matches_oracle(Xn, X)
+        runs = [[]]
+        for event in events:
+            if isinstance(event, str):
+                runs.append([])
+            else:
+                runs[-1].append(event)
+        runs = [run for run in runs if run]
+        assert len(runs) > 2 and sum(map(len, runs)) > 4 * len(runs)
+        assert all(matrix is run[0] for run in runs for matrix in run)
+        assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
+
     def test_flow_gate_corpus_matches_unpruned_oracle(self, monkeypatch):
         # the cases where the flow bound on pushforwards decides at an edge:
         # many tied maps, an incumbent of 0 (a relabelled copy), distinct
@@ -325,13 +360,13 @@ class TestWitnessSearch:
             st.lists(st.integers(0, n - 1), min_size=len(source), max_size=len(source)), min_size=k, max_size=k)))
         admissible = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
         nus = limits._pushforwards(maps, source, n)
-        bounds = limits._flow_bounds(nus, admissible, w)
+        bounds = limits._flow_bounds(nus, admissible, w, admissible @ w)
         for row in range(k):
             alone = np.zeros(n)
             np.add.at(alone, maps[row], source)
             assert np.array_equal(nus[row], alone)
             assert bounds[row] >= max_flow_value(alone, w, np.nonzero(admissible)) - 1e-12
-            assert bounds[row] == limits._flow_bounds(nus[row : row + 1], admissible, w)[0]
+            assert bounds[row] == limits._flow_bounds(nus[row : row + 1], admissible, w, admissible @ w)[0]
 
     def test_returned_eps_feeds_valid_upper_bound(self):
         rng = np.random.default_rng(23)
