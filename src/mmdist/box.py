@@ -16,17 +16,21 @@ mass is a transportation max-flow, both of which change only at finitely many
 thresholds: the pairwise defect values and the mass breakpoints
 ``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this candidate
 set: a threshold search whose probes each hand a search their defect graph as
-one boolean matrix, then a certificate (retained cells, and for space-level
-solves an optimal coupling).  The pair solver plugs in a maximum-weight clique,
-the space solver a flow over maximal cliques; it numbers the coupling cells
-once, row-major, and the defect matrix, the sweep, the flows (on a clique's row
-and column index lists) and the certificate all read that one numbering.  The
-flow sweep is a Bron-Kerbosch recursion on integer bitsets
-(:func:`_maximal_cliques`) that yields its cliques in the order of the same
-recursion on sorted sets.  It prunes subtrees by a per-row/per-column flow
-bound against the best flow so far or the probe's target, read from subset-sum
-tables on the row-major bitset of a node and on its column-major twin, which
-the recursion carries alongside (:func:`_best_flow_at`).
+one boolean matrix, then a certificate.  The pair solver plugs in a
+maximum-weight clique and keeps the heaviest cells, lexicographically smallest
+among ties.  The space solver plugs in a flow over maximal cliques and keeps
+the first witness its search found, so its certificate promises
+``retained_mass >= m - lam * pair_value``, not a maximum; every certificate of
+:func:`box_distance` meets one rule (:func:`_certificate_violations`).  The
+space solver numbers the coupling cells once, row-major, and the defect
+matrix, the sweep, the flows (on a clique's row and column index lists) and
+the certificate all read that one numbering.  The flow sweep is a
+Bron-Kerbosch recursion on integer bitsets (:func:`_maximal_cliques`) that
+yields its cliques in the order of the same recursion on sorted sets.  It
+prunes subtrees by a per-row/per-column flow bound against the best flow so
+far or the probe's target, read from subset-sum tables on the row-major bitset
+of a node and on its column-major twin, which the recursion carries alongside
+(:func:`_best_flow_at`).
 
 The heuristic space solver scores trial couplings with the pair solve and
 keeps a trial only if its value is at most the incumbent's; it draws pivots a
@@ -53,6 +57,8 @@ from .core import (
     SemiDistancePair,
     Witness,
     _as_indices,
+    _coupling_violations,
+    _index_violations,
     coupling_from_matrix,
     lighter_first,
     nonnegative,
@@ -78,8 +84,12 @@ class BoxResult:
     ``value`` includes the mass gap for unequal totals; ``pair_value`` is the
     tolerance certified on the mass-normalized instance, so the certificate
     promises ``retained_mass >= m - lam * pair_value`` and pairwise defects
-    at most ``pair_value`` on ``cells``.  ``coupling`` is present for
-    space-level solves (marginals: the lighter measure on both sides).
+    at most ``pair_value`` on ``cells``: :func:`_certificate_violations`
+    states the rule.  ``coupling`` is present for space-level solves
+    (marginals: the lighter measure on both sides).  An exact space-level
+    certificate is the first witness the search found, so ``retained_mass``
+    need not be the largest a coupling keeps; :func:`box_pair` keeps the
+    heaviest cells, lexicographically smallest among ties.
     """
 
     value: float
@@ -219,9 +229,14 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
     (:func:`_max_weight_clique` then stops once nothing can reach it).
     The candidates are zero and the defects above the diagonal (the lower
     half may differ within the metric tolerance).  Returns ``(eps,
-    certify)``, and ``certify()`` gives the heaviest clique at ``eps``; it
-    certifies no ``eps`` that a gate decided (``inf`` past a failed ``cap``
-    probe, a positive ``floor`` it does not exceed; see
+    certify)``: ``certify()`` gives the heaviest clique at ``eps``,
+    lexicographically smallest among ties, and ``certify(first=True)`` the
+    first witness, the first clique that a targeted probe found on the graph
+    at ``eps`` keeping ``m - lam * eps`` (to the probes' 1e-12): the probe
+    that showed a threshold answer feasible found one, so no search is made,
+    and otherwise (a breakpoint answer, a float edge) the heaviest clique.
+    Neither certifies an ``eps`` that a gate decided (``inf`` past a failed
+    ``cap`` probe, a positive ``floor`` it does not exceed; see
     :func:`mmdist.transport._threshold_solve`).  Compatible pairs only join
     as ``t`` grows, so their count names the graph: its heaviest clique is
     searched once per solve, and a breakpoint answer's certificate is most
@@ -235,9 +250,12 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
     heaviest: dict = {}  # count of compatible pairs -> best_at(mask, None)
     probed: dict = {}  # count of compatible pairs -> [(target, best_at(mask, target)), ...]
 
-    def best_at_t(t: float, target):
+    def graph(t: float):
         mask = delta <= t + EDGE_TOL
-        key = int(np.count_nonzero(mask))
+        return mask, int(np.count_nonzero(mask))
+
+    def best_at_t(t: float, target):
+        mask, key = graph(t)
         if target is not None:
             for earlier, (mass, cells) in probed.setdefault(key, []):
                 if mass >= target or mass < earlier <= target:
@@ -249,7 +267,12 @@ def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float =
         return heaviest[key]
 
     eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: best_at_t(t, target)[0], cap, floor)
-    return eps, lambda: best_at_t(eps, None)
+
+    def certify(first: bool = False):
+        tried = probed.get(graph(eps)[1], []) if first else []
+        return next((hit for _, hit in tried if hit[0] >= m - lam * eps - 1e-12), None) or best_at_t(eps, None)
+
+    return eps, certify
 
 
 def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0):
@@ -392,9 +415,7 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
         np.abs(X.dist[np.ix_(xs, xs)] - Y.dist[np.ix_(ys, ys)]), m, lam,
         lambda mask, target: _best_flow_at(mask, rows_of, cols_of, row_caps, col_caps, target=target),
     )
-    mass, cells = certify()
-    if mass + lam * eps < m - 1e-9:
-        raise InternalInvariantError("box certificate lost feasibility")
+    _, cells = certify(first=True)
     _, sub_plan = max_flow(row_caps, col_caps, (rows_of[list(cells)], cols_of[list(cells)]))
     pi = np.zeros((X.n, Y.n))
     pi[np.ix_(sx, sy)] = completion(sub_plan, row_caps, col_caps)
@@ -436,8 +457,9 @@ def _box_equal_mass_heuristic(
     Moves are 2x2 pivots on the transportation polytope, which preserve the
     marginals; the returned value is an upper bound on the exact distance.
     Pivots come a block at a time (:func:`_next_pivot`).  Only the start plans
-    and the answer meet :func:`mmdist.core.coupling_from_matrix`: a trial is
-    pulled back from the spaces' checked matrices, which the pair rules hold on.
+    meet :func:`mmdist.core.coupling_from_matrix`, and the answer the rule of
+    :func:`_certificate_violations`: a trial is pulled back from the spaces'
+    checked matrices, which the pair rules hold on.
 
     A coupling valued above ``best_eps + 1e-15`` changes nothing, so each
     score passes that bound to the pair solve as its ``cap``: one probe there
@@ -482,9 +504,7 @@ def _box_equal_mass_heuristic(
             if score(trial) <= best_eps + 1e-15:
                 pi = trial
     retained = float(sum(best_pi[i, j] for i, j in best_cells))
-    return BoxResult(
-        best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=coupling_from_matrix(X, Y, best_pi)
-    )
+    return BoxResult(best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=best_pi)
 
 
 def box_distance(
@@ -501,7 +521,9 @@ def box_distance(
     Equal totals: minimize the pair value over all couplings.  Unequal
     totals: scale the heavier measure down to the lighter one and add the
     mass gap.  Exact mode certifies the optimum; heuristic mode returns an
-    upper bound (never below the exact value).
+    upper bound (never below the exact value).  Either certificate meets
+    :func:`_certificate_violations` before it is returned, or the solve
+    raises :class:`InternalInvariantError`.
     """
     nonnegative(lam, "lambda")
     max_cells = whole_number(max_cells, "max_cells", 1)
@@ -516,7 +538,52 @@ def box_distance(
     if swapped:
         cells = tuple((j, i) for i, j in res.cells)
         res = replace(res, cells=cells, coupling=res.coupling.T.copy())
-    return replace(res, value=res.value + gap, mass_gap=gap)
+    res = replace(res, value=res.value + gap, mass_gap=gap)
+    violations = _certificate_violations(X, Y, lam, res)
+    if violations:
+        raise InternalInvariantError("box certificate breaks its rule: " + "; ".join(violations))
+    return res
+
+
+def _certificate_violations(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, res: BoxResult) -> list[str]:
+    """The box-certificate rule, read from the definitions alone: how ``res``
+    fails to certify its value for ``X`` and ``Y`` at ``lam``.
+
+    The coupling couples the lighter measure with the heavier one scaled down
+    (:func:`mmdist.core.lighter_first`); the cells are distinct and in range,
+    keep their ``retained_mass`` and at least ``m - lam * pair_value`` (``m``
+    the lighter total) to the solver's 1e-9, and pairwise defects at most
+    ``pair_value + EDGE_TOL`` in one order at least (a semimetric is symmetric
+    only within its tolerance); ``value`` is ``pair_value + mass_gap``, the gap
+    of the totals.
+    """
+    A, B, gap, swapped = lighter_first(X, Y)
+    v = []
+    if res.mass_gap != gap:
+        v.append(f"mass gap {res.mass_gap!r} is not the difference of the totals {gap!r}")
+    if res.value != res.pair_value + res.mass_gap:
+        v.append(f"value {res.value!r} is not pair value {res.pair_value!r} plus mass gap {res.mass_gap!r}")
+    pi = np.asarray(res.coupling, dtype=float)
+    v += _coupling_violations(*((B, A) if swapped else (A, B)), pi)
+    cells = np.asarray(res.cells).reshape(-1, 2)
+    cell_v = _index_violations(cells[:, 0], "certificate rows", X.n)
+    cell_v += _index_violations(cells[:, 1], "certificate columns", Y.n)
+    if cell_v or pi.shape != (X.n, Y.n):
+        return v + cell_v
+    ii, jj = cells.astype(int).T
+    if len(set(zip(ii.tolist(), jj.tolist()))) != len(ii):
+        v.append("certificate repeats a cell")
+    kept = float(pi[ii, jj].sum())
+    if abs(kept - res.retained_mass) > 1e-9:
+        v.append(f"retained mass {res.retained_mass!r} is not the coupling mass {kept!r} of the cells")
+    if kept < A.total_mass - lam * res.pair_value - 1e-9:
+        v.append(f"cells keep {kept!r}, below m - lam * pair_value = {A.total_mass - lam * res.pair_value!r}")
+    d = np.abs(X.dist[np.ix_(ii, ii)] - Y.dist[np.ix_(jj, jj)])
+    np.fill_diagonal(d, 0.0)
+    worst = float(np.minimum(d, d.T).max(initial=0.0))
+    if worst > res.pair_value + EDGE_TOL:
+        v.append(f"two cells have defect {worst!r}, above pair value {res.pair_value!r}")
+    return v
 
 
 def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> float:

@@ -12,10 +12,11 @@ is checked in one place: the :class:`FiniteMMSpace` constructor checks a
 space by the rules of :func:`validate`, :func:`coupling_from_matrix` the
 shape, signs and marginals of a coupling (:func:`pullback_pair` calls it), and
 the :class:`SemiDistancePair` constructor a pair.  Each weight vector,
-matrix, function vector, point map or index list, whole number and
+matrix, function vector, point map or index list, coupling, whole number and
 nonnegative scalar meets one rule: :func:`_weight_violations`,
 :func:`_semimetric_violations`, :func:`_function_violations`,
-:func:`_index_violations`, :func:`whole_number` or :func:`nonnegative`.
+:func:`_index_violations`, :func:`_coupling_violations`, :func:`whole_number`
+or :func:`nonnegative`.
 
 Zero-weight points are kept in storage but excluded from supports; all
 comparisons between spaces are meant up to relabeling of the support.
@@ -282,24 +283,25 @@ def _require_equal_mass(X: FiniteMMSpace, Y: FiniteMMSpace):
         )
 
 
-def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> np.ndarray:
-    """``pi`` as a float matrix; ValueError unless it couples ``X`` and ``Y`` to 1e-9.
-
-    Every entry must be at least -1e-9, and every row and column sum within
-    1e-9 of the matching weight.
-    """
-    pi = np.asarray(pi, dtype=float)
+def _coupling_violations(X: FiniteMMSpace, Y: FiniteMMSpace, pi: np.ndarray) -> list[str]:
+    """The coupling rule: shape ``(X.n, Y.n)``, every entry at least -1e-9, and
+    every row and column sum within 1e-9 of the matching weight."""
     if pi.shape != (X.n, Y.n):
-        raise ValueError(f"coupling shape {pi.shape} does not match ({X.n}, {Y.n})")
+        return [f"coupling shape {pi.shape} does not match ({X.n}, {Y.n})"]
     if not np.all(pi >= -1e-9):
-        raise ValueError("coupling has negative or NaN entries")
+        return ["coupling has negative or NaN entries"]
     row_err = float(np.max(np.abs(pi.sum(axis=1) - X.weights), initial=0.0))
     col_err = float(np.max(np.abs(pi.sum(axis=0) - Y.weights), initial=0.0))
     if not (row_err <= 1e-9 and col_err <= 1e-9):
-        raise ValueError(
-            f"coupling marginals do not match the spaces (row off {row_err:.3g}, "
-            f"col off {col_err:.3g})"
-        )
+        return [f"coupling marginals do not match the spaces (row off {row_err:.3g}, col off {col_err:.3g})"]
+    return []
+
+
+def coupling_from_matrix(X: FiniteMMSpace, Y: FiniteMMSpace, pi) -> np.ndarray:
+    """``pi`` as a float matrix; ValueError unless it couples ``X`` and ``Y``
+    by :func:`_coupling_violations`."""
+    pi = np.asarray(pi, dtype=float)
+    _refuse(_coupling_violations(X, Y, pi))
     return pi
 
 

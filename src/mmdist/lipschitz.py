@@ -249,7 +249,10 @@ def lip_point_distance(f, target: Lip1Set, lam: float, *, floor: float = 0.0) ->
     so the distance is the defect-clique optimum for the halved excess matrix.
     A running maximum passes itself as ``floor``: one threshold probe then
     settles a distance that cannot raise it (see
-    :func:`mmdist.transport._threshold_solve`).
+    :func:`mmdist.transport._threshold_solve`).  The distance is at most the
+    largest defect, so a positive floor that no defect exceeds is the answer
+    at once: the one probe the search would make, at the largest threshold,
+    would return it.
     """
     nonnegative(lam, "lambda")
     floor = nonnegative(floor, "floor")
@@ -259,6 +262,8 @@ def lip_point_distance(f, target: Lip1Set, lam: float, *, floor: float = 0.0) ->
     f, w = f[s], target.weights[s]
     delta = np.clip((np.abs(f[:, None] - f[None, :]) - target.closure) / 2.0, 0.0, None)
     np.fill_diagonal(delta, 0.0)
+    if floor > 0.0 and delta.max(initial=0.0) <= floor:
+        return floor
     return _clique_solve(delta, w, float(w.sum()), lam, floor=floor)[0]
 
 

@@ -9,6 +9,8 @@ with the solver's own Prokhorov and defect-clique routines,
 no branch-and-bound cut, :func:`reference_isomorphisms` and
 :func:`reference_domination_search` are the two hand-written backtracking
 loops that the one point-map search of ``mmdist.matrixdist`` replaced,
+:func:`reference_box_exact` is the exact box solve with every probe a full
+sweep and the heaviest, lexicographically smallest certificate,
 :func:`reference_box_heuristic` is the heuristic box local search scoring
 every coupling with a full pair solve, :func:`reference_hli_sampled` is
 the sampled Hausdorff loop measuring every probe with a full search, and
@@ -569,6 +571,40 @@ def reference_domination_search(X, Y):
     if not backtrack(0):
         return None
     return DominationCertificate(assign, c)
+
+
+def reference_box_exact(X, Y, lam):
+    """Exact ``box_distance`` with the lexicographic certificate.
+
+    Every probe of the threshold search is a full sweep of
+    ``mmdist.box._best_flow_at``, and the certificate is the heaviest clique
+    at the answer, lexicographically smallest among ties, completed to a
+    coupling as the solver completes its own.  The solver, which keeps the
+    first witness its search finds, must return the same value bits.
+    """
+    from mmdist.box import EDGE_TOL, BoxResult, _best_flow_at
+    from mmdist.core import lighter_first
+    from mmdist.transport import completion, max_flow
+
+    A, B, gap, swapped = lighter_first(X, Y)
+    sx, sy = A.support, B.support
+    rows_of, cols_of = np.divmod(np.arange(len(sx) * len(sy)), len(sy))
+    xs, ys = sx[rows_of], sy[cols_of]
+    delta = np.abs(A.dist[np.ix_(xs, xs)] - B.dist[np.ix_(ys, ys)])
+    r, c = A.weights[sx], B.weights[sy]
+
+    def heaviest(t):
+        return _best_flow_at(delta <= t + EDGE_TOL, rows_of, cols_of, r, c)
+
+    eps = reference_threshold_solve(np.triu(delta, 1), A.total_mass, lam, lambda t, target: heaviest(t)[0])
+    kept = list(heaviest(eps)[1])
+    pi = np.zeros((A.n, B.n))
+    pi[np.ix_(sx, sy)] = completion(max_flow(r, c, (rows_of[kept], cols_of[kept]))[1], r, c)
+    cells = tuple((int(xs[k]), int(ys[k])) for k in kept)
+    retained = float(sum(pi[i, j] for i, j in cells))
+    if swapped:
+        cells, pi = tuple((j, i) for i, j in cells), pi.T.copy()
+    return BoxResult(eps + gap, "exact", cells, retained, eps, gap, pi)
 
 
 def reference_box_heuristic(X, Y, lam, seed):

@@ -23,6 +23,7 @@ from mmdist.box import (
     _TIE_TOL,
     EDGE_TOL,
     _best_flow_at,
+    _certificate_violations,
     _defect_solve,
     _line_parts,
     _max_weight_clique,
@@ -40,6 +41,7 @@ from oracles import (
     brute_max_weight_clique,
     min_cut_value,
     reference_best_flow_at,
+    reference_box_exact,
     reference_box_heuristic,
     reference_flow_bound,
 )
@@ -643,6 +645,44 @@ def test_exact_reports_match_the_unpruned_sweep(monkeypatch):
     monkeypatch.setattr(box_module, "_best_flow_at", reference_best_flow_at)
     want = [json.dumps(box_distance(X, Y, lam).to_jsonable()) for X, Y, lam in cases]
     assert got == want
+
+
+#: distances of the spaces drawn below: a 1/4 grid in [1, 2] and two
+#: values within EDGE_TOL of a grid point, so defects tie at +-EDGE_TOL
+TIED_DISTANCES = [1.0, 1.25, 1.5, 1.75, 1.25 - EDGE_TOL, 1.25 + EDGE_TOL]
+
+
+def draw_space(data, max_points):
+    """A space of 1 to ``max_points`` points drawn by hypothesis: weights on
+    a 1/8 grid, some zero, and distances from :data:`TIED_DISTANCES`."""
+    w = data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=1, max_size=max_points).filter(any))
+    k = len(w) * (len(w) - 1) // 2
+    d = np.zeros((len(w), len(w)))
+    d[np.triu_indices(len(w), 1)] = data.draw(st.lists(st.sampled_from(TIED_DISTANCES), min_size=k, max_size=k))
+    return mm_space(w, d + d.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_certificates_are_first_witnesses_with_the_lexicographic_values_hypothesis(data):
+    # the exact solve keeps the first witness its sweep finds; the value,
+    # pair value and mass gap are those of the heaviest, lexicographically
+    # smallest certificate, bit for bit, and the witness meets the rule
+    X, Y = draw_space(data, 5), draw_space(data, 5)
+    lam = data.draw(st.sampled_from([0.0, 0.25, 1.0, 3.0]))
+    got, want = box_distance(X, Y, lam), reference_box_exact(X, Y, lam)
+    assert (got.value, got.pair_value, got.mass_gap) == (want.value, want.pair_value, want.mass_gap)
+    assert _certificate_violations(X, Y, lam, got) == []
+
+
+def test_corpus_certificates_meet_the_rule(monkeypatch):
+    monkeypatch.setattr(box_module, "HEURISTIC_RESTARTS", 3)
+    monkeypatch.setattr(box_module, "HEURISTIC_STEPS", 40)
+    cases = [(X, Y, lam, "exact", 0) for X, Y, lam in [*exact_corpus(), *odd_shape_corpus()]]
+    cases += [(X, Y, lam, "heuristic", k) for k, (X, Y, lam) in enumerate(heuristic_corpus())]
+    cases += [(X, Y, lam, "heuristic", seed) for X, Y, lam, seed in non_square_heuristic_corpus()]
+    for X, Y, lam, mode, seed in cases:
+        assert _certificate_violations(X, Y, lam, box_distance(X, Y, lam, mode, seed=seed)) == []
 
 
 def heuristic_corpus():

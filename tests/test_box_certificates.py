@@ -3,7 +3,13 @@
 The expected reports were produced by the solver before its certificate code
 was reorganised; any change to the clique sweep, the flow plan or the
 heuristic scoring that alters a certificate shows here, even when the value
-stays the same.  The unequal-mass cases, with either space heavier, freeze
+stays the same.  An exact certificate is the first witness the sweep finds,
+so ``exact lam=1`` and both ``unequal mass`` cases were frozen again when
+the solve stopped taking the heaviest clique, lexicographically smallest
+among ties; their values are those of the lexicographic certificates, and
+they keep the same mass.  Every frozen certificate meets the box-certificate
+rule (``box._certificate_violations``), and a corrupted copy breaks it in
+exactly the way it was corrupted.  The unequal-mass cases, with either space heavier, freeze
 the scale-and-gap rule of ``box_distance``, ``observable_distance`` and
 ``box_upper_from_witness`` in the same way.  Two of the seeded pairs at
 scale were frozen before the clique sweep pruned by its flow bound, and the
@@ -11,10 +17,21 @@ scale were frozen before the clique sweep pruned by its flow bound, and the
 count the maximal cliques the sweeps yield.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mmdist import Witness, box, box_distance, box_upper_from_witness, mm_space, observable_distance
+from mmdist import (
+    InternalInvariantError,
+    Witness,
+    box,
+    box_distance,
+    box_upper_from_witness,
+    mm_space,
+    observable_distance,
+)
+from mmdist.box import BoxResult
 from mmdist.instances import random_space
 
 D3A = [[0, 1.0, 1.5], [1.0, 0, 1.25], [1.5, 1.25, 0]]
@@ -43,11 +60,11 @@ CASES = {
             "value": 0.25,
             "mode": "exact",
             "certificate": {
-                "cells": [[0, 0], [1, 2], [2, 1]],
+                "cells": [[0, 1], [2, 0]],
                 "retained_mass": 0.75,
                 "pair_value": 0.25,
                 "mass_gap": 0.0,
-                "coupling": [[0.25, 0.0, 0.0], [0.0, 0.0, 0.25], [0.25, 0.25, 0.0]],
+                "coupling": [[0.0, 0.25, 0.0], [0.0, 0.0, 0.25], [0.5, 0.0, 0.0]],
             },
         },
     ),
@@ -57,14 +74,14 @@ CASES = {
             "value": 0.75,
             "mode": "exact",
             "certificate": {
-                "cells": [[0, 0], [1, 2], [2, 1]],
+                "cells": [[0, 1], [2, 0]],
                 "retained_mass": 0.75,
                 "pair_value": 0.25,
                 "mass_gap": 0.5,
                 "coupling": [
-                    [0.25, 0.0, 0.0],
-                    [0.08333333333333334, 0.0, 0.16666666666666666],
-                    [0.16666666666666666, 0.3333333333333333, 0.0],
+                    [0.0, 0.25, 0.0],
+                    [0.0, 0.08333333333333331, 0.16666666666666666],
+                    [0.5, 0.0, 0.0],
                 ],
             },
         },
@@ -75,13 +92,13 @@ CASES = {
             "value": 0.75,
             "mode": "exact",
             "certificate": {
-                "cells": [[0, 0], [2, 1], [1, 2]],
+                "cells": [[1, 0], [0, 2]],
                 "retained_mass": 0.75,
                 "pair_value": 0.25,
                 "mass_gap": 0.5,
                 "coupling": [
-                    [0.25, 0.08333333333333334, 0.16666666666666666],
-                    [0.0, 0.0, 0.3333333333333333],
+                    [0.0, 0.0, 0.5],
+                    [0.25, 0.08333333333333331, 0.0],
                     [0.0, 0.16666666666666666, 0.0],
                 ],
             },
@@ -267,6 +284,77 @@ def test_certificate_at_scale_is_frozen(name, monkeypatch):
     # without the flow-bound cut the sweeps yield 270,266 (7x7), 2,133,486 (8x8 at
     # lam=0) and 65,445 (8x8 at lam=1) cliques
     assert len(swept) < 10_000
+
+
+def _frozen(report) -> BoxResult:
+    """A frozen report as the result it was written from."""
+    c = report["certificate"]
+    cells = tuple(tuple(cell) for cell in c["cells"])
+    return BoxResult(report["value"], report["mode"], cells, c["retained_mass"], c["pair_value"], c["mass_gap"],
+                     np.array(c["coupling"]))
+
+
+def _frozen_cases():
+    for name, (x, y, lam, _, report) in CASES.items():
+        yield name, mm_space(*x), mm_space(*y), lam, _frozen(report)
+    for name, (n, lam, report) in SCALE_CASES.items():
+        rng = np.random.default_rng(5)
+        X = random_space(rng, min_points=n, max_points=n)
+        yield name, X, random_space(rng, min_points=n, max_points=n), lam, _frozen(report)
+
+
+def test_frozen_certificates_meet_the_rule():
+    for name, X, Y, lam, res in _frozen_cases():
+        assert box._certificate_violations(X, Y, lam, res) == [], name
+
+
+def _corruptions():
+    """(kind, X, Y, lam, corrupted copy, the one violation it must give) per violation kind.
+
+    The copies come from ``unequal mass`` (lam = 1, mass gap 0.5, cells that
+    keep exactly ``m - lam * pair_value``) and, for the defect, ``exact
+    lam=0``, whose cells keep all the mass whatever its pair value.
+    """
+    _, X, Y, lam, res = next(c for c in _frozen_cases() if c[0] == "unequal mass")
+    pi = res.coupling.copy()
+    pi[1, 0] += 0.125  # (1, 0) holds no certificate cell
+    first, first_mass = res.cells[:1], res.coupling[res.cells[0]]
+    copies = {
+        "value": (replace(res, value=res.value + 0.125), "is not pair value"),
+        "mass gap": (replace(res, value=res.value + 0.125, mass_gap=0.625), "difference of the totals"),
+        "marginals": (replace(res, coupling=pi), "coupling marginals do not match"),
+        "repeated cell": (
+            replace(res, cells=res.cells + first, retained_mass=res.retained_mass + first_mass), "repeats a cell"
+        ),
+        "cell out of range": (replace(res, cells=res.cells + ((3, 0),)), "certificate rows has indices outside"),
+        "retained mass": (replace(res, retained_mass=res.retained_mass + 0.125), "is not the coupling mass"),
+        "short of the need": (
+            replace(res, cells=res.cells[1:], retained_mass=res.retained_mass - first_mass),
+            "below m - lam * pair_value",
+        ),
+    }
+    for kind, (copy, message) in copies.items():
+        yield kind, X, Y, lam, copy, message
+    _, X, Y, lam, res = next(c for c in _frozen_cases() if c[0] == "exact lam=0")
+    yield "defect", X, Y, lam, replace(res, value=0.25, pair_value=0.25), "above pair value"
+
+
+@pytest.mark.parametrize("kind", [c[0] for c in _corruptions()])
+def test_corrupted_certificate_gives_its_one_violation(kind):
+    _, X, Y, lam, res, message = next(c for c in _corruptions() if c[0] == kind)
+    violations = box._certificate_violations(X, Y, lam, res)
+    assert len(violations) == 1 and message in violations[0], violations
+
+
+def test_a_sweep_short_of_the_need_is_an_internal_error(monkeypatch):
+    # a flow sweep that hands back its mass with no cells: the threshold
+    # search reads the mass and finds the same value, and only the
+    # certificate rule sees that the cells keep nothing
+    sweep = box._best_flow_at
+    monkeypatch.setattr(box, "_best_flow_at", lambda *args, **kwargs: (sweep(*args, **kwargs)[0], ()))
+    x, y, lam, _, _ = CASES["exact lam=1"]
+    with pytest.raises(InternalInvariantError, match="below m - lam"):
+        box_distance(mm_space(*x), mm_space(*y), lam)
 
 
 LIGHT = ([0.25, 0.25, 0.5], D3A)
