@@ -14,17 +14,20 @@ search is combinatorial.  Second, for a fixed tolerance the retained cells
 must be pairwise compatible (a clique in the defect graph) and the retainable
 mass is a transportation max-flow, both of which change only at finitely many
 thresholds: the pairwise defect values and the mass breakpoints
-``(m - W) / lam``.  :func:`_defect_solve` is the one solve over this candidate
-set: a threshold search whose probes each hand a search their defect graph as
-one boolean matrix, then a certificate.  The pair solver plugs in a
-maximum-weight clique and keeps the heaviest cells, lexicographically smallest
-among ties.  The space solver plugs in a flow over maximal cliques and keeps
-the first witness its search found, so its certificate promises
-``retained_mass >= m - lam * pair_value``, not a maximum; every certificate of
+``(m - W) / lam``.  One threshold search over them
+(:func:`mmdist.transport._threshold_solve`), whose probes each hand a search
+their defect graph as one boolean matrix, returns the value and its witness.
+The pair solver plugs in a maximum-weight clique and keeps the value
+(:func:`_clique_solve`); its certificate, the heaviest cells,
+lexicographically smallest among ties, is one more search
+(:func:`_clique_cells`).  The space solver plugs in a flow over maximal
+cliques and keeps the witness, so its certificate promises ``retained_mass >=
+m - lam * pair_value``, not a maximum; every certificate of
 :func:`box_distance` meets one rule (:func:`_certificate_violations`).  The
 space solver numbers the coupling cells once, row-major, and the defect
 matrix, the sweep, the flows (on a clique's row and column index lists) and
 the certificate all read that one numbering.  The flow sweep is a
+
 Bron-Kerbosch recursion on integer bitsets (:func:`_maximal_cliques`) that
 yields its cliques in the order of the same recursion on sorted sets.  It
 prunes subtrees by a per-row/per-column flow bound against the best flow so
@@ -41,8 +44,7 @@ it, and a trial that passes is searched down from it, to the answer the cap
 does not change.  The witness search of :mod:`mmdist.limits` gates its maps
 the same way.  Its mirror image is the ``floor`` of a running maximum (the
 sampled Hausdorff bound of :mod:`mmdist.lipschitz`): one probe at the floor
-settles a value that cannot raise it.  A solve hands back its certificate as
-a function, which a caller calls only for a value it keeps.
+settles a value that cannot raise it.
 """
 
 from __future__ import annotations
@@ -87,9 +89,11 @@ class BoxResult:
     at most ``pair_value`` on ``cells``: :func:`_certificate_violations`
     states the rule.  ``coupling`` is present for space-level solves
     (marginals: the lighter measure on both sides).  An exact space-level
-    certificate is the first witness the search found, so ``retained_mass``
-    need not be the largest a coupling keeps; :func:`box_pair` keeps the
-    heaviest cells, lexicographically smallest among ties.
+    certificate is the witness that the threshold search hands back, so
+    ``retained_mass`` need not be the largest a coupling keeps;
+    :func:`box_pair` and the heuristic keep the heaviest cells,
+    lexicographically smallest among ties (:func:`_clique_cells`).
+
     """
 
     value: float
@@ -217,77 +221,29 @@ def _max_weight_clique(
     return best_mass, best_set
 
 
-def _defect_solve(delta: np.ndarray, m: float, lam: float, best_at, cap: float = np.inf, floor: float = 0.0):
-    """Smallest tolerance at which compatible cells retain ``m - lam * eps``.
-
-    Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
-    EDGE_TOL``, and ``best_at(mask, target)`` takes that boolean matrix (its
-    diagonal is not read) and returns ``(mass, cells)``: with ``target``
-    None, a heaviest clique of its graph; with a ``target``, a clique whose
-    mass reaches ``target`` if one does, and otherwise one below it, maybe
-    below the heaviest, since a probe compares the mass with ``target`` only
-    (:func:`_max_weight_clique` then stops once nothing can reach it).
-    The candidates are zero and the defects above the diagonal (the lower
-    half may differ within the metric tolerance).  Returns ``(eps,
-    certify)``: ``certify()`` gives the heaviest clique at ``eps``,
-    lexicographically smallest among ties, and ``certify(first=True)`` the
-    first witness, the first clique that a targeted probe found on the graph
-    at ``eps`` keeping ``m - lam * eps`` (to the probes' 1e-12): the probe
-    that showed a threshold answer feasible found one, so no search is made,
-    and otherwise (a breakpoint answer, a float edge) the heaviest clique.
-    Neither certifies an ``eps`` that a gate decided (``inf`` past a failed
-    ``cap`` probe, a positive ``floor`` it does not exceed; see
-    :func:`mmdist.transport._threshold_solve`).  Compatible pairs only join
-    as ``t`` grows, so their count names the graph: its heaviest clique is
-    searched once per solve, and a breakpoint answer's certificate is most
-    often the search the breakpoint made at the threshold below it, on the
-    same graph.  A targeted probe on a graph probed before returns an
-    earlier outcome that decides it: a clique that reaches the new target,
-    or one that missed a target no larger, below the new one too.  The
-    threshold search reads only the mass against its target, so no bit
-    moves.
-    """
-    heaviest: dict = {}  # count of compatible pairs -> best_at(mask, None)
-    probed: dict = {}  # count of compatible pairs -> [(target, best_at(mask, target)), ...]
-
-    def graph(t: float):
-        mask = delta <= t + EDGE_TOL
-        return mask, int(np.count_nonzero(mask))
-
-    def best_at_t(t: float, target):
-        mask, key = graph(t)
-        if target is not None:
-            for earlier, (mass, cells) in probed.setdefault(key, []):
-                if mass >= target or mass < earlier <= target:
-                    return mass, cells
-            probed[key].append((target, best_at(mask, target)))
-            return probed[key][-1][1]
-        if key not in heaviest:
-            heaviest[key] = best_at(mask, None)
-        return heaviest[key]
-
-    eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: best_at_t(t, target)[0], cap, floor)
-
-    def certify(first: bool = False):
-        tried = probed.get(graph(eps)[1], []) if first else []
-        return next((hit for _, hit in tried if hit[0] >= m - lam * eps - 1e-12), None) or best_at_t(eps, None)
-
-    return eps, certify
-
-
 def _clique_solve(d: np.ndarray, w: np.ndarray, m: float, lam: float, cap: float = np.inf, floor: float = 0.0):
-    """Exact box value ``(eps, cells)`` of defects ``d`` over positive weights ``w`` of total ``m``.
+    """Exact box value of defects ``d`` over positive weights ``w`` of total ``m``.
 
-    ``cells()`` gives the retained index set of maximum mass, lexicographically
-    smallest among ties.  ``cap`` and ``floor`` gate ``eps`` as in
-    :func:`_defect_solve`.  ``lam = 0`` takes the closed form, ignores ``cap``
-    and keeps every cell.
+    Cells ``a != b`` are compatible at ``t`` when ``d[a, b] <= t + EDGE_TOL``
+    (the lower half may differ within the metric tolerance); the threshold
+    search runs over zero and the defects above the diagonal.  ``cap`` and
+    ``floor`` gate the value as in :func:`mmdist.transport._threshold_solve`.
+    ``lam = 0`` takes the closed form and ignores ``cap``.
+
     """
     if lam == 0.0:
-        return max(float(np.triu(d, 1).max(initial=0.0)), floor), lambda: tuple(range(len(w)))
-    best_at = lambda mask, target: _max_weight_clique(mask, w, target=target)  # noqa: E731
-    eps, certify = _defect_solve(d, m, lam, best_at, cap, floor)
-    return eps, lambda: certify()[1]
+        return max(float(np.triu(d, 1).max(initial=0.0)), floor)
+    best_at = lambda t, target: _max_weight_clique(d <= t + EDGE_TOL, w, target=target)  # noqa: E731
+    return _threshold_solve(np.triu(d, 1), m, lam, best_at, cap, floor)[0]
+
+
+def _clique_cells(d: np.ndarray, w: np.ndarray, lam: float, eps: float) -> tuple:
+    """The cells a pair solve keeps at its value ``eps``: the heaviest clique
+    of compatible cells, lexicographically smallest among ties (every cell
+    at ``lam = 0``)."""
+    if lam == 0.0:
+        return tuple(range(len(w)))
+    return _max_weight_clique(d <= eps + EDGE_TOL, w)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +258,9 @@ def box_pair(pair: SemiDistancePair, lam: float, *, max_cells: int = 64) -> BoxR
     s = pair.support
     if len(s) > max_cells:
         raise SizeLimitError(f"exact box_pair refuses {len(s)} cells (limit {max_cells})")
-    eps, kept = _clique_solve(np.abs(pair.d1 - pair.d2)[np.ix_(s, s)], pair.weights[s], pair.total_mass, lam)
-    cells = tuple(int(s[i]) for i in kept())
+    d, w = np.abs(pair.d1 - pair.d2)[np.ix_(s, s)], pair.weights[s]
+    eps = _clique_solve(d, w, pair.total_mass, lam)
+    cells = tuple(int(s[i]) for i in _clique_cells(d, w, lam, eps))
     retained = float(pair.weights[list(cells)].sum()) if cells else 0.0
     return BoxResult(eps, "exact", cells, retained, eps)
 
@@ -411,11 +368,12 @@ def _box_equal_mass_exact(X: FiniteMMSpace, Y: FiniteMMSpace, lam: float, max_ce
     # cell c, row-major: support row rows_of[c] and column cols_of[c], points xs[c] and ys[c]
     rows_of, cols_of = np.divmod(np.arange(n_cells), len(sy))
     xs, ys = sx[rows_of], sy[cols_of]
-    eps, certify = _defect_solve(
-        np.abs(X.dist[np.ix_(xs, xs)] - Y.dist[np.ix_(ys, ys)]), m, lam,
-        lambda mask, target: _best_flow_at(mask, rows_of, cols_of, row_caps, col_caps, target=target),
+    delta = np.abs(X.dist[np.ix_(xs, xs)] - Y.dist[np.ix_(ys, ys)])
+    best_at = lambda t, target: _best_flow_at(  # noqa: E731
+        delta <= t + EDGE_TOL, rows_of, cols_of, row_caps, col_caps, target=target
     )
-    _, cells = certify(first=True)
+    eps, cells = _threshold_solve(np.triu(delta, 1), m, lam, best_at)
+    cells = best_at(eps, None)[1] if cells is None else cells  # None: no probe showed eps feasible
     _, sub_plan = max_flow(row_caps, col_caps, (rows_of[list(cells)], cols_of[list(cells)]))
     pi = np.zeros((X.n, Y.n))
     pi[np.ix_(sx, sy)] = completion(sub_plan, row_caps, col_caps)
@@ -466,25 +424,24 @@ def _box_equal_mass_heuristic(
     turns such a coupling away (``inf``), and any other gets its uncapped
     value, searched down from the cap (see
     :func:`mmdist.transport._threshold_solve`); every decision is that of
-    uncapped scoring.  Only a value below ``best_eps`` asks for its cells,
-    so a tie gets no certificate search.  The first score has no bound
-    (``inf``).
+    uncapped scoring.  Only the coupling returned asks for its cells, once,
+    after the search.  The first score has no bound (``inf``).
     """
     rng = np.random.default_rng(seed)
     best_eps = np.inf
-    best_cells: tuple = ()
     best_pi: np.ndarray | None = None
+    best_pullback: tuple = ()
 
     def score(pi: np.ndarray) -> float:
         """Pair value of the pullback along ``pi``, or ``inf`` above ``best_eps +
-        1e-15``; one below ``best_eps`` becomes the incumbent, with its kept cells."""
-        nonlocal best_eps, best_cells, best_pi
+        1e-15``; one below ``best_eps`` becomes the incumbent, with its pullback."""
+        nonlocal best_eps, best_pi, best_pullback
         ii, jj = np.nonzero(pi > 0.0)
         w = pi[ii, jj]
         delta = np.abs(X.dist[np.ix_(ii, ii)] - Y.dist[np.ix_(jj, jj)])
-        eps, kept = _clique_solve(delta, w, float(w.sum()), lam, best_eps + 1e-15)
+        eps = _clique_solve(delta, w, float(w.sum()), lam, best_eps + 1e-15)
         if eps < best_eps:
-            best_eps, best_cells, best_pi = eps, tuple((int(ii[k]), int(jj[k])) for k in kept()), pi
+            best_eps, best_pi, best_pullback = eps, pi, (ii, jj, w, delta)
         return eps
 
     for attempt in range(HEURISTIC_RESTARTS):
@@ -503,6 +460,8 @@ def _box_equal_mass_heuristic(
             trial[i2, j1] -= shift
             if score(trial) <= best_eps + 1e-15:
                 pi = trial
+    ii, jj, w, delta = best_pullback
+    best_cells = tuple((int(ii[k]), int(jj[k])) for k in _clique_cells(delta, w, lam, best_eps))
     retained = float(sum(best_pi[i, j] for i, j in best_cells))
     return BoxResult(best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=best_pi)
 
@@ -609,4 +568,4 @@ def box_upper_from_witness(Xn: FiniteMMSpace, X: FiniteMMSpace, w: Witness) -> f
             u = p[z]
             pi[z] = Xn.weights[z] * kappa[u] / nu[u]
     pair = pullback_pair(Xn, X, pi)  # its cells all have positive mass
-    return _clique_solve(np.abs(pair.d1 - pair.d2), pair.weights, pair.total_mass, 1.0)[0] + gap
+    return _clique_solve(np.abs(pair.d1 - pair.d2), pair.weights, pair.total_mass, 1.0) + gap

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .box import _clique_solve, _max_weight_clique, box_distance, box_upper_from_witness
+from .box import _clique_cells, _clique_solve, _max_weight_clique, box_distance, box_upper_from_witness
 from .core import (FiniteMMSpace, Witness, _as_indices, _index_violations, _refuse, _semimetric_violations,
                    _weight_violations, nonnegative, whole_number)
 from .errors import SizeLimitError
@@ -103,9 +103,11 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     other map passes ``b`` as the ``cap`` of its clique search, so one
     threshold probe turns away a map whose subset tolerance is above it, and
     any other is searched down from ``b`` (see
-    :func:`mmdist.transport._threshold_solve`).  Only a map that its branch
-    accepts (below ``b - 1e-15`` enumerating, below ``b`` climbing) asks for
-    its subset.  So the prunes return the same map, subset and tolerance as
+    :func:`mmdist.transport._threshold_solve`).  A map that its branch
+    accepts (below ``b - 1e-15`` enumerating, below ``b`` climbing) keeps its
+    defects, and only the map returned asks for its subset, once, after the
+    search.  So the prunes return the same map, subset and tolerance as
+
     scoring every map.  Among tied maps the enumeration keeps the
     lexicographically first.
     """
@@ -116,14 +118,14 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     w = Xn.weights[sn]
     m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
-    def evaluate(p_support: tuple, nu: np.ndarray):  # the objective, and the subset as a function
+    def evaluate(p_support: tuple, nu: np.ndarray):  # the objective, and the subset's defects and tolerance
         p = np.array(p_support, dtype=int)
         prok = prokhorov_distance(X.dist, nu, X.weights)
         if prok >= best_obj:
             return prok, None  # never accepted
         delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
-        eps_pair, cells = _clique_solve(delta, w, m_support, 1.0, best_obj)
-        return max(eps_pair, prok), cells
+        eps_pair = _clique_solve(delta, w, m_support, 1.0, best_obj)
+        return max(eps_pair, prok), (delta, eps_pair)
 
     @lru_cache(maxsize=1)
     def gate(b: float):  # the cells within b, their row reach and the flow needed, once per value of b
@@ -138,35 +140,36 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         nu = _pushforwards(np.array([cand]), w, X.n)
         return (np.inf, None) if ruled_out(nu)[0] else evaluate(cand, nu[0])
 
-    best_obj, best_p, best_cells = np.inf, (), ()
+    best_obj, best_p, best_pair = np.inf, (), None
     if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
         maps = list(product(sx.tolist(), repeat=len(sn)))
         nus, alive = _pushforwards(np.array(maps), w, X.n), np.ones(len(maps), dtype=bool)
         for k, cand in enumerate(maps):
             if alive[k]:
-                obj, cells = evaluate(cand, nus[k])
+                obj, pair = evaluate(cand, nus[k])
                 if obj < best_obj - 1e-15:
-                    best_obj, best_p, best_cells = obj, cand, cells()
+                    best_obj, best_p, best_pair = obj, cand, pair
                     rest = k + 1 + np.flatnonzero(alive[k + 1 :])
                     alive[rest] = ~ruled_out(nus[rest])
     else:
         rng = np.random.default_rng(seed)
         for _ in range(ANNEAL_RESTARTS):
             cand = tuple(rng.choice(sx, size=len(sn)).tolist())
-            obj, cells = climb(cand)
+            obj, pair = climb(cand)
             if obj < best_obj:
-                best_obj, best_p, best_cells = obj, cand, cells()
+                best_obj, best_p, best_pair = obj, cand, pair
             for _ in range(ANNEAL_STEPS):
                 trial = list(best_p)
                 trial[int(rng.integers(len(sn)))] = int(rng.choice(sx))
                 trial = tuple(trial)
-                obj, cells = climb(trial)
+                obj, pair = climb(trial)
                 if obj < best_obj:
-                    best_obj, best_p, best_cells = obj, trial, cells()
+                    best_obj, best_p, best_pair = obj, trial, pair
     p_full = np.full(Xn.n, int(sx[0]), dtype=int)
     for k, i in enumerate(sn):
         p_full[i] = best_p[k]
-    subset = tuple(int(sn[c]) for c in best_cells)
+    delta, eps_pair = best_pair
+    subset = tuple(int(sn[c]) for c in _clique_cells(delta, w, 1.0, eps_pair))
     return Witness(p_full, np.array(subset, dtype=int), float(best_obj))
 
 

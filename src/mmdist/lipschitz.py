@@ -87,7 +87,7 @@ def me_lambda(f, g, weights, lam: float) -> float:
         return 0.0
     if lam == 0.0:
         return float(v.max())
-    return _threshold_solve(v, float(w.sum()), lam, lambda t, _: float(w[v <= t].sum()))
+    return _threshold_solve(v, float(w.sum()), lam, lambda t, _: (float(w[v <= t].sum()), None))[0]
 
 
 def me_lambda_maps(fmap, gmap, weights, dY, lam: float) -> float:
@@ -264,7 +264,7 @@ def lip_point_distance(f, target: Lip1Set, lam: float, *, floor: float = 0.0) ->
     np.fill_diagonal(delta, 0.0)
     if floor > 0.0 and delta.max(initial=0.0) <= floor:
         return floor
-    return _clique_solve(delta, w, float(w.sum()), lam, floor=floor)[0]
+    return _clique_solve(delta, w, float(w.sum()), lam, floor=floor)
 
 
 @dataclass(frozen=True)

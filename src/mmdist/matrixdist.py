@@ -127,11 +127,10 @@ def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
     r = whole_number(r, "r", 1)
     s = space.support
     k = len(s)
-    total = k**r
+    # k**r where that is within the limit: past the limit's bit length k**r exceeds it for k >= 2, and is k for k <= 1
+    total = k ** min(r, EXACT_MU_R_LIMIT.bit_length())
     if total > EXACT_MU_R_LIMIT:
-        raise SizeLimitError(
-            f"exact_mu_r would enumerate {total} tuples (limit {EXACT_MU_R_LIMIT})"
-        )
+        raise SizeLimitError(f"exact_mu_r refuses order r = {r} on {k} support points: over {EXACT_MU_R_LIMIT} tuples")
     w = space.weights[s]
     values, code = _code_table(space)
 

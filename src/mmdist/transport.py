@@ -161,16 +161,21 @@ def max_flow_value(row_caps, col_caps, cells) -> float:
     return max_flow(row_caps, col_caps, cells)[0]
 
 
-def _threshold_solve(
-    values, m: float, lam: float, retained_max, cap: float = np.inf, floor: float = 0.0
-) -> float:
-    """Smallest feasible tolerance over a monotone threshold structure.
+def _threshold_solve(values, m: float, lam: float, best_at, cap: float = np.inf, floor: float = 0.0):
+    """Smallest feasible tolerance over a monotone threshold structure, and its witness.
 
     The thresholds are zero and the distinct entries of the array ``values``.
-    ``retained_max(t, target)`` returns the maximum retainable mass when
-    defects up to ``t`` are allowed (with optional early exit at ``target``);
-    it is nondecreasing and piecewise constant between thresholds, so the
-    optimum sits at a threshold or at a mass breakpoint inside one interval.
+    ``best_at(t, target)`` returns ``(mass, witness)``: the maximum mass
+    retainable with defects up to ``t`` (with optional early exit at
+    ``target``) and what retains it.  The mass is nondecreasing and
+    piecewise constant between thresholds, so the optimum sits at a
+    threshold or at a mass breakpoint inside one interval.  Returns ``(eps,
+    witness)``: at a threshold answer the witness of the probe that showed
+    ``eps`` feasible; at a breakpoint that of the failed probe just below
+    ``eps`` if it keeps ``m - lam * eps`` (to the probes' 1e-12), and
+    otherwise that of the breakpoint's untargeted search there.  It is None
+    for an answer that a gate decided (``inf``, ``floor``) or that no probe
+    was needed for (``m - lam * eps <= 1e-12``).
 
     Two gates serve loops that keep only a running extremum of answers.
     Each adds one probe, which settles most candidates; feasibility is
@@ -196,20 +201,26 @@ def _threshold_solve(
     starts from it and ends at the same pair of thresholds.
     """
 
+    last = {}  # feasible? -> (mass, witness) of the latest such probe: at thresholds[hi], thresholds[lo]
+
     def feasible(t: float) -> bool:
         need = m - lam * t - 1e-12
-        if need <= 0.0:
-            return True
-        return retained_max(t, need) >= need
+        hit = best_at(t, need) if need > 0.0 else None
+        ok = hit is None or hit[0] >= need
+        last[ok] = hit
+        return ok
+
+    def answer(eps: float, hit) -> tuple:
+        return (floor, None) if floor > eps else (eps, None if hit is None else hit[1])
 
     if cap < np.inf and cap <= np.max(values, initial=0.0) and not feasible(cap):
-        return np.inf
+        return np.inf, None
     thresholds = np.unique(np.concatenate(([0.0], np.ravel(values))))
     top = len(thresholds) - 1
     hi = int(np.searchsorted(thresholds, cap))  # first threshold at or above cap
     lo = max(int(np.searchsorted(thresholds, floor, side="right")) - 1, 0)  # last at or below floor
     if lo > 0 and feasible(float(thresholds[lo])):
-        return floor
+        return floor, None
     if hi > top:  # no gate probe has shown the largest threshold feasible
         hi = top
         if not feasible(float(thresholds[hi])):
@@ -220,18 +231,19 @@ def _threshold_solve(
             hi, step = start - step, 2 * step
         lo = max(lo, start - step)
     if lo == 0 and (hi == 0 or feasible(float(thresholds[0]))):
-        return max(float(thresholds[0]), floor)
+        return answer(float(thresholds[0]), last.get(True))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(float(thresholds[mid])):
             hi = mid
         else:
             lo = mid
-    if lam == 0.0:
-        return float(thresholds[hi])
-    w_prev = retained_max(float(thresholds[lo]), None)
-    cand = (m - w_prev) / lam
-    return max(float(min(thresholds[hi], max(thresholds[lo], cand))), floor)
+    if lam > 0.0:
+        heaviest = best_at(float(thresholds[lo]), None)
+        eps = float(min(thresholds[hi], max(thresholds[lo], (m - heaviest[0]) / lam)))
+        if eps < thresholds[hi]:  # a breakpoint
+            return answer(eps, last[False] if last[False][0] >= m - lam * eps - 1e-12 else heaviest)
+    return answer(float(thresholds[hi]), last.get(True))
 
 
 def prokhorov_distance(dist, mu, nu) -> float:
@@ -260,10 +272,10 @@ def prokhorov_distance(dist, mu, nu) -> float:
 
     flows: dict[float, float] = {}  # the search asks again at its last infeasible threshold
 
-    def flow_at(t: float, target) -> float:
+    def flow_at(t: float, target):
         if t not in flows:
             flows[t] = max_flow_value(mu[rows], nu[cols], np.nonzero(sub <= t + 1e-12))
-        return flows[t]
+        return flows[t], None
 
     # moving mass costs one unit of tolerance per unit: lambda = 1
-    return _threshold_solve(sub, m, 1.0, flow_at)
+    return _threshold_solve(sub, m, 1.0, flow_at)[0]

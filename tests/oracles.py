@@ -15,7 +15,9 @@ sweep and the heaviest, lexicographically smallest certificate,
 every coupling with a full pair solve, :func:`reference_hli_sampled` is
 the sampled Hausdorff loop measuring every probe with a full search, and
 :func:`reference_threshold_solve` is the threshold search that bisects from
-zero after a passed cap instead of stepping down from it, and
+zero after a passed cap instead of stepping down from it,
+:func:`reference_first_witness` is the defect-threshold solve that kept its
+probes' outcomes per graph and drew its certificate from them, and
 :func:`reference_me1_chains` runs one unbounded clique search per tolerance.
 """
 
@@ -596,7 +598,7 @@ def reference_box_exact(X, Y, lam):
     def heaviest(t):
         return _best_flow_at(delta <= t + EDGE_TOL, rows_of, cols_of, r, c)
 
-    eps = reference_threshold_solve(np.triu(delta, 1), A.total_mass, lam, lambda t, target: heaviest(t)[0])
+    eps = reference_threshold_solve(np.triu(delta, 1), A.total_mass, lam, lambda t, target: heaviest(t))
     kept = list(heaviest(eps)[1])
     pi = np.zeros((A.n, B.n))
     pi[np.ix_(sx, sy)] = completion(max_flow(r, c, (rows_of[kept], cols_of[kept]))[1], r, c)
@@ -680,17 +682,18 @@ def reference_hli_sampled(pair, lam, samples=48, seed=0):
     return value
 
 
-def reference_threshold_solve(values, m, lam, retained_max, cap=np.inf, floor=0.0):
-    """``mmdist.transport._threshold_solve`` as it bisected between zero (or the
-    floor's threshold) and the first threshold at or above a passed ``cap``;
-    the search that steps down from the cap must return the same bits."""
+def reference_threshold_solve(values, m, lam, best_at, cap=np.inf, floor=0.0):
+    """The value of ``mmdist.transport._threshold_solve`` as it bisected between
+    zero (or the floor's threshold) and the first threshold at or above a
+    passed ``cap``; ``best_at(t, target)`` returns ``(mass, witness)`` as
+    there.  The search that steps down from the cap must return the same bits."""
     from mmdist.errors import InternalInvariantError
 
     def feasible(t: float) -> bool:
         need = m - lam * t - 1e-12
         if need <= 0.0:
             return True
-        return retained_max(t, need) >= need
+        return best_at(t, need)[0] >= need
 
     if cap < np.inf and cap <= np.max(values, initial=0.0) and not feasible(cap):
         return np.inf
@@ -714,9 +717,53 @@ def reference_threshold_solve(values, m, lam, retained_max, cap=np.inf, floor=0.
             lo = mid
     if lam == 0.0:
         return float(thresholds[hi])
-    w_prev = retained_max(float(thresholds[lo]), None)
+    w_prev = best_at(float(thresholds[lo]), None)[0]
     cand = (m - w_prev) / lam
     return max(float(min(thresholds[hi], max(thresholds[lo], cand))), floor)
+
+
+def reference_first_witness(delta, m, lam, best_at, cap=np.inf, floor=0.0):
+    """The defect-threshold solve as it kept its probes' outcomes per graph,
+    with the certificate it drew from them; returns ``(eps, cells)``.
+
+    Cells ``a != b`` are compatible at ``t`` when ``delta[a, b] <= t +
+    EDGE_TOL``, and ``best_at(mask, target)`` searches that boolean matrix.
+    Compatible pairs only join as ``t`` grows, so their count names the
+    graph.  A targeted probe on a graph probed before returns an earlier
+    outcome that decides it, and each graph's heaviest clique is searched
+    once.  The cells are those of the first targeted search on the graph at
+    ``eps`` that keeps ``m - lam * eps`` (to 1e-12), and otherwise the
+    heaviest clique there.  Where no two of the thresholds and ``eps`` lie
+    within ``EDGE_TOL``, the witness that an ungated ``_threshold_solve``
+    hands back (or, with none, the heaviest clique at ``eps``) must be these
+    cells.
+    """
+    from mmdist.box import EDGE_TOL
+    from mmdist.transport import _threshold_solve
+
+    heaviest: dict = {}  # count of compatible pairs -> best_at(mask, None)
+    probed: dict = {}  # count of compatible pairs -> [(target, best_at(mask, target)), ...]
+
+    def graph(t):
+        mask = delta <= t + EDGE_TOL
+        return mask, int(np.count_nonzero(mask))
+
+    def best_at_t(t, target):
+        mask, key = graph(t)
+        if target is not None:
+            for earlier, (mass, cells) in probed.setdefault(key, []):
+                if mass >= target or mass < earlier <= target:
+                    return mass, cells
+            probed[key].append((target, best_at(mask, target)))
+            return probed[key][-1][1]
+        if key not in heaviest:
+            heaviest[key] = best_at(mask, None)
+        return heaviest[key]
+
+    eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: (best_at_t(t, target)[0], None), cap, floor)[0]
+    tried = probed.get(graph(eps)[1], [])
+    hit = next((hit for _, hit in tried if hit[0] >= m - lam * eps - 1e-12), None) or best_at_t(eps, None)
+    return eps, hit[1]
 
 
 def reference_me1_chains(matrix):

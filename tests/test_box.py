@@ -24,7 +24,8 @@ from mmdist.box import (
     EDGE_TOL,
     _best_flow_at,
     _certificate_violations,
-    _defect_solve,
+    _clique_cells,
+    _clique_solve,
     _line_parts,
     _max_weight_clique,
     _maximal_cliques,
@@ -33,6 +34,7 @@ from mmdist.box import (
 )
 from mmdist.core import coupling_from_matrix, lighter_first
 from mmdist.instances import random_space, random_space_total, shuffled_copy
+from mmdist.transport import _threshold_solve
 
 from oracles import (
     brute_best_flow,
@@ -43,6 +45,7 @@ from oracles import (
     reference_best_flow_at,
     reference_box_exact,
     reference_box_heuristic,
+    reference_first_witness,
     reference_flow_bound,
 )
 
@@ -144,10 +147,14 @@ class TestBoxPair:
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_capped_solve_matches_the_full_search_hypothesis(self, data):
-        # a cap is rejected (inf) only when the full search's answer is above
-        # it, and otherwise changes nothing; a cap within the probes' slack
-        # (1e-12 of mass, EDGE_TOL of defect) below the answer may pass
+    def test_threshold_witness_contract_hypothesis(self, data):
+        # the search hands back a clique that certifies its value, None for
+        # an answer a gate decided; a cap or floor changes the value only as
+        # a gate may (a cap within the probes' slack, 1e-12 of mass and
+        # EDGE_TOL of defect, below the answer may pass), and an ungated
+        # witness is the first witness of the solve that kept its probes'
+        # outcomes per graph, wherever no two of the thresholds and the answer
+        # lie within EDGE_TOL
         n = data.draw(st.integers(1, 6))
         k = n * (n - 1) // 2
         w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=n, max_size=n)))
@@ -157,51 +164,39 @@ class TestBoxPair:
         delta = delta + delta.T
         lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
         m = float(w.sum())
+        best_at = lambda t, target: _max_weight_clique(delta <= t + EDGE_TOL, w, target=target)  # noqa: E731
 
-        def solve(cap):
-            best_at = lambda mask, target: _max_weight_clique(mask, w, target=target)  # noqa: E731
-            return _defect_solve(delta, m, lam, best_at, cap)
+        def solve(cap=np.inf, floor=0.0):
+            eps, witness = _threshold_solve(np.triu(delta, 1), m, lam, best_at, cap, floor)
+            if witness is not None:
+                cells = list(witness)
+                assert len(set(cells)) == len(cells) and (delta[np.ix_(cells, cells)] <= eps + EDGE_TOL).all()
+                assert float(w[cells].sum()) >= m - lam * eps - 1e-12
+            return eps, witness
 
-        eps, certify = solve(np.inf)
+        eps, witness = solve()
+        assert eps == _clique_solve(delta, w, m, lam)
+        want_eps, want_cells = reference_first_witness(
+            delta, m, lam, lambda mask, target: _max_weight_clique(mask, w, target=target)
+        )
+        assert repr(eps) == repr(want_eps)
+        spots = np.unique(np.concatenate(([0.0, eps], np.triu(delta, 1).ravel())))
+        if (np.diff(spots) > EDGE_TOL).all():
+            assert (best_at(eps, None)[1] if witness is None else witness) == want_cells
         nudges = (0.0, -EDGE_TOL, EDGE_TOL, -1e-15, 1e-15, -1e-11, 1e-11, -1e-3, 1e-3)
-        for anchor in {0.0, eps, *delta.ravel().tolist()}:
-            for cap in (anchor + nudge for nudge in nudges):
-                got_eps, got_certify = solve(cap)
-                if got_eps == np.inf:
-                    assert eps > cap
-                else:
-                    assert got_eps == eps and got_certify() == certify()
-                if eps > cap + 4e-12:  # beyond the slack at lam >= 0.25
-                    assert got_eps == np.inf
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_no_targeted_probe_repeats_a_decided_one_hypothesis(self, data):
-        # a targeted probe on a graph that its solve probed before searches
-        # only when no earlier outcome there decides it: a clique at or above
-        # the new target, or a miss at a target no larger
-        n = data.draw(st.integers(1, 6))
-        k = n * (n - 1) // 2
-        w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=n, max_size=n)))
-        delta = np.zeros((n, n))
-        levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-        delta[np.triu_indices(n, 1)] = data.draw(st.lists(levels, min_size=k, max_size=k))
-        delta = delta + delta.T
-        lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
-        searches = []
-
-        def best_at(mask, target):
-            found = _max_weight_clique(mask, w, target=target)
-            if target is not None:
-                searches.append((mask, target, found[0]))
-            return found
-
-        for cap in (np.inf, *(t + nudge for t in set(delta.ravel().tolist()) for nudge in (0.0, 1e-15))):
-            searches.clear()
-            _defect_solve(delta, float(w.sum()), lam, best_at, cap)
-            for k, (mask, target, _) in enumerate(searches):
-                for same, earlier, mass in searches[:k]:
-                    assert not np.array_equal(same, mask) or not (mass >= target or mass < earlier <= target)
+        for gate in sorted({max(x + nudge, 0.0) for x in spots.tolist() for nudge in nudges}):
+            got, got_witness = solve(cap=gate)
+            if got == np.inf:
+                assert eps > gate and got_witness is None
+            else:
+                assert repr(got) == repr(eps)
+                assert _clique_cells(delta, w, lam, got) == _clique_cells(delta, w, lam, eps)
+            if eps > gate + 4e-12:  # beyond the slack at lam >= 0.25
+                assert got == np.inf
+            got, got_witness = solve(floor=gate)
+            assert repr(got) == repr(max(eps, gate))
+            if gate > eps:
+                assert got_witness is None
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

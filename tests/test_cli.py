@@ -310,6 +310,12 @@ class TestOtherCommands:
         want = sample_mu_r(read_space(x), 2, 5, seed=7).to_jsonable()
         assert code == 0 and rep["result"] == json.loads(json.dumps(want))
 
+    def test_matdist_large_r_exits_two(self, capsys, spaces):
+        # exited 1 on the ValueError of formatting 2 ** 10000 into the message
+        x, _ = spaces
+        assert exit_code(["matdist", x, "--r", "10000"]) == 2
+        assert "size limit: exact_mu_r refuses order r = 10000 on 2 support points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     @pytest.mark.parametrize("samples", [[], ["--samples", "5"]])
     def test_matdist_r_below_one_exits_one(self, capsys, spaces, r, samples):

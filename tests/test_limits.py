@@ -263,25 +263,32 @@ class TestWitnessSearch:
         Xn, X = self.space(rng, 7), self.space(rng, 7)
         assert len(Xn.support) > limits.WITNESS_ENUM_SUPPORT  # the hill-climb
         bounds, solve = limits._flow_bounds, limits._clique_solve
-        events = []  # the matrix of every bound, held so ids stay apart, and "accepted" at each acceptance
+        events = []  # the matrix of every bound, held so ids stay apart, and the cap of every clique solve
 
         def traced_bounds(nus, admissible, *args):
             events.append(admissible)
             return bounds(nus, admissible, *args)
 
-        def traced_solve(*args):
-            eps, cells = solve(*args)
-            return eps, lambda: events.append("accepted") or cells()
+        def traced_solve(d, w, m, lam, cap):
+            events.append(cap)
+            return solve(d, w, m, lam, cap)
 
         monkeypatch.setattr(limits, "_flow_bounds", traced_bounds)
         monkeypatch.setattr(limits, "_clique_solve", traced_solve)
         self.assert_matches_oracle(Xn, X)
-        runs = [[]]
+        # a map is accepted only after its clique solve, so the bounds before
+        # a solve read the gate of its cap, the best objective then
+        runs, caps, pending = [], [], []
         for event in events:
-            if isinstance(event, str):
-                runs.append([])
+            if isinstance(event, float):
+                if caps and caps[-1] == event:
+                    runs[-1] += pending
+                else:
+                    runs.append(pending)
+                    caps.append(event)
+                pending = []
             else:
-                runs[-1].append(event)
+                pending.append(event)
         runs = [run for run in runs if run]
         assert len(runs) > 2 and sum(map(len, runs)) > 4 * len(runs)
         assert all(matrix is run[0] for run in runs for matrix in run)

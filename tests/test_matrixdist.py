@@ -99,6 +99,19 @@ class TestExactMuR:
         with pytest.raises(SizeLimitError):
             exact_mu_r(X, 12)
 
+    @pytest.mark.parametrize("r", [15, 10_000, 3 * 10**7])
+    def test_large_order_refused_at_once(self, r):
+        # 3 ** r was computed in full and then formatted into the message,
+        # which raised ValueError past 4300 digits (and took 28 s at 3e7)
+        X = random_space(np.random.default_rng(0), min_points=3, max_points=3)
+        with pytest.raises(SizeLimitError, match=rf"order r = {r} on 3 support points: over 10000000 tuples"):
+            exact_mu_r(X, r)
+
+    def test_one_point_order_past_the_limit_bit_length(self):
+        # one support point has one tuple at any order, 30 among them
+        mu = exact_mu_r(mm_space([1.0], [[0.0]]), 30)
+        assert mu.entries == (((0.0,) * 900, 1.0),)
+
 
 class TestSampleMuR:
     def test_zero_count_is_empty(self):

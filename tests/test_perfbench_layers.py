@@ -118,10 +118,9 @@ def test_heuristic_box_layers_fire():
 def test_heuristic_box_rejects_by_one_probe(monkeypatch):
     # a trial coupling whose probe at the incumbent fails costs one clique
     # search; here 70 of the 105 scored couplings do.  One that passes is
-    # searched down from the incumbent, a probe that an earlier probe of the
-    # same graph decides costs none, and only a strictly better one gets a
-    # certificate search.  Scoring every coupling with a full threshold
-    # search (the reference loop) costs 966
+    # searched down from the incumbent, and the coupling returned gets one
+    # certificate search after the loop.  Scoring every coupling with a full
+    # threshold search and a certificate (the reference loop) costs 1055
     from mmdist import box as box_module
     from mmdist.instances import random_space
     from oracles import reference_box_heuristic
@@ -139,56 +138,60 @@ def test_heuristic_box_rejects_by_one_probe(monkeypatch):
         counts = tracer.layer_counts()
         return counts["box.threshold_solve.calls"], counts["box.max_weight_clique.calls"]
 
-    assert traced() == (105, 185)
+    assert traced() == (105, 195)
     monkeypatch.setattr(box_module, "_box_equal_mass_heuristic", reference_box_heuristic)
-    assert traced() == (105, 966)
+    assert traced() == (105, 1055)
 
 
-def test_tied_heuristic_trial_runs_no_certificate_search(monkeypatch):
-    # only a trial strictly below the incumbent asks for its cells, so a tied
-    # one runs no clique search after its threshold search
+def test_no_heuristic_trial_runs_a_certificate_search(monkeypatch):
+    # a scored trial, tied, better or worse, runs no clique search after its
+    # threshold search; the coupling returned gets one, after the loop
     from mmdist import box as box_module
     from mmdist.instances import random_space
 
     rng = np.random.default_rng(18)
     X, Y = (random_space(rng, min_points=6, max_points=6) for _ in range(2))
-    solve, search = box_module._clique_solve, box_module._max_weight_clique
+    solve, cells, search = box_module._clique_solve, box_module._clique_cells, box_module._max_weight_clique
     threshold_solve = box_module._threshold_solve
     scores = []  # [value, incumbent, clique searches after the threshold search] per scored coupling
+    certificates = []  # clique searches of each certificate
 
     def counted_search(*args, **kwargs):
-        scores[-1][2] += 1
+        (certificates if certificates else scores)[-1][-1] += 1
         return search(*args, **kwargs)
 
     def marked_threshold_solve(*args):
-        eps = threshold_solve(*args)
-        scores[-1][2] = 0  # count only the certificate search from here on
-        return eps
+        answer = threshold_solve(*args)
+        scores[-1][2] = 0  # count only the searches after it
+        return answer
 
     def recorded_solve(d, w, m, lam, cap=np.inf, floor=0.0):
-        # the incumbent is the least value scored so far; the searches of the
-        # returned cells() count toward this score, which asks before the next
+        # the incumbent is the least value scored so far
         scores.append([None, min((eps for eps, _, _ in scores), default=np.inf), 0])
-        eps, cells = solve(d, w, m, lam, cap, floor)
-        scores[-1][0] = eps
-        return eps, cells
+        scores[-1][0] = solve(d, w, m, lam, cap, floor)
+        return scores[-1][0]
+
+    def recorded_cells(*args):
+        certificates.append([0])
+        return cells(*args)
 
     monkeypatch.setattr(box_module, "_max_weight_clique", counted_search)
     monkeypatch.setattr(box_module, "_threshold_solve", marked_threshold_solve)
     monkeypatch.setattr(box_module, "_clique_solve", recorded_solve)
+    monkeypatch.setattr(box_module, "_clique_cells", recorded_cells)
     mmdist.box_distance(X, Y, 1.0, "heuristic", seed=0)
     ties = [n for eps, incumbent, n in scores if incumbent <= eps < np.inf]
     better = [n for eps, incumbent, n in scores if eps < incumbent]
     assert (len(scores), len(ties), len(better)) == (105, 19, 16)
-    # a better trial's certificate may reuse the search of its breakpoint
-    assert set(ties) == {0} and set(better) == {0, 1}
+    assert {n for _, _, n in scores} == {0}
+    assert certificates == [[1]]
 
 
 def test_value_only_solves_run_no_certificate_search(monkeypatch):
     # lip_point_distance and box_upper_from_witness keep only the value, so at
     # a floor of 0 their pair solve runs no clique search after its threshold
     # search.  Both answers here are thresholds, whose certificate would be a
-    # search of its own (a breakpoint's reuses the one below it)
+    # search of its own
     from mmdist import box as box_module
     from mmdist.instances import random_pair_matrices, random_space
     from mmdist.lipschitz import Lip1Set, lip_point_distance
@@ -202,9 +205,9 @@ def test_value_only_solves_run_no_certificate_search(monkeypatch):
 
     def marked_threshold_solve(values, *args):
         solves.append([None, 0])
-        eps = threshold_solve(values, *args)
+        eps, witness = threshold_solve(values, *args)
         solves[-1] = [bool(eps > 0.0 and np.isin(eps, values)), 0]  # count only from here on
-        return eps
+        return eps, witness
 
     rng = np.random.default_rng(21)
     w = rng.integers(1, 5, size=5).astype(float) * 0.25
@@ -292,13 +295,13 @@ def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
     w = rng.integers(1, 5, size=5).astype(float) * 0.25
     pair = mmdist.semidist_pair(w, random_pair_matrices(rng, 5), random_pair_matrices(rng, 5))
     assert traced(lambda: mmdist.hli_lambda(pair, 1.0, "sampled", samples=24)) == (36, 0)
-    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (236, 0)
+    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (237, 0)
 
     rng = np.random.default_rng(0)
     X = mmdist.normalized(random_space(rng, min_points=4, max_points=4))
     bump = np.triu(rng.uniform(0.0, 0.3, size=(4, 4)), 1)
     Xn = mmdist.mm_space(X.weights, X.dist + bump + bump.T)
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (63, 53)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (65, 53)
     uncapped = box_module._clique_solve
     monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap: uncapped(d, w, m, lam))
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (211, 53)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (212, 53)

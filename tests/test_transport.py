@@ -170,17 +170,19 @@ class TestProkhorov:
 
 class TestThresholdFloor:
     """``_threshold_solve(..., floor=x)`` is ``max(x, answer)`` bit for bit, for
-    each kind of retained mass the solvers plug in."""
+    each kind of retained mass the solvers plug in, with no witness when the
+    floor decides it."""
 
     @staticmethod
-    def assert_floor_is_max(values, m, lam, retained_max):
-        answer = _threshold_solve(values, m, lam, retained_max)
+    def assert_floor_is_max(values, m, lam, best_at):
+        answer = _threshold_solve(values, m, lam, best_at)[0]
         th = np.unique(np.concatenate(([0.0], np.ravel(values))))
         floors = np.unique(np.concatenate((th, [answer, np.nextafter(answer, np.inf)])))
         floors = np.concatenate((floors, (floors[1:] + floors[:-1]) / 2.0, [floors[-1] + 1.0]))
         for x in floors.tolist():
-            got = _threshold_solve(values, m, lam, retained_max, floor=x)
+            got, witness = _threshold_solve(values, m, lam, best_at, floor=x)
             assert repr(got) == repr(max(x, answer)), (x, answer)
+            assert witness is None or x <= answer, (x, answer)
 
     def test_clique_mass(self):
         rng = np.random.default_rng(3)
@@ -192,7 +194,7 @@ class TestThresholdFloor:
             lam = float(rng.choice([0.5, 1.0, 2.0]))
 
             def clique(t, target):
-                return _max_weight_clique(delta <= t + EDGE_TOL, w, target=target)[0]
+                return _max_weight_clique(delta <= t + EDGE_TOL, w, target=target)
 
             self.assert_floor_is_max(delta[np.triu_indices(n, k=1)], float(w.sum()), lam, clique)
 
@@ -206,7 +208,7 @@ class TestThresholdFloor:
             mu, nu = mu / mu.sum(), nu / nu.sum()
 
             def flow(t, target):
-                return max_flow_value(mu, nu, np.nonzero(d <= t + 1e-12))
+                return max_flow_value(mu, nu, np.nonzero(d <= t + 1e-12)), None
 
             self.assert_floor_is_max(d, float(mu.sum()), 1.0, flow)
 
@@ -217,12 +219,12 @@ class TestThresholdFloor:
             w = rng.integers(1, 9, size=n).astype(float) * 0.1
             v = np.round(rng.uniform(0.0, 2.0, size=n), 2)
             lam = float(rng.choice([0.25, 1.0, 3.0]))
-            self.assert_floor_is_max(v, float(w.sum()), lam, lambda t, _: float(w[v <= t].sum()))
+            self.assert_floor_is_max(v, float(w.sum()), lam, lambda t, _: (float(w[v <= t].sum()), None))
 
     def test_floor_on_infeasible_largest_threshold_raises(self):
         # nothing is ever retained, so even the largest threshold is infeasible
         with pytest.raises(InternalInvariantError):
-            _threshold_solve(np.array([0.5, 1.0]), 10.0, 1.0, lambda t, _: 0.0, floor=2.0)
+            _threshold_solve(np.array([0.5, 1.0]), 10.0, 1.0, lambda t, _: (0.0, None), floor=2.0)
 
 
 class TestThresholdSearchOrder:
@@ -246,7 +248,7 @@ class TestThresholdSearchOrder:
         def retained_max(t, target):
             calls.append(t)
             mass = float(masses[np.searchsorted(thresholds, t + EDGE_TOL, side="right") - 1])
-            return mass / 2.0 if target is not None and mass < target else mass
+            return (mass / 2.0 if target is not None and mass < target else mass), None
 
         answer = reference_threshold_solve(values, m, lam, retained_max)
         nudges = (0.0, 1e-15, -1e-15, EDGE_TOL, -EDGE_TOL, 1e-3, -1e-3)
@@ -255,11 +257,11 @@ class TestThresholdSearchOrder:
         floor = data.draw(st.sampled_from([0.0] + gates))
         for cap in gates + [np.inf]:
             want = reference_threshold_solve(values, m, lam, retained_max, cap, floor)
-            got = _threshold_solve(values, m, lam, retained_max, cap, floor)
+            got = _threshold_solve(values, m, lam, retained_max, cap, floor)[0]
             assert repr(got) == repr(want), (cap, floor)
         for cap in (answer, answer + 1e-15) if answer in thresholds else ():
             # a tie at a threshold: the cap (or largest threshold) probe, two
             # probes below it, and the breakpoint's mass
             calls.clear()
-            assert repr(_threshold_solve(values, m, lam, retained_max, cap)) == repr(answer)
+            assert repr(_threshold_solve(values, m, lam, retained_max, cap)[0]) == repr(answer)
             assert len(calls) <= 4, (cap, calls)
