@@ -184,19 +184,21 @@ class TestBoxPair:
         if (np.diff(spots) > EDGE_TOL).all():
             assert (best_at(eps, None)[1] if witness is None else witness) == want_cells
         nudges = (0.0, -EDGE_TOL, EDGE_TOL, -1e-15, 1e-15, -1e-11, 1e-11, -1e-3, 1e-3)
+        capped = set()  # the values of the passed caps
         for gate in sorted({max(x + nudge, 0.0) for x in spots.tolist() for nudge in nudges}):
             got, got_witness = solve(cap=gate)
             if got == np.inf:
                 assert eps > gate and got_witness is None
             else:
                 assert repr(got) == repr(eps)
-                assert _clique_cells(delta, w, lam, got) == _clique_cells(delta, w, lam, eps)
+                capped.add(got)
             if eps > gate + 4e-12:  # beyond the slack at lam >= 0.25
                 assert got == np.inf
             got, got_witness = solve(floor=gate)
             assert repr(got) == repr(max(eps, gate))
             if gate > eps:
                 assert got_witness is None
+        assert all(_clique_cells(delta, w, lam, got) == _clique_cells(delta, w, lam, eps) for got in capped)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
