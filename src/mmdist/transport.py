@@ -13,16 +13,16 @@ row and column slacks along its augmenting paths instead of summing the plan
 each round; a slack, and so a plan or a value, can differ from the summed
 one only in the last bit.
 There is one threshold search, ``_threshold_solve``, shared by the box
-solvers, the Prokhorov distance and ``lipschitz.me_lambda``: each asks for
-the smallest tolerance ``t`` at which the mass retainable with defects up to
-``t`` reaches ``m - lam * t``.  Loops that keep only a running extremum of
-such answers gate the search with one probe: a running minimum passes it as
-``cap`` (an answer above it comes back as ``inf``), a running maximum as
-``floor`` (an answer below it comes back as ``floor``).  Either way the
-probe decides most candidates, and the value is that of the ungated search
-whenever it can move the extremum.  A ``cap`` above the largest value is
-not probed, and an infinite one costs nothing; past a finite one the search
-steps down from it, so a candidate that ties the minimum costs two probes.
+solvers, the Prokhorov distance and ``lipschitz.me_lambda``: each asks for the
+smallest tolerance ``t`` at which the mass retainable with defects up to ``t``
+reaches ``m - lam * t``, and for a witness.  Loops that keep only a running
+extremum of such answers gate the search with one probe: a running minimum
+passes it as ``cap`` (an answer above it comes back as ``inf``), a running
+maximum as ``floor`` (an answer below it comes back as ``floor``).  Either way
+the probe decides most candidates, and the value is that of the ungated search
+whenever it can move the extremum.  A ``cap`` above the largest value is not
+probed, and an infinite one costs nothing; past a finite one the search steps
+down from it, so a candidate that ties the minimum costs two probes.
 """
 
 from __future__ import annotations
