@@ -722,7 +722,7 @@ def reference_threshold_solve(values, m, lam, best_at, cap=np.inf, floor=0.0):
     return max(float(min(thresholds[hi], max(thresholds[lo], cand))), floor)
 
 
-def reference_first_witness(delta, m, lam, best_at, cap=np.inf, floor=0.0):
+def reference_first_witness(delta, m, lam, best_at):
     """The defect-threshold solve as it kept its probes' outcomes per graph,
     with the certificate it drew from them; returns ``(eps, cells)``.
 
@@ -760,7 +760,8 @@ def reference_first_witness(delta, m, lam, best_at, cap=np.inf, floor=0.0):
             heaviest[key] = best_at(mask, None)
         return heaviest[key]
 
-    eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: (best_at_t(t, target)[0], None), cap, floor)[0]
+    eps = _threshold_solve(np.triu(delta, 1), m, lam, lambda t, target: (best_at_t(t, target)[0], None))[0]
+
     tried = probed.get(graph(eps)[1], [])
     hit = next((hit for _, hit in tried if hit[0] >= m - lam * eps - 1e-12), None) or best_at_t(eps, None)
     return eps, hit[1]
