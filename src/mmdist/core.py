@@ -250,9 +250,9 @@ def nonnegative(value, name: str) -> float:
 
 def whole_number(value, name: str, least: int) -> int:
     """``value`` as an ``int``, or a ValueError naming ``name`` unless it is a whole
-    number of at least ``least`` (0 or 1): the rule of every count, order and size."""
+    number of at least ``least`` (0 or 1), and not a ``bool``: the rule of every count, order and size."""
     whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
-    if not (whole and value >= least):
+    if isinstance(value, bool) or not (whole and value >= least):
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound} and a whole number, got {value}")
     return int(value)

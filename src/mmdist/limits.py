@@ -91,8 +91,11 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     supports fit in :data:`WITNESS_ENUM_SUPPORT` and hill-climbed with
     restarts otherwise.
 
-    A map whose Prokhorov gap alone is at least the best objective so far
-    skips the clique search: its objective, a maximum that includes that
+    The Prokhorov gap depends on the pushforward alone, so each call keeps
+    the gap of every pushforward it has searched, keyed by its bytes, and
+    the enumeration and the hill climb search each distinct pushforward
+    once.  A map whose Prokhorov gap alone is at least the best objective so
+    far skips the clique search: its objective, a maximum that includes that
     gap, cannot fall below the best, and both branches accept only a map
     that is strictly better.  Most such maps skip the Prokhorov search too:
     if the single-point flow bound :func:`_flow_bounds` through the cells
@@ -107,7 +110,6 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     accepts (below ``b - 1e-15`` enumerating, below ``b`` climbing) keeps its
     defects, and only the map returned asks for its subset, once, after the
     search.  So the prunes return the same map, subset and tolerance as
-
     scoring every map.  Among tied maps the enumeration keeps the
     lexicographically first.
     """
@@ -119,8 +121,10 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
     m_support = float(w.sum())  # the support's own sum, which numpy may round apart from total_mass
 
     def evaluate(p_support: tuple, nu: np.ndarray):  # the objective, and the subset's defects and tolerance
-        p = np.array(p_support, dtype=int)
-        prok = prokhorov_distance(X.dist, nu, X.weights)
+        p, key = np.array(p_support, dtype=int), nu.tobytes()
+        if key not in gaps:  # the gap depends on the pushforward alone
+            gaps[key] = prokhorov_distance(X.dist, nu, X.weights)
+        prok = gaps[key]
         if prok >= best_obj:
             return prok, None  # never accepted
         delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
@@ -140,7 +144,7 @@ def witness_search(Xn: FiniteMMSpace, X: FiniteMMSpace, *, seed: int = 0) -> Wit
         nu = _pushforwards(np.array([cand]), w, X.n)
         return (np.inf, None) if ruled_out(nu)[0] else evaluate(cand, nu[0])
 
-    best_obj, best_p, best_pair = np.inf, (), None
+    best_obj, best_p, best_pair, gaps = np.inf, (), None, {}  # gaps: pushforward bytes -> Prokhorov gap
     if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
         maps = list(product(sx.tolist(), repeat=len(sn)))
         nus, alive = _pushforwards(np.array(maps), w, X.n), np.ones(len(maps), dtype=bool)

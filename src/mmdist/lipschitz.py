@@ -22,10 +22,13 @@ Lip1(C1) each term is at most ``(C1_ij - C2_ij)^+ / 2``, and the cone
 ``f = C1(., j)`` attains it.  So the value is ``max |C1 - C2| / 2`` over
 support pairs.  For ``lam > 0`` no closed form is used: the sampled mode
 bounds the distance from below by measuring cones and random members of each
-set exactly against the other.  Vertex enumeration (``Lip1Set.vertices``)
-stays as an independent check of the closed form: it grows the tight trees
-of the vertices from the pinned point, one tight edge at a time, keeping only
-partial assignments that are feasible on the points placed so far.
+set exactly against the other.  Members are drawn, projected and extended
+as one batch (``Lip1Set._samples``), and each direction finds the largest
+defect of every probe in one array operation before it measures any probe.
+Vertex enumeration (``Lip1Set.vertices``) stays as an independent check of
+the closed form: it grows the tight trees of the vertices from the pinned
+point, one tight edge at a time, keeping only partial assignments that are
+feasible on the points placed so far.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ LIP_TOL = 1e-9
 #: random transportation vertices ``sampled`` observable_distance tries
 #: besides the product coupling
 COUPLING_CANDIDATES = 8
+#: floats in each array a batch of sampled ``hli_lambda`` probes builds (2 MB):
+#: a batch holds this many over the squared number of points, at least one
+PROBE_BATCH_ENTRIES = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +212,45 @@ class Lip1Set:
                         grown.setdefault((tuple(sorted(p + [b])), at), new)
             states = grown
         # every final state places all points, so the keys sort by values
-        return np.array([self._extend(vals) for _, vals in sorted(states.items())]).reshape(-1, n)
+        return self._extend(np.array([vals for _, vals in sorted(states.items())]).reshape(-1, k))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A random member: signed cone values on a random anchor, projected.
 
         Anchor values are combinations of distance cones ``+-d(., x_i)``;
         the McShane projection of any anchor data is 1-Lipschitz, so the
-        sampler covers the polytope without rejection.
+        sampler covers the polytope without rejection.  The first row of
+        ``_samples(rng, 1)``: a generator gives the same members drawn one at
+        a time or as one batch.
         """
+        return self._samples(rng, 1)[0]
+
+    def _samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` members, one per row: per member the generator draws the
+        anchor size, the anchor, the apex, the sign and the noise, in that
+        order; then every anchor is projected at once, as a minimum over the
+        closure masked to the anchor, and every row is extended."""
         s = self.support
         k = len(s)
         if k == 0:  # nothing to sample from: the pinned zero function
-            return np.zeros(self.dist.shape[0])
+            return np.zeros((count, self.dist.shape[0]))
         d = self.dist[np.ix_(s, s)]
-        anchor = np.sort(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
-        apex = int(rng.integers(0, k))
-        sign = -1.0 if rng.random() < 0.5 else 1.0
-        raw = sign * d[:, apex] + rng.normal(0.0, 0.25 * (1.0 + d.max()), size=k)
+        anchors, raw, scale = np.zeros((count, k), dtype=bool), np.empty((count, k)), 0.25 * (1.0 + d.max())
+        for row in range(count):
+            anchors[row, rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)] = True
+            apex = int(rng.integers(0, k))
+            sign = -1.0 if rng.random() < 0.5 else 1.0
+            raw[row] = sign * d[:, apex] + rng.normal(0.0, scale, size=k)
         # project anchor values through the closure so the result is Lipschitz
-        proj = np.min(raw[anchor][None, :] + self.closure[:, anchor], axis=1)
-        return self._extend(proj - proj[0])
+        proj = np.where(anchors[:, None, :], raw[:, None, :] + self.closure, np.inf).min(axis=2)
+        return self._extend(proj - proj[:, :1])
 
     def _extend(self, support_values: np.ndarray) -> np.ndarray:
-        """Fill non-support coordinates by McShane extension from the support."""
+        """Fill non-support coordinates by McShane extension from the support,
+        for one vector or for each row of a 2-D array."""
         s = self.support
-        out = np.min(support_values[None, :] + self.dist[:, s], axis=1)
-        out[s] = support_values
+        out = np.min(support_values[..., None, :] + self.dist[:, s], axis=-1)
+        out[..., s] = support_values
         return out
 
 
@@ -316,9 +334,15 @@ def hli_lambda(
     ``lam``): certified lower bound from the distance cones and ``samples``
     (nonnegative) random members of each set, each measured exactly against
     the other polytope.  ``mode=None`` picks ``exact0`` at ``lam = 0``, else
-    ``sampled``.  The sampled bound is the running maximum over the probes;
-    each probe passes it as the ``floor`` of :func:`lip_point_distance`, so
-    a probe that cannot raise it costs one threshold probe, not a search.
+    ``sampled``.  The sampled bound is the running maximum over the probes,
+    cones first, then samples.  Each direction draws its samples as one
+    batch and finds every probe's largest halved excess defect against the
+    target closure in one array operation, in batches of
+    :data:`PROBE_BATCH_ENTRIES` floats.  A probe whose largest defect is
+    at most a positive running maximum cannot raise it and is skipped, the
+    answer :func:`lip_point_distance` would return at once.  Every other
+    probe passes the maximum as that function's ``floor``, so a probe that
+    cannot raise it costs one threshold probe, not a search.
     """
     mode = _mode(lam, mode)
     seed = whole_number(seed, "seed", 0)
@@ -328,13 +352,19 @@ def hli_lambda(
         return HliResult(float(np.max(gap, initial=0.0)) / 2.0, "exact", lam, mode)
     samples = whole_number(samples, "samples", 0)
     rng = np.random.default_rng(seed)
-    value = 0.0
+    value, rows = 0.0, max(1, PROBE_BATCH_ENTRIES // max(pair.weights.size, 1) ** 2)  # probes per batch
     for source, target in (sets, sets[::-1]):
         # closure cones are members even where the raw matrix breaks the triangle inequality
-        probes = [source._extend(cone) for cone in source.closure.T]
-        probes += [source.sample(rng) for _ in range(samples)]
-        for f in probes:
-            value = lip_point_distance(f, target, lam, floor=value)
+        cones = source.closure.T
+        batches = [source._extend(cones[i : i + rows]) for i in range(0, len(cones), rows)]
+        batches += [source._samples(rng, min(rows, samples - i)) for i in range(0, samples, rows)]
+        for probes in batches:
+            on = probes[:, target.support]  # the defects of lip_point_distance, for a batch at once
+            defects = np.clip((np.abs(on[:, :, None] - on[:, None, :]) - target.closure) / 2.0, 0.0, None)
+            defects[:, np.arange(on.shape[1]), np.arange(on.shape[1])] = 0.0
+            for f, top in zip(probes, defects.max(axis=(1, 2), initial=0.0)):
+                if value == 0.0 or top > value:  # else lip_point_distance would return its floor at once
+                    value = lip_point_distance(f, target, lam, floor=value)
     return HliResult(value, "lower-bound", lam, mode)
 
 

@@ -13,7 +13,10 @@ loops that the one point-map search of ``mmdist.matrixdist`` replaced,
 sweep and the heaviest, lexicographically smallest certificate,
 :func:`reference_box_heuristic` is the heuristic box local search scoring
 every coupling with a full pair solve, :func:`reference_hli_sampled` is
-the sampled Hausdorff loop measuring every probe with a full search, and
+the sampled Hausdorff loop drawing its probes one at a time
+(:func:`reference_lip1_sample`) and measuring every probe with a full
+search, :func:`reference_witness_search` is the witness search scoring
+every map with a full Prokhorov search and an uncapped clique solve,
 :func:`reference_threshold_solve` is the threshold search that bisects from
 zero after a passed cap instead of stepping down from it,
 :func:`reference_first_witness` is the defect-threshold solve that kept its
@@ -661,10 +664,36 @@ def reference_box_heuristic(X, Y, lam, seed):
     )
 
 
+def reference_lip1_sample(lset, rng):
+    """One member of ``lset`` as ``mmdist.lipschitz.Lip1Set.sample`` drew it
+    member by member: a sorted anchor, its own projection through the
+    closure and a one-vector McShane extension."""
+    s = lset.support
+    k = len(s)
+    if k == 0:  # nothing to sample from: the pinned zero function
+        return np.zeros(lset.dist.shape[0])
+    d = lset.dist[np.ix_(s, s)]
+    anchor = np.sort(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+    apex = int(rng.integers(0, k))
+    sign = -1.0 if rng.random() < 0.5 else 1.0
+    raw = sign * d[:, apex] + rng.normal(0.0, 0.25 * (1.0 + d.max()), size=k)
+    proj = np.min(raw[anchor][None, :] + lset.closure[:, anchor], axis=1)
+    return reference_lip1_extend(lset, proj - proj[0])
+
+
+def reference_lip1_extend(lset, support_values):
+    """McShane extension of one vector of support values to every index of ``lset``."""
+    s = lset.support
+    out = np.min(support_values[None, :] + lset.dist[:, s], axis=1)
+    out[s] = support_values
+    return out
+
+
 def reference_hli_sampled(pair, lam, samples=48, seed=0):
     """The sampled loop of ``mmdist.lipschitz.hli_lambda`` with every probe
-    measured by a full threshold search, no floor at the running maximum;
-    returns the value ``hli_lambda(pair, lam, "sampled", ...)`` must return.
+    drawn one at a time by :func:`reference_lip1_sample` and measured by a
+    full threshold search, no floor at the running maximum; returns the
+    value ``hli_lambda(pair, lam, "sampled", ...)`` must return.
 
     ``lip_point_distance`` is looked up on its module at each call, so a
     tracer that replaces it there counts these calls too.
@@ -675,11 +704,61 @@ def reference_hli_sampled(pair, lam, samples=48, seed=0):
     sets = (lipschitz.Lip1Set(pair.d1, pair.weights), lipschitz.Lip1Set(pair.d2, pair.weights))
     value = 0.0
     for source, target in (sets, sets[::-1]):
-        probes = [source._extend(cone) for cone in source.closure.T]
-        probes += [source.sample(rng) for _ in range(samples)]
+        probes = [reference_lip1_extend(source, cone) for cone in source.closure.T]
+        probes += [reference_lip1_sample(source, rng) for _ in range(samples)]
         for f in probes:
             value = max(value, lipschitz.lip_point_distance(f, target, lam))
     return value
+
+
+def reference_witness_search(Xn, X, seed=0):
+    """``mmdist.limits.witness_search`` scoring every map it visits in full:
+    a Prokhorov search of each map's pushforward and an uncapped
+    defect-clique solve, no flow bound and no gap kept between maps.  The
+    same map order, hill-climbing schedule and strict acceptance (below the
+    best by more than 1e-15 enumerating, below it climbing); returns ``(p,
+    subset, eps)`` with ``p`` and ``subset`` as lists.
+    """
+    from mmdist.box import _clique_cells, _clique_solve
+    from mmdist.limits import ANNEAL_RESTARTS, ANNEAL_STEPS, WITNESS_ENUM_SUPPORT
+    from mmdist.transport import prokhorov_distance
+
+    sn, sx = Xn.support, X.support
+    w = Xn.weights[sn]
+    m = float(w.sum())
+
+    def score(cand):
+        p = np.array(cand, dtype=int)
+        nu = np.zeros(X.n)
+        np.add.at(nu, p, w)
+        delta = np.abs(Xn.dist[np.ix_(sn, sn)] - X.dist[np.ix_(p, p)])
+        eps_pair = _clique_solve(delta, w, m, 1.0)
+        return max(eps_pair, prokhorov_distance(X.dist, nu, X.weights)), (delta, eps_pair)
+
+    best_obj, best_p, best_pair = np.inf, (), None
+    if len(sn) <= WITNESS_ENUM_SUPPORT and len(sx) <= WITNESS_ENUM_SUPPORT:
+        for cand in product(sx.tolist(), repeat=len(sn)):
+            obj, pair = score(cand)
+            if obj < best_obj - 1e-15:
+                best_obj, best_p, best_pair = obj, cand, pair
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(ANNEAL_RESTARTS):
+            cand = tuple(rng.choice(sx, size=len(sn)).tolist())
+            obj, pair = score(cand)
+            if obj < best_obj:
+                best_obj, best_p, best_pair = obj, cand, pair
+            for _ in range(ANNEAL_STEPS):
+                trial = list(best_p)
+                trial[int(rng.integers(len(sn)))] = int(rng.choice(sx))
+                trial = tuple(trial)
+                obj, pair = score(trial)
+                if obj < best_obj:
+                    best_obj, best_p, best_pair = obj, trial, pair
+    p_full = np.full(Xn.n, int(sx[0]), dtype=int)
+    p_full[sn] = best_p
+    delta, eps_pair = best_pair
+    return p_full.tolist(), [int(sn[c]) for c in _clique_cells(delta, w, 1.0, eps_pair)], float(best_obj)
 
 
 def reference_threshold_solve(values, m, lam, best_at, cap=np.inf, floor=0.0):

@@ -305,6 +305,15 @@ def test_lip1set_bad_input_rejected(dist, weights, message):
             lambda: observable_distance(X, X, 1.0, "sampled", samples=2.5),
             "samples must be nonnegative and a whole number, got 2.5", id="observable_distance-samples",
         ),
+        # a bool is an Integral: True drew one sample, computed order 1 and ran seed 1
+        pytest.param(
+            lambda: hli_lambda(semidist_pair(W, D, D), 1.0, samples=True),
+            "samples must be nonnegative and a whole number, got True", id="hli_lambda-samples-bool",
+        ),
+        pytest.param(lambda: exact_mu_r(X, True), "r must be at least 1 and a whole number, got True",
+                     id="exact_mu_r-r-bool"),
+        pytest.param(lambda: sample_mu_r(X, 2, False), "count must be nonnegative and a whole number, got False",
+                     id="sample_mu_r-count-bool"),
         # sampled 10 points
         pytest.param(
             lambda: empirical_convergence_experiment(X, [10.5]),
@@ -316,7 +325,8 @@ def test_lip1set_bad_input_rejected(dist, weights, message):
             id="box_distance-max_cells",
         ),
         # every seed, whatever the mode: 1.5 raised TypeError, -1 numpy's
-        # message without the name, in the modes that draw from the seed
+        # message without the name, in the modes that draw from the seed, and
+        # True ran seed 1
         *(
             pytest.param(partial(call, seed), f"seed must be nonnegative and a whole number, got {seed}",
                          id=f"{name}-seed-{seed}")
@@ -330,7 +340,7 @@ def test_lip1set_bad_input_rejected(dist, weights, message):
                 "empirical_convergence_experiment": lambda seed: empirical_convergence_experiment(X, [2], seed=seed),
                 "run_suite": lambda seed: run_suite(seed=seed, names=["scale-roundtrip"]),
             }.items()
-            for seed in (1.5, -1)
+            for seed in (1.5, -1, True)
         ),
     ],
 )

@@ -42,6 +42,7 @@ from oracles import (
     reference_domination_search,
     reference_isomorphisms,
     reference_me1_chains,
+    reference_witness_search,
 )
 
 
@@ -293,6 +294,36 @@ class TestWitnessSearch:
         assert len(runs) > 2 and sum(map(len, runs)) > 4 * len(runs)
         assert all(matrix is run[0] for run in runs for matrix in run)
         assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (4, 3), (4, 4), (5, 3), (3, 5), (7, 7), (8, 6)])
+    def test_repeated_pushforwards_match_the_full_oracle(self, sizes, monkeypatch):
+        # weights on a coarse grid, so many maps push forward to the same
+        # measure: each distinct pushforward is searched once, and the map,
+        # subset and tolerance are those of scoring every map in full.  The
+        # last two sizes take the hill-climb, on a short schedule
+        from mmdist import transport
+
+        monkeypatch.setattr(limits, "ANNEAL_RESTARTS", 2)
+        monkeypatch.setattr(limits, "ANNEAL_STEPS", 60)
+        rng = np.random.default_rng([59, *sizes])
+
+        def on_grid(n):
+            dist = random_space(rng, min_points=n, max_points=n).dist
+            return normalized(mm_space(rng.integers(1, 3, size=n) * 0.25, dist))
+
+        Xn, X = (on_grid(n) for n in sizes)
+        search = transport.prokhorov_distance
+        searched = {"witness": [], "oracle": []}
+
+        def recorded(into):
+            return lambda d, mu, nu: searched[into].append(mu.tobytes()) or search(d, mu, nu)
+
+        monkeypatch.setattr(limits, "prokhorov_distance", recorded("witness"))
+        w = witness_search(Xn, X)
+        monkeypatch.setattr(transport, "prokhorov_distance", recorded("oracle"))
+        assert (w.p.tolist(), w.subset.tolist(), w.eps) == reference_witness_search(Xn, X)
+        assert len(set(searched["witness"])) == len(searched["witness"])
+        assert len(set(searched["oracle"])) < len(searched["oracle"])
 
     def test_flow_gate_corpus_matches_unpruned_oracle(self, monkeypatch):
         # the cases where the flow bound on pushforwards decides at an edge:

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mmdist import (
     random_coupling,
     semidist_pair,
 )
+from mmdist import lipschitz
 from mmdist.instances import (
     random_pair_matrices,
     random_semidist_pair,
@@ -34,6 +36,7 @@ from oracles import (
     lip_vertices_active_sets,
     me_infimum_grid,
     reference_hli_sampled,
+    reference_lip1_sample,
     sup_distance_to_lip_lp,
 )
 
@@ -261,6 +264,24 @@ class TestVertices:
             X = random_space(rng, min_points=1, max_points=5)
             lset = Lip1Set(X.dist, X.weights)
             assert lset.contains(lset.sample(rng))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sample_matches_the_per_member_oracle(self, seed):
+        # the batched sampler draws what the member-by-member one drew, bit for
+        # bit, and leaves the generator where it left it: alone, in a batch,
+        # on zero weights and on an empty support
+        rng = np.random.default_rng([seed, 115])
+        for n in range(1, 8):
+            w = rng.integers(0, 3, size=n).astype(float) * 0.25
+            if seed == 0:
+                w[:] = 0.0
+            lset = Lip1Set(random_pair_matrices(rng, n), w)
+            draws, batch, oracle = (np.random.default_rng([seed, n]) for _ in range(3))
+            want = [reference_lip1_sample(lset, oracle) for _ in range(5)]
+            got = [lset.sample(draws) for _ in range(5)]
+            assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+            assert lset._samples(batch, 5).tobytes() == np.array(want).tobytes()
+            assert draws.bit_generator.state == batch.bit_generator.state == oracle.bit_generator.state
 
 
 class TestPointDistance:
@@ -492,18 +513,26 @@ class TestHliPair:
             assert res.tag == "lower-bound"
             assert res.value <= box_pair(pair, lam).value + 1e-9
 
-    @pytest.mark.parametrize("lam", [0.25, 1.0, 2.0])
-    def test_sampled_matches_unfloored_reference(self, lam):
-        # each probe takes the running maximum as its floor; the value must
-        # be the loop's that measures every probe in full, bit for bit
-        rng = np.random.default_rng(113)
-        for k in range(8):
-            n = int(rng.integers(1, 7))
-            w = rng.integers(0, 4, size=n).astype(float) * 0.25
-            w[int(rng.integers(n))] += 0.25  # zero weights stay, off the support
-            pair = SemiDistancePair(w, random_pair_matrices(rng, n), random_pair_matrices(rng, n))
-            got = hli_lambda(pair, lam, "sampled", samples=10, seed=k).value
-            assert repr(got) == repr(reference_hli_sampled(pair, lam, samples=10, seed=k))
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sampled_matches_unfloored_reference(self, data):
+        # each direction screens its probes by their largest defect, a batch
+        # at a time, and each probe left takes the running maximum as its
+        # floor; the value must be the loop's that draws one probe at a time
+        # and measures every probe in full, bit for bit.  Supports of 0 to 8
+        # points, in one batch or in batches of one and of three probes
+        n = data.draw(st.integers(1, 8))
+        grid = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+        w = np.array(data.draw(st.one_of(st.just([0.0] * n), st.lists(grid, min_size=n, max_size=n))))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        pair = SemiDistancePair(w, random_pair_matrices(rng, n), random_pair_matrices(rng, n))
+        lam = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        samples = data.draw(st.sampled_from([0, 1, 10]))
+        entries = data.draw(st.sampled_from([lipschitz.PROBE_BATCH_ENTRIES, 1, 3 * n * n]))  # batches of 1 and 3 probes
+        with mock.patch.object(lipschitz, "PROBE_BATCH_ENTRIES", entries):
+            got = hli_lambda(pair, lam, "sampled", samples=samples, seed=seed).value
+        assert repr(got) == repr(reference_hli_sampled(pair, lam, samples=samples, seed=seed))
 
     def test_sampled_lower_bound_below_exact_at_lambda_zero(self):
         rng = np.random.default_rng(97)
@@ -563,6 +592,23 @@ class TestObservableDistance:
             res = observable_distance(X, Y, 0.0)
             pair = pullback_pair(X, Y, res.coupling)
             assert hli_lambda(pair, 0.0).value == pytest.approx(res.value, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 3.0])
+    def test_sampled_matches_the_candidate_loop_on_the_oracle(self, lam, monkeypatch):
+        # the same couplings scored by the unscreened, member-by-member hli
+        # loop: the value and the coupling kept come out the same
+        rng = np.random.default_rng(117)
+        spaces = [(random_space(rng, max_points=4), random_space(rng, max_points=4)) for _ in range(4)]
+        got = [observable_distance(X, Y, lam, "sampled", samples=6, seed=k) for k, (X, Y) in enumerate(spaces)]
+
+        def oracle_hli(pair, lam, mode, *, samples, seed):
+            return lipschitz.HliResult(reference_hli_sampled(pair, lam, samples, seed), "lower-bound", lam, mode)
+
+        monkeypatch.setattr(lipschitz, "hli_lambda", oracle_hli)
+        for k, (X, Y) in enumerate(spaces):
+            want = observable_distance(X, Y, lam, "sampled", samples=6, seed=k)
+            assert repr(got[k].value) == repr(want.value)
+            assert np.array_equal(got[k].coupling, want.coupling)
 
     def test_sampled_mode_is_tagged_heuristic(self):
         X = mm_space([0.5, 0.5], [[0, 1], [1, 0]])

@@ -275,7 +275,10 @@ def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
     # map the best objective as its cap, so most of them cost one clique
     # search.  The reference loops (hli: every probe measured in full;
     # witness: no cap) pay for full searches.  The witness search runs one
-    # flow per map: the Prokhorov search keeps the flow of each threshold
+    # flow per map: the Prokhorov search keeps the flow of each threshold.
+    # An hli probe whose largest defect is at most a positive running max is
+    # screened out before lip_point_distance, and the witness search runs
+    # one Prokhorov search per distinct pushforward
     from mmdist import box as box_module
     from mmdist import limits
     from mmdist.instances import random_pair_matrices, random_space
@@ -289,19 +292,31 @@ def test_sampled_hli_and_witness_settle_by_one_probe(monkeypatch):
         finally:
             tracer.remove()
         counts = tracer.layer_counts()
-        return counts["box.max_weight_clique.calls"], counts["transport.max_flow.calls"]
+        return (counts["box.max_weight_clique.calls"], counts["transport.max_flow.calls"],
+                counts["lipschitz.lip_point_distance.calls"], counts["transport.prokhorov_distance.calls"])
 
     rng = np.random.default_rng(21)
     w = rng.integers(1, 5, size=5).astype(float) * 0.25
     pair = mmdist.semidist_pair(w, random_pair_matrices(rng, 5), random_pair_matrices(rng, 5))
-    assert traced(lambda: mmdist.hli_lambda(pair, 1.0, "sampled", samples=24)) == (36, 0)
-    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (237, 0)
+    probes = 2 * (5 + 24)  # the cones and the samples of each direction
+    assert traced(lambda: mmdist.hli_lambda(pair, 1.0, "sampled", samples=24)) == (36, 0, 12, 0)
+    assert traced(lambda: reference_hli_sampled(pair, 1.0, samples=24)) == (237, 0, probes, 0)
 
     rng = np.random.default_rng(0)
     X = mmdist.normalized(random_space(rng, min_points=4, max_points=4))
     bump = np.triu(rng.uniform(0.0, 0.3, size=(4, 4)), 1)
     Xn = mmdist.mm_space(X.weights, X.dist + bump + bump.T)
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (65, 53)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (65, 53, 0, 53)
+    searched, search = [], limits.prokhorov_distance  # the pushforwards searched, as bytes
+
+    def recorded(d, mu, nu):
+        searched.append(mu.tobytes())
+        return search(d, mu, nu)
+
+    monkeypatch.setattr(limits, "prokhorov_distance", recorded)
+    mmdist.witness_search(Xn, X)
+    assert len(set(searched)) == len(searched) == 53
+    monkeypatch.setattr(limits, "prokhorov_distance", search)
     uncapped = box_module._clique_solve
     monkeypatch.setattr(limits, "_clique_solve", lambda d, w, m, lam, cap: uncapped(d, w, m, lam))
-    assert traced(lambda: mmdist.witness_search(Xn, X)) == (212, 53)
+    assert traced(lambda: mmdist.witness_search(Xn, X)) == (212, 53, 0, 53)
