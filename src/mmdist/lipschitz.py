@@ -23,8 +23,9 @@ Lip1(C1) each term is at most ``(C1_ij - C2_ij)^+ / 2``, and the cone
 support pairs.  For ``lam > 0`` no closed form is used: the sampled mode
 bounds the distance from below by measuring cones and random members of each
 set exactly against the other.  Members are drawn, projected and extended
-as one batch (``Lip1Set._samples``), and each direction finds the largest
-defect of every probe in one array operation before it measures any probe.
+as one batch (``Lip1Set._samples``).  ``Lip1Set._defects`` is the one
+halved excess: membership, the point distance and the screen of each batch
+of probes by its largest defect all read it.
 Vertex enumeration (``Lip1Set.vertices``) stays as an independent check of
 the closed form: it grows the tight trees of the vertices from the pinned
 point, one tight edge at a time, keeping only partial assignments that are
@@ -163,12 +164,16 @@ class Lip1Set:
         return metric_closure(self.dist[np.ix_(s, s)])
 
     def contains(self, f) -> bool:
-        """Whether ``f`` (finite, over the weights) is 1-Lipschitz on the support, within :data:`LIP_TOL`."""
+        """Whether ``f`` (finite, over the weights) is 1-Lipschitz on the support, within :data:`LIP_TOL`:
+        no defect exceeds ``LIP_TOL / 2``, that is, no excess exceeds it (halving a float is exact)."""
         f = np.asarray(f, dtype=float)
         _refuse(_function_violations(f, self.weights.size, "f"))
-        f = f[self.support]
-        excess = np.abs(f[:, None] - f[None, :]) - self.closure
-        return float(np.max(excess, initial=0.0)) <= LIP_TOL
+        return float(np.max(self._defects(f[self.support]), initial=0.0)) <= LIP_TOL / 2
+
+    def _defects(self, on: np.ndarray) -> np.ndarray:
+        """Halved excess defects ``(|on_i - on_j| - C_ij)^+ / 2`` of support values ``on``
+        against the closure ``C``, for one vector or row by row: a row gets its own bits."""
+        return np.clip((np.abs(on[..., :, None] - on[..., None, :]) - self.closure) / 2.0, 0.0, None)
 
     def vertices(self, *, max_support: int = 6) -> np.ndarray:
         """All extreme points, pinned at the first support point.
@@ -263,26 +268,18 @@ def lip_point_distance(f, target: Lip1Set, lam: float, *, floor: float = 0.0) ->
     if that is larger: the result is ``max(floor, distance)``.
 
     A member of ``target`` within ``eps`` of ``f`` on a set ``S`` exists iff
-    ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D`` the set's closure;
-    so the distance is the defect-clique optimum for the halved excess matrix.
-    A running maximum passes itself as ``floor``: one threshold probe then
-    settles a distance that cannot raise it (see
-    :func:`mmdist.transport._threshold_solve`).  The distance is at most the
-    largest defect, so a positive floor that no defect exceeds is the answer
-    at once: the one probe the search would make, at the largest threshold,
-    would return it.
+    ``|f_i - f_j| <= 2 eps + D_ij`` on ``S``, with ``D`` the set's closure; so
+    the distance is the defect-clique optimum for ``target._defects``.  A
+    running maximum passes itself as ``floor``: one threshold probe then
+    settles a distance that cannot raise it (:func:`mmdist.transport._threshold_solve`).
     """
     nonnegative(lam, "lambda")
     floor = nonnegative(floor, "floor")
     f = np.asarray(f, dtype=float)
     _refuse(_function_violations(f, target.weights.size, "f"))
     s = target.support
-    f, w = f[s], target.weights[s]
-    delta = np.clip((np.abs(f[:, None] - f[None, :]) - target.closure) / 2.0, 0.0, None)
-    np.fill_diagonal(delta, 0.0)
-    if floor > 0.0 and delta.max(initial=0.0) <= floor:
-        return floor
-    return _clique_solve(delta, w, float(w.sum()), lam, floor=floor)
+    w = target.weights[s]
+    return _clique_solve(target._defects(f[s]), w, float(w.sum()), lam, floor=floor)
 
 
 @dataclass(frozen=True)
@@ -336,13 +333,12 @@ def hli_lambda(
     the other polytope.  ``mode=None`` picks ``exact0`` at ``lam = 0``, else
     ``sampled``.  The sampled bound is the running maximum over the probes,
     cones first, then samples.  Each direction draws its samples as one
-    batch and finds every probe's largest halved excess defect against the
-    target closure in one array operation, in batches of
-    :data:`PROBE_BATCH_ENTRIES` floats.  A probe whose largest defect is
-    at most a positive running maximum cannot raise it and is skipped, the
-    answer :func:`lip_point_distance` would return at once.  Every other
-    probe passes the maximum as that function's ``floor``, so a probe that
-    cannot raise it costs one threshold probe, not a search.
+    batch and finds every probe's largest defect (``Lip1Set._defects``) in
+    one array operation, in batches of :data:`PROBE_BATCH_ENTRIES` floats.
+    A probe's distance is at most its largest defect, so a probe whose
+    largest defect is at most the running maximum is skipped.  Every other
+    probe passes the maximum as the ``floor`` of :func:`lip_point_distance`,
+    so a probe that cannot raise it costs one threshold probe, not a search.
     """
     mode = _mode(lam, mode)
     seed = whole_number(seed, "seed", 0)
@@ -359,11 +355,8 @@ def hli_lambda(
         batches = [source._extend(cones[i : i + rows]) for i in range(0, len(cones), rows)]
         batches += [source._samples(rng, min(rows, samples - i)) for i in range(0, samples, rows)]
         for probes in batches:
-            on = probes[:, target.support]  # the defects of lip_point_distance, for a batch at once
-            defects = np.clip((np.abs(on[:, :, None] - on[:, None, :]) - target.closure) / 2.0, 0.0, None)
-            defects[:, np.arange(on.shape[1]), np.arange(on.shape[1])] = 0.0
-            for f, top in zip(probes, defects.max(axis=(1, 2), initial=0.0)):
-                if value == 0.0 or top > value:  # else lip_point_distance would return its floor at once
+            for f, top in zip(probes, target._defects(probes[:, target.support]).max(axis=(1, 2), initial=0.0)):
+                if top > value:  # else the probe's distance, at most its largest defect, cannot raise the value
                     value = lip_point_distance(f, target, lam, floor=value)
     return HliResult(value, "lower-bound", lam, mode)
 

@@ -129,8 +129,9 @@ def exact_mu_r(space: FiniteMMSpace, r: int) -> MatrixDistribution:
     k = len(s)
     # k**r where that is within the limit: past the limit's bit length k**r exceeds it for k >= 2, and is k for k <= 1
     total = k ** min(r, EXACT_MU_R_LIMIT.bit_length())
-    if total > EXACT_MU_R_LIMIT:
-        raise SizeLimitError(f"exact_mu_r refuses order r = {r} on {k} support points: over {EXACT_MU_R_LIMIT} tuples")
+    if total > EXACT_MU_R_LIMIT or r * r > EXACT_MU_R_LIMIT:  # a key holds r * r codes, one key even at k = 1
+        what = "tuples" if total > EXACT_MU_R_LIMIT else "entries in a key"
+        raise SizeLimitError(f"exact_mu_r refuses order r = {r} on {k} support points: over {EXACT_MU_R_LIMIT} {what}")
     w = space.weights[s]
     values, code = _code_table(space)
 

@@ -552,6 +552,7 @@ def run_suite(seed: int = 0, samples: float = 1.0, names=None) -> dict:
     if unknown:
         raise ValueError(f"unknown properties: {unknown}")
     nonnegative(samples, "samples scale")
+    nonnegative(samples * max(PROPERTIES[n][1] for n in names), "samples scale times a trial count")
     results = []
     for name in sorted(names):
         fn, base_trials = PROPERTIES[name]

@@ -138,8 +138,6 @@ def max_flow(row_caps, col_caps, cells) -> tuple[float, np.ndarray]:
             path.append((i, j2, False))
             bottleneck = min(bottleneck, plan[i][j2])
             j = j2
-        if bottleneck <= _RESIDUAL_TOL:
-            break
         row_slack[i] -= bottleneck  # the trace ended at the source row i
         col_slack[goal] -= bottleneck
         for i, j, forward in path:

@@ -12,7 +12,9 @@ loops that the one point-map search of ``mmdist.matrixdist`` replaced,
 :func:`reference_box_exact` is the exact box solve with every probe a full
 sweep and the heaviest, lexicographically smallest certificate,
 :func:`reference_box_heuristic` is the heuristic box local search scoring
-every coupling with a full pair solve, :func:`reference_hli_sampled` is
+every coupling with a full pair solve, :func:`reference_lip1_contains` is
+the membership test that compared the unhalved excess to the tolerance,
+:func:`reference_hli_sampled` is
 the sampled Hausdorff loop drawing its probes one at a time
 (:func:`reference_lip1_sample`) and measuring every probe with a full
 search, :func:`reference_witness_search` is the witness search scoring
@@ -662,6 +664,17 @@ def reference_box_heuristic(X, Y, lam, seed):
     return BoxResult(
         best_eps, "heuristic-upper-bound", best_cells, retained, best_eps, coupling=best_pi
     )
+
+
+def reference_lip1_contains(lset, f):
+    """``mmdist.lipschitz.Lip1Set.contains`` as it compared the excess
+    ``|f_i - f_j| - C_ij`` on the support itself, unhalved and unclipped, to
+    ``LIP_TOL``."""
+    from mmdist.lipschitz import LIP_TOL
+
+    f = np.asarray(f, dtype=float)[lset.support]
+    excess = np.abs(f[:, None] - f[None, :]) - lset.closure
+    return float(np.max(excess, initial=0.0)) <= LIP_TOL
 
 
 def reference_lip1_sample(lset, rng):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmdist import mm_space, observable_distance, read_space, sample_mu_r, write_space
+from mmdist import matrixdist, mm_space, observable_distance, read_space, sample_mu_r, write_space
 from mmdist.cli import _COMMANDS, build_parser, main
 from mmdist.matrixdist import _isomorphisms
 
@@ -316,6 +316,14 @@ class TestOtherCommands:
         assert exit_code(["matdist", x, "--r", "10000"]) == 2
         assert "size limit: exact_mu_r refuses order r = 10000 on 2 support points" in capsys.readouterr().err
 
+    def test_matdist_one_point_key_past_the_limit_exits_two(self, capsys, tmp_path, monkeypatch):
+        # one support point has one tuple at every order, so only the r * r key grows
+        monkeypatch.setattr(matrixdist, "EXACT_MU_R_LIMIT", 100)
+        one = tmp_path / "one.json"
+        write_space(one, mm_space([1.0], [[0.0]]))
+        assert exit_code(["matdist", one, "--r", "11"]) == 2
+        assert "size limit: exact_mu_r refuses order r = 11 on 1 support points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     @pytest.mark.parametrize("samples", [[], ["--samples", "5"]])
     def test_matdist_r_below_one_exits_one(self, capsys, spaces, r, samples):
@@ -501,6 +509,13 @@ class TestSuiteCommand:
         # inf ended in an OverflowError traceback; -3 ran one trial per property
         assert exit_code(["suite", "--properties", "scale-roundtrip", "--samples", samples]) == 1
         assert "samples" in capsys.readouterr().err
+
+    def test_overflowing_samples_scale_exits_one(self, capsys):
+        # finite, so it passed the scale check; then a trial count overflowed
+        # to inf and int(round(inf)) ended in an OverflowError traceback
+        assert exit_code(["suite", "--samples", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "samples scale" in err and "Traceback" not in err
 
     def test_unknown_property_rejected(self, capsys):
         assert main(["suite", "--properties", "not-a-property"]) == 1

@@ -368,6 +368,13 @@ def test_empty_property_selection_rejected():
         run_suite(names=[])
 
 
+def test_overflowing_samples_scale_refused():
+    # 1e308 is finite, but times a trial count it overflowed to inf, and
+    # int(round(inf)) raised OverflowError after the properties before it ran
+    with pytest.raises(ValueError, match="samples scale"):
+        run_suite(samples=1e308)
+
+
 def test_one_pass_property_selection_runs_its_properties():
     # the unknown-name check used up an iterator, so no property ran and the report passed
     report = run_suite(names=iter(["scale-roundtrip"]), samples=0)

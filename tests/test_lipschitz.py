@@ -36,6 +36,7 @@ from oracles import (
     lip_vertices_active_sets,
     me_infimum_grid,
     reference_hli_sampled,
+    reference_lip1_contains,
     reference_lip1_sample,
     sup_distance_to_lip_lp,
 )
@@ -369,6 +370,72 @@ class TestPointDistance:
     def test_nan_floor_rejected(self):
         with pytest.raises(ValueError, match="floor"):
             lip_point_distance([0.0, 5.0], Lip1Set([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), 1.0, floor=np.nan)
+
+
+class TestDefectRule:
+    # membership, the point distance and the sampled screen all read one
+    # halved excess, Lip1Set._defects
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_contains_matches_reference_hypothesis(self, data):
+        # supports of 0 to 7 points among up to 9, zero weights, no triangle
+        # inequality; members (samples and closure cones, which are tight),
+        # members nudged on one point by +-LIP_TOL and +-2 LIP_TOL, and
+        # random functions
+        n = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(0, min(n, 7)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        w = np.zeros(n)
+        w[rng.choice(n, size=k, replace=False)] = rng.integers(1, 5, size=k) * 0.25
+        lset = Lip1Set(random_pair_matrices(rng, n), w)
+        kind = data.draw(st.sampled_from(["sample", "cone", "nudged sample", "nudged cone", "random"]))
+        if kind == "random":
+            f = np.round(rng.uniform(-3.0, 3.0, size=n), 2)
+        elif kind.endswith("cone") and k > 0:
+            f = lset._extend(lset.closure[:, int(rng.integers(k))])
+        else:
+            f = lset.sample(rng)
+        if kind.startswith("nudged"):
+            f[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2])) * lipschitz.LIP_TOL
+        assert lset.contains(f) == reference_lip1_contains(lset, f)
+
+    def test_batch_defects_match_rows_bit_for_bit(self):
+        # the screen of sampled hli_lambda reads a batch; lip_point_distance
+        # reads one probe, and the two must agree on every bit
+        rng = np.random.default_rng(113)
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            lset = Lip1Set(random_pair_matrices(rng, n), rng.integers(0, 3, size=n) * 0.5)
+            probes = np.vstack((lset._samples(rng, 4), rng.uniform(-3.0, 3.0, size=(3, n))))
+            on = probes[:, lset.support]
+            rows = np.stack([lset._defects(row) for row in on])
+            assert lset._defects(on).tobytes() == rows.tobytes()
+
+    def test_every_measured_probe_can_raise_the_bound(self, monkeypatch):
+        # a probe's distance is at most its largest defect, so a probe whose
+        # largest defect is at most the running maximum is never measured.
+        # On identical semimetrics no probe has a positive defect, and every
+        # probe was measured there at the bound 0; rounding leaves some samples
+        # a defect of a few ulps, and those are measured
+        measured, measure = [], lipschitz.lip_point_distance
+
+        def recorded(f, target, lam, *, floor=0.0):
+            on = np.asarray(f)[target.support]
+            excess = np.abs(on[:, None] - on[None, :]) - target.closure
+            measured.append((floor, max(float(np.max(excess, initial=0.0)) / 2.0, 0.0)))
+            return measure(f, target, lam, floor=floor)
+
+        monkeypatch.setattr(lipschitz, "lip_point_distance", recorded)
+        rng = np.random.default_rng(127)
+        d = random_pair_matrices(rng, 5)
+        pair = SemiDistancePair(np.full(5, 0.2), d, d)
+        assert hli_lambda(pair, 1.0, "sampled", samples=12).value == 0.0
+        pair = SemiDistancePair(np.full(5, 0.2), d, random_pair_matrices(rng, 5))
+        hli_lambda(pair, 1.0, "sampled", samples=12, seed=3)
+        X, Y = (random_space(rng, min_points=4, max_points=4) for _ in range(2))
+        observable_distance(X, Y, 0.5, "sampled", samples=6, seed=5)
+        assert measured and all(floor < top for floor, top in measured)
 
 
 class TestHliPair:

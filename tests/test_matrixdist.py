@@ -112,6 +112,14 @@ class TestExactMuR:
         mu = exact_mu_r(mm_space([1.0], [[0.0]]), 30)
         assert mu.entries == (((0.0,) * 900, 1.0),)
 
+    def test_one_point_key_past_the_limit_refused(self, monkeypatch):
+        # k ** r is 1 at every order on one support point, so the tuple limit
+        # never fired, while the one r x r key grew as r * r (205 MB at r = 4000)
+        monkeypatch.setattr(matrixdist, "EXACT_MU_R_LIMIT", 100)
+        with pytest.raises(SizeLimitError, match="order r = 11 on 1 support points: over 100 entries in a key"):
+            exact_mu_r(mm_space([1.0], [[0.0]]), 11)
+        assert exact_mu_r(two_point(), 6).total_mass == pytest.approx(1.0)
+
 
 class TestSampleMuR:
     def test_zero_count_is_empty(self):
